@@ -26,6 +26,8 @@
 //! | `Sum` | floats | 1 | fused sequential accumulator (serial association) |
 //! | any  | any | 1 | fused sequential accumulator |
 //! | any  | any | s > 1 | in-buffer recurrence, rotating lane index |
+//! | `LinRec` | exact rings | 1, order ≤ 8 | register-resident window; multi-chain totals sweep at orders 1–3 |
+//! | `LinRec` | exact rings | s > 1 or order > 8 | rotating-lane window |
 //!
 //! The `cascade_*` methods add the **single-pass order-`q`** kernels (a
 //! length-`q` state vector per lane, advanced once per element — see
@@ -1066,94 +1068,366 @@ fn sum_in_place_blocked<T: ScanElement>(data: &mut [T]) {
 }
 
 // --- LinRec: fixed-coefficient linear-recurrence sweeps --------------------
+//
+// `state` holds the last `q` outputs per lane, most recent in row 0
+// (`state[j * s + lane] = x_{i-1-j}`). Per element the predecessor
+// contribution `pred = sum_j a_j * x_{i-1-j}` is formed, the new output
+// `y = x + pred` shifts the lane's window down one row, and the emitted
+// value is `y` (inclusive) or `pred` (exclusive) — the recurrence analogue
+// of the sum cascade's pre-update top row, which reduces to the exclusive
+// prefix sum for `coeffs == [1]`.
+//
+// Dispatch: stride 1 with order `Q <= 8` runs the register-resident sweep
+// (const-generic window, one multiply and one add on the loop-carried
+// chain); its totals-only form additionally splits long spans at orders
+// 1-3 into independent chains folded by a companion-matrix power. The
+// output sweep stays on one chain: splitting it would need a second pass
+// to seed every sub-block before it can emit. Every other shape keeps the
+// rotating-lane loop. Construction of [`LinRec`] is gated on
+// `T::EXACT_RING`, so the reassociations below are bit-exact.
 
-/// Rotating-lane linear-recurrence sweep, reading `src` and writing `dst`.
+/// Shortest sub-block the multi-chain totals sweep splits into. Shorter
+/// spans run on one chain: there the companion power (`log2 m` matrix
+/// squarings) and the fold are no longer small next to the sweep.
+const LINREC_MIN_SUB_BLOCK: usize = 512;
+
+/// Where a recurrence sweep reads its input and puts its outputs. Each
+/// sweep is written once over this trait; monomorphization gives every
+/// sink its own loop.
+trait Sink<T: Copy> {
+    /// Number of positions.
+    fn len(&self) -> usize;
+    /// Input at position `i`.
+    fn input(&self, i: usize) -> T;
+    /// Stores the output for position `i`.
+    fn emit(&mut self, i: usize, v: T);
+}
+
+/// Reads `src`, writes the matching position of `dst`.
+struct Dst<'a, T> {
+    src: &'a [T],
+    dst: &'a mut [T],
+}
+
+/// Reads and overwrites one buffer.
+struct InPlace<'a, T>(&'a mut [T]);
+
+/// Reads `src` and drops every output (the totals sweep).
+struct Discard<'a, T>(&'a [T]);
+
+impl<T: Copy> Sink<T> for Dst<'_, T> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.src.len()
+    }
+    #[inline(always)]
+    fn input(&self, i: usize) -> T {
+        self.src[i]
+    }
+    #[inline(always)]
+    fn emit(&mut self, i: usize, v: T) {
+        self.dst[i] = v;
+    }
+}
+
+impl<T: Copy> Sink<T> for InPlace<'_, T> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn input(&self, i: usize) -> T {
+        self.0[i]
+    }
+    #[inline(always)]
+    fn emit(&mut self, i: usize, v: T) {
+        self.0[i] = v;
+    }
+}
+
+impl<T: Copy> Sink<T> for Discard<'_, T> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn input(&self, i: usize) -> T {
+        self.0[i]
+    }
+    #[inline(always)]
+    fn emit(&mut self, _i: usize, _v: T) {}
+}
+
+/// One recurrence chain held in registers: the window (row 0 most recent)
+/// and `pre`, the next input plus the older taps `c[j] * x_{i-1-j}` for
+/// `j >= 1`, formed one step ahead.
 ///
-/// `state` holds the last `q` outputs per lane, most recent in row 0
-/// (`state[j * s + lane] = x_{i-1-j}`). Per element the predecessor
-/// contribution `pred = sum_j a_j * x_{i-1-j}` is formed, the new output
-/// `y = x + pred` shifts the lane's window down one row, and the emitted
-/// value is `y` (inclusive) or `pred` (exclusive) — the recurrence
-/// analogue of the sum cascade's pre-update top row, which reduces to the
-/// exclusive prefix sum for `coeffs == [1]`.
-fn linrec_from<T: ScanElement>(
+/// Carrying `pre` across the iteration keeps the loop-carried chain from
+/// one output to the next at one multiply and one add (`y = pre + c[0] *
+/// x_{i-1}`); every other tap is summed off that chain, and the compiler
+/// cannot reassociate the newest tap into the middle of the sum.
+struct Chain<T, const Q: usize> {
+    win: [T; Q],
+    pre: T,
+}
+
+impl<T: ScanElement, const Q: usize> Chain<T, Q> {
+    /// A chain at window `win` whose next input is `x`.
+    #[inline(always)]
+    fn new(c: &[T; Q], win: [T; Q], x: T) -> Self {
+        let mut pre = x;
+        for j in (1..Q).rev() {
+            pre = pre.add(c[j].mul(win[j]));
+        }
+        Chain { win, pre }
+    }
+
+    /// Emits the output for the pending input and takes `next` as the
+    /// following one (any value after the last input).
+    #[inline(always)]
+    fn advance(&mut self, c: &[T; Q], next: T) -> T {
+        let w = self.win;
+        let y = self.pre.add(c[0].mul(w[0]));
+        let mut pre = next;
+        for j in (1..Q).rev() {
+            pre = pre.add(c[j].mul(w[j - 1]));
+        }
+        self.win = std::array::from_fn(|j| if j == 0 { y } else { w[j - 1] });
+        self.pre = pre;
+        y
+    }
+}
+
+/// Register-resident stride-1 sweep of order `Q` over `io`, seeded by and
+/// updating `w`. The exclusive output `pred` is `y - x`, exact in the ring.
+#[inline(always)]
+fn linrec_register<T: ScanElement, S: Sink<T>, const Q: usize, const EXCLUSIVE: bool>(
+    c: &[T; Q],
+    io: &mut S,
+    w: &mut [T; Q],
+) {
+    let n = io.len();
+    if n == 0 {
+        return;
+    }
+    let mut x = io.input(0);
+    let mut chain = Chain::new(c, *w, x);
+    let emit = |io: &mut S, i: usize, y: T, x: T| {
+        io.emit(i, if EXCLUSIVE { y.sub(x) } else { y });
+    };
+    for i in 1..n {
+        let next = io.input(i);
+        let y = chain.advance(c, next);
+        emit(io, i - 1, y, x);
+        x = next;
+    }
+    let y = chain.advance(c, T::ZERO);
+    emit(io, n - 1, y, x);
+    *w = chain.win;
+}
+
+/// `p * q` over `T`'s wrapping ring.
+fn mat_mul<T: ScanElement, const Q: usize>(p: &[[T; Q]; Q], q: &[[T; Q]; Q]) -> [[T; Q]; Q] {
+    let mut r = [[T::ZERO; Q]; Q];
+    for (ri, pi) in r.iter_mut().zip(p) {
+        for (&pik, qk) in pi.iter().zip(q) {
+            for (rij, &qkj) in ri.iter_mut().zip(qk) {
+                *rij = rij.add(pik.mul(qkj));
+            }
+        }
+    }
+    r
+}
+
+/// The companion matrix of `c`, which maps a window to its successor
+/// under zero input: row 0 is `c`, row `i >= 1` shifts entry `i - 1` down.
+fn companion<T: ScanElement, const Q: usize>(c: &[T; Q]) -> [[T; Q]; Q] {
+    let mut a = [[T::ZERO; Q]; Q];
+    a[0] = *c;
+    for i in 1..Q {
+        a[i][i - 1] = T::from_i64(1);
+    }
+    a
+}
+
+/// `m`-th power (`m >= 1`) of [`companion`]`(c)`, by square-and-multiply
+/// on stack arrays.
+fn companion_pow<T: ScanElement, const Q: usize>(c: &[T; Q], m: usize) -> [[T; Q]; Q] {
+    let a = companion(c);
+    let mut r = a;
+    for bit in (0..m.ilog2()).rev() {
+        r = mat_mul(&r, &r);
+        if (m >> bit) & 1 == 1 {
+            r = mat_mul(&r, &a);
+        }
+    }
+    r
+}
+
+/// Multi-chain totals sweep: advances `w` over `src` without outputs.
+///
+/// The span splits into `K` equal sub-blocks of length `m`. Sub-block 0
+/// starts from `w`, the rest from zero, and all `K` advance interleaved in
+/// one loop, so their chains overlap in the pipeline. The end states fold
+/// left to right, `w = A^m w + local` (the paper's local scan plus carry),
+/// and the `src.len() % K` tail runs on the single chain. Spans whose
+/// sub-blocks would be shorter than [`LINREC_MIN_SUB_BLOCK`] run on one
+/// chain throughout.
+#[inline]
+fn linrec_chains<T: ScanElement, const Q: usize, const K: usize>(
+    c: &[T; Q],
+    src: &[T],
+    w: &mut [T; Q],
+) {
+    let m = src.len() / K;
+    if K == 1 || m < LINREC_MIN_SUB_BLOCK {
+        linrec_register::<T, _, Q, false>(c, &mut Discard(src), w);
+        return;
+    }
+    let blocks: [&[T]; K] = std::array::from_fn(|k| &src[k * m..(k + 1) * m]);
+    let mut chains: [Chain<T, Q>; K] = std::array::from_fn(|k| {
+        let win = if k == 0 { *w } else { [T::ZERO; Q] };
+        Chain::new(c, win, blocks[k][0])
+    });
+    for t in 1..m {
+        for (chain, block) in chains.iter_mut().zip(&blocks) {
+            chain.advance(c, block[t]);
+        }
+    }
+    for chain in &mut chains {
+        chain.advance(c, T::ZERO);
+    }
+    let a_m = companion_pow(c, m);
+    let mut acc = chains[0].win;
+    for local in chains[1..].iter().map(|chain| &chain.win) {
+        let mut next = *local;
+        for (n, row) in next.iter_mut().zip(&a_m) {
+            for (&a, &v) in row.iter().zip(&acc) {
+                *n = n.add(a.mul(v));
+            }
+        }
+        acc = next;
+    }
+    linrec_register::<T, _, Q, false>(c, &mut Discard(&src[K * m..]), &mut acc);
+    *w = acc;
+}
+
+/// Rotating-lane sweep for every shape without a register kernel (`s > 1`
+/// or order above 8). Tuple lanes already interleave independent chains
+/// here.
+fn linrec_strided<T: ScanElement, S: Sink<T>>(
+    coeffs: &[T],
+    io: &mut S,
+    base: usize,
+    s: usize,
+    state: &mut [T],
+    exclusive: bool,
+) {
+    let q = coeffs.len();
+    let mut lane = base % s;
+    for i in 0..io.len() {
+        let mut pred = T::ZERO;
+        for (j, &c) in coeffs.iter().enumerate() {
+            pred = pred.add(state[j * s + lane].mul(c));
+        }
+        let y = io.input(i).add(pred);
+        for j in (1..q).rev() {
+            state[j * s + lane] = state[(j - 1) * s + lane];
+        }
+        state[lane] = y;
+        io.emit(i, if exclusive { pred } else { y });
+        lane += 1;
+        if lane == s {
+            lane = 0;
+        }
+    }
+}
+
+/// Runs `f` with the coefficients and stride-1 window as `Q`-arrays, the
+/// window copied back afterwards. `state.len()` must equal `coeffs.len()`.
+#[inline(always)]
+fn with_window<T: ScanElement, const Q: usize>(
+    coeffs: &[T],
+    state: &mut [T],
+    f: impl FnOnce(&[T; Q], &mut [T; Q]),
+) {
+    let c: &[T; Q] = coeffs.try_into().expect("order matches the const window");
+    let w: &mut [T; Q] = state.try_into().expect("order matches the const window");
+    f(c, w);
+}
+
+/// Output sweep (`from` / in place): the register sweep for stride 1 and
+/// order <= 8, the rotating-lane loop otherwise.
+fn linrec_sweep<T: ScanElement, S: Sink<T>>(
+    coeffs: &[T],
+    io: &mut S,
+    base: usize,
+    s: usize,
+    state: &mut [T],
+    exclusive: bool,
+) {
+    fn run<T: ScanElement, S: Sink<T>, const Q: usize>(
+        coeffs: &[T],
+        io: &mut S,
+        state: &mut [T],
+        exclusive: bool,
+    ) {
+        with_window::<T, Q>(coeffs, state, |c, w| {
+            if exclusive {
+                linrec_register::<T, S, Q, true>(c, io, w)
+            } else {
+                linrec_register::<T, S, Q, false>(c, io, w)
+            }
+        });
+    }
+    match (s, coeffs.len()) {
+        (1, 1) => run::<T, S, 1>(coeffs, io, state, exclusive),
+        (1, 2) => run::<T, S, 2>(coeffs, io, state, exclusive),
+        (1, 3) => run::<T, S, 3>(coeffs, io, state, exclusive),
+        (1, 4) => run::<T, S, 4>(coeffs, io, state, exclusive),
+        (1, 5) => run::<T, S, 5>(coeffs, io, state, exclusive),
+        (1, 6) => run::<T, S, 6>(coeffs, io, state, exclusive),
+        (1, 7) => run::<T, S, 7>(coeffs, io, state, exclusive),
+        (1, 8) => run::<T, S, 8>(coeffs, io, state, exclusive),
+        _ => linrec_strided(coeffs, io, base, s, state, exclusive),
+    }
+}
+
+/// Totals sweep: the register sweep for stride 1 and order <= 8, split
+/// into independent chains where that pays; the rotating-lane loop
+/// otherwise.
+///
+/// Chain counts per order: a step costs one multiply-add of latency (about
+/// 4 cycles) and `Q` multiplies on x86-64's single 64-bit multiply port, so
+/// extra chains help only while `Q` multiplies issue faster than that
+/// latency. Measured with i64 on a 2-vCPU AVX-512 x86-64 host (32 Ki
+/// chunks): 4 chains ran 3-4x one chain at order 1, 3 chains 1.9x at order
+/// 2, 2 chains 1.6x at order 3; from order 4 up every split was flat or
+/// slower (4 chains at order 8: 0.45x), so those orders keep one chain.
+fn linrec_sweep_totals<T: ScanElement>(
     coeffs: &[T],
     src: &[T],
-    dst: &mut [T],
     base: usize,
     s: usize,
     state: &mut [T],
-    exclusive: bool,
 ) {
-    let q = coeffs.len();
-    let mut lane = base % s;
-    for (d, &x) in dst.iter_mut().zip(src) {
-        let mut pred = T::ZERO;
-        for (j, &c) in coeffs.iter().enumerate() {
-            pred = pred.add(state[j * s + lane].mul(c));
-        }
-        let y = x.add(pred);
-        for j in (1..q).rev() {
-            state[j * s + lane] = state[(j - 1) * s + lane];
-        }
-        state[lane] = y;
-        *d = if exclusive { pred } else { y };
-        lane += 1;
-        if lane == s {
-            lane = 0;
-        }
+    fn run<T: ScanElement, const Q: usize, const K: usize>(
+        coeffs: &[T],
+        src: &[T],
+        state: &mut [T],
+    ) {
+        with_window::<T, Q>(coeffs, state, |c, w| linrec_chains::<T, Q, K>(c, src, w));
     }
-}
-
-/// In-place form of [`linrec_from`].
-fn linrec_in_place<T: ScanElement>(
-    coeffs: &[T],
-    data: &mut [T],
-    base: usize,
-    s: usize,
-    state: &mut [T],
-    exclusive: bool,
-) {
-    let q = coeffs.len();
-    let mut lane = base % s;
-    for v in data.iter_mut() {
-        let x = *v;
-        let mut pred = T::ZERO;
-        for (j, &c) in coeffs.iter().enumerate() {
-            pred = pred.add(state[j * s + lane].mul(c));
-        }
-        let y = x.add(pred);
-        for j in (1..q).rev() {
-            state[j * s + lane] = state[(j - 1) * s + lane];
-        }
-        state[lane] = y;
-        *v = if exclusive { pred } else { y };
-        lane += 1;
-        if lane == s {
-            lane = 0;
-        }
-    }
-}
-
-/// Totals-only form of [`linrec_from`]: advances the output window without
-/// writing outputs (the single-pass protocol's first sweep).
-fn linrec_totals<T: ScanElement>(coeffs: &[T], src: &[T], base: usize, s: usize, state: &mut [T]) {
-    let q = coeffs.len();
-    let mut lane = base % s;
-    for &x in src {
-        let mut pred = T::ZERO;
-        for (j, &c) in coeffs.iter().enumerate() {
-            pred = pred.add(state[j * s + lane].mul(c));
-        }
-        let y = x.add(pred);
-        for j in (1..q).rev() {
-            state[j * s + lane] = state[(j - 1) * s + lane];
-        }
-        state[lane] = y;
-        lane += 1;
-        if lane == s {
-            lane = 0;
-        }
+    match (s, coeffs.len()) {
+        (1, 1) => run::<T, 1, 4>(coeffs, src, state),
+        (1, 2) => run::<T, 2, 3>(coeffs, src, state),
+        (1, 3) => run::<T, 3, 2>(coeffs, src, state),
+        (1, 4) => run::<T, 4, 1>(coeffs, src, state),
+        (1, 5) => run::<T, 5, 1>(coeffs, src, state),
+        (1, 6) => run::<T, 6, 1>(coeffs, src, state),
+        (1, 7) => run::<T, 7, 1>(coeffs, src, state),
+        (1, 8) => run::<T, 8, 1>(coeffs, src, state),
+        _ => linrec_strided(coeffs, &mut Discard(src), base, s, state, false),
     }
 }
 
@@ -1198,7 +1472,10 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
     ) {
         check_fused(src.len(), dst.len(), s);
         check_recurrence_state(state.len(), s, self.coeffs().len());
-        linrec_from(self.coeffs(), src, dst, base, s, state, exclusive);
+        // Equal lengths (checked above); reslicing lets the compiler see it
+        // and drop the per-element bounds check on `dst`.
+        let dst = &mut dst[..src.len()];
+        linrec_sweep(self.coeffs(), &mut Dst { src, dst }, base, s, state, exclusive);
     }
 
     fn cascade_scan_in_place(
@@ -1211,13 +1488,13 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
     ) {
         assert!(s > 0, "stride must be positive");
         check_recurrence_state(state.len(), s, self.coeffs().len());
-        linrec_in_place(self.coeffs(), data, base, s, state, exclusive);
+        linrec_sweep(self.coeffs(), &mut InPlace(data), base, s, state, exclusive);
     }
 
     fn cascade_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T]) {
         assert!(s > 0, "stride must be positive");
         check_recurrence_state(state.len(), s, self.coeffs().len());
-        linrec_totals(self.coeffs(), src, base, s, state);
+        linrec_sweep_totals(self.coeffs(), src, base, s, state);
     }
 }
 
@@ -1556,6 +1833,116 @@ mod tests {
                 Sum.exclusive_in_place(&mut exc, s);
                 assert_eq!(exc, exc_expect, "exc n={n} s={s}");
             }
+        }
+    }
+
+    /// Plain per-lane recurrence loop: the oracle for the `LinRec` sweeps.
+    fn recurrence_oracle<T: ScanElement>(
+        coeffs: &[T],
+        input: &[T],
+        s: usize,
+        seed: &[T],
+        exclusive: bool,
+    ) -> (Vec<T>, Vec<T>) {
+        let q = coeffs.len();
+        let mut wins: Vec<Vec<T>> =
+            (0..s).map(|l| (0..q).map(|j| seed[j * s + l]).collect()).collect();
+        let out = input
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let win = &mut wins[i % s];
+                let pred = coeffs
+                    .iter()
+                    .zip(win.iter())
+                    .fold(T::ZERO, |a, (&c, &w)| a.add(c.mul(w)));
+                let y = x.add(pred);
+                win.rotate_right(1);
+                win[0] = y;
+                if exclusive { pred } else { y }
+            })
+            .collect();
+        let end = (0..q * s).map(|k| wins[k % s][k / s]).collect();
+        (out, end)
+    }
+
+    /// Every `LinRec` sweep shape against the oracle, from a non-zero seed:
+    /// orders 1..=9 (9 is past the register kernels), strides 1 and 3,
+    /// lengths on both sides of every multi-chain split point (chain counts
+    /// 2, 3 and 4) and lengths that no chain count divides. The totals
+    /// sweep must end in the output sweeps' state, and `from` and in-place
+    /// must agree for both kinds.
+    fn check_recurrence_sweeps<T: ScanElement + std::fmt::Debug + PartialEq>(
+        coeff_of: impl Fn(u64) -> T,
+    ) {
+        let min = LINREC_MIN_SUB_BLOCK;
+        let mut lens = vec![0usize, 1, 2, 7, min - 1, min, 9 * min + 5];
+        for k in 2..=4 {
+            lens.extend([k * min - 1, k * min, k * min + 1, k * min + k - 1]);
+        }
+        for q in 1..=9usize {
+            let coeffs: Vec<T> = pseudo_random(q, 40 + q as u64)
+                .into_iter()
+                .map(|v| coeff_of(v as u64))
+                .collect();
+            let op = LinRec::new(coeffs.clone()).expect("exact ring");
+            for s in [1usize, 3] {
+                for &n in &lens {
+                    let input: Vec<T> = pseudo_random(n, (n * 7 + q) as u64)
+                        .into_iter()
+                        .map(|v| T::from_i64(v))
+                        .collect();
+                    let seed: Vec<T> = pseudo_random(q * s, (q + s) as u64)
+                        .into_iter()
+                        .map(|v| T::from_i64(v))
+                        .collect();
+                    let tag = format!("q={q} s={s} n={n}");
+
+                    let mut totals = seed.clone();
+                    op.cascade_totals(&input, 0, s, &mut totals);
+                    for exclusive in [false, true] {
+                        let (expect, end) = recurrence_oracle(&coeffs, &input, s, &seed, exclusive);
+                        let mut dst = vec![T::ZERO; n];
+                        let mut state = seed.clone();
+                        op.cascade_scan_from(&input, &mut dst, 0, s, &mut state, exclusive);
+                        assert_eq!(dst, expect, "from {tag} exc={exclusive}");
+                        assert_eq!(state, end, "from state {tag} exc={exclusive}");
+
+                        let mut data = input.clone();
+                        let mut state = seed.clone();
+                        op.cascade_scan_in_place(&mut data, 0, s, &mut state, exclusive);
+                        assert_eq!(data, expect, "in place {tag} exc={exclusive}");
+                        assert_eq!(state, end, "in place state {tag} exc={exclusive}");
+                        assert_eq!(totals, end, "totals {tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recurrence_sweeps_match_oracle_i64() {
+        check_recurrence_sweeps::<i64>(|v| (v % 7) as i64 - 3);
+    }
+
+    /// Wide coefficients make nearly every product wrap.
+    #[test]
+    fn recurrence_sweeps_match_oracle_wrapping_u32() {
+        check_recurrence_sweeps::<u32>(|v| (v as u32).wrapping_mul(0x9e37_79b9) | 1);
+    }
+
+    /// The companion power against repeated single steps, for powers with
+    /// every bit pattern up to 2^10 (the square-and-multiply ladder).
+    #[test]
+    fn recurrence_companion_power_matches_repeated_steps() {
+        let c = [3i64, -1, 2, 0, 1];
+        let step = companion(&c);
+        assert_eq!(step[0], c);
+        assert_eq!(step[3], [0, 0, 1, 0, 0]);
+        let mut expect = step;
+        for m in 1..=1024 {
+            assert_eq!(companion_pow(&c, m), expect, "m={m}");
+            expect = mat_mul(&expect, &step);
         }
     }
 

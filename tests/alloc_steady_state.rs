@@ -1,14 +1,17 @@
 //! Steady-state allocation discipline of [`CpuScanner::scan_into`]: after
 //! the first scan has grown the scanner's arena, further scans must not
 //! allocate per chunk. A counting global allocator measures exact
-//! allocation counts; everything runs in a single `#[test]` so parallel
-//! test threads cannot contaminate the counter.
+//! allocation counts. The counter is process-wide (a thread-local one
+//! would miss allocations on CPU worker threads), so every test holds
+//! [`exclusive`] for its whole body: parallel test threads cannot
+//! contaminate another test's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use sam_core::cpu::CpuScanner;
-use sam_core::op::{Max, Sum};
+use sam_core::op::{LinRec, Max, Sum};
 use sam_core::plan::{PlanHint, ScanPlan};
 use sam_core::scanner::Engine;
 use sam_core::ScanSpec;
@@ -38,6 +41,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests in this file around the shared counter.
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counter carries no state across
+    // tests, so the poison carries no information.
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
@@ -46,6 +58,7 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn scan_into_does_not_allocate_per_chunk() {
+    let _serial = exclusive();
     let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(3).unwrap();
     let input: Vec<i64> = (0..65_536).map(|i| (i % 977) - 400).collect();
     let mut out = vec![0i64; input.len()];
@@ -84,6 +97,31 @@ fn scan_into_does_not_allocate_per_chunk() {
         "allocations scale with chunk count: {allocs_few} for 2 chunks, \
          {allocs_many} for 2048 chunks"
     );
+
+    // Linear recurrences: the totals sweep of every chunk folds its chains
+    // with a companion-matrix power, which must stay on the stack. Chunks
+    // of 2048 are long enough to split at order 2; order 4 runs the
+    // single-chain register sweep.
+    let input: Vec<i64> = (0..196_608).map(|i| (i % 977) - 400).collect();
+    let mut out = vec![0i64; input.len()];
+    for coeffs in [vec![2i64, -1], vec![1, -2, 0, 1]] {
+        let spec = ScanSpec::inclusive().with_order(coeffs.len() as u32).unwrap();
+        let op = LinRec::new(coeffs).unwrap();
+        let expect = sam_core::serial::scan(&input, &op, &spec);
+        let few = CpuScanner::new(3).with_chunk_elems(98_304); // 2 chunks
+        let many = CpuScanner::new(3).with_chunk_elems(2_048); // 96 chunks
+        few.scan_into(&input, &mut out, &op, &spec); // warm-up
+        many.scan_into(&input, &mut out, &op, &spec); // warm-up
+        let allocs_few = allocs_during(|| few.scan_into(&input, &mut out, &op, &spec));
+        let allocs_many = allocs_during(|| many.scan_into(&input, &mut out, &op, &spec));
+        assert_eq!(out, expect, "order {}", spec.order());
+        assert!(
+            allocs_many <= allocs_few + 64 && allocs_many < 256,
+            "order-{} recurrence allocations scale with chunk count: \
+             {allocs_few} for 2 chunks, {allocs_many} for 96 chunks",
+            spec.order()
+        );
+    }
 }
 
 /// Plan-once sessions are allocation-free in steady state: after the
@@ -93,6 +131,7 @@ fn scan_into_does_not_allocate_per_chunk() {
 /// nothing either.
 #[test]
 fn session_steady_state_is_allocation_free() {
+    let _serial = exclusive();
     let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(3).unwrap();
     let input: Vec<i64> = (0..32_768).map(|i| (i % 613) - 300).collect();
 
@@ -158,6 +197,7 @@ fn session_steady_state_is_allocation_free() {
 #[test]
 fn converged_adaptive_feedback_is_allocation_free() {
     use sam_core::adapt::DriverPhase;
+    let _serial = exclusive();
 
     let spec = ScanSpec::inclusive().with_order(2).unwrap();
     let input: Vec<i64> = (0..32_768).map(|i| (i % 811) - 400).collect();

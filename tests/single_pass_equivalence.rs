@@ -114,6 +114,10 @@ fn check_recurrence_engines<T: ScanElement>(
 
     let cpu = CpuScanner::new(4).with_chunk_elems(771);
     assert_eq!(cpu.scan(input, &op, spec), expect, "cpu {label}");
+    // Chunks long enough for the multi-chain totals sweep (four chains of
+    // at least 512 elements at order 1), with a short last chunk.
+    let cpu = CpuScanner::new(3).with_chunk_elems(2_560);
+    assert_eq!(cpu.scan(input, &op, spec), expect, "cpu long chunks {label}");
 
     let gpu = Gpu::new(DeviceSpec::k40());
     let params = SamParams {
@@ -149,21 +153,27 @@ fn grid_matches_iterated_oracle_i64() {
     }
 }
 
-/// The recurrence grid: orders {1,2,5,8} (order = coefficient count, the
-/// spec's `order()` doubling as the recurrence depth) × tuples {1,2,5,8}
-/// × both kinds, against the per-lane serial loop on every engine. The
-/// coefficient vectors include zeros, negatives, and a pure-delay tap so
-/// the companion-matrix powers are genuinely non-diagonal.
+/// The recurrence grid: orders 1..=9 (order = coefficient count, the
+/// spec's `order()` doubling as the recurrence depth; 9 is past the
+/// register kernels) × tuples {1,2,5,8} × both kinds, against the per-lane
+/// serial loop on every engine. The coefficient vectors include zeros,
+/// negatives, and pure-delay taps so the companion-matrix powers are
+/// genuinely non-diagonal.
 #[test]
 fn recurrence_grid_matches_serial_loop_i64() {
     let input: Vec<i64> = pseudo_random_u64(6_007, 0xabcd)
         .map(|v| ((v >> 40) as i64) - (1 << 23))
         .collect();
-    let grid: [(u32, Vec<i64>); 4] = [
+    let grid: [(u32, Vec<i64>); 9] = [
         (1, vec![3]),
         (2, vec![1, 1]),
+        (3, vec![0, 2, -1]),
+        (4, vec![1, -2, 0, 1]),
         (5, vec![2, -1, 0, 3, -2]),
+        (6, vec![-1, 0, 2, 1, 0, -1]),
+        (7, vec![2, 1, 0, 0, -1, 3, 1]),
         (8, vec![1, 0, -1, 2, 0, 0, 1, -3]),
+        (9, vec![1, 0, 0, -2, 1, 0, 3, -1, 1]),
     ];
     for (order, coeffs) in &grid {
         for tuple in [1usize, 2, 5, 8] {
