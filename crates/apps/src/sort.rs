@@ -19,7 +19,7 @@ use sam_core::cpu::CpuScanner;
 use sam_core::op::Sum;
 use sam_core::ScanElement;
 use sam_core::plan::{PlanHint, ScanPlan, ScanSession};
-use sam_core::scanner::Engine;
+use sam_core::Engine;
 use sam_core::ScanSpec;
 
 /// Keys sortable by their bits: the transform must be monotone — comparing

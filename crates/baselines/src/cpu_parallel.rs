@@ -90,7 +90,7 @@ impl ThreePhaseCpu {
                 scope.spawn(move || {
                     let base = c * chunk;
                     match kind {
-                        ScanKind::Inclusive => chunkops::apply_carry(piece, base, carry, op),
+                        ScanKind::Inclusive => op.apply_carry(piece, base, carry),
                         ScanKind::Exclusive => {
                             let exc = chunkops::exclusive_outputs(piece, base, carry, op);
                             piece.copy_from_slice(&exc);

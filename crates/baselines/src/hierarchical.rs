@@ -161,7 +161,7 @@ impl HierarchicalScan {
                         out.load_block(m, base, &mut vals, AccessClass::Element);
                         let mut carry = [op.identity()];
                         carries.load_block(m, ctx.block, &mut carry, AccessClass::Element);
-                        chunkops::apply_carry(&mut vals, 0, &carry, op);
+                        op.apply_carry(&mut vals, 0, &carry);
                         m.add_compute(vals.len() as u64);
                         out.store_block(m, base, &vals, AccessClass::Element);
                     });
@@ -203,7 +203,7 @@ impl HierarchicalScan {
                     carries.load_block(m, ctx.block, &mut carry, AccessClass::Element);
                     let stored = match kind {
                         ScanKind::Inclusive => {
-                            chunkops::apply_carry(&mut vals, 0, &carry, op);
+                            op.apply_carry(&mut vals, 0, &carry);
                             m.add_compute(vals.len() as u64);
                             vals
                         }

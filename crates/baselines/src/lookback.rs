@@ -203,7 +203,7 @@ impl LookbackScan {
                 // --- Apply carry and store --------------------------------
                 let stored = match kind {
                     ScanKind::Inclusive => {
-                        chunkops::apply_carry(&mut vals, base, &carry, op);
+                        op.apply_carry(&mut vals, base, &carry);
                         m.add_compute(len as u64);
                         std::mem::take(&mut vals)
                     }

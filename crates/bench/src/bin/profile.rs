@@ -19,7 +19,7 @@ use sam_core::cpu::CpuScanner;
 use sam_core::obs::Phase;
 use sam_core::op::Sum;
 use sam_core::plan::{PlanHint, ScanPlan};
-use sam_core::scanner::Engine;
+use sam_core::Engine;
 use sam_core::{SamParams, ScanReport, ScanSpec};
 use std::fmt::Write as _;
 use std::path::Path;

@@ -68,7 +68,7 @@
 use sam_core::cpu::CpuScanner;
 use sam_core::op::{LinRec, Sum};
 use sam_core::plan::{PlanHint, ScanPlan, ScanSession};
-use sam_core::scanner::Engine;
+use sam_core::Engine;
 use sam_core::{serial, ScanSpec};
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -2,7 +2,7 @@
 //!
 //! The paper's StreamScan-style auto-tuner ([`crate::autotune`]) picks
 //! `items_per_thread` once, at install time, from an analytic model; this
-//! crate's CPU equivalents ([`crate::scanner::auto_parallel_threshold`],
+//! crate's CPU equivalents ([`crate::plan::auto_parallel_threshold`],
 //! the NT-store threshold in [`crate::simd`], the chunk geometry frozen
 //! into [`crate::cpu::CpuScanner::default`]) were likewise calibrated once
 //! against one bench host. This module closes the loop at *run* time:
@@ -117,7 +117,7 @@ impl Geometry {
             workers,
             chunk_elems,
             path: KernelPath::Cascade,
-            threshold: crate::scanner::auto_parallel_threshold(spec.order(), spec.tuple()),
+            threshold: crate::plan::auto_parallel_threshold(spec.order(), spec.tuple()),
             nt_min_bytes: crate::simd::NT_STORE_MIN_BYTES,
         }
     }

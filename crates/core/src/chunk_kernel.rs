@@ -12,17 +12,28 @@
 //!   per-element `(base + j) % s` division (Section 2.3's lane bookkeeping
 //!   costs one add-and-compare per element instead of one `div`);
 //! * **specialized implementations** override the hot cases. [`Sum`]
-//!   overrides the stride-1 paths with an unrolled multi-accumulator
-//!   in-register scan (a blocked Hillis–Steele over `BLOCK = 16` lanes
-//!   with per-block carry fixup) that LLVM auto-vectorizes for the integer
-//!   element types.
+//!   overrides the stride-1 paths with the explicit SIMD/SWAR kernels of
+//!   [`crate::simd`], falling back to an unrolled in-register scan (a
+//!   blocked Hillis–Steele over `BLOCK = 16` lanes with per-block carry
+//!   fixup) that LLVM auto-vectorizes for the integer element types.
+//!
+//! # One sweep per shape
+//!
+//! A chunk sweep varies only in where its results go: to a separate
+//! output, back into the buffer it reads, or nowhere when only the end
+//! state is published. Each sweep is therefore written once, generic over
+//! a private `Sink` (`Dst` / `InPlace` / `Discard`), and monomorphization
+//! gives every destination its own loop. A sink also routes the sweep to
+//! the matching explicit kernel in [`crate::simd`] (`stride1_from` /
+//! `stride1_in_place`, `vertical_from` / `vertical_in_place` /
+//! `vertical_totals`).
 //!
 //! # Dispatch table
 //!
 //! | operator | element | stride | kernel |
 //! |---|---|---|---|
-//! | `Sum` | ints (`EXACT_ASSOC`) | 1 | blocked multi-accumulator, vectorizable; non-temporal stores on x86-64 for ≥ 8 MiB outputs |
-//! | `Sum` | ints (`EXACT_ASSOC`) | 2..=64 | **vertical lane-parallel**: `s` accumulators advance together in row form, no per-element lane rotation, LLVM-vectorizable |
+//! | `Sum` | ints (`EXACT_ASSOC`) | 1 | explicit SIMD/SWAR kernel, else blocked multi-accumulator |
+//! | `Sum` | ints (`EXACT_ASSOC`) | 2..=64 | **vertical lane-parallel**: `s` accumulators advance together in row form, no per-element lane rotation |
 //! | `Sum` | floats | 1 | fused sequential accumulator (serial association) |
 //! | any  | any | 1 | fused sequential accumulator |
 //! | any  | any | s > 1 | in-buffer recurrence, rotating lane index |
@@ -32,9 +43,13 @@
 //! The `cascade_*` methods add the **single-pass order-`q`** kernels (a
 //! length-`q` state vector per lane, advanced once per element — see
 //! [`crate::carry`]): `Sum` dispatches stride-1 cascades to const-generic
-//! register kernels for `q <= 8` and strided cascades to the vertical row
-//! form; the rotating-lane defaults cover every other case. Cascade use is
-//! gated on [`ChunkKernel::supports_cascade`] (wrapping-integer sums only).
+//! register kernels for `q <= 8` and base-aligned strided cascades to the
+//! vertical row form; the rotating-lane sweep covers every other case.
+//! Cascade use is gated on [`ChunkKernel::supports_cascade`]
+//! (wrapping-integer sums only).
+//!
+//! Non-temporal stores live only in the explicit kernels of
+//! [`crate::simd`]; every loop in this file uses ordinary stores.
 //!
 //! # Determinism contract
 //!
@@ -46,6 +61,7 @@
 //! preserved per engine, not just per run.
 
 use crate::element::{IntElement, ScanElement};
+use crate::isa::Isa;
 use crate::op::{And, FnOp, LinRec, Max, Min, Or, Prod, ScanOp, Sum, Xor};
 use crate::segmented::{Element32, Packed32, SegmentedOp};
 
@@ -74,30 +90,25 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
     /// Panics if `s` is zero or the slices differ in length.
     fn inclusive_from(&self, src: &[T], dst: &mut [T], s: usize) {
         check_fused(src.len(), dst.len(), s);
-        let n = src.len();
         if s == 1 {
-            self.inclusive_from_stride1(src, dst);
+            // A sequential running accumulator: the association of the
+            // reference loop below, kept in a register.
+            let Some((&first, rest)) = src.split_first() else {
+                return;
+            };
+            let mut acc = first;
+            dst[0] = acc;
+            for (d, &v) in dst[1..].iter_mut().zip(rest) {
+                acc = self.combine(acc, v);
+                *d = acc;
+            }
             return;
         }
+        let n = src.len();
         let head = s.min(n);
         dst[..head].copy_from_slice(&src[..head]);
         for j in s..n {
             dst[j] = self.combine(dst[j - s], src[j]);
-        }
-    }
-
-    /// Stride-1 case of [`ChunkKernel::inclusive_from`]: a sequential
-    /// running accumulator (the association of the reference loop).
-    #[doc(hidden)]
-    fn inclusive_from_stride1(&self, src: &[T], dst: &mut [T]) {
-        let Some((&first, rest)) = src.split_first() else {
-            return;
-        };
-        let mut acc = first;
-        dst[0] = acc;
-        for (d, &v) in dst[1..].iter_mut().zip(rest) {
-            acc = self.combine(acc, v);
-            *d = acc;
         }
     }
 
@@ -297,7 +308,7 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
     ) {
         check_fused(src.len(), dst.len(), s);
         check_cascade_state(state.len(), s);
-        cascade_from_generic(self, src, dst, base, s, state, exclusive);
+        cascade_generic(self, &mut Dst { src, dst }, base, s, state, exclusive);
     }
 
     /// In-place form of [`ChunkKernel::cascade_scan_from`]: `data` is read
@@ -318,7 +329,7 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
     ) {
         assert!(s > 0, "stride must be positive");
         check_cascade_state(state.len(), s);
-        cascade_in_place_generic(self, data, base, s, state, exclusive);
+        cascade_generic(self, &mut InPlace(data), base, s, state, exclusive);
     }
 
     /// Totals-only cascade: advances `state` over `src` without writing any
@@ -332,7 +343,7 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
     fn cascade_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T]) {
         assert!(s > 0, "stride must be positive");
         check_cascade_state(state.len(), s);
-        cascade_totals_generic(self, src, base, s, state);
+        cascade_generic(self, &mut Discard(src), base, s, state, false);
     }
 
     /// Rewrites a *pre-carry* inclusively-scanned chunk into its exclusive
@@ -397,17 +408,131 @@ fn check_cascade_state(state_len: usize, s: usize) {
     );
 }
 
-/// Generic rotating-lane cascade, reading `src` and writing `dst`.
+/// Where a sweep reads its input and puts its outputs. Each sweep is
+/// written once over this trait; monomorphization gives every sink its own
+/// loop.
+trait Sink<T: Copy> {
+    /// Number of positions.
+    fn len(&self) -> usize;
+    /// Input at position `i`.
+    fn input(&self, i: usize) -> T;
+    /// Stores the output for position `i`.
+    fn emit(&mut self, i: usize, v: T);
+
+    /// Runs `isa`'s explicit stride-1 inclusive sum kernel over this sink
+    /// from a zero seed; `false` when it declines (or the sink has none).
+    fn sum_stride1_simd(&mut self, _isa: Isa) -> bool
+    where
+        T: ScanElement,
+    {
+        false
+    }
+
+    /// Runs `isa`'s explicit vertical sum cascade over this sink (see
+    /// [`crate::simd::vertical_from`]); `false` when it declines.
+    fn sum_vertical_simd(&mut self, isa: Isa, s: usize, state: &mut [T], exclusive: bool) -> bool
+    where
+        T: ScanElement;
+}
+
+/// Reads `src`, writes the matching position of `dst`.
+struct Dst<'a, T> {
+    src: &'a [T],
+    dst: &'a mut [T],
+}
+
+/// Reads and overwrites one buffer.
+struct InPlace<'a, T>(&'a mut [T]);
+
+/// Reads `src` and drops every output (the totals sweep).
+struct Discard<'a, T>(&'a [T]);
+
+impl<T: Copy> Sink<T> for Dst<'_, T> {
+    /// Callers check that the buffers match; the `min` lets the compiler
+    /// see that every position below it is in bounds of both, even where
+    /// the sweep is not inlined into that check.
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.src.len().min(self.dst.len())
+    }
+    #[inline(always)]
+    fn input(&self, i: usize) -> T {
+        self.src[i]
+    }
+    #[inline(always)]
+    fn emit(&mut self, i: usize, v: T) {
+        self.dst[i] = v;
+    }
+    fn sum_stride1_simd(&mut self, isa: Isa) -> bool
+    where
+        T: ScanElement,
+    {
+        crate::simd::stride1_from(isa, self.src, self.dst, T::ZERO).is_some()
+    }
+    fn sum_vertical_simd(&mut self, isa: Isa, s: usize, state: &mut [T], exclusive: bool) -> bool
+    where
+        T: ScanElement,
+    {
+        crate::simd::vertical_from(isa, self.src, self.dst, s, state, exclusive)
+    }
+}
+
+impl<T: Copy> Sink<T> for InPlace<'_, T> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn input(&self, i: usize) -> T {
+        self.0[i]
+    }
+    #[inline(always)]
+    fn emit(&mut self, i: usize, v: T) {
+        self.0[i] = v;
+    }
+    fn sum_stride1_simd(&mut self, isa: Isa) -> bool
+    where
+        T: ScanElement,
+    {
+        crate::simd::stride1_in_place(isa, self.0).is_some()
+    }
+    fn sum_vertical_simd(&mut self, isa: Isa, s: usize, state: &mut [T], exclusive: bool) -> bool
+    where
+        T: ScanElement,
+    {
+        crate::simd::vertical_in_place(isa, self.0, s, state, exclusive)
+    }
+}
+
+impl<T: Copy> Sink<T> for Discard<'_, T> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn input(&self, i: usize) -> T {
+        self.0[i]
+    }
+    #[inline(always)]
+    fn emit(&mut self, _i: usize, _v: T) {}
+    fn sum_vertical_simd(&mut self, isa: Isa, s: usize, state: &mut [T], _exclusive: bool) -> bool
+    where
+        T: ScanElement,
+    {
+        crate::simd::vertical_totals(isa, self.0, s, state)
+    }
+}
+
+/// Generic rotating-lane cascade over `io`.
 ///
 /// Association per lane column is `a_i = op(a_i, a_{i-1})` — accumulated
 /// prefix first, exactly the association of the iterated in-place passes it
 /// replaces. Correct for any associative operator; bit-exactness of the
 /// zero seed additionally needs a true identity (the
 /// [`ChunkKernel::supports_cascade`] gate).
-fn cascade_from_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
+fn cascade_generic<T: Copy, Op: ScanOp<T> + ?Sized, S: Sink<T>>(
     op: &Op,
-    src: &[T],
-    dst: &mut [T],
+    io: &mut S,
     base: usize,
     s: usize,
     state: &mut [T],
@@ -415,61 +540,14 @@ fn cascade_from_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
 ) {
     let q = state.len() / s;
     let mut lane = base % s;
-    for (d, &x) in dst.iter_mut().zip(src) {
+    for j in 0..io.len() {
+        let x = io.input(j);
         let prev_top = state[(q - 1) * s + lane];
         state[lane] = op.combine(state[lane], x);
         for i in 1..q {
             state[i * s + lane] = op.combine(state[i * s + lane], state[(i - 1) * s + lane]);
         }
-        *d = if exclusive { prev_top } else { state[(q - 1) * s + lane] };
-        lane += 1;
-        if lane == s {
-            lane = 0;
-        }
-    }
-}
-
-/// Generic rotating-lane cascade, in place.
-fn cascade_in_place_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
-    op: &Op,
-    data: &mut [T],
-    base: usize,
-    s: usize,
-    state: &mut [T],
-    exclusive: bool,
-) {
-    let q = state.len() / s;
-    let mut lane = base % s;
-    for v in data.iter_mut() {
-        let x = *v;
-        let prev_top = state[(q - 1) * s + lane];
-        state[lane] = op.combine(state[lane], x);
-        for i in 1..q {
-            state[i * s + lane] = op.combine(state[i * s + lane], state[(i - 1) * s + lane]);
-        }
-        *v = if exclusive { prev_top } else { state[(q - 1) * s + lane] };
-        lane += 1;
-        if lane == s {
-            lane = 0;
-        }
-    }
-}
-
-/// Generic rotating-lane totals-only cascade.
-fn cascade_totals_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
-    op: &Op,
-    src: &[T],
-    base: usize,
-    s: usize,
-    state: &mut [T],
-) {
-    let q = state.len() / s;
-    let mut lane = base % s;
-    for &x in src {
-        state[lane] = op.combine(state[lane], x);
-        for i in 1..q {
-            state[i * s + lane] = op.combine(state[i * s + lane], state[(i - 1) * s + lane]);
-        }
+        io.emit(j, if exclusive { prev_top } else { state[(q - 1) * s + lane] });
         lane += 1;
         if lane == s {
             lane = 0;
@@ -478,14 +556,6 @@ fn cascade_totals_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
 }
 
 // --- Sum: unrolled multi-accumulator stride-1 kernels ----------------------
-
-// The non-temporal store threshold is shared with the explicit SIMD
-// kernels (`simd.rs`) so the two layers flip to streaming stores at the
-// same output size; see its definition for the rationale. Measured
-// ~1.2–1.5× on the fused pass once the output no longer fits in cache.
-// (Every consumer in this file is x86-64-only, hence the gated import.)
-#[cfg(target_arch = "x86_64")]
-use crate::simd::nt_store_min_bytes;
 
 /// Scans one `BLOCK`-element block with Hillis–Steele steps 1, 2, 4, 8
 /// (double-buffered between two register arrays so every step is a
@@ -516,94 +586,49 @@ fn scan_block<T: ScanElement>(sb: &[T]) -> [T; BLOCK] {
     a
 }
 
-/// Blocked Hillis–Steele over `BLOCK` register accumulators: each block of
-/// 16 elements is scanned in registers ([`scan_block`]), then offset by the
-/// running carry.
+/// Stride-1 inclusive sum over `io`.
 ///
-/// Only called for `T::EXACT_ASSOC` element types: the reassociation is
-/// exact for wrapping integer addition, so the result is bit-identical to
-/// the sequential accumulator.
+/// Exactly associative types take the resolved ISA's explicit kernel
+/// (bit-identical; it decides non-temporal stores itself) and otherwise a
+/// blocked Hillis–Steele over `BLOCK` register accumulators: each block is
+/// scanned in registers ([`scan_block`]), then offset by the running
+/// carry. Starting that carry at `ZERO` is exact for wrapping integers.
+/// Floats keep the sequential accumulator and its association.
 #[inline]
-fn sum_blocks_from<T: ScanElement>(src: &[T], dst: &mut [T], carry: T) -> T {
-    // Explicit SIMD/SWAR first: the resolved ISA's kernel is bit-identical
-    // and decides non-temporal stores internally.
-    if let Some(c) = crate::simd::stride1_from(crate::isa::resolved(), src, dst, carry) {
-        return c;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::mem::size_of_val(src) >= nt_store_min_bytes()
-        && 16 % std::mem::size_of::<T>() == 0
-    {
-        return sum_blocks_from_nt(src, dst, carry);
-    }
-    sum_blocks_from_cached(src, dst, carry)
-}
-
-/// [`sum_blocks_from`] with ordinary (write-allocating) stores.
-#[inline]
-fn sum_blocks_from_cached<T: ScanElement>(src: &[T], dst: &mut [T], mut carry: T) -> T {
-    let mut blocks = src.chunks_exact(BLOCK);
-    let mut out_blocks = dst.chunks_exact_mut(BLOCK);
-    for (sb, db) in (&mut blocks).zip(&mut out_blocks) {
-        let a = scan_block(sb);
-        // Carry fixup: one broadcast add per block.
-        for (d, &v) in db.iter_mut().zip(&a) {
-            *d = carry.add(v);
+fn sum_stride1<T: ScanElement, S: Sink<T>>(io: &mut S) {
+    let n = io.len();
+    if !T::EXACT_ASSOC {
+        if n == 0 {
+            return;
         }
-        carry = db[BLOCK - 1];
+        let mut acc = io.input(0);
+        io.emit(0, acc);
+        for j in 1..n {
+            acc = acc.add(io.input(j));
+            io.emit(j, acc);
+        }
+        return;
+    }
+    if io.sum_stride1_simd(crate::isa::resolved()) {
+        return;
+    }
+    let mut carry = T::ZERO;
+    let mut off = 0;
+    while off + BLOCK <= n {
+        let block: [T; BLOCK] = std::array::from_fn(|k| io.input(off + k));
+        let a = scan_block(&block);
+        // Carry fixup: one broadcast add per block.
+        for (k, &v) in a.iter().enumerate() {
+            io.emit(off + k, carry.add(v));
+        }
+        carry = carry.add(a[BLOCK - 1]);
+        off += BLOCK;
     }
     // Sequential tail (< BLOCK elements).
-    for (d, &v) in out_blocks.into_remainder().iter_mut().zip(blocks.remainder()) {
-        carry = carry.add(v);
-        *d = carry;
+    for j in off..n {
+        carry = carry.add(io.input(j));
+        io.emit(j, carry);
     }
-    carry
-}
-
-/// [`sum_blocks_from`] with `movntdq` stores that bypass the cache
-/// hierarchy, eliminating the read-for-ownership of the destination.
-///
-/// Bit-identical to the cached path (only the store instruction differs).
-/// Dispatch guarantees `size_of::<T>()` divides 16, so the scalar prologue
-/// reaches 16-byte alignment in whole elements and each block covers whole
-/// vectors.
-#[cfg(target_arch = "x86_64")]
-fn sum_blocks_from_nt<T: ScanElement>(src: &[T], dst: &mut [T], mut carry: T) -> T {
-    use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_sfence, _mm_stream_si128};
-    let n = src.len();
-    // Scalar prologue until the destination is 16-byte aligned.
-    let mut start = 0;
-    while start < n && !dst[start..].as_ptr().addr().is_multiple_of(16) {
-        carry = carry.add(src[start]);
-        dst[start] = carry;
-        start += 1;
-    }
-    let blocks = (n - start) / BLOCK;
-    let vecs = BLOCK * std::mem::size_of::<T>() / 16;
-    unsafe {
-        let dp = dst.as_mut_ptr().add(start);
-        for blk in 0..blocks {
-            let mut a = scan_block(&src[start + blk * BLOCK..start + (blk + 1) * BLOCK]);
-            for v in &mut a {
-                *v = carry.add(*v);
-            }
-            carry = a[BLOCK - 1];
-            // SAFETY: dp is 16-byte aligned (prologue above) and block
-            // `blk` spans `vecs` whole vectors inside `dst`.
-            let d = dp.add(blk * BLOCK).cast::<__m128i>();
-            for k in 0..vecs {
-                _mm_stream_si128(d.add(k), _mm_loadu_si128(a.as_ptr().cast::<__m128i>().add(k)));
-            }
-        }
-        // Non-temporal stores are weakly ordered: fence before returning so
-        // the CPU engine's subsequent ready-flag release publishes them.
-        _mm_sfence();
-    }
-    for j in start + blocks * BLOCK..n {
-        carry = carry.add(src[j]);
-        dst[j] = carry;
-    }
-    carry
 }
 
 // --- Sum: cascade and lane-parallel (vertical) tuple kernels ---------------
@@ -611,8 +636,8 @@ fn sum_blocks_from_nt<T: ScanElement>(src: &[T], dst: &mut [T], mut carry: T) ->
 /// Maximum tuple size the vertical stride-`s` sum kernels cover with a
 /// stack-allocated accumulator row; larger strides take the generic
 /// in-buffer recurrence (they are past the width any SIMD unit exploits
-/// anyway). Exposed because the [`crate::scanner`] auto-crossover model
-/// keys off the same vectorized/non-vectorized boundary.
+/// anyway). Exposed because the [`crate::plan::auto_parallel_threshold`]
+/// crossover model keys off the same vectorized/non-vectorized boundary.
 pub const VERTICAL_LANES_MAX: usize = 64;
 
 /// Stride-1 order-`Q` cascade with the state held in `Q` registers: per
@@ -621,80 +646,21 @@ pub const VERTICAL_LANES_MAX: usize = 64;
 /// `j`), so an out-of-order core sustains ~1 element per `Q`/issue-width
 /// cycles rather than the naive `Q`-cycle latency chain.
 #[inline]
-fn sum_cascade1_from<T: ScanElement, const Q: usize>(
-    src: &[T],
-    dst: &mut [T],
+fn sum_cascade1<T: ScanElement, S: Sink<T>, const Q: usize, const EXCLUSIVE: bool>(
+    io: &mut S,
     state: &mut [T],
-    exclusive: bool,
 ) {
     let mut a = [T::ZERO; Q];
-    a.copy_from_slice(&state[..Q]);
-    if exclusive {
-        for (d, &x) in dst.iter_mut().zip(src) {
-            let out = a[Q - 1];
-            a[0] = a[0].add(x);
-            for i in 1..Q {
-                a[i] = a[i].add(a[i - 1]);
-            }
-            *d = out;
-        }
-    } else {
-        for (d, &x) in dst.iter_mut().zip(src) {
-            a[0] = a[0].add(x);
-            for i in 1..Q {
-                a[i] = a[i].add(a[i - 1]);
-            }
-            *d = a[Q - 1];
-        }
-    }
-    state[..Q].copy_from_slice(&a);
-}
-
-/// In-place form of [`sum_cascade1_from`].
-#[inline]
-fn sum_cascade1_in_place<T: ScanElement, const Q: usize>(
-    data: &mut [T],
-    state: &mut [T],
-    exclusive: bool,
-) {
-    let mut a = [T::ZERO; Q];
-    a.copy_from_slice(&state[..Q]);
-    if exclusive {
-        for v in data.iter_mut() {
-            let x = *v;
-            let out = a[Q - 1];
-            a[0] = a[0].add(x);
-            for i in 1..Q {
-                a[i] = a[i].add(a[i - 1]);
-            }
-            *v = out;
-        }
-    } else {
-        for v in data.iter_mut() {
-            let x = *v;
-            a[0] = a[0].add(x);
-            for i in 1..Q {
-                a[i] = a[i].add(a[i - 1]);
-            }
-            *v = a[Q - 1];
-        }
-    }
-    state[..Q].copy_from_slice(&a);
-}
-
-/// Totals-only form of [`sum_cascade1_from`] (no output writes): the
-/// single-pass protocol's publish sweep.
-#[inline]
-fn sum_cascade1_totals<T: ScanElement, const Q: usize>(src: &[T], state: &mut [T]) {
-    let mut a = [T::ZERO; Q];
-    a.copy_from_slice(&state[..Q]);
-    for &x in src {
-        a[0] = a[0].add(x);
+    a.copy_from_slice(state);
+    for j in 0..io.len() {
+        let out = a[Q - 1];
+        a[0] = a[0].add(io.input(j));
         for i in 1..Q {
             a[i] = a[i].add(a[i - 1]);
         }
+        io.emit(j, if EXCLUSIVE { out } else { a[Q - 1] });
     }
-    state[..Q].copy_from_slice(&a);
+    state.copy_from_slice(&a);
 }
 
 /// Vertical stride-`s` cascade: all `s` lanes advance together, one state
@@ -704,176 +670,96 @@ fn sum_cascade1_totals<T: ScanElement, const Q: usize>(src: &[T], state: &mut [T
 /// Wang & Ross for strided scans, composed with the order-`q` state).
 ///
 /// Requires `base % s == 0` so position `j` of the span is lane `j % s`.
-/// The tail (`len % s` elements) is a final partial row.
-fn sum_cascade_vertical_from<T: ScanElement>(
-    src: &[T],
-    dst: &mut [T],
+/// The tail (`len % s` elements) is a final partial row. Each position is
+/// read before it is written, so the in-place sink is correct.
+fn sum_cascade_vertical<T: ScanElement, S: Sink<T>>(
+    io: &mut S,
     s: usize,
     state: &mut [T],
     exclusive: bool,
 ) {
-    if crate::simd::vertical_from(crate::isa::resolved(), src, dst, s, state, exclusive) {
+    if io.sum_vertical_simd(crate::isa::resolved(), s, state, exclusive) {
         return;
     }
+    let n = io.len();
     let q = state.len() / s;
     let top = (q - 1) * s;
     let mut off = 0;
-    while off + s <= src.len() {
-        if exclusive {
-            dst[off..off + s].copy_from_slice(&state[top..]);
-        }
-        for l in 0..s {
-            state[l] = state[l].add(src[off + l]);
+    while off < n {
+        let w = s.min(n - off);
+        for l in 0..w {
+            let x = io.input(off + l);
+            if exclusive {
+                io.emit(off + l, state[top + l]);
+            }
+            state[l] = state[l].add(x);
         }
         for i in 1..q {
             let (prev, cur) = state.split_at_mut(i * s);
             let prev = &prev[(i - 1) * s..];
-            for l in 0..s {
+            for l in 0..w {
                 cur[l] = cur[l].add(prev[l]);
             }
         }
         if !exclusive {
-            dst[off..off + s].copy_from_slice(&state[top..]);
+            for l in 0..w {
+                io.emit(off + l, state[top + l]);
+            }
         }
-        off += s;
-    }
-    // Partial final row: lane l = position offset, still aligned.
-    for (l, (&x, d)) in src[off..].iter().zip(&mut dst[off..]).enumerate() {
-        let out_prev = state[top + l];
-        state[l] = state[l].add(x);
-        for i in 1..q {
-            state[i * s + l] = state[i * s + l].add(state[(i - 1) * s + l]);
-        }
-        *d = if exclusive { out_prev } else { state[top + l] };
+        off += w;
     }
 }
 
-/// In-place form of [`sum_cascade_vertical_from`]: each row's input is
-/// consumed before its position is overwritten.
-fn sum_cascade_vertical_in_place<T: ScanElement>(
-    data: &mut [T],
+/// Order-1 vertical sum over `io` from a zero seed, its `s <=`
+/// [`VERTICAL_LANES_MAX`] accumulators in one stack row.
+fn sum_lanes<T: ScanElement, S: Sink<T>>(io: &mut S, s: usize, exclusive: bool) {
+    let mut state = [T::ZERO; VERTICAL_LANES_MAX];
+    sum_cascade_vertical(io, s, &mut state[..s], exclusive);
+}
+
+/// Sum cascade sweep: the register kernel for stride 1 and order <= 8, the
+/// vertical row form for base-aligned strides, the rotating-lane loop
+/// otherwise (and for every non-exactly-associative element type).
+fn sum_cascade<T: ScanElement, S: Sink<T>>(
+    io: &mut S,
+    base: usize,
     s: usize,
     state: &mut [T],
     exclusive: bool,
 ) {
-    if crate::simd::vertical_in_place(crate::isa::resolved(), data, s, state, exclusive) {
-        return;
-    }
-    let q = state.len() / s;
-    let top = (q - 1) * s;
-    let mut off = 0;
-    while off + s <= data.len() {
+    fn run<T: ScanElement, S: Sink<T>, const Q: usize>(io: &mut S, state: &mut [T], exclusive: bool) {
         if exclusive {
-            for l in 0..s {
-                let x = data[off + l];
-                data[off + l] = state[top + l];
-                state[l] = state[l].add(x);
-            }
+            sum_cascade1::<T, S, Q, true>(io, state)
         } else {
-            for l in 0..s {
-                state[l] = state[l].add(data[off + l]);
-            }
-        }
-        for i in 1..q {
-            let (prev, cur) = state.split_at_mut(i * s);
-            let prev = &prev[(i - 1) * s..];
-            for l in 0..s {
-                cur[l] = cur[l].add(prev[l]);
-            }
-        }
-        if !exclusive {
-            data[off..off + s].copy_from_slice(&state[top..]);
-        }
-        off += s;
-    }
-    for (l, v) in data[off..].iter_mut().enumerate() {
-        let x = *v;
-        let out_prev = state[top + l];
-        state[l] = state[l].add(x);
-        for i in 1..q {
-            state[i * s + l] = state[i * s + l].add(state[(i - 1) * s + l]);
-        }
-        *v = if exclusive { out_prev } else { state[top + l] };
-    }
-}
-
-/// Totals-only form of [`sum_cascade_vertical_from`].
-fn sum_cascade_vertical_totals<T: ScanElement>(src: &[T], s: usize, state: &mut [T]) {
-    if crate::simd::vertical_totals(crate::isa::resolved(), src, s, state) {
-        return;
-    }
-    let q = state.len() / s;
-    let mut off = 0;
-    while off + s <= src.len() {
-        for l in 0..s {
-            state[l] = state[l].add(src[off + l]);
-        }
-        for i in 1..q {
-            let (prev, cur) = state.split_at_mut(i * s);
-            let prev = &prev[(i - 1) * s..];
-            for l in 0..s {
-                cur[l] = cur[l].add(prev[l]);
-            }
-        }
-        off += s;
-    }
-    for (l, &x) in src[off..].iter().enumerate() {
-        state[l] = state[l].add(x);
-        for i in 1..q {
-            state[i * s + l] = state[i * s + l].add(state[(i - 1) * s + l]);
+            sum_cascade1::<T, S, Q, false>(io, state)
         }
     }
-}
-
-/// Dispatches a stride-1 sum cascade to the const-order register kernel.
-/// Orders past 8 (beyond the paper's evaluation grid) fall back to the
-/// generic rotating kernel.
-macro_rules! sum_cascade1_dispatch {
-    ($q:expr, $kernel:ident ( $($args:expr),* ), $fallback:expr) => {
-        match $q {
-            1 => $kernel::<T, 1>($($args),*),
-            2 => $kernel::<T, 2>($($args),*),
-            3 => $kernel::<T, 3>($($args),*),
-            4 => $kernel::<T, 4>($($args),*),
-            5 => $kernel::<T, 5>($($args),*),
-            6 => $kernel::<T, 6>($($args),*),
-            7 => $kernel::<T, 7>($($args),*),
-            8 => $kernel::<T, 8>($($args),*),
-            _ => $fallback,
-        }
-    };
+    if !T::EXACT_ASSOC {
+        return cascade_generic(&Sum, io, base, s, state, exclusive);
+    }
+    match (s, state.len()) {
+        (1, 1) => run::<T, S, 1>(io, state, exclusive),
+        (1, 2) => run::<T, S, 2>(io, state, exclusive),
+        (1, 3) => run::<T, S, 3>(io, state, exclusive),
+        (1, 4) => run::<T, S, 4>(io, state, exclusive),
+        (1, 5) => run::<T, S, 5>(io, state, exclusive),
+        (1, 6) => run::<T, S, 6>(io, state, exclusive),
+        (1, 7) => run::<T, S, 7>(io, state, exclusive),
+        (1, 8) => run::<T, S, 8>(io, state, exclusive),
+        _ if s > 1 && base.is_multiple_of(s) => sum_cascade_vertical(io, s, state, exclusive),
+        _ => cascade_generic(&Sum, io, base, s, state, exclusive),
+    }
 }
 
 impl<T: ScanElement> ChunkKernel<T> for Sum {
-    fn inclusive_from_stride1(&self, src: &[T], dst: &mut [T]) {
-        if T::EXACT_ASSOC {
-            // Starting the carry at ZERO instead of src[0] is exact for
-            // wrapping integers (ZERO is a true identity).
-            sum_blocks_from(src, dst, T::ZERO);
-            return;
-        }
-        let Some((&first, rest)) = src.split_first() else {
-            return;
-        };
-        let mut acc = first;
-        dst[0] = acc;
-        for (d, &v) in dst[1..].iter_mut().zip(rest) {
-            acc = acc.add(v);
-            *d = acc;
-        }
-    }
-
     fn inclusive_from(&self, src: &[T], dst: &mut [T], s: usize) {
         check_fused(src.len(), dst.len(), s);
         if s == 1 {
-            self.inclusive_from_stride1(src, dst);
+            sum_stride1(&mut Dst { src, dst });
             return;
         }
         if T::EXACT_ASSOC && s <= VERTICAL_LANES_MAX {
-            // Lane-parallel vertical form: s accumulators advance together,
-            // exact for wrapping integers (ZERO is a true identity).
-            let mut state = [T::ZERO; VERTICAL_LANES_MAX];
-            sum_cascade_vertical_from(src, dst, s, &mut state[..s], false);
+            sum_lanes(&mut Dst { src, dst }, s, false);
             return;
         }
         let n = src.len();
@@ -887,23 +773,11 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
     fn inclusive_in_place(&self, data: &mut [T], s: usize) {
         assert!(s > 0, "stride must be positive");
         if s == 1 {
-            if T::EXACT_ASSOC {
-                sum_in_place_blocked(data);
-            } else {
-                let Some((&first, _)) = data.split_first() else {
-                    return;
-                };
-                let mut acc = first;
-                for v in &mut data[1..] {
-                    acc = acc.add(*v);
-                    *v = acc;
-                }
-            }
+            sum_stride1(&mut InPlace(data));
             return;
         }
         if T::EXACT_ASSOC && s <= VERTICAL_LANES_MAX {
-            let mut state = [T::ZERO; VERTICAL_LANES_MAX];
-            sum_cascade_vertical_in_place(data, s, &mut state[..s], false);
+            sum_lanes(&mut InPlace(data), s, false);
             return;
         }
         for j in s..data.len() {
@@ -921,12 +795,11 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
             // exclusive = inclusive shifted by one: scan src[..n-1] into
             // dst[1..], identity at the front.
             dst[0] = T::ZERO;
-            sum_blocks_from(&src[..n - 1], &mut dst[1..], T::ZERO);
+            sum_stride1(&mut Dst { src: &src[..n - 1], dst: &mut dst[1..] });
             return;
         }
         if s > 1 && T::EXACT_ASSOC && s <= VERTICAL_LANES_MAX {
-            let mut state = [T::ZERO; VERTICAL_LANES_MAX];
-            sum_cascade_vertical_from(src, dst, s, &mut state[..s], true);
+            sum_lanes(&mut Dst { src, dst }, s, true);
             return;
         }
         for d in &mut dst[..s.min(n)] {
@@ -940,8 +813,7 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
     fn exclusive_in_place(&self, data: &mut [T], s: usize) {
         assert!(s > 0, "stride must be positive");
         if T::EXACT_ASSOC && s > 1 && s <= VERTICAL_LANES_MAX {
-            let mut state = [T::ZERO; VERTICAL_LANES_MAX];
-            sum_cascade_vertical_in_place(data, s, &mut state[..s], true);
+            sum_lanes(&mut InPlace(data), s, true);
             return;
         }
         // Reference per-lane walk (the default association).
@@ -981,20 +853,7 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
     ) {
         check_fused(src.len(), dst.len(), s);
         check_cascade_state(state.len(), s);
-        let q = state.len() / s;
-        if !T::EXACT_ASSOC {
-            cascade_from_generic(self, src, dst, base, s, state, exclusive);
-        } else if s == 1 {
-            sum_cascade1_dispatch!(
-                q,
-                sum_cascade1_from(src, dst, state, exclusive),
-                cascade_from_generic(self, src, dst, base, 1, state, exclusive)
-            );
-        } else if base.is_multiple_of(s) {
-            sum_cascade_vertical_from(src, dst, s, state, exclusive);
-        } else {
-            cascade_from_generic(self, src, dst, base, s, state, exclusive);
-        }
+        sum_cascade(&mut Dst { src, dst }, base, s, state, exclusive);
     }
 
     fn cascade_scan_in_place(
@@ -1007,63 +866,13 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
     ) {
         assert!(s > 0, "stride must be positive");
         check_cascade_state(state.len(), s);
-        let q = state.len() / s;
-        if !T::EXACT_ASSOC {
-            cascade_in_place_generic(self, data, base, s, state, exclusive);
-        } else if s == 1 {
-            sum_cascade1_dispatch!(
-                q,
-                sum_cascade1_in_place(data, state, exclusive),
-                cascade_in_place_generic(self, data, base, 1, state, exclusive)
-            );
-        } else if base.is_multiple_of(s) {
-            sum_cascade_vertical_in_place(data, s, state, exclusive);
-        } else {
-            cascade_in_place_generic(self, data, base, s, state, exclusive);
-        }
+        sum_cascade(&mut InPlace(data), base, s, state, exclusive);
     }
 
     fn cascade_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T]) {
         assert!(s > 0, "stride must be positive");
         check_cascade_state(state.len(), s);
-        let q = state.len() / s;
-        if !T::EXACT_ASSOC {
-            cascade_totals_generic(self, src, base, s, state);
-        } else if s == 1 {
-            sum_cascade1_dispatch!(
-                q,
-                sum_cascade1_totals(src, state),
-                cascade_totals_generic(self, src, base, 1, state)
-            );
-        } else if base.is_multiple_of(s) {
-            sum_cascade_vertical_totals(src, s, state);
-        } else {
-            cascade_totals_generic(self, src, base, s, state);
-        }
-    }
-}
-
-/// In-place blocked stride-1 sum scan (`EXACT_ASSOC` types only).
-///
-/// Always uses cacheable stores: in place, every destination line was just
-/// read, so there is no ownership read to elide.
-#[inline]
-fn sum_in_place_blocked<T: ScanElement>(data: &mut [T]) {
-    if crate::simd::stride1_in_place(crate::isa::resolved(), data).is_some() {
-        return;
-    }
-    let mut carry = T::ZERO;
-    let mut blocks = data.chunks_exact_mut(BLOCK);
-    for db in &mut blocks {
-        let a = scan_block(db);
-        for (d, &v) in db.iter_mut().zip(&a) {
-            *d = carry.add(v);
-        }
-        carry = db[BLOCK - 1];
-    }
-    for v in blocks.into_remainder() {
-        carry = carry.add(*v);
-        *v = carry;
+        sum_cascade(&mut Discard(src), base, s, state, false);
     }
 }
 
@@ -1090,73 +899,6 @@ fn sum_in_place_blocked<T: ScanElement>(data: &mut [T]) {
 /// spans run on one chain: there the companion power (`log2 m` matrix
 /// squarings) and the fold are no longer small next to the sweep.
 const LINREC_MIN_SUB_BLOCK: usize = 512;
-
-/// Where a recurrence sweep reads its input and puts its outputs. Each
-/// sweep is written once over this trait; monomorphization gives every
-/// sink its own loop.
-trait Sink<T: Copy> {
-    /// Number of positions.
-    fn len(&self) -> usize;
-    /// Input at position `i`.
-    fn input(&self, i: usize) -> T;
-    /// Stores the output for position `i`.
-    fn emit(&mut self, i: usize, v: T);
-}
-
-/// Reads `src`, writes the matching position of `dst`.
-struct Dst<'a, T> {
-    src: &'a [T],
-    dst: &'a mut [T],
-}
-
-/// Reads and overwrites one buffer.
-struct InPlace<'a, T>(&'a mut [T]);
-
-/// Reads `src` and drops every output (the totals sweep).
-struct Discard<'a, T>(&'a [T]);
-
-impl<T: Copy> Sink<T> for Dst<'_, T> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.src.len()
-    }
-    #[inline(always)]
-    fn input(&self, i: usize) -> T {
-        self.src[i]
-    }
-    #[inline(always)]
-    fn emit(&mut self, i: usize, v: T) {
-        self.dst[i] = v;
-    }
-}
-
-impl<T: Copy> Sink<T> for InPlace<'_, T> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    #[inline(always)]
-    fn input(&self, i: usize) -> T {
-        self.0[i]
-    }
-    #[inline(always)]
-    fn emit(&mut self, i: usize, v: T) {
-        self.0[i] = v;
-    }
-}
-
-impl<T: Copy> Sink<T> for Discard<'_, T> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    #[inline(always)]
-    fn input(&self, i: usize) -> T {
-        self.0[i]
-    }
-    #[inline(always)]
-    fn emit(&mut self, _i: usize, _v: T) {}
-}
 
 /// One recurrence chain held in registers: the window (row 0 most recent)
 /// and `pre`, the next input plus the older taps `c[j] * x_{i-1-j}` for
@@ -1472,9 +1214,6 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
     ) {
         check_fused(src.len(), dst.len(), s);
         check_recurrence_state(state.len(), s, self.coeffs().len());
-        // Equal lengths (checked above); reslicing lets the compiler see it
-        // and drop the per-element bounds check on `dst`.
-        let dst = &mut dst[..src.len()];
         linrec_sweep(self.coeffs(), &mut Dst { src, dst }, base, s, state, exclusive);
     }
 
@@ -1689,13 +1428,14 @@ mod tests {
         ((x >> 32) as u32, x as u32)
     }
 
-    /// Inputs past [`nt_store_min_bytes`] take the non-temporal store path;
-    /// the exclusive form scans into `dst[1..]`, whose start is not 16-byte
-    /// aligned, exercising the scalar alignment prologue.
+    /// Inputs past [`crate::simd::nt_store_min_bytes`] take the explicit
+    /// kernels' non-temporal store path where the ISA has one; the
+    /// exclusive form scans into `dst[1..]`, whose start is not 16-byte
+    /// aligned.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn nt_store_path_matches_cached_for_large_inputs() {
-        let n = nt_store_min_bytes() / std::mem::size_of::<i64>() + 37;
+        let n = crate::simd::nt_store_min_bytes() / std::mem::size_of::<i64>() + 37;
         let input = pseudo_random(n, 21);
         let mut expect = input.clone();
         reference_inclusive(&Sum, &mut expect, 1);
@@ -1773,29 +1513,94 @@ mod tests {
         }
     }
 
+    /// Per-lane cascade loop from `seed`: the oracle for resumed sweeps.
+    /// Returns the outputs and the end state.
+    fn seeded_cascade_oracle<T: ScanElement>(
+        input: &[T],
+        s: usize,
+        seed: &[T],
+        exclusive: bool,
+    ) -> (Vec<T>, Vec<T>) {
+        let q = seed.len() / s;
+        let mut state = seed.to_vec();
+        let out = input
+            .iter()
+            .enumerate()
+            .map(|(j, &x)| {
+                let l = j % s;
+                let prev_top = state[(q - 1) * s + l];
+                let mut acc = x;
+                for i in 0..q {
+                    acc = state[i * s + l].add(acc);
+                    state[i * s + l] = acc;
+                }
+                if exclusive { prev_top } else { acc }
+            })
+            .collect();
+        (out, state)
+    }
+
     /// Splitting a cascade at any point and resuming with the carried state
-    /// gives the same outputs — chunk-boundary correctness for the
-    /// single-pass engines, including unaligned (rotating-lane) resumes.
-    #[test]
-    fn cascade_state_resumes_across_splits() {
+    /// gives the same outputs and end state through every sink (`from`, in
+    /// place, totals), from a zero and a non-zero seed — chunk-boundary
+    /// correctness for the single-pass engines, including unaligned
+    /// (rotating-lane) resumes and order 9 (past the register kernels).
+    fn check_cascade_resumes<T: ScanElement + std::fmt::Debug + PartialEq>() {
         let n = 231;
-        let input = pseudo_random(n, 77);
-        for q in [2usize, 5, 8] {
+        let input: Vec<T> = pseudo_random(n, 77).into_iter().map(T::from_i64).collect();
+        for q in [1usize, 2, 5, 8, 9] {
             for s in [1usize, 3, 4] {
-                for split in [1usize, 8, 100, 230] {
-                    for exclusive in [false, true] {
-                        let expect = iterated_oracle(&input, q, s, exclusive);
-                        let mut dst = vec![0i64; n];
-                        let mut state = vec![0i64; q * s];
+                let random: Vec<T> = pseudo_random(q * s, (q + s) as u64)
+                    .into_iter()
+                    .map(T::from_i64)
+                    .collect();
+                for seed in [vec![T::ZERO; q * s], random] {
+                    let zero_seed = seed.iter().all(|&v| v == T::ZERO);
+                    for split in [1usize, 8, 100, 230] {
+                        let tag = format!("q={q} s={s} split={split} zero_seed={zero_seed}");
                         let (lo, hi) = input.split_at(split);
-                        let (dlo, dhi) = dst.split_at_mut(split);
-                        Sum.cascade_scan_from(lo, dlo, 0, s, &mut state, exclusive);
-                        Sum.cascade_scan_from(hi, dhi, split, s, &mut state, exclusive);
-                        assert_eq!(dst, expect, "q={q} s={s} split={split} exc={exclusive}");
+                        let mut totals = seed.clone();
+                        Sum.cascade_totals(lo, 0, s, &mut totals);
+                        Sum.cascade_totals(hi, split, s, &mut totals);
+                        for exclusive in [false, true] {
+                            let (expect, end) = seeded_cascade_oracle(&input, s, &seed, exclusive);
+                            if zero_seed {
+                                assert_eq!(expect, iterated_oracle(&input, q, s, exclusive), "{tag}");
+                            }
+
+                            let mut dst = vec![T::ZERO; n];
+                            let mut state = seed.clone();
+                            let (dlo, dhi) = dst.split_at_mut(split);
+                            Sum.cascade_scan_from(lo, dlo, 0, s, &mut state, exclusive);
+                            Sum.cascade_scan_from(hi, dhi, split, s, &mut state, exclusive);
+                            assert_eq!(dst, expect, "from {tag} exc={exclusive}");
+                            assert_eq!(state, end, "from state {tag} exc={exclusive}");
+
+                            let mut data = input.clone();
+                            let mut state = seed.clone();
+                            let (dlo, dhi) = data.split_at_mut(split);
+                            Sum.cascade_scan_in_place(dlo, 0, s, &mut state, exclusive);
+                            Sum.cascade_scan_in_place(dhi, split, s, &mut state, exclusive);
+                            assert_eq!(data, expect, "in place {tag} exc={exclusive}");
+                            assert_eq!(state, end, "in place state {tag} exc={exclusive}");
+                            assert_eq!(totals, end, "totals {tag}");
+                        }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn cascade_state_resumes_across_splits() {
+        check_cascade_resumes::<i64>();
+    }
+
+    /// Negative inputs become values near 2^32, so nearly every cascade
+    /// level wraps.
+    #[test]
+    fn cascade_state_resumes_across_splits_wrapping_u32() {
+        check_cascade_resumes::<u32>();
     }
 
     /// Vertical lane-parallel kernels and the cascade agree with the oracle

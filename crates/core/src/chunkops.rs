@@ -39,21 +39,14 @@ pub fn local_scan_with_totals<T: Copy>(
     totals
 }
 
-/// Combines the accumulated carries into a scanned chunk:
-/// `chunk[j] = op(carry[(base + j) % s], chunk[j])`.
-///
-/// `carry[l]` must be the combination of all elements of lane `l` that
-/// precede this chunk (the identity for the first chunk).
-pub fn apply_carry<T: Copy>(chunk: &mut [T], base: usize, carry: &[T], op: &impl ChunkKernel<T>) {
-    op.apply_carry(chunk, base, carry);
-}
-
 /// Derives the exclusive outputs of a chunk from its *pre-carry* inclusive
 /// scan and the carries: position `j` receives the combination of all
 /// earlier same-lane elements, globally.
 ///
 /// `scanned` is the chunk after [`local_scan_with_totals`] but *before*
-/// [`apply_carry`]; `carry` is as in [`apply_carry`]. Allocates the output;
+/// [`ChunkKernel::apply_carry`]; `carry[l]` is the combination of all
+/// elements of lane `l` that precede this chunk (the identity for the
+/// first chunk). Allocates the output;
 /// [`ChunkKernel::exclusive_rewrite`] is the in-place form.
 pub fn exclusive_outputs<T: Copy>(
     scanned: &[T],
@@ -123,7 +116,7 @@ mod tests {
     #[test]
     fn apply_carry_respects_lanes() {
         let mut chunk = [1i32, 2, 3, 4];
-        apply_carry(&mut chunk, 1, &[100, 200], &Sum);
+        Sum.apply_carry(&mut chunk, 1, &[100, 200]);
         // base 1: lanes are 1,0,1,0.
         assert_eq!(chunk, [201, 102, 203, 104]);
     }
@@ -168,7 +161,7 @@ mod tests {
                 let base = range.start;
                 let mut chunk = input[range.clone()].to_vec();
                 let totals = local_scan_with_totals(&mut chunk, base, s, &op);
-                apply_carry(&mut chunk, base, &carry, &op);
+                op.apply_carry(&mut chunk, base, &carry);
                 out[range].copy_from_slice(&chunk);
                 for l in 0..s {
                     carry[l] = op.combine(carry[l], totals[l]);

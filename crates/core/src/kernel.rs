@@ -461,7 +461,7 @@ where
                 if exclusive_last {
                     exclusive_carry = Some(carry);
                 } else {
-                    chunkops::apply_carry(&mut vals, base, &carry, op);
+                    op.apply_carry(&mut vals, base, &carry);
                     m.add_compute(len as u64);
                 }
             }

@@ -50,7 +50,6 @@ pub mod kernel;
 pub mod obs;
 pub mod op;
 pub mod plan;
-pub mod scanner;
 pub mod segmented;
 pub mod serial;
 pub mod simd;
@@ -65,8 +64,10 @@ pub use kernel::{AuxMode, CarryPropagation, SamParams, SamRunInfo};
 pub use obs::{Phase, ScanReport, Span, TraceSink, WaitHistogram};
 pub use carry::CarrySemigroup;
 pub use op::{LinRec, LinRecError, ScanOp};
-pub use plan::{CarryState, CarryStateError, PlanHint, ScanPlan, ScanSession};
-pub use scanner::{auto_parallel_threshold, Engine, Scanner, AUTO_PARALLEL_THRESHOLD};
+pub use plan::{
+    auto_parallel_threshold, CarryState, CarryStateError, Engine, PlanHint, ScanPlan, ScanSession,
+    AUTO_PARALLEL_THRESHOLD,
+};
 
 /// The process-wide CPU engine behind the convenience entry points.
 ///
@@ -91,7 +92,7 @@ where
     T: ScanElement,
     Op: chunk_kernel::ChunkKernel<T>,
 {
-    if input.len() < scanner::auto_parallel_threshold(spec.order(), spec.tuple()) {
+    if input.len() < plan::auto_parallel_threshold(spec.order(), spec.tuple()) {
         serial::scan(input, op, spec)
     } else {
         shared_cpu().scan(input, op, spec)

@@ -69,9 +69,132 @@ use crate::config::{ScanKind, ScanSpec};
 use crate::cpu::CpuScanner;
 use crate::kernel::{scan_on_gpu, SamParams};
 use crate::obs::{self, Phase, ScanReport, Span, TraceSink};
-use crate::scanner::{auto_parallel_threshold, Engine};
 use gpu_sim::memory::contiguous_transactions;
-use gpu_sim::{AccessClass, Gpu, MetricsSnapshot, Pod64};
+use gpu_sim::{AccessClass, DeviceSpec, Gpu, MetricsSnapshot, Pod64};
+
+/// Crossover size (elements) below which [`Engine::Auto`] and
+/// [`crate::scan`] use the serial engine instead of the multi-threaded one.
+///
+/// Calibrated on the reference host (Xeon 2.1 GHz, 48 KiB L1d / 2 MiB L2)
+/// by timing the two one-shot library paths this threshold actually
+/// chooses between — `serial::scan` (copy + in-place) versus
+/// `CpuScanner::scan` (allocate + fused `scan_into`) — for order-1 tuple-1
+/// i64 sums: serial wins at 2^12 (1.93 vs 1.81 Gelem/s), the CPU engine
+/// wins from 2^14 up (1.82 vs 1.73 Gelem/s, widening to 1.5 vs 1.1 at
+/// 2^20), so the crossover sits at 2^14 — roughly where the working set
+/// leaves L1 and the allocation overhead amortizes. Note `BENCH_cpu.json`
+/// (from `crates/bench/src/bin/throughput.rs`) reuses the output buffer
+/// across repetitions, so it shows the *steady-state* `scan_into` picture,
+/// where the fused CPU path wins at every size; callers who hold a buffer
+/// should call `CpuScanner::scan_into` directly and skip `Engine::Auto`.
+/// On single-core hosts the CPU engine degenerates to the same fused
+/// serial kernels, so the threshold is not load-bearing there. Re-time the
+/// one-shot paths after kernel changes and move this crossover if the
+/// curves shift.
+///
+/// This constant is the order-1 tuple-1 calibration point;
+/// [`auto_parallel_threshold`] scales it per spec shape, and
+/// [`Engine::auto`] uses that scaled value.
+///
+/// **Fallback seed only.** Like every frozen geometry constant (the CPU
+/// engine's default chunk size, the NT-store threshold in
+/// [`crate::simd`]), this is the *starting point* of the online search,
+/// not a tuned truth: adaptive plans ([`crate::plan::PlanHint::adaptive`])
+/// take their initial crossover from here via
+/// [`crate::adapt::Geometry::frozen`] and then re-tune it per call from
+/// observed throughput. Non-adaptive plans run this value as-is.
+pub const AUTO_PARALLEL_THRESHOLD: usize = 1 << 14;
+
+/// Serial↔parallel crossover (elements) for a scan of the given `order` and
+/// `tuple`, used by [`Engine::auto`] and [`crate::scan`].
+///
+/// The crossover balances the CPU engine's fixed startup cost (thread
+/// spawn plus arena acquisition, independent of the spec) against the
+/// per-element work it parallelizes. That work grows linearly with the order — `q` adds
+/// per element on the single-pass cascade path, `q` strided passes on the
+/// iterated fallback — so the break-even point shrinks proportionally:
+/// `base / order`, anchored at the measured order-1 tuple-1 point
+/// [`AUTO_PARALLEL_THRESHOLD`] (an order-8 scan does 8x the work per
+/// element of the calibration scan and amortizes the startup cost at ~1/8
+/// the input size). Tuple size leaves per-element work unchanged while the
+/// lane-parallel vertical kernels apply (`tuple <=`
+/// [`crate::chunk_kernel::VERTICAL_LANES_MAX`], one add per element
+/// regardless of `s`); past that width the serial engine falls back to the
+/// scalar rotating-lane recurrence, roughly halving serial throughput, so
+/// the crossover halves too. The result is floored at `1 << 11` — below
+/// that, chunk-count limits leave too little parallelism to recover the
+/// startup cost at any spec shape.
+///
+/// Like [`AUTO_PARALLEL_THRESHOLD`], this is the fallback seed: adaptive
+/// plans use it only as the initial geometry ([`crate::adapt`]) and
+/// re-tune the crossover online.
+pub fn auto_parallel_threshold(order: u32, tuple: usize) -> usize {
+    const FLOOR: usize = 1 << 11;
+    let mut threshold = AUTO_PARALLEL_THRESHOLD / (order.max(1) as usize);
+    if tuple > crate::chunk_kernel::VERTICAL_LANES_MAX {
+        threshold /= 2;
+    }
+    threshold.max(FLOOR)
+}
+
+/// Which engine executes the scan.
+#[derive(Debug, Clone)]
+pub enum Engine {
+    /// The serial reference implementation.
+    Serial,
+    /// The multi-threaded SAM engine.
+    Cpu(CpuScanner),
+    /// Adaptive: serial below a size threshold, CPU engine above.
+    Auto {
+        /// Crossover size in elements; `None` derives it from the spec via
+        /// [`auto_parallel_threshold`].
+        threshold: Option<usize>,
+        /// CPU engine used above the threshold; `None` builds a default
+        /// one when the plan is resolved. A configured scanner (worker
+        /// count, chunk size, scheduler hooks) is honoured, not dropped.
+        cpu: Option<CpuScanner>,
+    },
+    /// The instrumented SAM kernel on a simulated device.
+    Simulated {
+        /// Device to simulate.
+        device: DeviceSpec,
+        /// Kernel parameters.
+        params: SamParams,
+    },
+}
+
+impl Engine {
+    /// A CPU engine with `workers` threads.
+    pub fn cpu(workers: usize) -> Self {
+        Engine::Cpu(CpuScanner::new(workers))
+    }
+
+    /// The default adaptive engine, crossing over at the per-spec
+    /// [`auto_parallel_threshold`].
+    pub fn auto() -> Self {
+        Engine::Auto {
+            threshold: None,
+            cpu: None,
+        }
+    }
+
+    /// An adaptive engine that uses the given configured CPU scanner above
+    /// the per-spec [`auto_parallel_threshold`].
+    pub fn auto_with(cpu: CpuScanner) -> Self {
+        Engine::Auto {
+            threshold: None,
+            cpu: Some(cpu),
+        }
+    }
+
+    /// A simulated Titan X with auto-tuned parameters.
+    pub fn simulated_titan_x() -> Self {
+        Engine::Simulated {
+            device: DeviceSpec::titan_x(),
+            params: SamParams::default(),
+        }
+    }
+}
 
 /// Which kernel family a `(spec, operator)` pair executes — the gate every
 /// engine used to re-derive inline.
@@ -459,8 +582,7 @@ impl ScanPlan {
 
     /// One-shot scan into a caller-provided buffer, reusing the plan's
     /// engine resources — the single dispatch point all front-ends
-    /// ([`crate::scanner::Scanner`], sessions, the free [`crate::scan`])
-    /// now route through.
+    /// ([`ScanPlan::scan`], sessions, the service lanes) route through.
     ///
     /// # Panics
     ///
@@ -1444,7 +1566,6 @@ impl std::error::Error for CarryStateError {}
 mod tests {
     use super::*;
     use crate::op::{Max, Sum};
-    use gpu_sim::DeviceSpec;
 
     fn ints(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| (i * 37 % 23) - 11).collect()
@@ -1809,5 +1930,131 @@ mod tests {
         let mut session = plan.session::<i64, _>(Sum);
         assert!(session.feed(&[]).is_empty());
         assert_eq!(session.feed(&[5, 6]), &[5, 11]);
+    }
+
+    fn data(n: usize) -> Vec<i64> {
+        (0..n as i64).map(|i| (i * 13 % 7) - 3).collect()
+    }
+
+    fn plan(spec: ScanSpec, engine: Engine) -> ScanPlan {
+        ScanPlan::new(spec, engine, PlanHint::default())
+    }
+
+    #[test]
+    fn all_engines_agree() {
+        let input = data(70_000);
+        let spec = ScanSpec::inclusive().with_order(2).unwrap();
+        let spec_result = crate::serial::scan(&input, &Sum, &spec);
+        for engine in [
+            Engine::Serial,
+            Engine::cpu(3),
+            Engine::auto(),
+            Engine::Simulated {
+                device: DeviceSpec::k40(),
+                params: SamParams {
+                    items_per_thread: 2,
+                    ..SamParams::default()
+                },
+            },
+        ] {
+            assert_eq!(plan(spec, engine).scan(&input, &Sum), spec_result);
+        }
+    }
+
+    #[test]
+    fn auto_threshold_behaviour_is_invisible() {
+        let small = data(100);
+        let p = plan(
+            ScanSpec::inclusive(),
+            Engine::Auto {
+                threshold: Some(50),
+                cpu: None,
+            },
+        );
+        assert_eq!(p.scan(&small, &Sum), crate::serial::prefix_sum(&small));
+    }
+
+    #[test]
+    fn auto_engine_reuses_resources_across_calls() {
+        // Regression: Engine::Auto used to construct a CpuScanner (fresh
+        // arena and all) on every parallel-path call. The plan must hold
+        // one scanner whose arena, once grown, never regrows.
+        // Two explicit workers so the parallel protocol engages even on
+        // single-core hosts (where a default scanner degenerates to serial).
+        let p = plan(
+            ScanSpec::inclusive(),
+            Engine::auto_with(CpuScanner::new(2).with_chunk_elems(8192)),
+        );
+        let input = data(100_000); // well above the crossover
+        p.scan(&input, &Sum);
+        let cpu = p.cpu().expect("auto plan owns a cpu engine");
+        let first = cpu.arena_capacity();
+        assert!(first.0 > 0, "parallel path must have used the plan arena");
+        for _ in 0..5 {
+            p.scan(&input, &Sum);
+        }
+        assert_eq!(p.cpu().unwrap().arena_capacity(), first);
+    }
+
+    #[test]
+    fn auto_honours_configured_cpu_scanner() {
+        // Regression: Engine::Auto silently dropped a user-configured
+        // CpuScanner and ran a default one above the threshold.
+        let p = plan(
+            ScanSpec::inclusive(),
+            Engine::auto_with(CpuScanner::new(2).with_chunk_elems(4096)),
+        );
+        let cpu = p.cpu().unwrap();
+        assert_eq!(cpu.workers(), 2);
+        assert_eq!(cpu.chunk_elems(), 4096);
+        let input = data(40_000);
+        assert_eq!(p.scan(&input, &Sum), crate::serial::prefix_sum(&input));
+        // The configured chunk size was actually exercised: 40_000 elements
+        // at 4096 per chunk grows the arena to >= 10 chunk slots.
+        assert!(p.cpu().unwrap().arena_capacity().0 >= 10);
+    }
+
+    #[test]
+    fn simulated_engine_reuses_one_device() {
+        let p = plan(
+            ScanSpec::inclusive(),
+            Engine::Simulated {
+                device: DeviceSpec::k40(),
+                params: SamParams {
+                    items_per_thread: 2,
+                    ..SamParams::default()
+                },
+            },
+        );
+        let input = data(5_000);
+        p.scan(&input, &Sum);
+        let gpu = p.gpu().expect("simulated plan owns a device") as *const _;
+        p.scan(&input, &Sum);
+        assert!(std::ptr::eq(gpu, p.gpu().unwrap()));
+    }
+
+    #[test]
+    fn auto_threshold_scales_with_per_element_work() {
+        // Order-1 tuple-1 is the calibration anchor.
+        assert_eq!(auto_parallel_threshold(1, 1), AUTO_PARALLEL_THRESHOLD);
+        // Higher orders do proportionally more work per element and cross
+        // over earlier — monotonically.
+        let mut prev = auto_parallel_threshold(1, 1);
+        for order in 2..=8 {
+            let t = auto_parallel_threshold(order, 1);
+            assert!(t <= prev, "order={order}");
+            prev = t;
+        }
+        assert_eq!(auto_parallel_threshold(8, 1), 1 << 11);
+        // Vectorizable tuple widths share the scalar anchor; past the
+        // vertical-kernel limit the serial engine slows and the crossover
+        // halves (subject to the floor).
+        assert_eq!(auto_parallel_threshold(1, 64), AUTO_PARALLEL_THRESHOLD);
+        assert_eq!(
+            auto_parallel_threshold(1, 65),
+            AUTO_PARALLEL_THRESHOLD / 2
+        );
+        // Never below the chunk-parallelism floor.
+        assert_eq!(auto_parallel_threshold(1000, 1000), 1 << 11);
     }
 }

@@ -387,7 +387,7 @@ mod tests {
     use crate::cpu::CpuScanner;
     use crate::op::{Max, Sum};
     use crate::plan::{PlanHint, ScanPlan};
-    use crate::scanner::Engine;
+    use crate::Engine;
 
     fn heads_every(n: usize, period: usize) -> Vec<bool> {
         (0..n).map(|i| i % period == 0).collect()

@@ -9,7 +9,7 @@
 use sam_core::element::ScanElement;
 use sam_core::op::Sum;
 use sam_core::plan::{CarryState, CarryStateError, PlanHint, ScanPlan, ScanSession};
-use sam_core::scanner::Engine;
+use sam_core::Engine;
 use sam_core::ScanSpec;
 
 /// Decodes a difference sequence produced with the same `spec`

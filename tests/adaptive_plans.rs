@@ -20,7 +20,7 @@ use sam_core::adapt::{DriverPhase, TuningStore};
 use sam_core::envlock::EnvGuard;
 use sam_core::op::Sum;
 use sam_core::plan::{PlanHint, ScanPlan};
-use sam_core::scanner::Engine;
+use sam_core::Engine;
 use sam_core::{ScanKind, ScanSpec};
 
 fn pattern_i64(n: usize, seed: u64) -> Vec<i64> {

@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 use sam_core::cpu::CpuScanner;
 use sam_core::op::{LinRec, Max, Sum};
 use sam_core::plan::{PlanHint, ScanPlan};
-use sam_core::scanner::Engine;
+use sam_core::Engine;
 use sam_core::ScanSpec;
 
 struct CountingAlloc;

@@ -25,7 +25,7 @@ use sam_core::cpu::CpuScanner;
 use sam_core::isa::{self, Isa};
 use sam_core::op::Sum;
 use sam_core::plan::{PlanHint, ScanPlan};
-use sam_core::scanner::Engine;
+use sam_core::Engine;
 use sam_core::simd;
 use sam_core::{serial, ScanElement, ScanSpec};
 

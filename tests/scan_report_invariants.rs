@@ -13,7 +13,7 @@ use gpu_sim::DeviceSpec;
 use sam_core::cpu::CpuScanner;
 use sam_core::op::Sum;
 use sam_core::plan::{PlanHint, ScanPlan};
-use sam_core::scanner::Engine;
+use sam_core::Engine;
 use sam_core::{SamParams, ScanReport, ScanSpec};
 use std::collections::BTreeMap;
 

@@ -14,7 +14,7 @@ use sam_core::cpu::CpuScanner;
 use sam_core::kernel::SamParams;
 use sam_core::op::{LinRec, Max, Sum};
 use sam_core::plan::{CarryState, PlanHint, ScanPlan, ScanSession};
-use sam_core::scanner::Engine;
+use sam_core::Engine;
 use sam_core::{ScanKind, ScanSpec};
 
 /// The engine grid, indexed so the vendored proptest (same-typed
