@@ -40,9 +40,9 @@
 //! lost. Results land in an `"adaptive_results"` JSON section with
 //! per-episode trajectories downsampled to ≤ 32 points. Note the bench
 //! protocol caveat: on a single-core host the worker and chunk knobs
-//! degenerate (the engine runs the fused serial path), so the live knobs
-//! there are the kernel path and the NT-store threshold, and adaptive
-//! gains over the frozen defaults are modest on well-tuned shapes.
+//! degenerate (the engine runs the fused serial path), so the live knob
+//! there is the NT-store threshold, and adaptive gains over the frozen
+//! defaults are modest on well-tuned shapes.
 //!
 //! The `session` engine measures the plan-once path: a `ScanPlan` is
 //! resolved and its `ScanSession` created once per configuration, outside

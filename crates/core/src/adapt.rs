@@ -12,8 +12,8 @@
 //! Three pieces:
 //!
 //! * [`Geometry`] / [`Cost`] — the knob vector a plan resolves per scan
-//!   (worker count, chunk size, cascade-vs-iterated kernel path, Auto
-//!   crossover threshold, NT-store threshold) and the scalar signal that
+//!   (worker count, chunk size, Auto crossover threshold, NT-store
+//!   threshold) and the scalar signal that
 //!   scores it (elements/second, with the carry-wait fraction from traced
 //!   [`ScanReport`]s as a tie-breaker).
 //! * [`Driver`] — the online search: a **successive-halving warmup** over
@@ -35,8 +35,7 @@
 //!
 //! Every geometry the driver explores is **bit-identical** to the default
 //! plan: the NT-store threshold only selects between two identical store
-//! strategies, the cascade and iterated kernel paths agree bit-for-bit
-//! wherever both are legal, and chunk/worker/threshold changes are only
+//! strategies, and chunk/worker/threshold changes are only
 //! explored for operators with exactly associative algebra
 //! ([`crate::chunk_kernel::ChunkKernel::supports_cascade`] — wrapping
 //! integer sums). Operators where the chunk decomposition is observable
@@ -51,7 +50,6 @@ use std::path::{Path, PathBuf};
 
 use crate::config::ScanSpec;
 use crate::obs::ScanReport;
-use crate::plan::KernelPath;
 
 /// Relative weight of the carry-wait fraction in [`Cost::score`]: two
 /// geometries within a few percent of each other's throughput are ranked
@@ -90,12 +88,6 @@ pub struct Geometry {
     pub workers: usize,
     /// Chunk size in elements.
     pub chunk_elems: usize,
-    /// Preferred kernel path. [`KernelPath::Cascade`] means "use the
-    /// cascade wherever [`crate::plan::kernel_path`] allows it" (the
-    /// default gate behaviour); [`KernelPath::Iterated`] forces the
-    /// iterated kernels. Illegal cascade requests are downgraded by the
-    /// engines, never honored.
-    pub path: KernelPath,
     /// Serial/parallel crossover in elements ([`crate::Engine::Auto`]
     /// plans only; ignored by pinned engines).
     pub threshold: usize,
@@ -116,7 +108,6 @@ impl Geometry {
         Geometry {
             workers,
             chunk_elems,
-            path: KernelPath::Cascade,
             threshold: crate::plan::auto_parallel_threshold(spec.order(), spec.tuple()),
             nt_min_bytes: crate::simd::NT_STORE_MIN_BYTES,
         }
@@ -245,7 +236,7 @@ pub enum DriverPhase {
 }
 
 /// Single-knob mutations the hill-climb cycles through, in order.
-const MUTATIONS: usize = 8;
+const MUTATIONS: usize = 7;
 
 /// The online search driver: warmup (successive halving) → climb
 /// (hysteretic hill-climb) → steady (no exploration), with drift-triggered
@@ -317,16 +308,9 @@ impl Driver {
                 candidates.push(g);
             }
         }
-        // Kernel-path and NT-threshold variants of the default shape: on a
-        // single-core host these are the knobs that still bite (the worker
-        // and chunk knobs degenerate once k == 1).
-        let iterated = Geometry {
-            path: KernelPath::Iterated,
-            ..frozen
-        };
-        if !candidates.contains(&iterated) {
-            candidates.push(iterated);
-        }
+        // NT-threshold variants of the default shape: on a single-core
+        // host this is the knob that still bites (the worker and chunk
+        // knobs degenerate once k == 1).
         for nt in NT_CHOICES {
             let g = Geometry {
                 nt_min_bytes: nt,
@@ -547,12 +531,6 @@ impl Driver {
             2 => g.workers = (g.workers + 1).min(self.workers_max),
             3 => g.workers = g.workers.saturating_sub(1).max(1),
             4 => {
-                g.path = match g.path {
-                    KernelPath::Cascade => KernelPath::Iterated,
-                    KernelPath::Iterated => KernelPath::Cascade,
-                }
-            }
-            5 => {
                 // Cycle to the next NT choice (nearest-above, wrapping).
                 let cur = g.nt_min_bytes;
                 let next = NT_CHOICES
@@ -562,7 +540,7 @@ impl Driver {
                     .unwrap_or(NT_CHOICES[0]);
                 g.nt_min_bytes = next;
             }
-            6 => g.threshold = (g.threshold << 1).min(THRESHOLD_MAX),
+            5 => g.threshold = (g.threshold << 1).min(THRESHOLD_MAX),
             _ => g.threshold = (g.threshold >> 1).max(THRESHOLD_MIN),
         }
         g.clamped(self.workers_max)
@@ -695,7 +673,6 @@ pub struct StoredTuning {
 /// version = 1
 /// workers = 8
 /// chunk_elems = 32768
-/// path = "cascade"
 /// threshold = 16384
 /// nt_min_bytes = 8388608
 /// score = 937000000.0
@@ -775,21 +752,11 @@ fn format_tuning(t: &StoredTuning) -> String {
         "version = {STORE_VERSION}\n\
          workers = {}\n\
          chunk_elems = {}\n\
-         path = \"{}\"\n\
          threshold = {}\n\
          nt_min_bytes = {}\n\
          score = {}\n\
          episodes = {}\n",
-        g.workers,
-        g.chunk_elems,
-        match g.path {
-            KernelPath::Cascade => "cascade",
-            KernelPath::Iterated => "iterated",
-        },
-        g.threshold,
-        g.nt_min_bytes,
-        t.score,
-        t.episodes,
+        g.workers, g.chunk_elems, g.threshold, g.nt_min_bytes, t.score, t.episodes,
     )
 }
 
@@ -798,7 +765,6 @@ fn parse_tuning(text: &str) -> Option<StoredTuning> {
     let mut version = None;
     let mut workers = None;
     let mut chunk_elems = None;
-    let mut path = None;
     let mut threshold = None;
     let mut nt_min_bytes = None;
     let mut score = None;
@@ -814,18 +780,12 @@ fn parse_tuning(text: &str) -> Option<StoredTuning> {
             "version" => version = Some(value.parse::<u32>().ok()?),
             "workers" => workers = Some(value.parse::<usize>().ok()?),
             "chunk_elems" => chunk_elems = Some(value.parse::<usize>().ok()?),
-            "path" => {
-                path = Some(match value.trim_matches('"') {
-                    "cascade" => KernelPath::Cascade,
-                    "iterated" => KernelPath::Iterated,
-                    _ => return None,
-                })
-            }
             "threshold" => threshold = Some(value.parse::<usize>().ok()?),
             "nt_min_bytes" => nt_min_bytes = Some(value.parse::<usize>().ok()?),
             "score" => score = Some(value.parse::<f64>().ok()?),
             "episodes" => episodes = Some(value.parse::<u64>().ok()?),
-            // Unknown keys are tolerated for forward compatibility.
+            // Unknown keys are tolerated for forward compatibility, and so
+            // is the retired `path` key older stores still carry.
             _ => {}
         }
     }
@@ -845,7 +805,6 @@ fn parse_tuning(text: &str) -> Option<StoredTuning> {
         geometry: Geometry {
             workers,
             chunk_elems,
-            path: path?,
             threshold: threshold?,
             nt_min_bytes: nt_min_bytes?,
         },
@@ -862,21 +821,19 @@ mod tests {
         Geometry {
             workers: 4,
             chunk_elems: 32 * 1024,
-            path: KernelPath::Cascade,
             threshold: 1 << 14,
             nt_min_bytes: 8 << 20,
         }
     }
 
     /// A synthetic cost surface with a known optimum: throughput peaks at
-    /// chunk 8 Ki, iterated path, NT off, and falls away smoothly.
+    /// chunk 8 Ki, NT off, and falls away smoothly.
     fn surface(g: &Geometry) -> Cost {
         let chunk_penalty = ((g.chunk_elems as f64).log2() - 13.0).abs();
-        let path_bonus = if g.path == KernelPath::Iterated { 1.2 } else { 1.0 };
         let nt_bonus = if g.nt_min_bytes == usize::MAX { 1.1 } else { 1.0 };
         let worker_bonus = g.workers as f64 / (1.0 + 0.1 * (g.workers as f64 - 3.0).abs());
         Cost {
-            elems_per_sec: 1e9 * path_bonus * nt_bonus * worker_bonus / (1.0 + 0.25 * chunk_penalty),
+            elems_per_sec: 1e9 * nt_bonus * worker_bonus / (1.0 + 0.25 * chunk_penalty),
             carry_wait_frac: 0.0,
         }
     }
@@ -893,7 +850,6 @@ mod tests {
         }
         assert!(d.converged(), "driver must converge within budget");
         let best = d.best();
-        assert_eq!(best.path, KernelPath::Iterated, "path knob found: {best:?}");
         assert_eq!(best.nt_min_bytes, usize::MAX, "NT knob found: {best:?}");
         // The chunk optimum (8 Ki) must be found exactly: it is in the
         // warmup grid and the surface is unimodal in log2(chunk).
@@ -978,7 +934,6 @@ mod tests {
         let stored = StoredTuning {
             geometry: Geometry {
                 chunk_elems: 8 * 1024,
-                path: KernelPath::Iterated,
                 ..frozen()
             },
             score: 1e9,
@@ -1033,7 +988,6 @@ mod tests {
             geometry: Geometry {
                 workers: 3,
                 chunk_elems: 8192,
-                path: KernelPath::Iterated,
                 threshold: 4096,
                 nt_min_bytes: usize::MAX,
             },
@@ -1059,13 +1013,42 @@ mod tests {
         // Each single-field corruption reads as absent.
         assert_eq!(parse_tuning(&good.replace("workers = 4", "workers = zero")), None);
         assert_eq!(parse_tuning(&good.replace("workers = 4", "workers = 0")), None);
-        assert_eq!(parse_tuning(&good.replace("\"cascade\"", "\"sideways\"")), None);
         assert_eq!(parse_tuning(&good.replace("score = 1000000000", "score = NaN")), None);
         let truncated = &good[..good.len() / 2];
         assert_eq!(parse_tuning(truncated), None);
         // Unknown keys are forward-compatible, not corruption.
         let extended = format!("{good}future_knob = 12\n");
         assert!(parse_tuning(&extended).is_some());
+    }
+
+    #[test]
+    fn stores_with_the_retired_path_key_still_load() {
+        // A version-1 store written while geometries still carried a
+        // cascade-vs-iterated kernel path: the `path` line is ignored and
+        // every other knob loads as written.
+        let legacy = "version = 1\n\
+                      workers = 3\n\
+                      chunk_elems = 8192\n\
+                      path = \"iterated\"\n\
+                      threshold = 4096\n\
+                      nt_min_bytes = 18446744073709551615\n\
+                      score = 1250000000\n\
+                      episodes = 77\n";
+        let want = StoredTuning {
+            geometry: Geometry {
+                workers: 3,
+                chunk_elems: 8192,
+                threshold: 4096,
+                nt_min_bytes: usize::MAX,
+            },
+            score: 1.25e9,
+            episodes: 77,
+        };
+        assert_eq!(parse_tuning(legacy), Some(want));
+        assert_eq!(
+            parse_tuning(&legacy.replace("iterated", "cascade")),
+            Some(want)
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::obs::{self, Phase, TraceSink};
 use gpu_sim::sched::{self, HookPoint};
 use gpu_sim::{Pod64, Scheduler};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// A reusable multi-threaded scanner with configurable worker count and
 /// chunk size.
@@ -209,6 +209,20 @@ impl CpuScanner {
         }
     }
 
+    /// Leases the shared arena for one multi-worker scan, or `None` when
+    /// another scan holds it (the caller then uses a scan-local arena).
+    fn lease_arena(&self) -> Option<MutexGuard<'_, Arena>> {
+        match self.arena.try_lock() {
+            Ok(held) => Some(held),
+            // A panicked scan poisons the lock but leaves no cross-scan
+            // invariants behind (ready counters are reset by `prepare`);
+            // recover instead of degrading every future scan to a
+            // scan-local arena.
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Scans `input` according to `spec` with operator `op`.
     pub fn scan<T, Op>(&self, input: &[T], op: &Op, spec: &ScanSpec) -> Vec<T>
     where
@@ -235,35 +249,24 @@ impl CpuScanner {
         T: Pod64,
         Op: ChunkKernel<T>,
     {
-        self.scan_into_geom(
-            input,
-            out,
-            op,
-            spec,
-            self.workers,
-            self.chunk_elems,
-            crate::plan::kernel_path(op, spec),
-        );
+        self.scan_into_geom(input, out, op, spec, self.workers, self.chunk_elems);
     }
 
-    /// [`CpuScanner::scan_into`] with an explicit geometry — worker count,
-    /// chunk size, and cascade-vs-iterated selection — overriding the
-    /// scanner's configuration for this one call. This is the entry point
-    /// adaptive plans ([`crate::adapt`]) explore geometries through; worker
-    /// threads are spawned per scan, so a per-call worker count is safe.
+    /// [`CpuScanner::scan_into`] with an explicit geometry — worker count
+    /// and chunk size — overriding the scanner's configuration for this
+    /// one call. This is the entry point adaptive plans ([`crate::adapt`])
+    /// explore geometries through; worker threads are spawned per scan, so
+    /// a per-call worker count is safe.
     ///
-    /// An illegal cascade request is downgraded to the iterated kernels
-    /// (never honored), so any `(workers, chunk_elems, path)` triple is
-    /// safe to pass. For exactly-associative operators every geometry is
-    /// bit-identical; for merely pseudo-associative operators (floats) the
-    /// chunk decomposition is observable, which is why adaptive plans only
-    /// vary geometry under [`ChunkKernel::supports_cascade`] operators.
+    /// For exactly-associative operators every geometry is bit-identical;
+    /// for merely pseudo-associative operators (floats) the chunk
+    /// decomposition is observable, which is why adaptive plans only vary
+    /// geometry under [`ChunkKernel::supports_cascade`] operators.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != input.len()`, `workers == 0`, or
     /// `chunk_elems == 0`.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_into_geom<T, Op>(
         &self,
         input: &[T],
@@ -272,7 +275,6 @@ impl CpuScanner {
         spec: &ScanSpec,
         workers: usize,
         chunk_elems: usize,
-        path: crate::plan::KernelPath,
     ) where
         T: Pod64,
         Op: ChunkKernel<T>,
@@ -290,25 +292,19 @@ impl CpuScanner {
             // (see `obs::charge_elem_pass`). Covers all three paths below.
             obs::charge_elem_pass(sink.metrics(), n, std::mem::size_of::<T>());
         }
-        // Recurrence operators pin the cascade: the iterated kernels would
-        // compute a plain sum instead of the recurrence (see
-        // `serial::scan_into_path` for the same rule).
-        let recurrence = op.recurrence_coeffs().is_some();
-        let legal_cascade = op.supports_cascade() && (spec.order() > 1 || recurrence);
-        let path = if legal_cascade && (path == crate::plan::KernelPath::Cascade || recurrence) {
-            crate::plan::KernelPath::Cascade
-        } else {
-            crate::plan::KernelPath::Iterated
-        };
+        if crate::plan::uses_cascade(op, spec) {
+            // Single-pass protocol: all q*s local sums published from one
+            // sweep, one ready round per chunk, binomial-weighted carries.
+            self.scan_into_cascade(input, out, op, spec, workers, chunk_elems);
+            return;
+        }
         let num_chunks = chunkops::num_chunks(n, chunk_elems);
         let k = workers.min(num_chunks);
         if k == 1 {
             // Single worker: the fused serial kernels, reading the input
-            // exactly once and writing only `out`. The path override still
-            // applies — on a single-core host this is the only place the
-            // cascade-vs-iterated knob can bite.
+            // exactly once and writing only `out`.
             obs::timed(self.trace.as_deref(), 0, 0, Phase::ChunkScan, || {
-                crate::serial::scan_into_path(input, out, op, spec, path)
+                crate::serial::scan_into(input, out, op, spec)
             });
             return;
         }
@@ -316,29 +312,11 @@ impl CpuScanner {
         let q = spec.order() as usize;
         let s = spec.tuple();
         let exclusive = spec.kind() == ScanKind::Exclusive;
-        if path == crate::plan::KernelPath::Cascade {
-            // Single-pass protocol: all q*s local sums published from one
-            // sweep, one ready round per chunk, binomial-weighted carries.
-            self.scan_into_cascade(input, out, op, q, s, exclusive, workers, chunk_elems);
-            return;
-        }
         // Sum slot for (chunk c, iteration i, lane l).
         let sum_idx = |c: usize, iter: usize, lane: usize| (c * q + iter) * s + lane;
 
-        let mut local_arena = Arena::default();
-        let mut guard = match self.arena.try_lock() {
-            Ok(held) => Some(held),
-            // A panicked scan poisons the lock but leaves no cross-scan
-            // invariants behind (ready counters are reset by `prepare`);
-            // recover instead of degrading every future scan to a
-            // scan-local arena.
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        };
-        let arena = match guard {
-            Some(ref mut held) => &mut **held,
-            None => &mut local_arena,
-        };
+        let (mut guard, mut local_arena) = (self.lease_arena(), Arena::default());
+        let arena = guard.as_deref_mut().unwrap_or(&mut local_arena);
         arena.prepare(num_chunks, num_chunks * q * s);
         let sums = &arena.sums[..num_chunks * q * s];
         let ready = &arena.ready[..num_chunks];
@@ -489,15 +467,12 @@ impl CpuScanner {
     /// base is lane-aligned and every chunk-to-chunk lane distance is the
     /// uniform `chunk_elems / s` (the carry-plan requirement; the last
     /// chunk may be short but is never a predecessor).
-    #[allow(clippy::too_many_arguments)]
     fn scan_into_cascade<T, Op>(
         &self,
         input: &[T],
         out: &mut [T],
         op: &Op,
-        q: usize,
-        s: usize,
-        exclusive: bool,
+        spec: &ScanSpec,
         workers: usize,
         chunk_elems: usize,
     ) where
@@ -505,32 +480,22 @@ impl CpuScanner {
         Op: ChunkKernel<T>,
     {
         let n = input.len();
+        let (q, s) = (spec.order() as usize, spec.tuple());
+        let exclusive = spec.kind() == ScanKind::Exclusive;
         let chunk_elems = chunk_elems.div_ceil(s) * s;
         let num_chunks = chunkops::num_chunks(n, chunk_elems);
         let k = workers.min(num_chunks);
         if k == 1 {
             obs::timed(self.trace.as_deref(), 0, 0, Phase::ChunkScan, || {
-                crate::serial::scan_into(input, out, op, &spec_of(q, s, exclusive))
+                crate::serial::scan_into(input, out, op, spec)
             });
             return;
         }
         let lane_elems = (chunk_elems / s) as u64;
         let qs = q * s;
 
-        let mut local_arena = Arena::default();
-        let mut guard = match self.arena.try_lock() {
-            Ok(held) => Some(held),
-            // A panicked scan poisons the lock but leaves no cross-scan
-            // invariants behind (ready counters are reset by `prepare`);
-            // recover instead of degrading every future scan to a
-            // scan-local arena.
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        };
-        let arena = match guard {
-            Some(ref mut held) => &mut **held,
-            None => &mut local_arena,
-        };
+        let (mut guard, mut local_arena) = (self.lease_arena(), Arena::default());
+        let arena = guard.as_deref_mut().unwrap_or(&mut local_arena);
         arena.prepare(num_chunks, num_chunks * qs);
         let sums = &arena.sums[..num_chunks * qs];
         let ready = &arena.ready[..num_chunks];
@@ -630,17 +595,6 @@ impl CpuScanner {
             std::panic::resume_unwind(p);
         }
     }
-}
-
-/// Rebuilds a [`ScanSpec`] from its parts (for the single-worker fallback).
-fn spec_of(q: usize, s: usize, exclusive: bool) -> ScanSpec {
-    let kind = if exclusive { ScanKind::Exclusive } else { ScanKind::Inclusive };
-    ScanSpec::inclusive()
-        .with_order(q as u32)
-        .expect("order validated by caller")
-        .with_tuple(s)
-        .expect("tuple validated by caller")
-        .with_kind(kind)
 }
 
 /// Raw output pointer shareable across scoped workers writing disjoint

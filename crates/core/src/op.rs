@@ -243,7 +243,7 @@ impl<T: ScanElement> ScanOp<T> for LinRec<T> {
     // `combine` is the *state-ring addition* the carry algebra folds with
     // (seed assembly, totals zeroing) — it is NOT an associative rewrite
     // of the recurrence itself. Every execution path is gated onto the
-    // cascade kernels (`kernel_path`, the engines' recurrence overrides),
+    // cascade kernels (`plan::uses_cascade`, which every engine consults),
     // so no generic iterated path ever folds inputs with it.
     fn combine(&self, a: T, b: T) -> T {
         a.add(b)

@@ -196,31 +196,18 @@ impl Engine {
     }
 }
 
-/// Which kernel family a `(spec, operator)` pair executes — the gate every
-/// engine used to re-derive inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelPath {
-    /// Single-pass order-`q` cascade kernels (`cascade_*`): one sweep with
-    /// a `q x s` state vector and binomial-weighted carries.
-    Cascade,
-    /// The iterated `q`-pass kernels (one strided pass per order).
-    Iterated,
-}
-
-/// Resolves the cascade-vs-iterated kernel selection for `op` and `spec`.
+/// Whether `op` runs `spec` on the single-pass order-`q` cascade kernels
+/// (one sweep with a `q x s` state vector and binomial-weighted carries)
+/// rather than the iterated `q`-pass kernels — the one gate every engine
+/// consults.
 ///
-/// The cascade path requires an operator with exact weight application
-/// ([`ChunkKernel::supports_cascade`]); for plain combine operators it only
-/// pays off past order 1, while recurrence operators
-/// ([`ChunkKernel::recurrence_coeffs`]) *must* take it at every order — the
-/// iterated multi-pass kernels have no recurrence meaning. Everything else
-/// takes the iterated path. All three engines consult this single gate.
-pub fn kernel_path<T: Copy, Op: ChunkKernel<T>>(op: &Op, spec: &ScanSpec) -> KernelPath {
-    if op.supports_cascade() && (spec.order() > 1 || op.recurrence_coeffs().is_some()) {
-        KernelPath::Cascade
-    } else {
-        KernelPath::Iterated
-    }
+/// The cascade requires an operator with exact weight application
+/// ([`ChunkKernel::supports_cascade`]); for plain combine operators it
+/// only pays off past order 1, while recurrence
+/// operators ([`ChunkKernel::recurrence_coeffs`]) *must* take it at every
+/// order — the iterated multi-pass kernels have no recurrence meaning.
+pub(crate) fn uses_cascade<T: Copy, Op: ChunkKernel<T>>(op: &Op, spec: &ScanSpec) -> bool {
+    op.supports_cascade() && (spec.order() > 1 || op.recurrence_coeffs().is_some())
 }
 
 /// Optional tuning hints consumed by [`ScanPlan::new`].
@@ -245,7 +232,7 @@ pub struct PlanHint {
     pub trace: bool,
     /// Enables online feedback-directed tuning ([`crate::adapt`]): the
     /// plan measures every scan and re-tunes its geometry (chunk size,
-    /// worker count, kernel path, crossover and NT-store thresholds) from
+    /// worker count, crossover and NT-store thresholds) from
     /// the observations, persisting the converged tuning when
     /// `SAM_TUNING_DIR` is set. Adaptation never changes results: only
     /// operators with exact carry algebra
@@ -652,7 +639,7 @@ impl ScanPlan {
     /// The untraced dispatch: runs the scan on the resolved engine and
     /// names the engine that actually executed. `geom` (adaptive plans,
     /// exact operators only) overrides the frozen geometry — worker
-    /// count, chunk size, kernel path, and the Auto crossover; `None`
+    /// count, chunk size, and the Auto crossover; `None`
     /// runs the plan exactly as frozen.
     fn dispatch<T, Op>(
         &self,
@@ -667,10 +654,7 @@ impl ScanPlan {
     {
         match &self.exec {
             PlanExec::Serial => {
-                match geom {
-                    Some(g) => crate::serial::scan_into_path(input, out, op, &self.spec, g.path),
-                    None => crate::serial::scan_into(input, out, op, &self.spec),
-                }
+                crate::serial::scan_into(input, out, op, &self.spec);
                 "serial"
             }
             PlanExec::Cpu(cpu) => {
@@ -680,12 +664,7 @@ impl ScanPlan {
             PlanExec::Auto { threshold, cpu } => {
                 let crossover = geom.map_or(*threshold, |g| g.threshold);
                 if input.len() < crossover {
-                    match geom {
-                        Some(g) => {
-                            crate::serial::scan_into_path(input, out, op, &self.spec, g.path)
-                        }
-                        None => crate::serial::scan_into(input, out, op, &self.spec),
-                    }
+                    crate::serial::scan_into(input, out, op, &self.spec);
                     "serial"
                 } else {
                     self.dispatch_cpu(cpu, input, out, op, geom);
@@ -714,9 +693,7 @@ impl ScanPlan {
         Op: ChunkKernel<T>,
     {
         match geom {
-            Some(g) => {
-                cpu.scan_into_geom(input, out, op, &self.spec, g.workers, g.chunk_elems, g.path)
-            }
+            Some(g) => cpu.scan_into_geom(input, out, op, &self.spec, g.workers, g.chunk_elems),
             None => cpu.scan_into(input, out, op, &self.spec),
         }
     }
@@ -799,8 +776,8 @@ impl ScanPlan {
 
     /// Creates a reusable [`ScanSession`] executing this plan with `op`.
     ///
-    /// Kernel selection ([`kernel_path`]) and the streaming fold structure
-    /// are resolved here, once — sessions never re-gate per batch.
+    /// The streaming fold structure is resolved here, once — sessions
+    /// never re-gate per batch.
     pub fn session<T, Op>(&self, op: Op) -> ScanSession<T, Op>
     where
         T: Pod64,
@@ -1592,21 +1569,18 @@ mod tests {
     }
 
     #[test]
-    fn kernel_path_gates_on_order_and_operator() {
+    fn cascade_gate_on_order_and_operator() {
         let o2 = ScanSpec::inclusive().with_order(2).unwrap();
-        assert_eq!(kernel_path::<i64, _>(&Sum, &o2), KernelPath::Cascade);
-        assert_eq!(
-            kernel_path::<i64, _>(&Sum, &ScanSpec::inclusive()),
-            KernelPath::Iterated
-        );
-        assert_eq!(kernel_path::<i64, _>(&Max, &o2), KernelPath::Iterated);
-        assert_eq!(kernel_path::<f64, _>(&Sum, &o2), KernelPath::Iterated);
-        // Recurrence operators pin the cascade at *every* order, including
-        // order 1 where plain sums stay iterated.
+        assert!(uses_cascade::<i64, _>(&Sum, &o2));
+        assert!(!uses_cascade::<i64, _>(&Sum, &ScanSpec::inclusive()));
+        assert!(!uses_cascade::<i64, _>(&Max, &o2));
+        assert!(!uses_cascade::<f64, _>(&Sum, &o2));
+        // Recurrence operators take the cascade at *every* order,
+        // including order 1 where plain sums stay iterated.
         let ema = crate::op::LinRec::first_order(3i64).unwrap();
-        assert_eq!(kernel_path(&ema, &ScanSpec::inclusive()), KernelPath::Cascade);
+        assert!(uses_cascade(&ema, &ScanSpec::inclusive()));
         let fib2 = crate::op::LinRec::new(vec![1i64, 1]).unwrap();
-        assert_eq!(kernel_path(&fib2, &o2), KernelPath::Cascade);
+        assert!(uses_cascade(&fib2, &o2));
     }
 
     #[test]

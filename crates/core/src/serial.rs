@@ -63,7 +63,7 @@ const CASCADE_STATE_STACK: usize = 64;
 pub fn scan_in_place<T: Copy>(data: &mut [T], op: &impl ChunkKernel<T>, spec: &ScanSpec) {
     let s = spec.tuple();
     let q = spec.order() as usize;
-    if crate::plan::kernel_path(op, spec) == crate::plan::KernelPath::Cascade {
+    if crate::plan::uses_cascade(op, spec) {
         // Single-pass fused reference: one sweep with a q x s state vector
         // (see `crate::carry`) instead of q full passes — bit-identical for
         // the exactly-associative operators the gate admits.
@@ -99,36 +99,10 @@ pub fn scan_in_place<T: Copy>(data: &mut [T], op: &impl ChunkKernel<T>, spec: &S
 ///
 /// Panics if `out.len() != input.len()`.
 pub fn scan_into<T: Copy>(input: &[T], out: &mut [T], op: &impl ChunkKernel<T>, spec: &ScanSpec) {
-    scan_into_path(input, out, op, spec, crate::plan::kernel_path(op, spec));
-}
-
-/// [`scan_into`] with an explicit cascade-vs-iterated selection — the entry
-/// point adaptive plans use to explore the [`KernelPath`] knob.
-///
-/// An illegal request is downgraded, never honored: `path` may force the
-/// iterated kernels where [`kernel_path`] would pick the cascade, but a
-/// cascade request for an operator/spec the gate rejects silently runs
-/// iterated. Both paths are bit-identical wherever both are legal, so this
-/// only ever changes speed. The one exception is recurrence operators
-/// ([`ChunkKernel::recurrence_coeffs`]): the iterated kernels would compute
-/// a plain sum instead of the recurrence, so they pin the cascade path and
-/// ignore an iterated request entirely.
-///
-/// [`KernelPath`]: crate::plan::KernelPath
-/// [`kernel_path`]: crate::plan::kernel_path
-pub(crate) fn scan_into_path<T: Copy>(
-    input: &[T],
-    out: &mut [T],
-    op: &impl ChunkKernel<T>,
-    spec: &ScanSpec,
-    path: crate::plan::KernelPath,
-) {
     assert_eq!(input.len(), out.len(), "output length must match input");
     let s = spec.tuple();
     let q = spec.order();
-    let recurrence = op.recurrence_coeffs().is_some();
-    let legal = op.supports_cascade() && (spec.order() > 1 || recurrence);
-    if legal && (path == crate::plan::KernelPath::Cascade || recurrence) {
+    if crate::plan::uses_cascade(op, spec) {
         // Single-pass fused cascade: input read once, output written once,
         // independent of order.
         let exclusive = spec.kind() == ScanKind::Exclusive;

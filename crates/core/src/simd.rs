@@ -12,8 +12,9 @@
 //! |---|---|---|---|---|
 //! | 1–2 byte elements, stride 1 | packed `u64` word | packed `u64` word | packed `u64` word | packed `u64` word |
 //! | 4/8 byte elements, stride 1 | — | 128-bit in-register scan | 256-bit in-register scan | 512-bit in-register scan |
-//! | tuple rows ≥ 16 bytes | 8-byte word strips | 16-byte strips | 32-byte strips | 64-byte strips |
-//! | tuple rows of 8–15 bytes | 8-byte word strips | 8-byte word strips | 8-byte word strips | 8-byte word strips |
+//! | tuple rows of 8–64 bytes, a multiple of 8 | `u64` words in registers | `u64` words in registers | `u64` words in registers | `u64` words in registers |
+//! | other tuple rows ≥ 16 bytes | 8-byte word strips | 16-byte strips | 32-byte strips | 64-byte strips |
+//! | other tuple rows of 8–15 bytes | 8-byte word strips | 8-byte word strips | 8-byte word strips | 8-byte word strips |
 //!
 //! # The SWAR word format
 //!
@@ -39,10 +40,13 @@
 //! For tuple-size `s`, a span is a sequence of `s`-element *rows* and the
 //! strided scan is an element-wise running sum of rows (Zhang, Wang &
 //! Ross: `s` independent lanes live in `s` adjacent SIMD lanes, no
-//! shuffles). Order-`q` cascades keep `q` state rows and advance each with
-//! the same element-wise row add. Rows are processed in vector-width
-//! strips with a scalar per-row tail, so any `s` works; sub-vector rows
-//! (8–15 bytes) use one SWAR word per strip instead.
+//! shuffles). Rows of at most 64 bytes (a multiple of 8) keep the running
+//! row in registers, and an order-`q` cascade over them runs as `q`
+//! chained order-1 sweeps over one fixed block of rows at a time. Wider
+//! rows keep `q` state rows in memory and advance each with the same
+//! element-wise row add, in vector-width strips with a scalar per-row
+//! tail, so any `s` works; sub-vector rows (8–15 bytes) use one SWAR word
+//! per strip instead.
 //!
 //! # Determinism contract
 //!
@@ -312,16 +316,9 @@ pub fn vertical_from<T: ScanElement>(
     if !vert_dispatch::<T>(isa, op, rows, s, state.as_mut_ptr().cast(), q) {
         return false;
     }
-    // Partial final row: lane l = position offset, still base-aligned.
     let done = rows * s;
-    let top = (q - 1) * s;
     for (l, (&x, d)) in src[done..].iter().zip(&mut dst[done..]).enumerate() {
-        let out_prev = state[top + l];
-        state[l] = state[l].add(x);
-        for i in 1..q {
-            state[i * s + l] = state[i * s + l].add(state[(i - 1) * s + l]);
-        }
-        *d = if exclusive { out_prev } else { state[top + l] };
+        *d = tail_lane(state, s, l, x, exclusive);
     }
     true
 }
@@ -350,15 +347,8 @@ pub fn vertical_in_place<T: ScanElement>(
         return false;
     }
     let done = rows * s;
-    let top = (q - 1) * s;
     for (l, v) in data[done..].iter_mut().enumerate() {
-        let x = *v;
-        let out_prev = state[top + l];
-        state[l] = state[l].add(x);
-        for i in 1..q {
-            state[i * s + l] = state[i * s + l].add(state[(i - 1) * s + l]);
-        }
-        *v = if exclusive { out_prev } else { state[top + l] };
+        *v = tail_lane(state, s, l, *v, exclusive);
     }
     true
 }
@@ -388,10 +378,7 @@ pub fn vertical_totals<T: ScanElement>(
     }
     let done = rows * s;
     for (l, &x) in src[done..].iter().enumerate() {
-        state[l] = state[l].add(x);
-        for i in 1..q {
-            state[i * s + l] = state[i * s + l].add(state[(i - 1) * s + l]);
-        }
+        tail_lane(state, s, l, x, false);
     }
     true
 }
@@ -402,6 +389,25 @@ fn check_vertical(s: usize, state_len: usize) {
         state_len > 0 && state_len.is_multiple_of(s),
         "vertical state must be a positive q x s matrix ({state_len} % {s})"
     );
+}
+
+/// One lane of the partial final row every vertical wrapper finishes with
+/// (lane `l` is the position's offset into the row, still base-aligned):
+/// advances lane `l` of the `q x s` row-major `state` by `x` and returns
+/// the lane's output — the top row before the update when `exclusive`,
+/// after it otherwise.
+fn tail_lane<T: ScanElement>(state: &mut [T], s: usize, l: usize, x: T, exclusive: bool) -> T {
+    let top = state.len() - s;
+    let out_prev = state[top + l];
+    state[l] = state[l].add(x);
+    for i in (s..state.len()).step_by(s) {
+        state[i + l] = state[i + l].add(state[i - s + l]);
+    }
+    if exclusive {
+        out_prev
+    } else {
+        state[top + l]
+    }
 }
 
 /// Which vertical sweep to run (full rows only; tails stay in the safe
@@ -442,12 +448,12 @@ fn vert_dispatch<T: ScanElement>(
     if b < 8 {
         return false;
     }
-    // Order-1 small rows: the running row fits in registers, turning the
+    // Small rows: the running row fits in registers, turning the
     // row-to-row dependency into a 1-cycle add chain (the strip kernels
     // below chain through memory, which is store-to-load latency bound
     // when a row is only a few elements).
-    if q == 1 && b <= SMALL_ROW_MAX_BYTES && b.is_multiple_of(8) {
-        return small_dispatch(std::mem::size_of::<T>(), op, rows, b, state);
+    if b <= SMALL_ROW_MAX_BYTES && b.is_multiple_of(8) {
+        return small_dispatch(std::mem::size_of::<T>(), op, rows, b, state, q);
     }
     macro_rules! go {
         ($runner:ident) => {
@@ -605,14 +611,19 @@ unsafe fn swar_scan<const W: usize>(src: *const u8, dst: *mut u8, n: usize, carr
 
 // --- Register-resident small-row vertical sweeps ----------------------------
 
-/// Largest row (bytes) the order-1 register-resident sweep covers: 8 `u64`
-/// lane words. Past this, a row has enough elements that the strip
-/// kernels' store-to-load row chain is amortized.
+/// Largest row (bytes) the register-resident sweep covers: 8 `u64` lane
+/// words. Past this, a row has enough elements that the strip kernels'
+/// store-to-load row chain is amortized.
 const SMALL_ROW_MAX_BYTES: usize = 64;
+
+/// `u64` words in the fixed block an order-`q > 1` small-row sweep scans
+/// level by level (4 KiB: L1-resident, and on the stack).
+const SMALL_BLOCK_WORDS: usize = 512;
 
 /// One lane-word store of the small-row sweep. With `NT` (x86-64 only,
 /// dispatcher-gated) it is a `movnti` streaming store — the destination
-/// must then be 8-byte aligned, and the sweep ends with an `sfence`.
+/// must then be 8-byte aligned, and the dispatcher ends the sweep with an
+/// `sfence`.
 #[inline(always)]
 unsafe fn small_store<const NT: bool>(p: *mut u8, v: u64) {
     #[cfg(target_arch = "x86_64")]
@@ -668,10 +679,6 @@ unsafe fn small_from<const W: usize, const WORDS: usize, const NT: bool>(
             }
         }
     }
-    #[cfg(target_arch = "x86_64")]
-    if NT {
-        std::arch::x86_64::_mm_sfence();
-    }
     for (k, a) in acc.iter().enumerate() {
         state.add(k * 8).cast::<u64>().write_unaligned(*a);
     }
@@ -703,32 +710,90 @@ unsafe fn small_totals<const W: usize, const WORDS: usize>(
     }
 }
 
-/// Routes a small-row order-1 sweep to the `(W, WORDS)` monomorphization
-/// (const word count keeps the accumulators in registers). `false` if the
-/// shape has no such kernel.
-fn small_dispatch(width: usize, op: VertOp, rows: usize, b: usize, state: *mut u8) -> bool {
+/// Routes a small-row sweep to the `(W, WORDS)` monomorphization (const
+/// word count keeps the accumulators in registers). `false` if the shape
+/// has no such kernel.
+///
+/// Order `q` runs as `q` chained order-1 sweeps: level `i` of the cascade
+/// is the inclusive order-1 scan of level `i - 1` seeded with state row
+/// `i`, and the exclusive output is the exclusive order-1 scan of level
+/// `q - 2` seeded with the top row. Above order 1 the rows go through one
+/// fixed block at a time: level 0 reads the source into the block (the
+/// destination, in place), levels `1..q - 1` re-scan the block in place,
+/// and the last level writes the destination (or, for totals, only
+/// advances the top row), so the destination is written exactly once.
+fn small_dispatch(
+    width: usize,
+    op: VertOp,
+    rows: usize,
+    b: usize,
+    state: *mut u8,
+    q: usize,
+) -> bool {
+    /// # Safety
+    ///
+    /// The buffers `op` names are valid for `rows` rows of `WORDS * 8`
+    /// bytes (equal or non-overlapping) and `state` for `q` such rows,
+    /// overlapping none of them.
     #[inline(always)]
-    unsafe fn run<const W: usize, const WORDS: usize>(op: VertOp, rows: usize, state: *mut u8) {
-        match op {
-            VertOp::From { src, dst, exclusive } => {
-                // `movnti` needs an 8-aligned destination and there is no
-                // row-granular way to align first (rows advance in `b`-byte
-                // strides), so unaligned destinations keep cacheable stores.
-                if cfg!(target_arch = "x86_64")
-                    && rows * WORDS * 8 >= nt_store_min_bytes()
+    unsafe fn run<const W: usize, const WORDS: usize>(
+        op: VertOp,
+        rows: usize,
+        state: *mut u8,
+        q: usize,
+    ) {
+        let b = WORDS * 8;
+        let top = state.add((q - 1) * b);
+        // `movnti` needs an 8-aligned destination and there is no
+        // row-granular way to align first (rows advance in `b`-byte
+        // strides), so unaligned destinations keep cacheable stores.
+        // In-place just read the line; there is no ownership read for a
+        // streaming store to elide.
+        let nt = match op {
+            VertOp::From { dst, .. } => {
+                cfg!(target_arch = "x86_64")
+                    && rows * b >= nt_store_min_bytes()
                     && (dst as usize).is_multiple_of(8)
-                {
-                    small_from::<W, WORDS, true>(src, dst, rows, state, exclusive)
-                } else {
-                    small_from::<W, WORDS, false>(src, dst, rows, state, exclusive)
+            }
+            _ => false,
+        };
+        let mut block = std::mem::MaybeUninit::<[u64; SMALL_BLOCK_WORDS]>::uninit();
+        let per = if q == 1 {
+            rows
+        } else {
+            SMALL_BLOCK_WORDS / WORDS
+        };
+        let mut r = 0;
+        while r < rows {
+            let n = per.min(rows - r);
+            let (src, buf) = match op {
+                VertOp::From { src, .. } | VertOp::Totals { src } => {
+                    (src.add(r * b), block.as_mut_ptr().cast::<u8>())
                 }
+                VertOp::InPlace { data, .. } => (data.add(r * b).cast_const(), data.add(r * b)),
+            };
+            let mut level = src;
+            for i in 0..q - 1 {
+                small_from::<W, WORDS, false>(level, buf, n, state.add(i * b), false);
+                level = buf;
             }
-            // In-place just read the line; there is no ownership read for
-            // a streaming store to elide.
-            VertOp::InPlace { data, exclusive } => {
-                small_from::<W, WORDS, false>(data.cast_const(), data, rows, state, exclusive)
+            match op {
+                VertOp::From { dst, exclusive, .. } if nt => {
+                    small_from::<W, WORDS, true>(level, dst.add(r * b), n, top, exclusive)
+                }
+                VertOp::From { dst, exclusive, .. } => {
+                    small_from::<W, WORDS, false>(level, dst.add(r * b), n, top, exclusive)
+                }
+                VertOp::InPlace { exclusive, .. } => {
+                    small_from::<W, WORDS, false>(level, buf, n, top, exclusive)
+                }
+                VertOp::Totals { .. } => small_totals::<W, WORDS>(level, n, top),
             }
-            VertOp::Totals { src } => small_totals::<W, WORDS>(src, rows, state),
+            r += n;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if nt {
+            std::arch::x86_64::_mm_sfence();
         }
     }
     macro_rules! by_words {
@@ -736,14 +801,14 @@ fn small_dispatch(width: usize, op: VertOp, rows: usize, b: usize, state: *mut u
             // SAFETY: caller (the safe vertical wrappers) validated the
             // buffer shapes; `b / 8` words of 8 bytes cover each row.
             match b / 8 {
-                1 => unsafe { run::<$W, 1>(op, rows, state) },
-                2 => unsafe { run::<$W, 2>(op, rows, state) },
-                3 => unsafe { run::<$W, 3>(op, rows, state) },
-                4 => unsafe { run::<$W, 4>(op, rows, state) },
-                5 => unsafe { run::<$W, 5>(op, rows, state) },
-                6 => unsafe { run::<$W, 6>(op, rows, state) },
-                7 => unsafe { run::<$W, 7>(op, rows, state) },
-                8 => unsafe { run::<$W, 8>(op, rows, state) },
+                1 => unsafe { run::<$W, 1>(op, rows, state, q) },
+                2 => unsafe { run::<$W, 2>(op, rows, state, q) },
+                3 => unsafe { run::<$W, 3>(op, rows, state, q) },
+                4 => unsafe { run::<$W, 4>(op, rows, state, q) },
+                5 => unsafe { run::<$W, 5>(op, rows, state, q) },
+                6 => unsafe { run::<$W, 6>(op, rows, state, q) },
+                7 => unsafe { run::<$W, 7>(op, rows, state, q) },
+                8 => unsafe { run::<$W, 8>(op, rows, state, q) },
                 _ => return false,
             }
         };

@@ -248,20 +248,33 @@ fn stride1_matches_oracle_u32_u64() {
 
 // --- Vertical equivalence matrix -------------------------------------------
 
+/// Bytes of the block the register-resident small-row sweeps (rows of at
+/// most 64 bytes) scan orders above 1 through, one level at a time.
+const SMALL_BLOCK_BYTES: usize = 4096;
+
 /// All three vertical sweeps (from, in-place, totals) for one element
 /// type over orders × strides × tail shapes × both scan kinds, with a
 /// nonzero seeded state so carried-in history is part of every check.
 fn vertical_matrix<T: ScanElement>(seed: u64) {
     for isa in isa::available() {
         for q in [1usize, 2, 5, 8] {
-            for s in [1usize, 2, 5, 8] {
-                if !expect_vertical(isa, s * std::mem::size_of::<T>()) {
+            for s in [1usize, 2, 3, 5, 7, 8] {
+                let row_bytes = s * std::mem::size_of::<T>();
+                if !expect_vertical(isa, row_bytes) {
                     continue;
                 }
                 // Full rows plus every tail shape: none, one element, one
                 // short of a row.
-                for tail in [0, 1, s - 1] {
-                    let n = 6 * s + tail;
+                let mut lens: Vec<usize> = [0, 1, s - 1].iter().map(|tail| 6 * s + tail).collect();
+                if q > 1 {
+                    // One row below, at and above one and two blocks, so
+                    // the state crosses a block seam mid-span.
+                    let block_rows = (SMALL_BLOCK_BYTES / row_bytes).max(1);
+                    for rows in [block_rows, 2 * block_rows] {
+                        lens.extend([rows - 1, rows, rows + 1].map(|r| r * s));
+                    }
+                }
+                for n in lens {
                     for exclusive in [false, true] {
                         let src = pattern::<T>(n, seed ^ (n as u64) << 8 ^ q as u64);
 
@@ -336,15 +349,18 @@ fn nt_threshold_matches_oracle() {
         if isa == Isa::Scalar {
             continue;
         }
-        // Tuple-2 order-1: the register-resident small-row path, which
-        // streams its stores above the threshold when dst is 8-aligned.
-        let mut oracle_state = seeded_state::<i64>(1, 2);
-        let want = vertical_oracle(&src, 2, &mut oracle_state, false);
-        let mut state = seeded_state::<i64>(1, 2);
-        let mut dst = vec![0i64; n];
-        assert!(simd::vertical_from(isa, &src, &mut dst, 2, &mut state, false));
-        assert_eq!(dst, want, "{isa} small-row vertical above the NT threshold");
-        assert_eq!(state, oracle_state, "{isa} small-row NT state");
+        // Tuple-2 orders 1 and 2: the register-resident small-row path,
+        // which streams its stores above the threshold when dst is
+        // 8-aligned.
+        for q in [1, 2] {
+            let mut oracle_state = seeded_state::<i64>(q, 2);
+            let want = vertical_oracle(&src, 2, &mut oracle_state, false);
+            let mut state = seeded_state::<i64>(q, 2);
+            let mut dst = vec![0i64; n];
+            assert!(simd::vertical_from(isa, &src, &mut dst, 2, &mut state, false));
+            assert_eq!(dst, want, "{isa} q={q} small-row vertical above the NT threshold");
+            assert_eq!(state, oracle_state, "{isa} q={q} small-row NT state");
+        }
         // A 4-byte-aligned-only destination must decline streaming stores
         // and still be correct: offset an i32 buffer by one element.
         let src32 = pattern::<i32>(n + 1, 0x6002);
