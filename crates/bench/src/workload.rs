@@ -4,8 +4,7 @@
 //! memory-access patterns of prefix-sum computations are not data
 //! dependent", Section 2.2), so the generators only need to be cheap,
 //! deterministic, and representative. A splitmix-style generator provides
-//! uniform words; the delta workloads produce compressible sequences for
-//! the compression examples and tests.
+//! uniform words.
 
 /// A tiny, fast, deterministic splitmix64 generator.
 #[derive(Debug, Clone)]
@@ -42,37 +41,6 @@ pub fn uniform_i64(n: usize, seed: u64) -> Vec<i64> {
     (0..n).map(|_| (rng.next_u64() % 2_000_001) as i64 - 1_000_000).collect()
 }
 
-/// A smooth multi-tone waveform quantized to integers — the kind of signal
-/// delta encoders are built for (speech/sensor data).
-pub fn waveform_i32(n: usize, sample_rate_hz: f64) -> Vec<i32> {
-    (0..n)
-        .map(|i| {
-            let t = i as f64 / sample_rate_hz;
-            let v = 6000.0 * (2.0 * std::f64::consts::PI * 220.0 * t).sin()
-                + 1500.0 * (2.0 * std::f64::consts::PI * 880.0 * t).sin()
-                + 400.0 * (2.0 * std::f64::consts::PI * 55.0 * t).cos();
-            v as i32
-        })
-        .collect()
-}
-
-/// Interleaved `s`-tuple data where lane `l` follows its own linear trend —
-/// the structure tuple-based delta encoding exploits (Section 1's x/y
-/// example).
-pub fn tuple_trends_i64(tuples: usize, s: usize, seed: u64) -> Vec<i64> {
-    let mut rng = SplitMix64::new(seed);
-    let slopes: Vec<i64> = (0..s).map(|_| (rng.next_u64() % 21) as i64 - 10).collect();
-    let offsets: Vec<i64> = (0..s).map(|_| (rng.next_u64() % 10_001) as i64).collect();
-    let mut out = Vec::with_capacity(tuples * s);
-    for j in 0..tuples {
-        for l in 0..s {
-            let noise = (rng.next_u64() % 7) as i64 - 3;
-            out.push(offsets[l] + slopes[l] * j as i64 + noise);
-        }
-    }
-    out
-}
-
 /// The problem sizes of Figures 3–16: powers of two from 2^10 to
 /// 2^`max_pow2`, merged (sorted, deduplicated) with powers of ten from 10^3
 /// up to the same bound.
@@ -103,29 +71,6 @@ mod tests {
     #[test]
     fn uniform_values_bounded() {
         assert!(uniform_i32(10_000, 1).iter().all(|v| (-1000..=1000).contains(v)));
-    }
-
-    #[test]
-    fn waveform_is_smooth() {
-        let w = waveform_i32(1000, 8000.0);
-        let max_step = w.windows(2).map(|p| (p[1] - p[0]).abs()).max().unwrap();
-        // Tones up to 880 Hz at 8 kHz sampling: adjacent samples move far
-        // less than the ±7900 signal range.
-        assert!(max_step < 2500, "waveform jumps by {max_step}");
-    }
-
-    #[test]
-    fn tuple_trends_have_lane_structure() {
-        let s = 3;
-        let data = tuple_trends_i64(100, s, 9);
-        assert_eq!(data.len(), 300);
-        // Within a lane, consecutive differences are nearly constant.
-        for l in 0..s {
-            let lane: Vec<i64> = data.iter().skip(l).step_by(s).copied().collect();
-            let diffs: Vec<i64> = lane.windows(2).map(|p| p[1] - p[0]).collect();
-            let spread = diffs.iter().max().unwrap() - diffs.iter().min().unwrap();
-            assert!(spread <= 12, "lane {l} spread {spread}");
-        }
     }
 
     #[test]

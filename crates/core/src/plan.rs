@@ -82,11 +82,10 @@ use gpu_sim::{AccessClass, DeviceSpec, Gpu, MetricsSnapshot, Pod64};
 /// i64 sums: serial wins at 2^12 (1.93 vs 1.81 Gelem/s), the CPU engine
 /// wins from 2^14 up (1.82 vs 1.73 Gelem/s, widening to 1.5 vs 1.1 at
 /// 2^20), so the crossover sits at 2^14 — roughly where the working set
-/// leaves L1 and the allocation overhead amortizes. Note `BENCH_cpu.json`
-/// (from `crates/bench/src/bin/throughput.rs`) reuses the output buffer
-/// across repetitions, so it shows the *steady-state* `scan_into` picture,
-/// where the fused CPU path wins at every size; callers who hold a buffer
-/// should call `CpuScanner::scan_into` directly and skip `Engine::Auto`.
+/// leaves L1 and the allocation overhead amortizes. With the output
+/// buffer reused across calls (steady-state `scan_into`), the fused CPU
+/// path won at every size on that host; callers who hold a buffer should
+/// call `CpuScanner::scan_into` directly and skip `Engine::Auto`.
 /// On single-core hosts the CPU engine degenerates to the same fused
 /// serial kernels, so the threshold is not load-bearing there. Re-time the
 /// one-shot paths after kernel changes and move this crossover if the

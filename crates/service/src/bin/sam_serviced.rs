@@ -86,7 +86,8 @@ impl Listen for TcpListener {
     }
 }
 
-/// Accepts connections until `stop`, spawning one handler thread each.
+/// Accepts connections until `stop`, spawning one handler thread each
+/// and reaping the finished ones.
 /// Accept errors log and back off exponentially (5ms doubling to 1s)
 /// instead of killing the daemon — transient failures like fd exhaustion
 /// resolve when connections close.
@@ -94,13 +95,17 @@ fn accept_loop<L: Listen>(listener: L, service: Arc<ScanService>, stop: Arc<Atom
     const BACKOFF_START: Duration = Duration::from_millis(5);
     const BACKOFF_CAP: Duration = Duration::from_secs(1);
     let mut backoff = BACKOFF_START;
-    let mut handlers = Vec::new();
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::Acquire) {
         match listener.accept_conn() {
             Ok(stream) => {
                 backoff = BACKOFF_START;
                 let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop);
+                // A finished handler that is never joined keeps its thread
+                // stack mapped, so reap them here or every connection ever
+                // accepted pins memory until shutdown.
+                handlers.retain(|h| !h.is_finished());
                 handlers.push(std::thread::spawn(move || serve(stream, &service, &stop)));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

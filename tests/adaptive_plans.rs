@@ -17,6 +17,7 @@
 
 use proptest::prelude::*;
 use sam_core::adapt::{DriverPhase, TuningStore};
+use sam_core::cpu::CpuScanner;
 use sam_core::envlock::EnvGuard;
 use sam_core::op::Sum;
 use sam_core::plan::{PlanHint, ScanPlan};
@@ -116,12 +117,13 @@ proptest! {
     }
 }
 
-/// Driving enough comparable episodes through an adaptive plan converges
-/// the driver, and the converged geometry still matches the frozen plan.
-#[test]
-fn adaptive_plan_converges_under_repetition() {
+/// Driving enough comparable episodes through an adaptive plan on
+/// `engine` converges the driver, and every episode, the converged
+/// geometry included, matches the frozen plan. No store is configured,
+/// so a persisted optimum cannot seed the plan past the search.
+fn assert_adaptive_converges(engine: Engine) {
+    let _guard = EnvGuard::unset(TuningStore::ENV_DIR);
     let spec = ScanSpec::inclusive().with_order(2).unwrap();
-    let engine = Engine::cpu(2);
     let frozen = ScanPlan::new(spec, engine.clone(), PlanHint::default());
     let adaptive = ScanPlan::new(spec, engine, PlanHint::adaptive());
     let input = pattern_i64(64 * 1024, 7);
@@ -145,6 +147,19 @@ fn adaptive_plan_converges_under_repetition() {
         assert_eq!(adaptive.scan(&input, &Sum), expected);
         assert_eq!(adaptive.adaptive_snapshot().unwrap().best, snap.best);
     }
+}
+
+#[test]
+fn adaptive_plan_converges_under_repetition() {
+    assert_adaptive_converges(Engine::cpu(2));
+}
+
+/// A deliberately mis-tuned start (oversubscribed workers, tiny chunks)
+/// stays bit-identical to its frozen plan and still reaches steady state.
+#[test]
+fn mistuned_start_stays_exact_and_reaches_steady() {
+    let workers = 4 * CpuScanner::default().workers();
+    assert_adaptive_converges(Engine::Cpu(CpuScanner::new(workers).with_chunk_elems(4096)));
 }
 
 /// Scans below the episode floor run the probe geometry but are never

@@ -492,38 +492,68 @@ fn response_handles_support_polling() {
     service.shutdown();
 }
 
-/// Coalescing observably happens: requests enqueued while the executor is
-/// busy ride one launch, and the plan cache holds exactly one entry.
-#[test]
-fn queued_micro_requests_coalesce_into_shared_launches() {
+/// Coalescing observably happens on every lane family: requests enqueued
+/// while a lane's executor is busy ride one launch. `families` names the
+/// lanes by recurrence coefficients (`None` is the Sum lane); each gets
+/// one chunky request to occupy its lone executor, then a burst of
+/// micro-requests interleaved across the families queues behind them.
+fn assert_micro_requests_coalesce_per_lane(families: &[Option<Vec<i32>>]) {
     let service = ScanService::start(ServiceConfig::default().with_executors(1));
-    // Occupy the lone executor with a chunky request, then enqueue a
-    // burst of micro-requests behind it.
-    let big = service
-        .submit(ScanRequest::inclusive("big", (0..200_000).map(|i| i % 7).collect()))
-        .unwrap();
-    let micros: Vec<_> = (0..32)
-        .map(|i| {
-            let request = ScanRequest::inclusive(format!("micro-{i}"), vec![i, i + 1]);
-            let expect = oracle(&request);
-            (service.submit(request).unwrap(), expect)
+    let on_lane = |request: ScanRequest, family: &Option<Vec<i32>>| match family {
+        Some(coeffs) => request.with_recurrence(coeffs.clone()),
+        None => request,
+    };
+    let busy: Vec<_> = families
+        .iter()
+        .map(|family| {
+            let request = on_lane(
+                ScanRequest::inclusive("big", (0..200_000).map(|i| i % 7).collect()),
+                family,
+            );
+            service.submit(request).unwrap()
         })
         .collect();
-    big.wait().unwrap();
+    // Build the burst (and its oracles) first so it queues back to back.
+    let burst: Vec<_> = (0..32)
+        .flat_map(|i| families.iter().map(move |family| (i, family)))
+        .map(|(i, family)| {
+            let micro = ScanRequest::inclusive(format!("micro-{i}"), vec![i, i + 1]);
+            let request = on_lane(micro, family);
+            let expect = oracle(&request);
+            (request, expect)
+        })
+        .collect();
+    let micros: Vec<_> = burst
+        .into_iter()
+        .map(|(request, expect)| (service.submit(request).unwrap(), expect))
+        .collect();
+    for handle in busy {
+        handle.wait().unwrap();
+    }
     for (handle, expect) in micros {
         assert_eq!(handle.wait().unwrap(), expect);
     }
     let metrics = service.metrics();
-    assert!(
-        metrics.max_batch_requests >= 2,
-        "a backlog must fuse requests (max batch = {})",
-        metrics.max_batch_requests
-    );
-    assert!(
-        metrics.batches < metrics.requests,
-        "{} launches for {} requests is no coalescing",
-        metrics.batches,
-        metrics.requests
-    );
+    assert_eq!(metrics.lanes.len(), families.len());
+    for (label, lane) in &metrics.lanes {
+        assert!(
+            lane.batches < lane.requests,
+            "lane {label}: {} launches for {} requests is no coalescing",
+            lane.batches,
+            lane.requests
+        );
+    }
     service.shutdown();
+}
+
+#[test]
+fn queued_micro_requests_coalesce_into_shared_launches() {
+    assert_micro_requests_coalesce_per_lane(&[None]);
+}
+
+/// Recurrence lanes coalesce too: a burst of Sum, `[3]` and `[2, -1]`
+/// micro-requests fuses on each of the three lanes.
+#[test]
+fn queued_recurrence_micro_requests_coalesce_on_every_lane() {
+    assert_micro_requests_coalesce_per_lane(&[None, Some(vec![3]), Some(vec![2, -1])]);
 }

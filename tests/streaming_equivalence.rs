@@ -396,7 +396,7 @@ fn max_streams_match_one_shot_on_every_engine() {
     }
 }
 
-/// Acceptance criterion on the instrumented device: the streaming path
+/// Acceptance check on the instrumented device: the streaming path
 /// models the same global element traffic as the one-shot kernel — every
 /// element read once and written once, nothing proportional to the batch
 /// count.
