@@ -12,7 +12,6 @@
 //! | [`LookbackScan`] | decoupled look-back (CUB) | 2n |
 //! | [`memcpy_roof`] | `cudaMemcpy` ceiling | 2n |
 //! | [`ReorderTupleScan`] | reorder / scan / reorder-back tuple scan (Section 2.3's slow approach) | 6n |
-//! | [`ThreePhaseCpu`] | chunked multicore CPU scan | host |
 //!
 //! Higher-order scans for these libraries are obtained the only way they
 //! can be: by iterating the whole scan ([`iterate_scan`]), which multiplies
@@ -24,13 +23,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cpu_parallel;
 pub mod hierarchical;
 pub mod lookback;
 pub mod memcpy;
 pub mod tuple_reorder;
 
-pub use cpu_parallel::ThreePhaseCpu;
 pub use hierarchical::{FirstPass, HierarchicalScan};
 pub use lookback::LookbackScan;
 pub use memcpy::memcpy_roof;

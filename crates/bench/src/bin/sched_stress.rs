@@ -2,10 +2,11 @@
 //! under hostile schedules (`gpu_sim::sched`).
 //!
 //! Sweeps a range of scheduler seeds over adversarial policy presets ×
-//! engines × scan specs, validating every run against the serial oracle
-//! under a per-run watchdog. On a failure it re-runs the failing seed with
-//! recording enabled and prints the captured schedule, so the repro is
-//! deterministic (`Scheduler::replay`).
+//! engines × scan specs × operators (`Sum` on the single-pass cascade
+//! protocol, `Xor` on the iterated one), validating every run against the
+//! serial oracle under a per-run watchdog. On a failure it re-runs the
+//! failing seed with recording enabled and prints the captured schedule,
+//! so the repro is deterministic (`Scheduler::replay`).
 //!
 //! ```text
 //! cargo run --release -p sam-bench --bin sched_stress -- [options]
@@ -24,8 +25,8 @@ use gpu_sim::sched::{SchedPolicy, Scheduler};
 use gpu_sim::{DeviceSpec, Gpu};
 use sam_core::cpu::CpuScanner;
 use sam_core::kernel::{scan_on_gpu, AuxMode, SamParams};
-use sam_core::op::Sum;
-use sam_core::{serial, ScanSpec};
+use sam_core::op::{Sum, Xor};
+use sam_core::{serial, ChunkKernel, ScanSpec};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,21 +77,38 @@ fn tiny_device() -> DeviceSpec {
     }
 }
 
+/// Operators swept: `Sum` takes the single-pass cascade protocol on both
+/// engines, `Xor` the iterated one.
+const OPS: &[&str] = &["sum", "xor"];
+
 struct RunCfg {
     engine: &'static str,
     policy: String,
     seed: u64,
     spec: ScanSpec,
+    op: &'static str,
 }
 
 /// One validated run; returns an error description on mismatch or panic.
 fn run_once(cfg: &RunCfg, input: &[i64], sched: Arc<Scheduler>) -> Result<(), String> {
-    let expect = serial::scan(input, &Sum, &cfg.spec);
+    match cfg.op {
+        "sum" => run_op(&Sum, cfg, input, sched),
+        _ => run_op(&Xor, cfg, input, sched),
+    }
+}
+
+fn run_op(
+    op: &impl ChunkKernel<i64>,
+    cfg: &RunCfg,
+    input: &[i64],
+    sched: Arc<Scheduler>,
+) -> Result<(), String> {
+    let expect = serial::scan(input, op, &cfg.spec);
     let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cfg.engine {
         "cpu" => CpuScanner::new(4)
             .with_chunk_elems(64)
             .with_scheduler(sched)
-            .scan(input, &Sum, &cfg.spec),
+            .scan(input, op, &cfg.spec),
         "gpu" => {
             let params = SamParams {
                 items_per_thread: 1,
@@ -98,7 +116,7 @@ fn run_once(cfg: &RunCfg, input: &[i64], sched: Arc<Scheduler>) -> Result<(), St
                 ..SamParams::default()
             };
             let gpu = Gpu::new(tiny_device()).with_scheduler(sched);
-            scan_on_gpu(&gpu, input, &Sum, &cfg.spec, &params).0
+            scan_on_gpu(&gpu, input, op, &cfg.spec, &params).0
         }
         other => usage_error(&format!("unknown engine {other:?}")),
     }));
@@ -124,6 +142,7 @@ fn run_guarded(cfg: &RunCfg, input: Vec<i64>, record: bool, timeout: Duration) -
         policy: cfg.policy.clone(),
         seed: cfg.seed,
         spec: cfg.spec,
+        op: cfg.op,
     };
     let sched_inner = Arc::clone(&sched);
     std::thread::spawn(move || {
@@ -224,21 +243,25 @@ fn main() {
             let input = pseudo_random(len.max(1), seed ^ 0xda7a);
             for policy in &policies {
                 for spec in &specs {
-                    let cfg = RunCfg {
-                        engine,
-                        policy: policy.clone(),
-                        seed,
-                        spec: *spec,
-                    };
-                    runs += 1;
-                    if let Err(e) = run_guarded(&cfg, input.clone(), false, timeout) {
-                        failures += 1;
-                        eprintln!(
-                            "FAIL engine={engine} policy={policy} seed={seed} spec={spec:?}: {e}"
-                        );
-                        // Deterministic repro: re-run the seed recording the
-                        // schedule (printed by run_guarded on failure).
-                        let _ = run_guarded(&cfg, input.clone(), true, timeout);
+                    for &op in OPS {
+                        let cfg = RunCfg {
+                            engine,
+                            policy: policy.clone(),
+                            seed,
+                            spec: *spec,
+                            op,
+                        };
+                        runs += 1;
+                        if let Err(e) = run_guarded(&cfg, input.clone(), false, timeout) {
+                            failures += 1;
+                            eprintln!(
+                                "FAIL engine={engine} policy={policy} seed={seed} spec={spec:?} \
+                                 op={op}: {e}"
+                            );
+                            // Deterministic repro: re-run the seed recording
+                            // the schedule (printed by run_guarded on failure).
+                            let _ = run_guarded(&cfg, input.clone(), true, timeout);
+                        }
                     }
                 }
             }

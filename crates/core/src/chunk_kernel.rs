@@ -11,11 +11,15 @@
 //!   for any associative operator, using a rotating lane index instead of a
 //!   per-element `(base + j) % s` division (Section 2.3's lane bookkeeping
 //!   costs one add-and-compare per element instead of one `div`);
-//! * **specialized implementations** override the hot cases. [`Sum`]
-//!   overrides the stride-1 paths with the explicit SIMD/SWAR kernels of
-//!   [`crate::simd`], falling back to an unrolled in-register scan (a
-//!   blocked Hillis–Steele over `BLOCK = 16` lanes with per-block carry
-//!   fixup) that LLVM auto-vectorizes for the integer element types.
+//! * **specialized implementations** override the hot cases, all of them
+//!   `cascade_*` sweeps. One rule, [`ChunkKernel::supports_cascade`],
+//!   picks the kernel family on every engine and at every order: an
+//!   operator that supports the cascade runs it for order 1 too, and
+//!   the iterated primitives serve only the operators that do not.
+//!   [`Sum`]'s order-1 stride-1 cascade takes the explicit SIMD/SWAR
+//!   kernels of [`crate::simd`], falling back to an unrolled in-register
+//!   scan (a blocked Hillis–Steele over `BLOCK = 16` lanes with per-block
+//!   carry fixup) that LLVM auto-vectorizes for the integer element types.
 //!
 //! # One sweep per shape
 //!
@@ -30,23 +34,22 @@
 //!
 //! # Dispatch table
 //!
-//! | operator | element | stride | kernel |
+//! | operator | element | stride, order | kernel |
 //! |---|---|---|---|
-//! | `Sum` | ints (`EXACT_ASSOC`) | 1 | explicit SIMD/SWAR kernel, else blocked multi-accumulator |
-//! | `Sum` | ints (`EXACT_ASSOC`) | 2..=64 | **vertical lane-parallel**: `s` accumulators advance together in row form, no per-element lane rotation |
-//! | `Sum` | floats | 1 | fused sequential accumulator (serial association) |
-//! | any  | any | 1 | fused sequential accumulator |
-//! | any  | any | s > 1 | in-buffer recurrence, rotating lane index |
+//! | `Sum` | exact rings | 1, order 1 | explicit SIMD/SWAR kernel, else blocked multi-accumulator; exclusive `from` as the inclusive kernel shifted by one; register loop in place (exclusive) and for totals |
+//! | `Sum` | exact rings | 1, order 2..=8 | const-generic register cascade |
+//! | `Sum` | exact rings | s > 1, base-aligned | **vertical lane-parallel**: `s` accumulators advance together in row form, no per-element lane rotation |
+//! | `Sum` | exact rings | other | rotating-lane cascade |
 //! | `LinRec` | exact rings | 1, order ≤ 8 | register-resident window; multi-chain totals sweep at orders 1–3 |
 //! | `LinRec` | exact rings | s > 1 or order > 8 | rotating-lane window |
+//! | any other (incl. float `Sum`) | any | 1 | iterated: fused sequential accumulator |
+//! | any other (incl. float `Sum`) | any | s > 1 | iterated: in-buffer recurrence, rotating lane index |
 //!
-//! The `cascade_*` methods add the **single-pass order-`q`** kernels (a
+//! The `cascade_*` methods are the **single-pass order-`q`** kernels (a
 //! length-`q` state vector per lane, advanced once per element — see
-//! [`crate::carry`]): `Sum` dispatches stride-1 cascades to const-generic
-//! register kernels for `q <= 8` and base-aligned strided cascades to the
-//! vertical row form; the rotating-lane sweep covers every other case.
-//! Cascade use is gated on [`ChunkKernel::supports_cascade`]
-//! (wrapping-integer sums only).
+//! [`crate::carry`]), gated on [`ChunkKernel::supports_cascade`]
+//! (wrapping-integer sums and recurrences); the iterated primitives run
+//! an order-`q` scan as `q` passes.
 //!
 //! Non-temporal stores live only in the explicit kernels of
 //! [`crate::simd`]; every loop in this file uses ordinary stores.
@@ -419,13 +422,25 @@ trait Sink<T: Copy> {
     /// Stores the output for position `i`.
     fn emit(&mut self, i: usize, v: T);
 
+    /// Whether the sweep stores its outputs (`false` for the totals sweep).
+    const EMITS: bool = true;
+
     /// Runs `isa`'s explicit stride-1 inclusive sum kernel over this sink
-    /// from a zero seed; `false` when it declines (or the sink has none).
-    fn sum_stride1_simd(&mut self, _isa: Isa) -> bool
+    /// from `seed` and returns the running total; `None` when it declines
+    /// (or the sink has none).
+    fn sum_stride1_simd(&mut self, _isa: Isa, _seed: T) -> Option<T>
     where
         T: ScanElement,
     {
-        false
+        None
+    }
+
+    /// Stores `seed` as output 0 and returns the sink that reads inputs
+    /// `..n - 1` into outputs `1..`: the exclusive order-1 sweep as an
+    /// inclusive one shifted by one position. `None` for an empty span
+    /// and for sinks without a separate output buffer.
+    fn shift_by_one(&mut self, _seed: T) -> Option<Dst<'_, T>> {
+        None
     }
 
     /// Runs `isa`'s explicit vertical sum cascade over this sink (see
@@ -463,11 +478,16 @@ impl<T: Copy> Sink<T> for Dst<'_, T> {
     fn emit(&mut self, i: usize, v: T) {
         self.dst[i] = v;
     }
-    fn sum_stride1_simd(&mut self, isa: Isa) -> bool
+    fn sum_stride1_simd(&mut self, isa: Isa, seed: T) -> Option<T>
     where
         T: ScanElement,
     {
-        crate::simd::stride1_from(isa, self.src, self.dst, T::ZERO).is_some()
+        crate::simd::stride1_from(isa, self.src, self.dst, seed)
+    }
+    fn shift_by_one(&mut self, seed: T) -> Option<Dst<'_, T>> {
+        let (first, rest) = self.dst.split_first_mut()?;
+        *first = seed;
+        Some(Dst { src: &self.src[..rest.len()], dst: rest })
     }
     fn sum_vertical_simd(&mut self, isa: Isa, s: usize, state: &mut [T], exclusive: bool) -> bool
     where
@@ -490,11 +510,11 @@ impl<T: Copy> Sink<T> for InPlace<'_, T> {
     fn emit(&mut self, i: usize, v: T) {
         self.0[i] = v;
     }
-    fn sum_stride1_simd(&mut self, isa: Isa) -> bool
+    fn sum_stride1_simd(&mut self, isa: Isa, seed: T) -> Option<T>
     where
         T: ScanElement,
     {
-        crate::simd::stride1_in_place(isa, self.0).is_some()
+        crate::simd::stride1_in_place(isa, self.0, seed)
     }
     fn sum_vertical_simd(&mut self, isa: Isa, s: usize, state: &mut [T], exclusive: bool) -> bool
     where
@@ -505,6 +525,7 @@ impl<T: Copy> Sink<T> for InPlace<'_, T> {
 }
 
 impl<T: Copy> Sink<T> for Discard<'_, T> {
+    const EMITS: bool = false;
     #[inline(always)]
     fn len(&self) -> usize {
         self.0.len()
@@ -586,33 +607,20 @@ fn scan_block<T: ScanElement>(sb: &[T]) -> [T; BLOCK] {
     a
 }
 
-/// Stride-1 inclusive sum over `io`.
+/// Stride-1 inclusive sum over `io` from `carry`; returns the running
+/// total.
 ///
-/// Exactly associative types take the resolved ISA's explicit kernel
-/// (bit-identical; it decides non-temporal stores itself) and otherwise a
-/// blocked Hillis–Steele over `BLOCK` register accumulators: each block is
-/// scanned in registers ([`scan_block`]), then offset by the running
-/// carry. Starting that carry at `ZERO` is exact for wrapping integers.
-/// Floats keep the sequential accumulator and its association.
+/// Takes the resolved ISA's explicit kernel (bit-identical; it decides
+/// non-temporal stores itself) and otherwise a blocked Hillis–Steele over
+/// `BLOCK` register accumulators: each block is scanned in registers
+/// ([`scan_block`]), then offset by the running carry. Exact for the
+/// exactly associative element types [`sum_cascade`] admits.
 #[inline]
-fn sum_stride1<T: ScanElement, S: Sink<T>>(io: &mut S) {
+fn sum_stride1<T: ScanElement, S: Sink<T>>(io: &mut S, mut carry: T) -> T {
+    if let Some(total) = io.sum_stride1_simd(crate::isa::resolved(), carry) {
+        return total;
+    }
     let n = io.len();
-    if !T::EXACT_ASSOC {
-        if n == 0 {
-            return;
-        }
-        let mut acc = io.input(0);
-        io.emit(0, acc);
-        for j in 1..n {
-            acc = acc.add(io.input(j));
-            io.emit(j, acc);
-        }
-        return;
-    }
-    if io.sum_stride1_simd(crate::isa::resolved()) {
-        return;
-    }
-    let mut carry = T::ZERO;
     let mut off = 0;
     while off + BLOCK <= n {
         let block: [T; BLOCK] = std::array::from_fn(|k| io.input(off + k));
@@ -629,15 +637,15 @@ fn sum_stride1<T: ScanElement, S: Sink<T>>(io: &mut S) {
         carry = carry.add(io.input(j));
         io.emit(j, carry);
     }
+    carry
 }
 
 // --- Sum: cascade and lane-parallel (vertical) tuple kernels ---------------
 
-/// Maximum tuple size the vertical stride-`s` sum kernels cover with a
-/// stack-allocated accumulator row; larger strides take the generic
-/// in-buffer recurrence (they are past the width any SIMD unit exploits
-/// anyway). Exposed because the [`crate::plan::auto_parallel_threshold`]
-/// crossover model keys off the same vectorized/non-vectorized boundary.
+/// Tuple size past which the [`crate::plan::auto_parallel_threshold`]
+/// crossover model halves its threshold for a slower serial sweep. The
+/// vertical cascade runs every base-aligned stride, so the boundary is a
+/// calibration input of that model, not a kernel limit.
 pub const VERTICAL_LANES_MAX: usize = 64;
 
 /// Stride-1 order-`Q` cascade with the state held in `Q` registers: per
@@ -710,16 +718,44 @@ fn sum_cascade_vertical<T: ScanElement, S: Sink<T>>(
     }
 }
 
-/// Order-1 vertical sum over `io` from a zero seed, its `s <=`
-/// [`VERTICAL_LANES_MAX`] accumulators in one stack row.
-fn sum_lanes<T: ScanElement, S: Sink<T>>(io: &mut S, s: usize, exclusive: bool) {
-    let mut state = [T::ZERO; VERTICAL_LANES_MAX];
-    sum_cascade_vertical(io, s, &mut state[..s], exclusive);
+/// Register cascade of order `Q`, monomorphized on `exclusive`.
+fn sum_register<T: ScanElement, S: Sink<T>, const Q: usize>(
+    io: &mut S,
+    state: &mut [T],
+    exclusive: bool,
+) {
+    if exclusive {
+        sum_cascade1::<T, S, Q, true>(io, state)
+    } else {
+        sum_cascade1::<T, S, Q, false>(io, state)
+    }
 }
 
-/// Sum cascade sweep: the register kernel for stride 1 and order <= 8, the
-/// vertical row form for base-aligned strides, the rotating-lane loop
-/// otherwise (and for every non-exactly-associative element type).
+/// Order-1 stride-1 sum sweep, seeded by and updating `state[0]`.
+///
+/// An inclusive sweep that stores its outputs takes [`sum_stride1`]; the
+/// exclusive sweep into a separate buffer is that scan shifted by one
+/// position (`dst[0] = seed`, then `src[..n - 1]` into `dst[1..]`). The
+/// in-place exclusive and the totals sweeps keep the register loop.
+fn sum_order1<T: ScanElement, S: Sink<T>>(io: &mut S, state: &mut [T], exclusive: bool) {
+    let seed = state[0];
+    if S::EMITS && !exclusive {
+        state[0] = sum_stride1(io, seed);
+        return;
+    }
+    if let Some(last) = io.len().checked_sub(1).map(|j| io.input(j)) {
+        if let Some(mut rest) = io.shift_by_one(seed) {
+            state[0] = sum_stride1(&mut rest, seed).add(last);
+            return;
+        }
+    }
+    sum_register::<T, S, 1>(io, state, exclusive);
+}
+
+/// Sum cascade sweep: the order-1 kernels above and the register kernel
+/// up to order 8 for stride 1, the vertical row form for base-aligned
+/// strides, the rotating-lane loop otherwise (and for every
+/// non-exactly-associative element type).
 fn sum_cascade<T: ScanElement, S: Sink<T>>(
     io: &mut S,
     base: usize,
@@ -727,109 +763,24 @@ fn sum_cascade<T: ScanElement, S: Sink<T>>(
     state: &mut [T],
     exclusive: bool,
 ) {
-    fn run<T: ScanElement, S: Sink<T>, const Q: usize>(io: &mut S, state: &mut [T], exclusive: bool) {
-        if exclusive {
-            sum_cascade1::<T, S, Q, true>(io, state)
-        } else {
-            sum_cascade1::<T, S, Q, false>(io, state)
-        }
-    }
     if !T::EXACT_ASSOC {
         return cascade_generic(&Sum, io, base, s, state, exclusive);
     }
     match (s, state.len()) {
-        (1, 1) => run::<T, S, 1>(io, state, exclusive),
-        (1, 2) => run::<T, S, 2>(io, state, exclusive),
-        (1, 3) => run::<T, S, 3>(io, state, exclusive),
-        (1, 4) => run::<T, S, 4>(io, state, exclusive),
-        (1, 5) => run::<T, S, 5>(io, state, exclusive),
-        (1, 6) => run::<T, S, 6>(io, state, exclusive),
-        (1, 7) => run::<T, S, 7>(io, state, exclusive),
-        (1, 8) => run::<T, S, 8>(io, state, exclusive),
+        (1, 1) => sum_order1(io, state, exclusive),
+        (1, 2) => sum_register::<T, S, 2>(io, state, exclusive),
+        (1, 3) => sum_register::<T, S, 3>(io, state, exclusive),
+        (1, 4) => sum_register::<T, S, 4>(io, state, exclusive),
+        (1, 5) => sum_register::<T, S, 5>(io, state, exclusive),
+        (1, 6) => sum_register::<T, S, 6>(io, state, exclusive),
+        (1, 7) => sum_register::<T, S, 7>(io, state, exclusive),
+        (1, 8) => sum_register::<T, S, 8>(io, state, exclusive),
         _ if s > 1 && base.is_multiple_of(s) => sum_cascade_vertical(io, s, state, exclusive),
         _ => cascade_generic(&Sum, io, base, s, state, exclusive),
     }
 }
 
 impl<T: ScanElement> ChunkKernel<T> for Sum {
-    fn inclusive_from(&self, src: &[T], dst: &mut [T], s: usize) {
-        check_fused(src.len(), dst.len(), s);
-        if s == 1 {
-            sum_stride1(&mut Dst { src, dst });
-            return;
-        }
-        if T::EXACT_ASSOC && s <= VERTICAL_LANES_MAX {
-            sum_lanes(&mut Dst { src, dst }, s, false);
-            return;
-        }
-        let n = src.len();
-        let head = s.min(n);
-        dst[..head].copy_from_slice(&src[..head]);
-        for j in s..n {
-            dst[j] = dst[j - s].add(src[j]);
-        }
-    }
-
-    fn inclusive_in_place(&self, data: &mut [T], s: usize) {
-        assert!(s > 0, "stride must be positive");
-        if s == 1 {
-            sum_stride1(&mut InPlace(data));
-            return;
-        }
-        if T::EXACT_ASSOC && s <= VERTICAL_LANES_MAX {
-            sum_lanes(&mut InPlace(data), s, false);
-            return;
-        }
-        for j in s..data.len() {
-            data[j] = data[j - s].add(data[j]);
-        }
-    }
-
-    fn exclusive_from(&self, src: &[T], dst: &mut [T], s: usize) {
-        check_fused(src.len(), dst.len(), s);
-        let n = src.len();
-        if s == 1 && T::EXACT_ASSOC {
-            if n == 0 {
-                return;
-            }
-            // exclusive = inclusive shifted by one: scan src[..n-1] into
-            // dst[1..], identity at the front.
-            dst[0] = T::ZERO;
-            sum_stride1(&mut Dst { src: &src[..n - 1], dst: &mut dst[1..] });
-            return;
-        }
-        if s > 1 && T::EXACT_ASSOC && s <= VERTICAL_LANES_MAX {
-            sum_lanes(&mut Dst { src, dst }, s, true);
-            return;
-        }
-        for d in &mut dst[..s.min(n)] {
-            *d = T::ZERO;
-        }
-        for j in s..n {
-            dst[j] = dst[j - s].add(src[j - s]);
-        }
-    }
-
-    fn exclusive_in_place(&self, data: &mut [T], s: usize) {
-        assert!(s > 0, "stride must be positive");
-        if T::EXACT_ASSOC && s > 1 && s <= VERTICAL_LANES_MAX {
-            sum_lanes(&mut InPlace(data), s, true);
-            return;
-        }
-        // Reference per-lane walk (the default association).
-        let n = data.len();
-        for lane in 0..s.min(n) {
-            let mut acc = T::ZERO;
-            let mut i = lane;
-            while i < n {
-                let v = data[i];
-                data[i] = acc;
-                acc = acc.add(v);
-                i += s;
-            }
-        }
-    }
-
     fn supports_cascade(&self) -> bool {
         T::EXACT_RING
     }
@@ -1283,19 +1234,51 @@ mod tests {
         }
     }
 
+    /// Runs the one-row (order-1) `Sum` cascade of `input`, inclusive and
+    /// exclusive, through every sink (`from`, in place, totals), from a
+    /// zero and from a non-zero seed. The oracle is the zero-seed
+    /// reference loop plus the seed's lane entry at every output; the end
+    /// state is the seed plus each lane's total.
+    fn check_order1<T: ScanElement + std::fmt::Debug + PartialEq>(input: &[T], s: usize, tag: &str) {
+        let nonzero = (0..s).map(|l| T::from_i64(1000 * l as i64 - 77)).collect();
+        for seed in [vec![T::ZERO; s], nonzero] {
+            let mut end = seed.clone();
+            for (j, &x) in input.iter().enumerate() {
+                end[j % s] = end[j % s].add(x);
+            }
+            for exclusive in [false, true] {
+                let tag = format!("{tag} s={s} exclusive={exclusive} seed={seed:?}");
+                let mut want = input.to_vec();
+                if exclusive {
+                    serial::exclusive_strided_in_place(&mut want, &Sum, s);
+                } else {
+                    reference_inclusive(&Sum, &mut want, s);
+                }
+                for (j, v) in want.iter_mut().enumerate() {
+                    *v = seed[j % s].add(*v);
+                }
+
+                let mut dst = vec![T::ZERO; input.len()];
+                let mut state = seed.clone();
+                Sum.cascade_scan_from(input, &mut dst, 0, s, &mut state, exclusive);
+                assert_eq!((dst, &state), (want.clone(), &end), "from {tag}");
+
+                let mut data = input.to_vec();
+                let mut state = seed.clone();
+                Sum.cascade_scan_in_place(&mut data, 0, s, &mut state, exclusive);
+                assert_eq!((data, &state), (want, &end), "in place {tag}");
+            }
+            let mut state = seed.clone();
+            Sum.cascade_totals(input, 0, s, &mut state);
+            assert_eq!(state, end, "totals {tag} seed={seed:?}");
+        }
+    }
+
     #[test]
     fn fused_inclusive_matches_reference_all_strides() {
         for n in [0usize, 1, 2, 15, 16, 17, 64, 1000, 1023] {
             for s in [1usize, 2, 3, 7, 16, 40] {
-                let input = pseudo_random(n, 7 + n as u64 + s as u64);
-                let mut expect = input.clone();
-                reference_inclusive(&Sum, &mut expect, s);
-                let mut dst = vec![0i64; n];
-                Sum.inclusive_from(&input, &mut dst, s);
-                assert_eq!(dst, expect, "n={n} s={s}");
-                let mut in_place = input.clone();
-                Sum.inclusive_in_place(&mut in_place, s);
-                assert_eq!(in_place, expect, "in-place n={n} s={s}");
+                check_order1(&pseudo_random(n, 7 + n as u64 + s as u64), s, &format!("n={n}"));
             }
         }
     }
@@ -1304,15 +1287,7 @@ mod tests {
     fn fused_exclusive_matches_serial_oracle() {
         for n in [0usize, 1, 5, 16, 33, 1000] {
             for s in [1usize, 3, 8] {
-                let input = pseudo_random(n, 11 + n as u64 * 3 + s as u64);
-                let mut expect = input.clone();
-                serial::exclusive_strided_in_place(&mut expect, &Sum, s);
-                let mut dst = vec![0i64; n];
-                Sum.exclusive_from(&input, &mut dst, s);
-                assert_eq!(dst, expect, "n={n} s={s}");
-                let mut in_place = input.clone();
-                Sum.exclusive_in_place(&mut in_place, s);
-                assert_eq!(in_place, expect, "in-place n={n} s={s}");
+                check_order1(&pseudo_random(n, 11 + n as u64 * 3 + s as u64), s, &format!("n={n}"));
             }
         }
     }
@@ -1339,11 +1314,7 @@ mod tests {
         macro_rules! check_width {
             ($($t:ty),*) => {$(
                 let input: Vec<$t> = pseudo_random(555, 5).iter().map(|&v| v as $t).collect();
-                let mut expect = input.clone();
-                reference_inclusive(&Sum, &mut expect, 1);
-                let mut dst = vec![0 as $t; input.len()];
-                Sum.inclusive_from(&input, &mut dst, 1);
-                assert_eq!(dst, expect, stringify!($t));
+                check_order1(&input, 1, stringify!($t));
             )*};
         }
         check_width!(i32, i64, u32, u64, u8, i16);
@@ -1436,18 +1407,7 @@ mod tests {
     #[test]
     fn nt_store_path_matches_cached_for_large_inputs() {
         let n = crate::simd::nt_store_min_bytes() / std::mem::size_of::<i64>() + 37;
-        let input = pseudo_random(n, 21);
-        let mut expect = input.clone();
-        reference_inclusive(&Sum, &mut expect, 1);
-        let mut dst = vec![0i64; n];
-        Sum.inclusive_from(&input, &mut dst, 1);
-        assert_eq!(dst, expect);
-
-        let mut exc_expect = input.clone();
-        serial::exclusive_strided_in_place(&mut exc_expect, &Sum, 1);
-        let mut exc = vec![0i64; n];
-        Sum.exclusive_from(&input, &mut exc, 1);
-        assert_eq!(exc, exc_expect);
+        check_order1(&pseudo_random(n, 21), 1, "large");
     }
 
     /// Iterated q-pass oracle for the cascade kernels (the spec they must
@@ -1624,19 +1584,7 @@ mod tests {
     fn lane_parallel_strided_kernels_match_reference() {
         for n in [0usize, 1, 5, 63, 64, 65, 1000] {
             for s in [2usize, 3, 8, 40, 64] {
-                let input = pseudo_random(n, (3 * n + s) as u64);
-                let mut expect = input.clone();
-                reference_inclusive(&Sum, &mut expect, s);
-                let mut dst = vec![0i64; n];
-                Sum.inclusive_from(&input, &mut dst, s);
-                assert_eq!(dst, expect, "inc n={n} s={s}");
-
-                let mut exc_expect = input.clone();
-                serial::exclusive_strided_in_place(&mut exc_expect, &Sum, s);
-                // In-place exclusive via the vertical kernel.
-                let mut exc = input.clone();
-                Sum.exclusive_in_place(&mut exc, s);
-                assert_eq!(exc, exc_expect, "exc n={n} s={s}");
+                check_order1(&pseudo_random(n, (3 * n + s) as u64), s, &format!("n={n}"));
             }
         }
     }

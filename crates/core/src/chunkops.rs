@@ -10,7 +10,6 @@
 //! value that belongs to the same location within a tuple ...").
 
 use crate::chunk_kernel::ChunkKernel;
-use crate::op::ScanOp;
 
 /// Computes the in-place strided inclusive scan of `chunk` (stride `s`) and
 /// returns the per-lane totals: `totals[l]` is the combination, in order, of
@@ -59,14 +58,6 @@ pub fn exclusive_outputs<T: Copy>(
     out
 }
 
-/// Left-to-right combination of a slice of local sums into an accumulator —
-/// the carry update `carry(c) = carry(c-k) ⊕ S(c-k) ⊕ ... ⊕ S(c-1)`
-/// (Figure 2). Order is preserved so pseudo-associative operators (floats)
-/// produce deterministic results.
-pub fn accumulate_carry<T: Copy>(acc: T, sums: &[T], op: &impl ScanOp<T>) -> T {
-    sums.iter().fold(acc, |a, &s| op.combine(a, s))
-}
-
 /// Splits `n` elements into chunks of `chunk_elems`, returning the number of
 /// chunks (the last one may be short).
 pub fn num_chunks(n: usize, chunk_elems: usize) -> usize {
@@ -84,7 +75,7 @@ pub fn chunk_range(c: usize, chunk_elems: usize, n: usize) -> std::ops::Range<us
 mod tests {
     use super::*;
     use crate::config::ScanSpec;
-    use crate::op::Sum;
+    use crate::op::{ScanOp, Sum};
     use crate::serial;
 
     #[test]
@@ -169,15 +160,6 @@ mod tests {
             }
             assert_eq!(out, expect, "n={n} s={s} chunk={chunk_elems}");
         }
-    }
-
-    #[test]
-    fn accumulate_carry_is_left_to_right() {
-        // Use a non-commutative operator to pin the order: f(a,b) = 2a + b.
-        // (Not associative, but adequate to detect order changes.)
-        let op = crate::op::FnOp::new(0i64, |a: i64, b: i64| 2 * a + b);
-        let acc = accumulate_carry(1, &[10, 20], &op);
-        assert_eq!(acc, 2 * (2 + 10) + 20);
     }
 
     #[test]

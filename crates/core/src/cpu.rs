@@ -289,15 +289,14 @@ impl CpuScanner {
         if let Some(sink) = &self.trace {
             // One communication-optimal pass, charged at whole-array
             // granularity so transaction counts stay order-independent
-            // (see `obs::charge_elem_pass`). Covers all three paths below.
+            // (see `obs::charge_elem_pass`). Covers every path below.
             obs::charge_elem_pass(sink.metrics(), n, std::mem::size_of::<T>());
         }
-        if crate::plan::uses_cascade(op, spec) {
-            // Single-pass protocol: all q*s local sums published from one
-            // sweep, one ready round per chunk, binomial-weighted carries.
-            self.scan_into_cascade(input, out, op, spec, workers, chunk_elems);
-            return;
-        }
+        let cascade = op.supports_cascade();
+        let (q, s) = (spec.order() as usize, spec.tuple());
+        // The cascade's carry plan needs lane-aligned chunks (see
+        // `scan_into_cascade`).
+        let chunk_elems = if cascade { chunk_elems.div_ceil(s) * s } else { chunk_elems };
         let num_chunks = chunkops::num_chunks(n, chunk_elems);
         let k = workers.min(num_chunks);
         if k == 1 {
@@ -308,132 +307,61 @@ impl CpuScanner {
             });
             return;
         }
+        let geom = Geometry { k, num_chunks, chunk_elems, n, qs: q * s };
+        if cascade {
+            // Single-pass protocol: all q*s local sums published from one
+            // sweep, one ready round per chunk, binomial-weighted carries.
+            self.scan_into_cascade(input, out, op, spec, geom);
+        } else {
+            self.scan_into_iterated(input, out, op, spec, geom);
+        }
+    }
 
-        let q = spec.order() as usize;
-        let s = spec.tuple();
-        let exclusive = spec.kind() == ScanKind::Exclusive;
-        // Sum slot for (chunk c, iteration i, lane l).
-        let sum_idx = |c: usize, iter: usize, lane: usize| (c * q + iter) * s + lane;
-
+    /// Runs one multi-worker scan over `geom` — the scaffold both publish
+    /// protocols share. It leases and prepares the arena (`q * s` sum
+    /// slots per chunk), then spawns `k` scoped workers. Each re-installs
+    /// the dispatching thread's NT-store override and enters the
+    /// scheduler's block, then runs `worker` over the chunks it owns.
+    /// Panics propagate, preferring the originating one.
+    fn run_workers<T, F>(&self, out: &mut [T], geom: Geometry, worker: F)
+    where
+        T: Send,
+        F: Fn(&Worker<'_>, Chunks<'_, T>) + Sync,
+    {
         let (mut guard, mut local_arena) = (self.lease_arena(), Arena::default());
         let arena = guard.as_deref_mut().unwrap_or(&mut local_arena);
-        arena.prepare(num_chunks, num_chunks * q * s);
-        let sums = &arena.sums[..num_chunks * q * s];
-        let ready = &arena.ready[..num_chunks];
-
-        let out_ptr = SyncSlice(out.as_mut_ptr());
-
+        arena.prepare(geom.num_chunks, geom.num_chunks * geom.qs);
+        let sums = &arena.sums[..geom.num_chunks * geom.qs];
+        let ready = &arena.ready[..geom.num_chunks];
+        let out = SyncSlice(out.as_mut_ptr());
         let cancel = Arc::new(AtomicBool::new(false));
-        let sched = self.sched.clone();
-        let trace = self.trace.clone();
         // Workers are fresh threads: re-install the dispatching thread's
         // per-plan NT-store override (0 = none) so the plan's tuned
         // threshold, not the process default, reaches the kernels.
         let nt = crate::simd::nt_store_tl();
         let payload = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(k);
-            for b in 0..k {
-                let out_ptr = &out_ptr;
-                let sched = sched.clone();
-                let trace = trace.clone();
-                let cancel = Arc::clone(&cancel);
-                handles.push(scope.spawn(move || {
-                    let _nt = crate::simd::nt_store_override(nt);
-                    // The guard raises `cancel` if this worker panics, so
-                    // siblings blocked in `wait_for` on a ready counter
-                    // this worker will never bump unwind cooperatively
-                    // instead of spinning forever.
-                    let _guard = sched::enter_block(b, k, sched, Arc::clone(&cancel));
-                    let sink = trace.as_deref();
-                    // Per-worker lane scratch, allocated once per scan:
-                    // carry/totals of this block's previous chunk per
-                    // iteration (flattened `q * s`), plus the working
-                    // carry/totals of the current iteration.
-                    let mut prev_carry: Vec<T> = vec![op.identity(); q * s];
-                    let mut prev_totals: Vec<T> = vec![op.identity(); q * s];
-                    let mut carry: Vec<T> = vec![op.identity(); s];
-                    let mut totals: Vec<T> = vec![op.identity(); s];
-
-                    let mut c = b;
-                    while c < num_chunks {
-                        let range = chunkops::chunk_range(c, chunk_elems, n);
-                        let base = range.start;
-                        // SAFETY: each chunk range is written by exactly one
-                        // worker (round-robin ownership), the ranges are
-                        // disjoint, and `out` outlives the scope.
-                        let chunk: &mut [T] = unsafe {
-                            std::slice::from_raw_parts_mut(out_ptr.0.add(base), range.len())
+            let handles: Vec<_> = (0..geom.k)
+                .map(|b| {
+                    let (worker, out, cancel) = (&worker, &out, Arc::clone(&cancel));
+                    let sched = self.sched.clone();
+                    scope.spawn(move || {
+                        let _nt = crate::simd::nt_store_override(nt);
+                        // The guard raises `cancel` if this worker panics,
+                        // so siblings blocked in `wait_for` on a ready
+                        // counter this worker will never bump unwind
+                        // cooperatively instead of spinning forever.
+                        let _guard = sched::enter_block(b, geom.k, sched, Arc::clone(&cancel));
+                        let w = Worker {
+                            b,
+                            sums,
+                            ready,
+                            cancel: &cancel,
+                            sink: self.trace.as_deref(),
                         };
-
-                        for iter in 0..q {
-                            // Local strided scan + per-lane totals. The
-                            // first iteration reads the input in the same
-                            // pass that writes the output chunk.
-                            obs::timed(sink, b, c as u64, Phase::ChunkScan, || {
-                                if iter == 0 {
-                                    op.scan_chunk_from(&input[range.clone()], chunk, base, s, &mut totals);
-                                } else {
-                                    op.scan_chunk_in_place(chunk, base, s, &mut totals);
-                                }
-                            });
-
-                            // Publish local sums, release the ready counter.
-                            obs::timed(sink, b, c as u64, Phase::CarryPublish, || {
-                                for (lane, &t) in totals.iter().enumerate() {
-                                    sums[sum_idx(c, iter, lane)].store(t.to_bits(), Ordering::Relaxed);
-                                }
-                                sched::with_hook(HookPoint::FlagStore { idx: c }, || {
-                                    ready[c].store((iter + 1) as u64, Ordering::Release);
-                                });
-                            });
-
-                            // Gather predecessors (Figure 2): start from the
-                            // carry + local sums this worker produced `k`
-                            // chunks ago, then fold the `k - 1` in between.
-                            let first_pred = c.saturating_sub(k - 1);
-                            obs::timed(sink, b, c as u64, Phase::CarryWait, || {
-                                if c >= k {
-                                    for l in 0..s {
-                                        carry[l] = op.combine(
-                                            prev_carry[iter * s + l],
-                                            prev_totals[iter * s + l],
-                                        );
-                                    }
-                                } else {
-                                    for slot in carry.iter_mut() {
-                                        *slot = op.identity();
-                                    }
-                                }
-                                for j in first_pred..c {
-                                    wait_for(&ready[j], (iter + 1) as u64, j, &cancel);
-                                    for (l, slot) in carry.iter_mut().enumerate() {
-                                        let v = T::from_bits(
-                                            sums[sum_idx(j, iter, l)].load(Ordering::Relaxed),
-                                        );
-                                        *slot = op.combine(*slot, v);
-                                    }
-                                }
-                            });
-
-                            prev_totals[iter * s..iter * s + s].copy_from_slice(&totals);
-                            prev_carry[iter * s..iter * s + s].copy_from_slice(&carry);
-
-                            obs::timed(sink, b, c as u64, Phase::CarryApply, || {
-                                if iter + 1 == q && exclusive {
-                                    // The chunk holds its pre-carry local
-                                    // scan; rewrite it into exclusive
-                                    // outputs in place.
-                                    op.exclusive_rewrite(chunk, base, &carry);
-                                } else {
-                                    op.apply_carry(chunk, base, &carry);
-                                }
-                            });
-                        }
-
-                        c += k;
-                    }
-                }));
-            }
+                        worker(&w, Chunks { out, next: b, geom });
+                    })
+                })
+                .collect();
             // Prefer the originating panic over the cooperative Cancelled
             // unwinds it triggered in sibling workers.
             sched::join_workers(handles)
@@ -442,9 +370,102 @@ impl CpuScanner {
             std::panic::resume_unwind(p);
         }
     }
-}
 
-impl CpuScanner {
+    /// The iterated `q`-round protocol, for operators without the cascade:
+    /// per chunk and order, a local scan, a published round of per-lane
+    /// totals, and a carry apply (an exclusive rewrite on the last round
+    /// of an exclusive spec).
+    fn scan_into_iterated<T, Op>(
+        &self,
+        input: &[T],
+        out: &mut [T],
+        op: &Op,
+        spec: &ScanSpec,
+        geom: Geometry,
+    ) where
+        T: Pod64,
+        Op: ChunkKernel<T>,
+    {
+        let (q, s) = (spec.order() as usize, spec.tuple());
+        let exclusive = spec.kind() == ScanKind::Exclusive;
+        // Sum slot for (chunk c, iteration i, lane l).
+        let sum_idx = |c: usize, iter: usize, lane: usize| (c * q + iter) * s + lane;
+        self.run_workers(out, geom, |w, chunks| {
+            let (b, k, sink) = (w.b, geom.k, w.sink);
+            // Per-worker lane scratch, allocated once per scan: carry/totals
+            // of this block's previous chunk per iteration (flattened
+            // `q * s`), plus the working carry/totals of the current
+            // iteration.
+            let mut prev_carry: Vec<T> = vec![op.identity(); q * s];
+            let mut prev_totals: Vec<T> = vec![op.identity(); q * s];
+            let mut carry: Vec<T> = vec![op.identity(); s];
+            let mut totals: Vec<T> = vec![op.identity(); s];
+
+            for (c, range, chunk) in chunks {
+                let base = range.start;
+                for iter in 0..q {
+                    // Local strided scan + per-lane totals. The first
+                    // iteration reads the input in the same pass that
+                    // writes the output chunk.
+                    obs::timed(sink, b, c as u64, Phase::ChunkScan, || {
+                        if iter == 0 {
+                            op.scan_chunk_from(&input[range.clone()], chunk, base, s, &mut totals);
+                        } else {
+                            op.scan_chunk_in_place(chunk, base, s, &mut totals);
+                        }
+                    });
+
+                    // Publish local sums, release the ready counter.
+                    obs::timed(sink, b, c as u64, Phase::CarryPublish, || {
+                        for (lane, &t) in totals.iter().enumerate() {
+                            w.sums[sum_idx(c, iter, lane)].store(t.to_bits(), Ordering::Relaxed);
+                        }
+                        sched::with_hook(HookPoint::FlagStore { idx: c }, || {
+                            w.ready[c].store((iter + 1) as u64, Ordering::Release);
+                        });
+                    });
+
+                    // Gather predecessors (Figure 2): start from the carry +
+                    // local sums this worker produced `k` chunks ago, then
+                    // fold the `k - 1` in between.
+                    let first_pred = c.saturating_sub(k - 1);
+                    obs::timed(sink, b, c as u64, Phase::CarryWait, || {
+                        if c >= k {
+                            for l in 0..s {
+                                carry[l] =
+                                    op.combine(prev_carry[iter * s + l], prev_totals[iter * s + l]);
+                            }
+                        } else {
+                            for slot in carry.iter_mut() {
+                                *slot = op.identity();
+                            }
+                        }
+                        for j in first_pred..c {
+                            wait_for(&w.ready[j], (iter + 1) as u64, j, w.cancel);
+                            for (l, slot) in carry.iter_mut().enumerate() {
+                                let bits = w.sums[sum_idx(j, iter, l)].load(Ordering::Relaxed);
+                                *slot = op.combine(*slot, T::from_bits(bits));
+                            }
+                        }
+                    });
+
+                    prev_totals[iter * s..iter * s + s].copy_from_slice(&totals);
+                    prev_carry[iter * s..iter * s + s].copy_from_slice(&carry);
+
+                    obs::timed(sink, b, c as u64, Phase::CarryApply, || {
+                        if iter + 1 == q && exclusive {
+                            // The chunk holds its pre-carry local scan;
+                            // rewrite it into exclusive outputs in place.
+                            op.exclusive_rewrite(chunk, base, &carry);
+                        } else {
+                            op.apply_carry(chunk, base, &carry);
+                        }
+                    });
+                }
+            }
+        });
+    }
+
     /// The single-pass higher-order protocol (cascade + binomial carry
     /// algebra, see [`crate::carry`]); requires
     /// [`ChunkKernel::supports_cascade`].
@@ -463,144 +484,142 @@ impl CpuScanner {
     ///    and writes the final outputs directly — exclusive handled inline,
     ///    no rewrite pass.
     ///
-    /// The chunk size is rounded up to a multiple of `s` so every chunk
-    /// base is lane-aligned and every chunk-to-chunk lane distance is the
-    /// uniform `chunk_elems / s` (the carry-plan requirement; the last
-    /// chunk may be short but is never a predecessor).
+    /// The chunk size is a multiple of `s` (rounded up by the caller) so
+    /// every chunk base is lane-aligned and every chunk-to-chunk lane
+    /// distance is the uniform `chunk_elems / s` (the carry-plan
+    /// requirement; the last chunk may be short but is never a
+    /// predecessor).
     fn scan_into_cascade<T, Op>(
         &self,
         input: &[T],
         out: &mut [T],
         op: &Op,
         spec: &ScanSpec,
-        workers: usize,
-        chunk_elems: usize,
+        geom: Geometry,
     ) where
         T: Pod64,
         Op: ChunkKernel<T>,
     {
-        let n = input.len();
         let (q, s) = (spec.order() as usize, spec.tuple());
         let exclusive = spec.kind() == ScanKind::Exclusive;
-        let chunk_elems = chunk_elems.div_ceil(s) * s;
-        let num_chunks = chunkops::num_chunks(n, chunk_elems);
-        let k = workers.min(num_chunks);
-        if k == 1 {
-            obs::timed(self.trace.as_deref(), 0, 0, Phase::ChunkScan, || {
-                crate::serial::scan_into(input, out, op, spec)
-            });
-            return;
-        }
-        let lane_elems = (chunk_elems / s) as u64;
-        let qs = q * s;
+        let lane_elems = (geom.chunk_elems / s) as u64;
+        let qs = geom.qs;
+        self.run_workers(out, geom, |w, chunks| {
+            let (b, k, sink) = (w.b, geom.k, w.sink);
+            let plan = crate::carry::CarryPlan::new(op, q, lane_elems, k);
+            // Working seed state, this worker's previous chunk's end state,
+            // the publish-sweep totals, and a predecessor-read scratch row —
+            // all q x s, allocated once per scan.
+            let mut state: Vec<T> = vec![op.identity(); qs];
+            let mut own_end: Vec<T> = vec![op.identity(); qs];
+            let mut totals: Vec<T> = vec![op.identity(); qs];
+            let mut pred: Vec<T> = vec![op.identity(); qs];
 
-        let (mut guard, mut local_arena) = (self.lease_arena(), Arena::default());
-        let arena = guard.as_deref_mut().unwrap_or(&mut local_arena);
-        arena.prepare(num_chunks, num_chunks * qs);
-        let sums = &arena.sums[..num_chunks * qs];
-        let ready = &arena.ready[..num_chunks];
+            for (c, range, chunk) in chunks {
+                let base = range.start;
+                let src = &input[range];
 
-        let out_ptr = SyncSlice(out.as_mut_ptr());
-
-        let cancel = Arc::new(AtomicBool::new(false));
-        let sched = self.sched.clone();
-        let trace = self.trace.clone();
-        // Same per-plan NT-override inheritance as `scan_into`.
-        let nt = crate::simd::nt_store_tl();
-        let payload = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(k);
-            for b in 0..k {
-                let out_ptr = &out_ptr;
-                let sched = sched.clone();
-                let trace = trace.clone();
-                let cancel = Arc::clone(&cancel);
-                handles.push(scope.spawn(move || {
-                    let _nt = crate::simd::nt_store_override(nt);
-                    // Same cancellation discipline as `scan_into`: a panic
-                    // here raises `cancel` for siblings stuck in `wait_for`.
-                    let _guard = sched::enter_block(b, k, sched, Arc::clone(&cancel));
-                    let sink = trace.as_deref();
-                    let plan = crate::carry::CarryPlan::new(op, q, lane_elems, k);
-                    // Working seed state, this worker's previous chunk's
-                    // end state, the publish-sweep totals, and a
-                    // predecessor-read scratch row — all q x s, allocated
-                    // once per scan.
-                    let mut state: Vec<T> = vec![op.identity(); qs];
-                    let mut own_end: Vec<T> = vec![op.identity(); qs];
-                    let mut totals: Vec<T> = vec![op.identity(); qs];
-                    let mut pred: Vec<T> = vec![op.identity(); qs];
-
-                    let mut c = b;
-                    while c < num_chunks {
-                        let range = chunkops::chunk_range(c, chunk_elems, n);
-                        let base = range.start;
-                        let src = &input[range.clone()];
-                        // SAFETY: disjoint round-robin chunk ownership, as
-                        // in `scan_into`.
-                        let chunk: &mut [T] = unsafe {
-                            std::slice::from_raw_parts_mut(out_ptr.0.add(base), range.len())
-                        };
-
-                        // Sweep 1: local per-order totals, published once.
-                        obs::timed(sink, b, c as u64, Phase::ChunkScan, || {
-                            for t in totals.iter_mut() {
-                                *t = op.identity();
-                            }
-                            op.cascade_totals(src, base, s, &mut totals);
-                        });
-                        obs::timed(sink, b, c as u64, Phase::CarryPublish, || {
-                            let sum_base = c * qs;
-                            for (i, &t) in totals.iter().enumerate() {
-                                sums[sum_base + i].store(t.to_bits(), Ordering::Relaxed);
-                            }
-                            sched::with_hook(HookPoint::FlagStore { idx: c }, || {
-                                ready[c].store(1, Ordering::Release);
-                            });
-                        });
-
-                        // Assemble the seed state (one carry round).
-                        obs::timed(sink, b, c as u64, Phase::CarryWait, || {
-                            if c >= k {
-                                state.copy_from_slice(&own_end);
-                                plan.advance(op, k - 1, &mut state, s);
-                            } else {
-                                for v in state.iter_mut() {
-                                    *v = op.identity();
-                                }
-                            }
-                            let first_pred = c.saturating_sub(k - 1);
-                            for (p, flag) in ready.iter().enumerate().take(c).skip(first_pred) {
-                                wait_for(flag, 1, p, &cancel);
-                                let pb = p * qs;
-                                for (i, slot) in pred.iter_mut().enumerate() {
-                                    *slot = T::from_bits(sums[pb + i].load(Ordering::Relaxed));
-                                }
-                                plan.fold(op, c - 1 - p, &pred, &mut state, s);
-                            }
-                        });
-
-                        // Sweep 2: seeded cascade re-reads the (L2-resident)
-                        // input and writes the final outputs.
-                        obs::timed(sink, b, c as u64, Phase::CarryApply, || {
-                            op.cascade_scan_from(src, chunk, base, s, &mut state, exclusive);
-                        });
-                        own_end.copy_from_slice(&state);
-                        c += k;
+                // Sweep 1: local per-order totals, published once.
+                obs::timed(sink, b, c as u64, Phase::ChunkScan, || {
+                    for t in totals.iter_mut() {
+                        *t = op.identity();
                     }
-                }));
+                    op.cascade_totals(src, base, s, &mut totals);
+                });
+                obs::timed(sink, b, c as u64, Phase::CarryPublish, || {
+                    let sum_base = c * qs;
+                    for (i, &t) in totals.iter().enumerate() {
+                        w.sums[sum_base + i].store(t.to_bits(), Ordering::Relaxed);
+                    }
+                    sched::with_hook(HookPoint::FlagStore { idx: c }, || {
+                        w.ready[c].store(1, Ordering::Release);
+                    });
+                });
+
+                // Assemble the seed state (one carry round).
+                obs::timed(sink, b, c as u64, Phase::CarryWait, || {
+                    if c >= k {
+                        state.copy_from_slice(&own_end);
+                        plan.advance(op, k - 1, &mut state, s);
+                    } else {
+                        for v in state.iter_mut() {
+                            *v = op.identity();
+                        }
+                    }
+                    let first_pred = c.saturating_sub(k - 1);
+                    for (p, flag) in w.ready.iter().enumerate().take(c).skip(first_pred) {
+                        wait_for(flag, 1, p, w.cancel);
+                        let pb = p * qs;
+                        for (i, slot) in pred.iter_mut().enumerate() {
+                            *slot = T::from_bits(w.sums[pb + i].load(Ordering::Relaxed));
+                        }
+                        plan.fold(op, c - 1 - p, &pred, &mut state, s);
+                    }
+                });
+
+                // Sweep 2: seeded cascade re-reads the (L2-resident) input
+                // and writes the final outputs.
+                obs::timed(sink, b, c as u64, Phase::CarryApply, || {
+                    op.cascade_scan_from(src, chunk, base, s, &mut state, exclusive);
+                });
+                own_end.copy_from_slice(&state);
             }
-            sched::join_workers(handles)
         });
-        if let Some(p) = payload {
-            std::panic::resume_unwind(p);
+    }
+}
+
+/// The chunking of one multi-worker scan: `k` workers, `n` elements, and
+/// `qs` (`q * s`) sum slots per chunk.
+#[derive(Clone, Copy)]
+struct Geometry {
+    k: usize,
+    num_chunks: usize,
+    chunk_elems: usize,
+    n: usize,
+    qs: usize,
+}
+
+/// Worker `b`, with the sum slots, ready counters and cancel flag it
+/// shares with its siblings.
+struct Worker<'a> {
+    b: usize,
+    sums: &'a [AtomicU64],
+    ready: &'a [AtomicU64],
+    cancel: &'a AtomicBool,
+    sink: Option<&'a TraceSink>,
+}
+
+/// The output chunks one worker owns — chunks `b, b + k, ...` — each
+/// yielded once as its index, element range and slice of the output.
+struct Chunks<'a, T> {
+    out: &'a SyncSlice<T>,
+    next: usize,
+    geom: Geometry,
+}
+
+impl<'a, T> Iterator for Chunks<'a, T> {
+    type Item = (usize, std::ops::Range<usize>, &'a mut [T]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let c = self.next;
+        if c >= self.geom.num_chunks {
+            return None;
         }
+        self.next += self.geom.k;
+        let range = chunkops::chunk_range(c, self.geom.chunk_elems, self.geom.n);
+        // SAFETY: each chunk belongs to exactly one worker's iterator
+        // (round-robin ownership) and is yielded once, the ranges are
+        // disjoint, and `out` outlives the workers' scope.
+        let chunk =
+            unsafe { std::slice::from_raw_parts_mut(self.out.0.add(range.start), range.len()) };
+        Some((c, range, chunk))
     }
 }
 
 /// Raw output pointer shareable across scoped workers writing disjoint
 /// chunk ranges.
 struct SyncSlice<T>(*mut T);
-// SAFETY: workers write disjoint ranges; see `scan_into`.
+// SAFETY: workers write disjoint ranges; see `Chunks`.
 unsafe impl<T: Send> Sync for SyncSlice<T> {}
 unsafe impl<T: Send> Send for SyncSlice<T> {}
 
@@ -670,34 +689,39 @@ mod tests {
             .collect()
     }
 
-    fn check(n: usize, workers: usize, chunk: usize, spec: &ScanSpec) {
+    /// `Sum` takes the cascade protocol, `Xor` the iterated q-round one.
+    fn check(op: &impl ChunkKernel<i64>, n: usize, workers: usize, chunk: usize, spec: &ScanSpec) {
         let input = pseudo_random(n);
         let scanner = CpuScanner::new(workers).with_chunk_elems(chunk);
-        let got = scanner.scan(&input, &Sum, spec);
-        let expect = crate::serial::scan(&input, &Sum, spec);
+        let got = scanner.scan(&input, op, spec);
+        let expect = crate::serial::scan(&input, op, spec);
         assert_eq!(got, expect, "n={n} workers={workers} chunk={chunk} spec={spec:?}");
     }
 
     #[test]
     fn conventional_matches_oracle() {
-        check(100_000, 4, 1024, &ScanSpec::inclusive());
+        check(&Sum, 100_000, 4, 1024, &ScanSpec::inclusive());
     }
 
     #[test]
     fn exclusive_matches_oracle() {
-        check(50_001, 3, 777, &ScanSpec::exclusive());
+        check(&Sum, 50_001, 3, 777, &ScanSpec::exclusive());
+        check(&Xor, 50_001, 3, 777, &ScanSpec::exclusive());
     }
 
     #[test]
     fn higher_order_matches_oracle() {
         let spec = ScanSpec::inclusive().with_order(5).unwrap();
-        check(30_000, 4, 512, &spec);
+        check(&Sum, 30_000, 4, 512, &spec);
+        check(&Xor, 30_000, 4, 512, &spec);
     }
 
     #[test]
     fn tuple_matches_oracle() {
         let spec = ScanSpec::inclusive().with_tuple(8).unwrap();
-        check(30_000, 4, 500, &spec); // chunk not a multiple of tuple
+        // Chunk not a multiple of tuple.
+        check(&Sum, 30_000, 4, 500, &spec);
+        check(&Xor, 30_000, 4, 500, &spec);
     }
 
     #[test]
@@ -707,7 +731,8 @@ mod tests {
             .unwrap()
             .with_tuple(5)
             .unwrap();
-        check(25_000, 5, 333, &spec);
+        check(&Sum, 25_000, 5, 333, &spec);
+        check(&Xor, 25_000, 5, 333, &spec);
     }
 
     #[test]
@@ -725,13 +750,13 @@ mod tests {
 
     #[test]
     fn more_workers_than_chunks() {
-        check(3000, 64, 1000, &ScanSpec::inclusive());
+        check(&Sum, 3000, 64, 1000, &ScanSpec::inclusive());
     }
 
     #[test]
     fn tiny_inputs() {
         for n in [0, 1, 2, 5] {
-            check(n, 4, 2, &ScanSpec::inclusive());
+            check(&Sum, n, 4, 2, &ScanSpec::inclusive());
         }
     }
 

@@ -221,7 +221,7 @@ where
     // lane distances are uniform.
     let single_pass = !params.iterated_orders
         && params.carry == CarryPropagation::Decoupled
-        && crate::plan::uses_cascade(op, spec)
+        && op.supports_cascade()
         && chunk_elems.is_multiple_of(s);
     let carry_rounds = if single_pass { 1 } else { spec.order() };
 

@@ -242,9 +242,10 @@ impl<T: ScanElement> ScanOp<T> for LinRec<T> {
     }
     // `combine` is the *state-ring addition* the carry algebra folds with
     // (seed assembly, totals zeroing) — it is NOT an associative rewrite
-    // of the recurrence itself. Every execution path is gated onto the
-    // cascade kernels (`plan::uses_cascade`, which every engine consults),
-    // so no generic iterated path ever folds inputs with it.
+    // of the recurrence itself. `supports_cascade()` is always true for a
+    // recurrence, and every engine branches on it alone, so every
+    // execution path takes the cascade kernels and no generic iterated
+    // path ever folds inputs with it.
     fn combine(&self, a: T, b: T) -> T {
         a.add(b)
     }

@@ -118,11 +118,11 @@ pub const AUTO_PARALLEL_THRESHOLD: usize = 1 << 14;
 /// the input size). Tuple size leaves per-element work unchanged while the
 /// lane-parallel vertical kernels apply (`tuple <=`
 /// [`crate::chunk_kernel::VERTICAL_LANES_MAX`], one add per element
-/// regardless of `s`); past that width the serial engine falls back to the
-/// scalar rotating-lane recurrence, roughly halving serial throughput, so
-/// the crossover halves too. The result is floored at `1 << 11` — below
-/// that, chunk-count limits leave too little parallelism to recover the
-/// startup cost at any spec shape.
+/// regardless of `s`); past that width it assumes a scalar sweep at half
+/// the throughput (a calibration that predates the vertical cascade's
+/// wider strides) and halves the crossover. The result is floored at
+/// `1 << 11` — below that, chunk-count limits leave too little
+/// parallelism to recover the startup cost at any spec shape.
 ///
 /// Like [`AUTO_PARALLEL_THRESHOLD`], this is the fallback seed: adaptive
 /// plans use it only as the initial geometry ([`crate::adapt`]) and
@@ -193,20 +193,6 @@ impl Engine {
             params: SamParams::default(),
         }
     }
-}
-
-/// Whether `op` runs `spec` on the single-pass order-`q` cascade kernels
-/// (one sweep with a `q x s` state vector and binomial-weighted carries)
-/// rather than the iterated `q`-pass kernels — the one gate every engine
-/// consults.
-///
-/// The cascade requires an operator with exact weight application
-/// ([`ChunkKernel::supports_cascade`]); for plain combine operators it
-/// only pays off past order 1, while recurrence
-/// operators ([`ChunkKernel::recurrence_coeffs`]) *must* take it at every
-/// order — the iterated multi-pass kernels have no recurrence meaning.
-pub(crate) fn uses_cascade<T: Copy, Op: ChunkKernel<T>>(op: &Op, spec: &ScanSpec) -> bool {
-    op.supports_cascade() && (spec.order() > 1 || op.recurrence_coeffs().is_some())
 }
 
 /// Optional tuning hints consumed by [`ScanPlan::new`].
@@ -1567,19 +1553,25 @@ mod tests {
         ]
     }
 
+    /// The one kernel rule: the operator alone picks the cascade, whatever
+    /// the spec. Integer `Sum` takes it at orders 1 and 2 alike,
+    /// recurrences at every order; `Max` and float `Sum` keep the iterated
+    /// kernels.
     #[test]
     fn cascade_gate_on_order_and_operator() {
-        let o2 = ScanSpec::inclusive().with_order(2).unwrap();
-        assert!(uses_cascade::<i64, _>(&Sum, &o2));
-        assert!(!uses_cascade::<i64, _>(&Sum, &ScanSpec::inclusive()));
-        assert!(!uses_cascade::<i64, _>(&Max, &o2));
-        assert!(!uses_cascade::<f64, _>(&Sum, &o2));
-        // Recurrence operators take the cascade at *every* order,
-        // including order 1 where plain sums stay iterated.
+        fn gate<T: Copy>(op: &impl ChunkKernel<T>, _spec: &ScanSpec) -> bool {
+            op.supports_cascade()
+        }
+        let o1 = ScanSpec::inclusive();
+        let o2 = o1.with_order(2).unwrap();
+        assert!(gate::<i64>(&Sum, &o2));
+        assert!(gate::<i64>(&Sum, &o1));
+        assert!(!gate::<i64>(&Max, &o2));
+        assert!(!gate::<f64>(&Sum, &o2));
         let ema = crate::op::LinRec::first_order(3i64).unwrap();
-        assert!(uses_cascade(&ema, &ScanSpec::inclusive()));
+        assert!(gate(&ema, &o1));
         let fib2 = crate::op::LinRec::new(vec![1i64, 1]).unwrap();
-        assert!(uses_cascade(&fib2, &o2));
+        assert!(gate(&fib2, &o2));
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! ```
 //!
 //! generalized to stride `s` (tuples) and iterated `q` times (order).
+//!
+//! One rule picks the kernels: an operator whose
+//! [`ChunkKernel::supports_cascade`] is true (wrapping-integer sums,
+//! recurrences) runs the single-pass cascade at every order, which is
+//! bit-identical to the iterated loops; every other operator runs them
+//! as written.
 
 use crate::chunk_kernel::ChunkKernel;
 use crate::config::{ScanKind, ScanSpec};
@@ -20,9 +26,8 @@ use crate::config::{ScanKind, ScanSpec};
 /// `a[i] = op(a[i - s], a[i])` for `i >= s`.
 ///
 /// With `s = 1` this is the conventional inclusive scan; with `s > 1` it
-/// computes `s` interleaved scans (Section 2.3). Dispatches through
-/// [`ChunkKernel`], so operators with specialized kernels (integer `Sum`)
-/// run vectorized; results are bit-identical either way.
+/// computes `s` interleaved scans (Section 2.3). This is the iterated
+/// primitive: [`scan`] takes it only for operators without the cascade.
 ///
 /// # Panics
 ///
@@ -59,23 +64,28 @@ pub fn scan<T: Copy>(input: &[T], op: &impl ChunkKernel<T>, spec: &ScanSpec) -> 
 /// tuple widths; larger shapes heap-allocate once per call.
 const CASCADE_STATE_STACK: usize = 64;
 
+/// Runs `f` on an identity-filled `q x s` cascade state for `spec`: on the
+/// stack up to [`CASCADE_STATE_STACK`] entries, else on the heap.
+fn with_cascade_state<T: Copy>(op: &impl ChunkKernel<T>, spec: &ScanSpec, f: impl FnOnce(&mut [T])) {
+    let qs = spec.lane_state_len();
+    if qs <= CASCADE_STATE_STACK {
+        f(&mut [op.identity(); CASCADE_STATE_STACK][..qs]);
+    } else {
+        f(&mut vec![op.identity(); qs]);
+    }
+}
+
 /// In-place version of [`scan`].
 pub fn scan_in_place<T: Copy>(data: &mut [T], op: &impl ChunkKernel<T>, spec: &ScanSpec) {
     let s = spec.tuple();
-    let q = spec.order() as usize;
-    if crate::plan::uses_cascade(op, spec) {
+    if op.supports_cascade() {
         // Single-pass fused reference: one sweep with a q x s state vector
         // (see `crate::carry`) instead of q full passes — bit-identical for
         // the exactly-associative operators the gate admits.
         let exclusive = spec.kind() == ScanKind::Exclusive;
-        let qs = q * s;
-        if qs <= CASCADE_STATE_STACK {
-            let mut state = [op.identity(); CASCADE_STATE_STACK];
-            op.cascade_scan_in_place(data, 0, s, &mut state[..qs], exclusive);
-        } else {
-            let mut state = vec![op.identity(); qs];
-            op.cascade_scan_in_place(data, 0, s, &mut state, exclusive);
-        }
+        with_cascade_state(op, spec, |state| {
+            op.cascade_scan_in_place(data, 0, s, state, exclusive)
+        });
         return;
     }
     for iter in 0..spec.order() {
@@ -102,18 +112,13 @@ pub fn scan_into<T: Copy>(input: &[T], out: &mut [T], op: &impl ChunkKernel<T>, 
     assert_eq!(input.len(), out.len(), "output length must match input");
     let s = spec.tuple();
     let q = spec.order();
-    if crate::plan::uses_cascade(op, spec) {
+    if op.supports_cascade() {
         // Single-pass fused cascade: input read once, output written once,
         // independent of order.
         let exclusive = spec.kind() == ScanKind::Exclusive;
-        let qs = q as usize * s;
-        if qs <= CASCADE_STATE_STACK {
-            let mut state = [op.identity(); CASCADE_STATE_STACK];
-            op.cascade_scan_from(input, out, 0, s, &mut state[..qs], exclusive);
-        } else {
-            let mut state = vec![op.identity(); qs];
-            op.cascade_scan_from(input, out, 0, s, &mut state, exclusive);
-        }
+        with_cascade_state(op, spec, |state| {
+            op.cascade_scan_from(input, out, 0, s, state, exclusive)
+        });
         return;
     }
     // Iteration 0 reads the input directly; later iterations are in place.

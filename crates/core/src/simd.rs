@@ -203,15 +203,15 @@ pub fn stride1_from<T: ScanElement>(isa: Isa, src: &[T], dst: &mut [T], carry: T
     unsafe { stride1_ptr(isa, src.as_ptr(), dst.as_mut_ptr(), src.len(), carry, true) }
 }
 
-/// In-place form of [`stride1_from`] with a zero seed: scans `data` into
-/// itself (`data[j] = data[0] + … + data[j]`, wrapping). Returns the final
-/// running total, or `None` when `isa` has no kernel for this element
-/// type or is unavailable on the running CPU.
-pub fn stride1_in_place<T: ScanElement>(isa: Isa, data: &mut [T]) -> Option<T> {
+/// In-place form of [`stride1_from`]: scans `data` into itself seeded by
+/// `carry` (`data[j] = carry + data[0] + … + data[j]`, wrapping). Returns
+/// the final running total, or `None` when `isa` has no kernel for this
+/// element type or is unavailable on the running CPU.
+pub fn stride1_in_place<T: ScanElement>(isa: Isa, data: &mut [T], carry: T) -> Option<T> {
     let p = data.as_mut_ptr();
     // SAFETY: every kernel loads a block before storing it, so src == dst
     // aliasing is fine; in-place never uses non-temporal stores.
-    unsafe { stride1_ptr(isa, p, p, data.len(), T::ZERO, false) }
+    unsafe { stride1_ptr(isa, p, p, data.len(), carry, false) }
 }
 
 /// The shared pointer-level stride-1 dispatch.
@@ -1548,7 +1548,7 @@ mod tests {
             let src = vec![1i64; 100];
             let mut dst = vec![0i64; 100];
             assert_eq!(stride1_from(isa, &src, &mut dst, 0), None, "{isa}");
-            assert_eq!(stride1_in_place(isa, &mut dst), None, "{isa}");
+            assert_eq!(stride1_in_place(isa, &mut dst, 0), None, "{isa}");
             let mut state = vec![0i64; 4];
             assert!(!vertical_from(isa, &src, &mut dst, 4, &mut state, false), "{isa}");
             assert!(!vertical_in_place(isa, &mut dst, 4, &mut state, false), "{isa}");

@@ -1,7 +1,7 @@
 //! Cross-engine agreement: every scan engine in the workspace — serial
 //! oracle, multi-threaded CPU SAM, simulated-GPU SAM (decoupled, chained,
-//! ring-buffer aux), CUB-style look-back, the hierarchical baselines and
-//! the three-phase CPU baseline — must compute identical results across
+//! ring-buffer aux), CUB-style look-back and the hierarchical baselines —
+//! must compute identical results across
 //! the full specification space (kind × order × tuple), including
 //! non-power-of-two sizes and wrapping arithmetic.
 
@@ -10,7 +10,7 @@ use sam_core::cpu::CpuScanner;
 use sam_core::kernel::{scan_on_gpu, AuxMode, CarryPropagation, SamParams};
 use sam_core::op::Sum;
 use sam_core::{serial, ScanKind, ScanSpec};
-use sam_baselines::{iterate_scan, HierarchicalScan, LookbackScan, ThreePhaseCpu};
+use sam_baselines::{iterate_scan, HierarchicalScan, LookbackScan};
 
 fn pseudo_random(n: usize, seed: u64) -> Vec<i64> {
     let mut state = seed | 1;
@@ -116,11 +116,6 @@ fn baselines_agree_via_iteration_on_higher_orders() {
         });
         assert_eq!(got, oracle, "{scanner:?}");
     }
-
-    let got = iterate_scan(&input, order, |d| {
-        ThreePhaseCpu::new(3).scan(d, &Sum, &ScanSpec::inclusive())
-    });
-    assert_eq!(got, oracle, "three-phase cpu");
 }
 
 #[test]
@@ -135,9 +130,6 @@ fn tuple_engines_agree_including_ragged_tails() {
     let lookback = LookbackScan { items_per_thread: 3 }
         .scan_tuples(&gpu, &input, &Sum, ScanKind::Inclusive, s);
     assert_eq!(lookback, oracle);
-
-    let cpu = ThreePhaseCpu::new(4).scan(&input, &Sum, &spec);
-    assert_eq!(cpu, oracle);
 }
 
 #[test]

@@ -12,7 +12,7 @@ use gpu_sim::sched::{SchedPolicy, Scheduler};
 use gpu_sim::{DeviceSpec, Gpu};
 use sam_core::cpu::CpuScanner;
 use sam_core::kernel::{scan_on_gpu, AuxMode, SamParams};
-use sam_core::op::Sum;
+use sam_core::op::{Sum, Xor};
 use sam_core::{serial, ChunkKernel, ScanOp, ScanSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -153,8 +153,8 @@ fn scanner_survives_a_panicked_scan() {
 }
 
 /// CPU protocol under the adversarial presets: reverse worker start order
-/// and a stalled worker 0, across the full spec space that exercises both
-/// the multi-pass and cascade publish protocols.
+/// and a stalled worker 0, across the spec space, with `Sum` on the
+/// cascade publish protocol and `Xor` on the multi-pass one.
 #[test]
 fn cpu_scan_correct_under_adversarial_schedules() {
     let result = with_watchdog(|| {
@@ -169,18 +169,21 @@ fn cpu_scan_correct_under_adversarial_schedules() {
             SchedPolicy::stalled_predecessor(12, 0),
             SchedPolicy::hostile(13),
         ];
+        fn check(op: &impl ChunkKernel<i64>, input: &[i64], spec: &ScanSpec, policy: &SchedPolicy) {
+            let sched = Arc::new(Scheduler::new(policy.clone()));
+            let scanner = CpuScanner::new(4)
+                .with_chunk_elems(64)
+                .with_scheduler(sched);
+            assert_eq!(
+                scanner.scan(input, op, spec),
+                serial::scan(input, op, spec),
+                "spec={spec:?} policy={policy:?}"
+            );
+        }
         for spec in &specs {
-            let expect = serial::scan(&input, &Sum, spec);
             for policy in &policies {
-                let sched = Arc::new(Scheduler::new(policy.clone()));
-                let scanner = CpuScanner::new(4)
-                    .with_chunk_elems(64)
-                    .with_scheduler(sched);
-                assert_eq!(
-                    scanner.scan(&input, &Sum, spec),
-                    expect,
-                    "spec={spec:?} policy={policy:?}"
-                );
+                check(&Sum, &input, spec, policy);
+                check(&Xor, &input, spec, policy);
             }
         }
     });

@@ -177,7 +177,7 @@ fn vertical_support_contract() {
 #[test]
 fn scalar_family_always_declines() {
     assert!(simd::stride1_from(Isa::Scalar, &[1i64; 8], &mut [0i64; 8], 0).is_none());
-    assert!(simd::stride1_in_place(Isa::Scalar, &mut [1u8; 64]).is_none());
+    assert!(simd::stride1_in_place(Isa::Scalar, &mut [1u8; 64], 0).is_none());
     let mut state = seeded_state::<i64>(2, 8);
     assert!(!simd::vertical_from(Isa::Scalar, &[1i64; 32], &mut [0i64; 32], 8, &mut state, false));
     assert!(!simd::vertical_in_place(Isa::Scalar, &mut [1i64; 32], 8, &mut state, true));
@@ -208,13 +208,17 @@ fn stride1_matrix<T: ScanElement>(seed: u64) {
                 assert_eq!(dst[offset..], want[..], "{isa} n={n} off={offset} stride-1 output");
                 assert_eq!(got_carry, want_carry, "{isa} n={n} off={offset} carry-out");
 
-                // In-place form: zero seed, same buffer for src and dst.
-                let mut data = backing.clone();
-                let (want_ip, want_ip_carry) = stride1_oracle(&data[offset..], T::ZERO);
-                let got = simd::stride1_in_place(isa, &mut data[offset..])
-                    .expect("support contract says this path is taken");
-                assert_eq!(data[offset..], want_ip[..], "{isa} n={n} off={offset} in-place");
-                assert_eq!(got, want_ip_carry, "{isa} n={n} off={offset} in-place total");
+                // In-place form, same buffer for src and dst, from a zero
+                // and from the non-zero seed.
+                for c0 in [T::ZERO, carry] {
+                    let mut data = backing.clone();
+                    let (want_ip, want_ip_carry) = stride1_oracle(&data[offset..], c0);
+                    let got = simd::stride1_in_place(isa, &mut data[offset..], c0)
+                        .expect("support contract says this path is taken");
+                    let ctx = format!("{isa} n={n} off={offset} carry={c0:?}");
+                    assert_eq!(data[offset..], want_ip[..], "{ctx} in-place");
+                    assert_eq!(got, want_ip_carry, "{ctx} in-place total");
+                }
             }
         }
     }
