@@ -64,8 +64,9 @@ const EWMA_ALPHA: f64 = 0.2;
 const DRIFT_MIN_EPISODES: u32 = 8;
 
 /// NT-store threshold choices the driver cycles through: engage streaming
-/// stores from 1 MiB, the frozen 8 MiB default, or never. All three are
-/// bit-identical; only the cache behaviour differs.
+/// stores once a scan output size reaches 1 MiB, the frozen 8 MiB
+/// default, or never. All three are bit-identical; only the cache
+/// behaviour differs.
 const NT_CHOICES: [usize; 3] = [1 << 20, crate::simd::NT_STORE_MIN_BYTES, usize::MAX];
 
 /// Bounds for the chunk-size knob (elements).
@@ -91,8 +92,9 @@ pub struct Geometry {
     /// Serial/parallel crossover in elements ([`crate::Engine::Auto`]
     /// plans only; ignored by pinned engines).
     pub threshold: usize,
-    /// NT-store threshold in bytes ([`crate::simd::nt_store_min_bytes`]);
-    /// `usize::MAX` disables streaming stores.
+    /// NT-store threshold in bytes of scan output size
+    /// ([`crate::simd::nt_store_min_bytes`]); `usize::MAX` disables
+    /// streaming stores.
     pub nt_min_bytes: usize,
 }
 

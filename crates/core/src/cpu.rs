@@ -1,11 +1,12 @@
 //! Multi-threaded SAM on host CPU threads.
 //!
 //! This is the paper's protocol transplanted to a multicore CPU: `k`
-//! persistent workers stand in for the persistent thread blocks, each
-//! processing every `k`-th chunk; local per-lane sums are published to
-//! auxiliary arrays followed by a release of the chunk's ready counter, and
-//! consumers poll only not-yet-ready counters, then redundantly accumulate
-//! up to `k - 1` predecessor sums into their carry (Figure 2's
+//! worker threads, spawned per scan and joined before it returns, stand
+//! in for the persistent thread blocks, each processing every `k`-th
+//! chunk; local per-lane sums are published to auxiliary arrays followed
+//! by a release of the chunk's ready counter, and consumers poll only
+//! not-yet-ready counters, then redundantly accumulate up to `k - 1`
+//! predecessor sums into their carry (Figure 2's
 //! write-followed-by-independent-reads pattern).
 //!
 //! Unlike a GPU, the host gives no fairness guarantee strong enough to
@@ -139,7 +140,8 @@ impl Default for CpuScanner {
 }
 
 impl CpuScanner {
-    /// Creates a scanner with `workers` persistent worker threads.
+    /// Creates a scanner that runs each scan on up to `workers` threads,
+    /// spawned per scan.
     ///
     /// # Panics
     ///
@@ -307,7 +309,11 @@ impl CpuScanner {
             });
             return;
         }
-        let geom = Geometry { k, num_chunks, chunk_elems, n, qs: q * s };
+        // Streaming stores are decided here, once, from the scan's output
+        // size — a chunk's span is L2-sized even when the scan is DRAM-sized
+        // — under whatever scoped threshold the calling plan installed.
+        let stream = std::mem::size_of_val(out) >= crate::simd::nt_store_min_bytes();
+        let geom = Geometry { k, num_chunks, chunk_elems, n, qs: q * s, stream };
         if cascade {
             // Single-pass protocol: all q*s local sums published from one
             // sweep, one ready round per chunk, binomial-weighted carries.
@@ -319,8 +325,8 @@ impl CpuScanner {
 
     /// Runs one multi-worker scan over `geom` — the scaffold both publish
     /// protocols share. It leases and prepares the arena (`q * s` sum
-    /// slots per chunk), then spawns `k` scoped workers. Each re-installs
-    /// the dispatching thread's NT-store override and enters the
+    /// slots per chunk), then spawns `k` scoped workers. Each installs
+    /// the scan's streaming-store decision (`geom.stream`) and enters the
     /// scheduler's block, then runs `worker` over the chunks it owns.
     /// Panics propagate, preferring the originating one.
     fn run_workers<T, F>(&self, out: &mut [T], geom: Geometry, worker: F)
@@ -335,17 +341,13 @@ impl CpuScanner {
         let ready = &arena.ready[..geom.num_chunks];
         let out = SyncSlice(out.as_mut_ptr());
         let cancel = Arc::new(AtomicBool::new(false));
-        // Workers are fresh threads: re-install the dispatching thread's
-        // per-plan NT-store override (0 = none) so the plan's tuned
-        // threshold, not the process default, reaches the kernels.
-        let nt = crate::simd::nt_store_tl();
         let payload = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..geom.k)
                 .map(|b| {
                     let (worker, out, cancel) = (&worker, &out, Arc::clone(&cancel));
                     let sched = self.sched.clone();
                     scope.spawn(move || {
-                        let _nt = crate::simd::nt_store_override(nt);
+                        let _stream = crate::simd::scan_streams(geom.stream);
                         // The guard raises `cancel` if this worker panics,
                         // so siblings blocked in `wait_for` on a ready
                         // counter this worker will never bump unwind
@@ -568,8 +570,9 @@ impl CpuScanner {
     }
 }
 
-/// The chunking of one multi-worker scan: `k` workers, `n` elements, and
-/// `qs` (`q * s`) sum slots per chunk.
+/// The chunking of one multi-worker scan: `k` workers, `n` elements,
+/// `qs` (`q * s`) sum slots per chunk, and whether its out-of-place chunk
+/// sweeps use streaming stores.
 #[derive(Clone, Copy)]
 struct Geometry {
     k: usize,
@@ -577,6 +580,7 @@ struct Geometry {
     chunk_elems: usize,
     n: usize,
     qs: usize,
+    stream: bool,
 }
 
 /// Worker `b`, with the sum slots, ready counters and cancel flag it
@@ -856,6 +860,68 @@ mod tests {
             cloned.scan(&input, &Sum, &ScanSpec::inclusive()),
             crate::serial::scan(&input, &Sum, &ScanSpec::inclusive())
         );
+    }
+
+    /// `Sum` that records, for every output sweep, the thread that ran it
+    /// and what the kernels' streaming predicate answered for its span.
+    #[derive(Default)]
+    struct StreamProbe(Mutex<Vec<(std::thread::ThreadId, bool)>>);
+
+    impl crate::op::ScanOp<i64> for StreamProbe {
+        fn identity(&self) -> i64 {
+            0
+        }
+        fn combine(&self, a: i64, b: i64) -> i64 {
+            a.wrapping_add(b)
+        }
+    }
+
+    impl ChunkKernel<i64> for StreamProbe {
+        fn supports_cascade(&self) -> bool {
+            true
+        }
+        fn carry_weight(&self, w: u64) -> i64 {
+            ChunkKernel::<i64>::carry_weight(&Sum, w)
+        }
+        fn weight_apply(&self, v: i64, w: i64) -> i64 {
+            ChunkKernel::<i64>::weight_apply(&Sum, v, w)
+        }
+        fn cascade_scan_from(
+            &self,
+            src: &[i64],
+            dst: &mut [i64],
+            base: usize,
+            s: usize,
+            state: &mut [i64],
+            exclusive: bool,
+        ) {
+            let stream = crate::simd::streams(std::mem::size_of_val(dst));
+            self.0.lock().unwrap().push((std::thread::current().id(), stream));
+            Sum.cascade_scan_from(src, dst, base, s, state, exclusive);
+        }
+    }
+
+    /// Streaming stores are decided per scan: when the scan's output
+    /// crosses the threshold, every worker's chunk sweeps stream although
+    /// each 32 Ki-element chunk (256 KiB) is below it; when the scan is
+    /// below the threshold, none do.
+    #[test]
+    fn chunk_sweeps_follow_the_scans_streaming_decision() {
+        let _nt = crate::simd::nt_store_override(1 << 20);
+        let spec = ScanSpec::inclusive();
+        for (n, want) in [(3 << 17, true), (3 << 15, false)] {
+            let input = pseudo_random(n);
+            let probe = StreamProbe::default();
+            let got = CpuScanner::new(2).scan(&input, &probe, &spec);
+            assert_eq!(got, crate::serial::scan(&input, &Sum, &spec));
+            let seen = probe.0.into_inner().unwrap();
+            let workers: std::collections::HashSet<_> = seen.iter().map(|&(id, _)| id).collect();
+            assert_eq!(workers.len(), 2, "n={n}: both workers sweep");
+            assert!(
+                seen.iter().all(|&(_, stream)| stream == want),
+                "n={n}: sweeps saw {seen:?}, want stream={want}"
+            );
+        }
     }
 
     #[test]

@@ -573,10 +573,11 @@ impl ScanPlan {
         let adaptive = self.adaptive.as_ref().filter(|_| op.supports_cascade());
         let geom = adaptive.map(|state| state.begin());
         // Scoped per-plan NT threshold: covers the serial and `k == 1`
-        // paths that run on this thread; `scan_into_geom` re-installs it
-        // on every worker it spawns. Concurrent plans with conflicting
-        // converged thresholds each see their own value — the process
-        // global stays untouched as the default seed.
+        // paths that run on this thread, and `scan_into_geom` reads it
+        // here to make the per-scan decision it hands its workers.
+        // Concurrent plans with conflicting converged thresholds each see
+        // their own value — the process global stays untouched as the
+        // default seed.
         let _nt = crate::simd::nt_store_override(geom.map_or(0, |g| g.nt_min_bytes));
         // Episodes below the floor run the probe geometry but are not
         // scored: their throughput measures fixed overhead, not geometry.

@@ -73,8 +73,9 @@
 use crate::element::ScanElement;
 use crate::isa::Isa;
 
-/// Output size in bytes above which the stride-1 kernels switch to
-/// non-temporal (cache-bypassing) stores on x86-64.
+/// Scan output size in bytes at or above which the stride-1 and small-row
+/// vertical kernels switch to non-temporal (cache-bypassing) stores on
+/// x86-64.
 ///
 /// A cacheable store to a line not in cache first *reads* the line
 /// (write-allocate), so a streaming scan moves 3 bytes per output byte.
@@ -82,6 +83,9 @@ use crate::isa::Isa;
 /// output may be consumed from cache by the caller, which non-temporal
 /// stores would evict; 8 MiB sits safely past the private L2 of every
 /// deployment target.
+///
+/// The CPU engine compares the whole scan's output once and its chunk
+/// sweeps follow that decision (see [`streams`]).
 ///
 /// Defined on every target (only the x86-64 store paths consult it, but
 /// `cfg!`-guarded expressions still name it on other architectures).
@@ -104,15 +108,21 @@ static NT_STORE_MIN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicU
 std::thread_local! {
     /// Per-thread scoped override; 0 means "no override, consult the
     /// process default". Set only through [`nt_store_override`], which
-    /// restores the previous value on drop — the engines install it on the
-    /// dispatching thread and on every worker they spawn for a scan.
+    /// restores the previous value on drop — plans install it on the
+    /// dispatching thread for the duration of a scan.
     static NT_STORE_TL: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+
+    /// The streaming decision of the scan whose chunk sweeps this thread
+    /// runs; `None` outside such a scan. Set only through
+    /// [`scan_streams`].
+    static SCAN_STREAMS: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
 }
 
-/// The byte threshold at or above which stride-1/vertical kernels use
-/// non-temporal stores, as seen by the *current thread*: an active scoped
-/// override ([`nt_store_override`]) wins, then the process-wide default
-/// ([`set_nt_store_min_bytes`]), then the frozen 8 MiB seed.
+/// The scan output size in bytes at or above which stride-1/vertical
+/// kernels use non-temporal stores, as seen by the *current thread*: an
+/// active scoped override ([`nt_store_override`]) wins, then the
+/// process-wide default ([`set_nt_store_min_bytes`]), then the frozen
+/// 8 MiB seed.
 pub fn nt_store_min_bytes() -> usize {
     match NT_STORE_TL.with(std::cell::Cell::get) {
         0 => match NT_STORE_MIN.load(std::sync::atomic::Ordering::Relaxed) {
@@ -140,9 +150,9 @@ pub fn set_nt_store_min_bytes(bytes: usize) {
 /// unconditionally.
 ///
 /// Overrides nest: the guard restores whatever was active when it was
-/// created. They are per-thread, so an engine spawning workers must
-/// install the override on each worker thread (the [`crate::cpu`] engine
-/// does).
+/// created. They are per-thread; an engine spawning workers reads the
+/// threshold on the dispatching thread and hands its workers the
+/// resulting per-scan decision instead (the [`crate::cpu`] engine does).
 #[must_use = "the override lasts only while the guard is alive"]
 pub fn nt_store_override(bytes: usize) -> NtStoreOverride {
     let prev = NT_STORE_TL.with(|tl| {
@@ -158,11 +168,33 @@ pub fn nt_store_override(bytes: usize) -> NtStoreOverride {
     }
 }
 
-/// The calling thread's active scoped override, `0` when none — what a
-/// per-scan worker pool reads on the dispatching thread to re-install the
-/// plan's override on each worker it spawns.
-pub(crate) fn nt_store_tl() -> usize {
-    NT_STORE_TL.with(std::cell::Cell::get)
+/// Whether an out-of-place sweep writing `span_bytes` of output uses
+/// non-temporal stores: the decision of the enclosing scan when the
+/// engine made one ([`scan_streams`]), else whether the span itself
+/// reaches [`nt_store_min_bytes`] — the rule for direct kernel calls and
+/// for the serial engine, whose span is the whole scan.
+pub(crate) fn streams(span_bytes: usize) -> bool {
+    SCAN_STREAMS
+        .with(std::cell::Cell::get)
+        .unwrap_or_else(|| span_bytes >= nt_store_min_bytes())
+}
+
+/// Makes [`streams`] answer `stream` on the current thread until the
+/// guard drops. A multi-worker engine decides once per scan, from the
+/// scan's output size, and installs the decision on every worker, so
+/// chunk sweeps stream exactly when the whole scan would.
+#[must_use = "the decision lasts only while the guard is alive"]
+pub(crate) fn scan_streams(stream: bool) -> ScanStreams {
+    ScanStreams(SCAN_STREAMS.with(|tl| tl.replace(Some(stream))))
+}
+
+/// Guard of [`scan_streams`]; restores the previous decision on drop.
+pub(crate) struct ScanStreams(Option<bool>);
+
+impl Drop for ScanStreams {
+    fn drop(&mut self) {
+        SCAN_STREAMS.with(|tl| tl.set(self.0));
+    }
 }
 
 /// Guard of a scoped [`nt_store_override`]; restores the previous
@@ -248,7 +280,7 @@ unsafe fn stride1_ptr<T: ScanElement>(
         }
         #[cfg(target_arch = "x86_64")]
         4 if matches!(isa, Isa::Avx2 | Isa::Avx512) => {
-            let nt = allow_nt && n * 4 >= nt_store_min_bytes();
+            let nt = allow_nt && streams(n * 4);
             let c0 = lane_bits_of(carry) as u32;
             let c = match (isa, nt) {
                 (Isa::Avx2, false) => x86::scan_w4_avx2::<false>(src.cast(), dst.cast(), n, c0),
@@ -260,7 +292,7 @@ unsafe fn stride1_ptr<T: ScanElement>(
         }
         #[cfg(target_arch = "x86_64")]
         8 if matches!(isa, Isa::Avx2 | Isa::Avx512) => {
-            let nt = allow_nt && n * 8 >= nt_store_min_bytes();
+            let nt = allow_nt && streams(n * 8);
             let c0 = lane_bits_of(carry);
             let c = match (isa, nt) {
                 (Isa::Avx2, false) => x86::scan_w8_avx2::<false>(src.cast(), dst.cast(), n, c0),
@@ -752,7 +784,7 @@ fn small_dispatch(
         let nt = match op {
             VertOp::From { dst, .. } => {
                 cfg!(target_arch = "x86_64")
-                    && rows * b >= nt_store_min_bytes()
+                    && streams(rows * b)
                     && (dst as usize).is_multiple_of(8)
             }
             _ => false,

@@ -154,7 +154,10 @@ fn scanner_survives_a_panicked_scan() {
 
 /// CPU protocol under the adversarial presets: reverse worker start order
 /// and a stalled worker 0, across the spec space, with `Sum` on the
-/// cascade publish protocol and `Xor` on the multi-pass one.
+/// cascade publish protocol and `Xor` on the multi-pass one. `Sum` runs
+/// once more under a 1 KiB scoped NT-store threshold, which the scan's
+/// output crosses and each 64-element chunk does not: its output sweeps
+/// then stream, fence and publish under the same schedules.
 #[test]
 fn cpu_scan_correct_under_adversarial_schedules() {
     let result = with_watchdog(|| {
@@ -184,6 +187,12 @@ fn cpu_scan_correct_under_adversarial_schedules() {
             for policy in &policies {
                 check(&Sum, &input, spec, policy);
                 check(&Xor, &input, spec, policy);
+            }
+        }
+        let _nt = sam_core::simd::nt_store_override(1 << 10);
+        for spec in &specs {
+            for policy in &policies {
+                check(&Sum, &input, spec, policy);
             }
         }
     });

@@ -21,13 +21,14 @@
 //! *reads* the resolved family, which is cached process-wide at first
 //! use, so it needs no lock.
 
+use gpu_sim::Pod64;
 use sam_core::cpu::CpuScanner;
 use sam_core::isa::{self, Isa};
-use sam_core::op::Sum;
+use sam_core::op::{LinRec, Sum};
 use sam_core::plan::{PlanHint, ScanPlan};
 use sam_core::Engine;
 use sam_core::simd;
-use sam_core::{serial, ScanElement, ScanSpec};
+use sam_core::{serial, ChunkKernel, ScanElement, ScanSpec};
 
 /// Lengths chosen to straddle every kernel's internal boundaries: SWAR
 /// words (8/16 lanes), AVX2 vectors (4/8/16/32 lanes), AVX-512 vectors
@@ -376,6 +377,48 @@ fn nt_threshold_matches_oracle() {
         assert_eq!(dst[1..], want[..], "{isa} unaligned small-row NT decline");
         assert_eq!(state, oracle_state, "{isa} unaligned small-row state");
     }
+}
+
+/// The CPU engine past the threshold. Under a scoped 1 MiB threshold the
+/// scan's output (about 3 MiB of i64, 1.5 MiB of i32) crosses it while
+/// each default 32 Ki-element chunk stays below it, so every chunk sweep
+/// with a streaming path takes it: the stride-1 kernels at order 1, tuple
+/// 1, and the small-row vertical kernel at tuples 2 and 5. Each output
+/// starts one element into its buffer: 8-aligned but not line-aligned for
+/// i64 (the stride-1 kernels' aligning prologue), only 4-aligned for i32
+/// (the small-row kernel's decline path).
+#[test]
+fn cpu_engine_streams_past_the_scan_threshold() {
+    fn check<T, Op>(input: &[T], op: &Op, spec: &ScanSpec, tag: &str)
+    where
+        T: ScanElement + Pod64 + std::fmt::Debug + PartialEq,
+        Op: ChunkKernel<T>,
+    {
+        let mut out = vec![T::ZERO; input.len() + 1];
+        CpuScanner::new(2).scan_into(input, &mut out[1..], op, spec);
+        assert!(out[1..] == serial::scan(input, op, spec)[..], "{tag} {spec:?}");
+    }
+    let _nt = simd::nt_store_override(1 << 20);
+    let n = 3 * (1 << 17) + 37;
+    let (src64, src32) = (pattern::<i64>(n, 0x6003), pattern::<i32>(n, 0x6004));
+    // The bulk_sum corners: (order, tuple, exclusive).
+    for (q, s, exclusive) in [
+        (1, 1, false),
+        (1, 1, true),
+        (2, 1, false),
+        (8, 1, false),
+        (1, 2, false),
+        (2, 2, false),
+        (5, 5, false),
+    ] {
+        let kind = if exclusive { ScanSpec::exclusive() } else { ScanSpec::inclusive() };
+        let spec = kind.with_order(q).unwrap().with_tuple(s).unwrap();
+        check(&src64, &Sum, &spec, "i64");
+        check(&src32, &Sum, &spec, "i32");
+    }
+    let spec = ScanSpec::inclusive();
+    check(&src64, &LinRec::first_order(3i64).unwrap(), &spec, "i64 rec1");
+    check(&src32, &LinRec::first_order(3i32).unwrap(), &spec, "i32 rec1");
 }
 
 // --- Engine-level equivalence ----------------------------------------------
