@@ -2,7 +2,9 @@
 //! listening on a Unix socket, a TCP address, or both.
 //!
 //! One thread per connection decodes length-prefixed frames
-//! ([`sam_service::wire`]) and submits them to the shared service; the
+//! ([`sam_service::wire`]) and submits them to the shared service, and
+//! while it waits for a reply it may run its lane's next batch for every
+//! connection queued there (the service has no threads of its own). The
 //! service coalesces across *all* connections and transports, so
 //! concurrent clients' micro-scans fuse into shared per-lane launches.
 //! Every request path is panic-free: malformed frames get error
@@ -12,8 +14,7 @@
 //! exhaustion, say, should shed load, not kill the daemon).
 //!
 //! ```text
-//! sam_serviced [--socket /tmp/sam.sock] [--tcp 127.0.0.1:7070]
-//!              [--executors N] [--queue N]
+//! sam_serviced [--socket /tmp/sam.sock] [--tcp 127.0.0.1:7070] [--queue N]
 //!              [--batch-requests N] [--batch-elems N] [--max-lanes N]
 //!              [--engine serial|auto|cpu:N] [--trace]
 //!              [--chaos-panic-tenant NAME]
@@ -39,7 +40,7 @@ use sam_service::{Engine, ScanService, ServiceConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sam_serviced [--socket PATH] [--tcp ADDR] [--executors N] [--queue N] \
+        "usage: sam_serviced [--socket PATH] [--tcp ADDR] [--queue N] \
          [--batch-requests N] [--batch-elems N] [--max-lanes N] \
          [--engine serial|auto|cpu:N] [--trace] [--chaos-panic-tenant NAME] \
          (at least one of --socket / --tcp)"
@@ -143,7 +144,6 @@ fn main() {
         match arg.as_str() {
             "--socket" => socket = Some(value().into()),
             "--tcp" => tcp = Some(value()),
-            "--executors" => cfg.executors = value().parse().unwrap_or_else(|_| usage()),
             "--queue" => cfg.queue_capacity = value().parse().unwrap_or_else(|_| usage()),
             "--batch-requests" => {
                 cfg.max_batch_requests = value().parse().unwrap_or_else(|_| usage());

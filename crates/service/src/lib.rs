@@ -18,9 +18,8 @@
 //! - **Spec-sharded lanes** — a routing front-end keys every request to a
 //!   *lane* by its operator family: plain prefix sums ride the segmented
 //!   Sum lane, and each distinct linear-recurrence coefficient vector
-//!   ([`ScanRequest::with_recurrence`]) lazily spins up its own lane with
-//!   its own queue, executors, and cached [`sam_core::op::LinRec`]
-//!   sessions. Recurrence requests therefore *execute* (bit-identical to
+//!   ([`ScanRequest::with_recurrence`]) lazily gets its own lane with
+//!   its own queue and cached [`sam_core::op::LinRec`] sessions. Recurrence requests therefore *execute* (bit-identical to
 //!   the serial recurrence loop) instead of being rejected at admission.
 //! - **Admission control** — a bounded queue per lane
 //!   ([`ServiceConfig::queue_capacity`]); [`ScanService::try_submit`]
@@ -28,8 +27,14 @@
 //!   [`ScanService::submit`] blocks (backpressure). The lane population
 //!   itself is bounded ([`ServiceConfig::max_lanes`],
 //!   [`RequestError::LanesExhausted`]) so hostile coefficient churn
-//!   cannot spawn unbounded executors.
-//! - **Coalescing** — executors drain their lane's queue greedily up to
+//!   cannot grow unbounded queues and cached sessions.
+//! - **No lane threads** — a lane runs on whichever thread would
+//!   otherwise block on it (flat combining): a waiter whose reply is not
+//!   ready, or a [`ScanService::submit`] facing a full queue, runs the
+//!   lane's next batch for everyone queued when no other thread is
+//!   running it, and sleeps until that thread finishes otherwise. The
+//!   service spawns no threads of its own.
+//! - **Coalescing** — each batch drains its lane's queue greedily up to
 //!   [`ServiceConfig::max_batch_requests`] / [`ServiceConfig::max_batch_elems`]
 //!   per launch. There is no artificial delay window: an idle service
 //!   dispatches a lone request immediately, and batches form exactly when
@@ -41,31 +46,33 @@
 //! - **Streaming requests** — [`ScanRequest::streaming`] asks for a
 //!   [`sam_core::plan::CarryState`] checkpoint alongside the outputs;
 //!   the next frame carries it back ([`ScanRequest::with_checkpoint`])
-//!   and continues the scan exactly where it left off, on any executor.
+//!   and continues the scan exactly where it left off, in any batch.
 //!   Checkpoints are validated against the spec *and* the operator
 //!   family/coefficient fingerprint (the v2 `SAMC` format), so a sum
 //!   checkpoint can never silently resume a recurrence stream.
 //! - **Plan cache** — execution plans are resolved once per
 //!   `(ScanSpec, host fingerprint)` key ([`sam_core::plan::PlanCache`])
-//!   and shared by every lane and executor
+//!   and shared by every lane
 //!   ([`ScanService::plans_cached`]); sessions over them are cached
-//!   per-executor and reach a zero-allocation steady state through
+//!   per lane and reach a zero-allocation steady state through
 //!   [`sam_core::segmented::try_feed_segmented_into`].
 //! - **Isolation** — one tenant's malformed request is rejected with an
 //!   error ([`RequestError::Malformed`]) before it reaches a shared
 //!   worker, and a panicking handler fails only its own batch
-//!   ([`RequestError::Panicked`]): the executor catches the unwind
-//!   (riding the engine's cooperative cancel machinery), discards the
-//!   possibly-wedged session, and keeps serving.
+//!   ([`RequestError::Panicked`]): the thread running the batch catches
+//!   the unwind (riding the engine's cooperative cancel machinery),
+//!   discards the possibly-wedged session, fills the batch's tickets, and
+//!   releases the lane to the next thread.
 //! - **Per-tenant and per-lane metrics** — request/element/error counts,
 //!   queue and execution latency sums, per-lane batch/coalescing
 //!   accounting ([`ServiceMetrics::lanes`]), and, on traced services,
 //!   [`sam_core::ScanReport`]-derived throughput for SLO accounting
 //!   ([`ScanService::metrics`]).
 //!
-//! The service is synchronous inside (std threads; no async runtime) but
-//! front-end agnostic: [`ResponseHandle::wait`] blocks,
-//! [`ResponseHandle::try_take`] polls, so both blocking servers (see
+//! The service is synchronous inside (the callers' threads; no async
+//! runtime) but front-end agnostic: [`ResponseHandle::wait`] blocks,
+//! [`ResponseHandle::try_take`] polls (running at most one batch, never
+//! waiting on another thread), so both blocking servers (see
 //! `sam_serviced`, the Unix-socket binary in this crate) and poll-driven
 //! event loops can sit on top.
 //!
@@ -106,9 +113,6 @@ pub use service::{ResponseHandle, ScanService};
 /// Configuration for a [`ScanService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Executor threads draining the admission queue. Each executor owns
-    /// its cached session and scratch buffers; plans are shared.
-    pub executors: usize,
     /// Admission-queue bound: requests queued but not yet executing.
     /// [`ScanService::try_submit`] fails fast past this;
     /// [`ScanService::submit`] blocks until space frees up.
@@ -120,8 +124,8 @@ pub struct ServiceConfig {
     pub max_batch_elems: usize,
     /// Maximum distinct lanes (one per operator family — the Sum lane
     /// plus one per recurrence coefficient vector). Each lane owns a
-    /// queue and [`ServiceConfig::executors`] threads, so this bounds
-    /// what adversarial coefficient churn can make the service spawn;
+    /// queue and cached sessions (no thread), so this bounds what
+    /// adversarial coefficient churn can make the service allocate;
     /// requests past the cap fail with [`RequestError::LanesExhausted`].
     pub max_lanes: usize,
     /// Engine the cached plans resolve to.
@@ -130,17 +134,16 @@ pub struct ServiceConfig {
     /// and per-tenant metrics pick up measured throughput. Costs clocks
     /// and span bookkeeping on the hot path; off by default.
     pub trace: bool,
-    /// Fault-injection hook: executors panic mid-batch when handling a
-    /// request from this tenant. This is how the concurrency tests prove
-    /// a poisoned batch cannot strand the pool; leave `None` in
-    /// production.
+    /// Fault-injection hook: whichever thread runs a batch holding a
+    /// request from this tenant panics mid-batch. This is how the
+    /// concurrency tests prove a poisoned batch cannot strand its lane;
+    /// leave `None` in production.
     pub chaos_panic_tenant: Option<String>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            executors: 1,
             queue_capacity: 4096,
             max_batch_requests: 256,
             max_batch_elems: 1 << 20,
@@ -153,12 +156,6 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Sets the executor-thread count.
-    pub fn with_executors(mut self, executors: usize) -> Self {
-        self.executors = executors;
-        self
-    }
-
     /// Sets the admission-queue bound.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
@@ -357,7 +354,7 @@ pub enum RequestError {
     /// The service is shutting down; the request was not executed.
     ShuttingDown,
     /// The handler executing this request's batch panicked. The batch
-    /// failed as a unit; the executor pool survived.
+    /// failed as a unit; the lane kept serving.
     Panicked,
 }
 

@@ -1,16 +1,17 @@
 //! The service core: a spec-sharded routing front-end over per-lane
-//! bounded admission queues, coalescing executors over cached plans,
+//! bounded admission queues, coalescing batches over cached plans,
 //! panic-isolated batch execution, and reply tickets.
 //!
 //! Every request is keyed to a [`LaneKey`] by its operator family. The
 //! Sum lane fuses compatible requests into one segmented launch (the
 //! pair transformation); each recurrence coefficient vector gets its own
-//! lane whose executors run drained requests back-to-back on a cached
+//! lane whose batches run drained requests back-to-back on a cached
 //! [`LinRec`] session — correct for recurrences, whose restarts are not
 //! expressible as segment-head flags. Streaming requests (carry
 //! checkpoints across frames) execute per request on cached plain
-//! sessions, resumable on any executor because the carry travels in the
-//! request itself.
+//! sessions, resumable by any batch because the carry travels in the
+//! request itself. No lane owns a thread: each runs on the threads that
+//! block on it (flat combining; see [`Lane::run_or_wait`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -34,14 +35,14 @@ use crate::{RequestError, ScanOutput, ScanRequest, ServiceConfig};
 type SegSession = ScanSession<Packed32<i32>, SegmentedOp<Sum>>;
 
 /// Locks a mutex, riding through poisoning: a panicked batch must not
-/// take the queue or the metrics down with it (the executor's own
+/// take the queue or the metrics down with it (the batch's own
 /// `catch_unwind` makes cross-panic state consistent by construction —
 /// shared structures are only ever mutated under short, total sections).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Which executor shard a request runs on. One lane exists per operator
+/// Which lane a request runs on. One lane exists per operator
 /// family actually seen: the wire speaks `i32` tuple-1 requests, so the
 /// realized key space is the Sum family plus one key per distinct
 /// recurrence coefficient vector (whose length is the order/depth).
@@ -87,26 +88,10 @@ struct Pending {
     enqueued: Instant,
 }
 
-/// One request's reply slot. Filled exactly once by an executor (or the
-/// shutdown drain), consumed by [`ResponseHandle::wait`]/[`ResponseHandle::try_take`].
-struct Ticket {
-    slot: Mutex<Option<Result<ScanOutput, RequestError>>>,
-    ready: Condvar,
-}
-
-impl Ticket {
-    fn new() -> Arc<Ticket> {
-        Arc::new(Ticket {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: Result<ScanOutput, RequestError>) {
-        *lock(&self.slot) = Some(result);
-        self.ready.notify_all();
-    }
-}
+/// One request's reply slot. Filled exactly once by the batch that runs
+/// it (or the shutdown drain), consumed by
+/// [`ResponseHandle::wait`]/[`ResponseHandle::try_take`].
+type Ticket = Mutex<Option<Result<ScanOutput, RequestError>>>;
 
 /// The caller's end of a submitted request.
 ///
@@ -117,6 +102,8 @@ impl Ticket {
 /// still execute).
 pub struct ResponseHandle {
     ticket: Arc<Ticket>,
+    lane: Arc<Lane>,
+    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for ResponseHandle {
@@ -135,23 +122,23 @@ impl ResponseHandle {
 
     /// Blocks until the request's batch completes and returns its full
     /// output, including the next-frame checkpoint of a streaming
-    /// request.
+    /// request. While the reply is not ready and no other thread is
+    /// running the lane, the calling thread runs the lane's next batch
+    /// itself.
     pub fn wait_output(self) -> Result<ScanOutput, RequestError> {
-        let mut slot = lock(&self.ticket.slot);
+        let mut queue = lock(&self.lane.queue);
         loop {
-            if let Some(result) = slot.take() {
+            if let Some(result) = lock(&self.ticket).take() {
                 return result;
             }
-            slot = self
-                .ticket
-                .ready
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
+            queue = self.lane.run_or_wait(&self.shared, queue);
         }
     }
 
     /// Takes the result values if the request has completed; `None` while
-    /// it is still queued or executing. Never blocks.
+    /// it is still queued or executing. If the reply is not ready and no
+    /// other thread is running the lane, this runs one batch of the lane
+    /// on the calling thread first; it never waits on another thread.
     pub fn try_take(&self) -> Option<Result<Vec<i32>, RequestError>> {
         self.try_take_output()
             .map(|result| result.map(|output| output.values))
@@ -159,39 +146,118 @@ impl ResponseHandle {
 
     /// [`ResponseHandle::try_take`], keeping any streaming checkpoint.
     pub fn try_take_output(&self) -> Option<Result<ScanOutput, RequestError>> {
-        lock(&self.ticket.slot).take()
+        let queue = lock(&self.lane.queue);
+        if lock(&self.ticket).is_none() && queue.runnable() {
+            self.lane.combine(&self.shared, queue);
+        }
+        lock(&self.ticket).take()
     }
 }
 
-/// One executor lane: a bounded queue plus its wait/space signals. The
-/// executors and cached sessions hang off the threads spawned for it.
+/// One lane: a bounded queue, the cached sessions its batches run on, and
+/// the one condvar every thread blocked on the lane sleeps on.
 struct Lane {
     label: String,
-    queue: Mutex<VecDeque<Pending>>,
-    /// Signalled when the queue gains work (this lane's executors wait here).
-    work: Condvar,
-    /// Signalled when the queue loses work (blocking submitters wait here).
-    space: Condvar,
+    queue: Mutex<LaneQueue>,
+    /// Signalled when a batch finishes (its tickets filled, its queue
+    /// space freed, the combining role released) and when shutdown fails
+    /// the queue.
+    idle: Condvar,
+    /// The lane's cached sessions. Locked only by the thread holding the
+    /// combining role, so never contended.
+    state: Mutex<LaneState>,
+}
+
+struct LaneQueue {
+    pending: VecDeque<Pending>,
+    /// Set while a thread runs a batch of this lane; at most one does.
+    combining: bool,
+}
+
+impl LaneQueue {
+    /// Whether a blocked thread should run the next batch itself: there is
+    /// queued work and nobody is already running the lane.
+    fn runnable(&self) -> bool {
+        !self.combining && !self.pending.is_empty()
+    }
+}
+
+/// Releases a lane's combining role when dropped, on every exit path
+/// (unwinding included), so no panic can strand the lane's waiters.
+struct CombiningRole<'a>(&'a Lane);
+
+impl Drop for CombiningRole<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.queue).combining = false;
+        self.0.idle.notify_all();
+    }
 }
 
 impl Lane {
     fn new(key: &LaneKey) -> Lane {
         Lane {
             label: key.label(),
-            queue: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
-            space: Condvar::new(),
+            queue: Mutex::new(LaneQueue {
+                pending: VecDeque::new(),
+                combining: false,
+            }),
+            idle: Condvar::new(),
+            state: Mutex::new(LaneState::new(key)),
         }
+    }
+
+    /// One step of blocking on the lane, taken by a waiter whose reply is
+    /// not ready or a submitter facing a full queue: run the lane's next
+    /// batch for everyone queued if [`LaneQueue::runnable`], else sleep
+    /// until `idle` is signalled. Returns the re-taken queue lock;
+    /// callers re-check their condition.
+    fn run_or_wait<'a>(
+        &'a self,
+        shared: &Shared,
+        queue: MutexGuard<'a, LaneQueue>,
+    ) -> MutexGuard<'a, LaneQueue> {
+        if queue.runnable() {
+            self.combine(shared, queue);
+            return lock(&self.queue);
+        }
+        self.idle.wait(queue).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the combining role (the caller checked
+    /// [`LaneQueue::runnable`] under `queue`), drains one batch greedily —
+    /// whatever is already queued, bounded by the launch limits, with no
+    /// delay timer: the backlog itself is the coalescing window — and
+    /// executes it outside the queue lock.
+    fn combine(&self, shared: &Shared, mut queue: MutexGuard<'_, LaneQueue>) {
+        let mut state = lock(&self.state);
+        let mut batch = Vec::new();
+        queue.combining = true;
+        let mut elems = 0usize;
+        while let Some(next) = queue.pending.front() {
+            let len = next.request.values.len();
+            let full = batch.len() >= shared.cfg.max_batch_requests
+                || elems + len > shared.cfg.max_batch_elems;
+            if full && !batch.is_empty() {
+                break;
+            }
+            elems += len;
+            batch.extend(queue.pending.pop_front());
+        }
+        drop(queue);
+        let _role = CombiningRole(self);
+        execute_batch(shared, self, &mut state, &mut batch);
+        // Unlock the sessions before `_role` hands the lane to the next
+        // thread, which locks them first thing.
+        drop(state);
     }
 }
 
-/// State shared between submitters and executors.
+/// State shared between submitters and the threads running batches.
 struct Shared {
     cfg: ServiceConfig,
     shutdown: AtomicBool,
     /// Plans resolved once per `(spec, host fingerprint)` and shared by
-    /// every lane and executor; sessions over them are cached per
-    /// executor thread.
+    /// every lane; sessions over them are cached per lane.
     plans: PlanCache,
     metrics: Mutex<ServiceMetrics>,
     /// The realized lanes, created lazily on first submission of their
@@ -203,7 +269,6 @@ struct Shared {
 /// for the architecture; construct with [`ScanService::start`].
 pub struct ScanService {
     shared: Arc<Shared>,
-    executors: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ScanService {
@@ -215,8 +280,8 @@ impl std::fmt::Debug for ScanService {
 }
 
 impl ScanService {
-    /// Starts the service and returns its handle. Lanes (and their
-    /// executor pools) spin up lazily as operator families arrive. The
+    /// Starts the service and returns its handle. Lanes are created
+    /// lazily as operator families arrive; none spawns a thread. The
     /// handle is `Sync`: submit from as many threads as you like.
     pub fn start(cfg: ServiceConfig) -> ScanService {
         let shared = Arc::new(Shared {
@@ -226,17 +291,14 @@ impl ScanService {
             metrics: Mutex::new(ServiceMetrics::default()),
             lanes: Mutex::new(HashMap::new()),
         });
-        ScanService {
-            shared,
-            executors: Mutex::new(Vec::new()),
-        }
+        ScanService { shared }
     }
 
     /// Validates a request without touching any queue and resolves the
     /// lane it routes to.
     fn admit(&self, request: &ScanRequest) -> Result<LaneKey, RequestError> {
         if let Some(coeffs) = &request.recurrence {
-            // Validate the operator up front so lane executors can rely
+            // Validate the operator up front so lane batches can rely
             // on construction succeeding (and a violation still surfaces
             // as a RequestError there, never a panic).
             LinRec::<i32>::new(coeffs.clone()).map_err(RequestError::BadRecurrence)?;
@@ -282,8 +344,8 @@ impl ScanService {
         Ok(LaneKey::of(request))
     }
 
-    /// Returns the lane for `key`, creating it (and spawning its executor
-    /// pool) on first use, bounded by [`ServiceConfig::max_lanes`].
+    /// Returns the lane for `key`, creating it on first use, bounded by
+    /// [`ServiceConfig::max_lanes`].
     fn lane(&self, key: LaneKey) -> Result<Arc<Lane>, RequestError> {
         let mut lanes = lock(&self.shared.lanes);
         if let Some(lane) = lanes.get(&key) {
@@ -295,81 +357,58 @@ impl ScanService {
             });
         }
         let lane = Arc::new(Lane::new(&key));
-        lanes.insert(key.clone(), Arc::clone(&lane));
-        drop(lanes);
-        let mut handles = lock(&self.executors);
-        for i in 0..self.shared.cfg.executors.max(1) {
-            let shared = Arc::clone(&self.shared);
-            let lane = Arc::clone(&lane);
-            let key = key.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("sam-{}-{i}", lane.label))
-                    .spawn(move || executor_loop(&shared, &lane, &key))
-                    .expect("spawn executor"),
-            );
-        }
+        lanes.insert(key, Arc::clone(&lane));
         Ok(lane)
     }
 
     /// Submits a request, blocking while its lane's admission queue is
-    /// full (backpressure). Fails fast on malformed or oversized requests
+    /// full (backpressure; meanwhile the caller runs the lane's batches
+    /// when nobody else is). Fails fast on malformed or oversized requests
     /// and during shutdown.
     pub fn submit(&self, request: ScanRequest) -> Result<ResponseHandle, RequestError> {
-        let key = self.admit(&request)?;
-        let lane = self.lane(key)?;
-        let ticket = Ticket::new();
-        let pending = Pending {
-            request,
-            ticket: Arc::clone(&ticket),
-            enqueued: Instant::now(),
-        };
-        let mut queue = lock(&lane.queue);
-        while queue.len() >= self.shared.cfg.queue_capacity {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                return Err(RequestError::ShuttingDown);
-            }
-            queue = lane
-                .space
-                .wait(queue)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(RequestError::ShuttingDown);
-        }
-        queue.push_back(pending);
-        drop(queue);
-        lane.work.notify_one();
-        Ok(ResponseHandle { ticket })
+        self.enqueue(request, true)
     }
 
     /// Submits a request without blocking: a full lane queue is an
     /// immediate [`RequestError::QueueFull`] — the load-shedding signal
     /// for open-loop clients.
     pub fn try_submit(&self, request: ScanRequest) -> Result<ResponseHandle, RequestError> {
+        self.enqueue(request, false)
+    }
+
+    fn enqueue(&self, request: ScanRequest, block: bool) -> Result<ResponseHandle, RequestError> {
         let key = self.admit(&request)?;
         let lane = self.lane(key)?;
-        let ticket = Ticket::new();
+        let ticket = Arc::new(Ticket::default());
         let pending = Pending {
             request,
             ticket: Arc::clone(&ticket),
             enqueued: Instant::now(),
         };
         let mut queue = lock(&lane.queue);
-        // Re-check under the lock: a shutdown that already drained the
-        // queue must not gain a request no executor will ever pop.
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(RequestError::ShuttingDown);
+        loop {
+            // Re-check under the lock: a shutdown that already drained the
+            // queue must not gain a request no batch will ever pop.
+            if self.shared.shutdown.load(Ordering::Acquire) {
+                return Err(RequestError::ShuttingDown);
+            }
+            if queue.pending.len() < self.shared.cfg.queue_capacity {
+                break;
+            }
+            if !block {
+                drop(queue);
+                lock(&self.shared.metrics).shed += 1;
+                return Err(RequestError::QueueFull);
+            }
+            queue = lane.run_or_wait(&self.shared, queue);
         }
-        if queue.len() >= self.shared.cfg.queue_capacity {
-            drop(queue);
-            lock(&self.shared.metrics).shed += 1;
-            return Err(RequestError::QueueFull);
-        }
-        queue.push_back(pending);
+        queue.pending.push_back(pending);
         drop(queue);
-        lane.work.notify_one();
-        Ok(ResponseHandle { ticket })
+        Ok(ResponseHandle {
+            ticket,
+            lane,
+            shared: Arc::clone(&self.shared),
+        })
     }
 
     /// Convenience: [`ScanService::submit`] + [`ResponseHandle::wait`].
@@ -400,24 +439,22 @@ impl ScanService {
         lock(&self.shared.lanes).len()
     }
 
-    /// Stops accepting work, drains every lane's queue (pending requests
-    /// fail with [`RequestError::ShuttingDown`]), and joins the executor
-    /// pools. Idempotent; also invoked by `Drop`.
+    /// Stops accepting work and drains every lane's queue: pending
+    /// requests fail with [`RequestError::ShuttingDown`]. A batch already
+    /// running finishes on its own thread; there is nothing to join.
+    /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
         let lanes: Vec<Arc<Lane>> = lock(&self.shared.lanes).values().cloned().collect();
         for lane in &lanes {
-            // Fail whatever is still queued so no submitter waits forever.
-            let drained: Vec<Pending> = lock(&lane.queue).drain(..).collect();
-            for pending in drained {
-                pending.ticket.fill(Err(RequestError::ShuttingDown));
+            // Fail whatever is still queued, under the queue lock so a
+            // waiter checking its ticket cannot miss the wake-up.
+            let mut queue = lock(&lane.queue);
+            for pending in queue.pending.drain(..) {
+                *lock(&pending.ticket) = Some(Err(RequestError::ShuttingDown));
             }
-            lane.work.notify_all();
-            lane.space.notify_all();
-        }
-        for handle in lock(&self.executors).drain(..) {
-            // An executor that somehow died still counts as stopped.
-            let _ = handle.join();
+            drop(queue);
+            lane.idle.notify_all();
         }
     }
 }
@@ -428,8 +465,7 @@ impl Drop for ScanService {
     }
 }
 
-/// Per-executor cached sessions and scratch, shaped by the lane's
-/// operator family. Rebuilt from scratch after a panicked batch (the
+/// A lane's cached sessions and scratch, shaped by its operator family. Rebuilt from scratch after a panicked batch (the
 /// cached streaming state is suspect).
 enum LaneState {
     Sum {
@@ -529,48 +565,6 @@ fn run_single<Op: ChunkKernel<i32>>(
     Ok(ScanOutput { values, checkpoint })
 }
 
-/// The executor body: block for lane work, drain greedily, launch, reply.
-fn executor_loop(shared: &Shared, lane: &Lane, key: &LaneKey) {
-    let mut state = LaneState::new(key);
-    let mut batch: Vec<Pending> = Vec::new();
-    loop {
-        batch.clear();
-        {
-            let mut queue = lock(&lane.queue);
-            loop {
-                if let Some(first) = queue.pop_front() {
-                    // Greedy coalescing: take whatever is already queued,
-                    // bounded by the launch limits. No delay timer — the
-                    // backlog itself is the coalescing window.
-                    let mut elems = first.request.values.len();
-                    batch.push(first);
-                    while batch.len() < shared.cfg.max_batch_requests {
-                        let fits = queue.front().is_some_and(|p| {
-                            elems + p.request.values.len() <= shared.cfg.max_batch_elems
-                        });
-                        if !fits {
-                            break;
-                        }
-                        let next = queue.pop_front().expect("front checked");
-                        elems += next.request.values.len();
-                        batch.push(next);
-                    }
-                    break;
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                queue = lane
-                    .work
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        lane.space.notify_all();
-        execute_batch(shared, lane, &mut state, &mut batch);
-    }
-}
-
 /// Executes one drained batch on the lane's cached sessions, fills every
 /// ticket, and attributes metrics. A panic anywhere inside the launch
 /// fails the whole batch — and only the batch.
@@ -601,70 +595,70 @@ fn execute_batch(shared: &Shared, lane: &Lane, state: &mut LaneState, batch: &mu
         results
     }));
     let exec_us = u64::try_from(launched.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let panicked = outcome.is_err();
 
     // Traced launches surface measured throughput for SLO accounting.
     let report = match &outcome {
         Ok(_) if shared.cfg.trace => state.last_report(),
         _ => None,
     };
-    if outcome.is_err() {
+    if panicked {
         // Cached sessions may hold half-fed streams; rebuild lazily.
         state.rebuild();
     }
+    // A panicked launch yields no results, so every member (and any a
+    // launch failed to answer) is filled with `Panicked` below.
+    let mut results = outcome.unwrap_or_default().into_iter();
 
+    // Everything from here on runs outside `catch_unwind` on the thread
+    // holding the combining role, so it must not panic: no indexing, no
+    // `expect`.
+    let size = batch.len() as u64;
     let mut metrics = lock(&shared.metrics);
     metrics.batches += 1;
-    metrics.requests += batch.len() as u64;
-    metrics.max_batch_requests = metrics.max_batch_requests.max(batch.len() as u64);
-    if outcome.is_err() {
+    metrics.requests += size;
+    metrics.max_batch_requests = metrics.max_batch_requests.max(size);
+    if panicked {
         metrics.panicked_batches += 1;
     }
-    if !metrics.lanes.contains_key(&lane.label) {
-        metrics.lanes.insert(lane.label.clone(), Default::default());
+    update_entry(&mut metrics.lanes, &lane.label, |lane| {
+        lane.batches += 1;
+        lane.requests += size;
+        lane.max_batch_requests = lane.max_batch_requests.max(size);
+    });
+    for pending in batch.drain(..) {
+        let result = results.next().unwrap_or(Err(RequestError::Panicked));
+        update_entry(&mut metrics.tenants, &pending.request.tenant, |tenant| {
+            tenant.requests += 1;
+            tenant.elements += pending.request.values.len() as u64;
+            tenant.batches += 1;
+            tenant.queue_wait_us += u64::try_from(
+                launched
+                    .saturating_duration_since(pending.enqueued)
+                    .as_micros(),
+            )
+            .unwrap_or(u64::MAX);
+            tenant.exec_us += exec_us;
+            if let Some(report) = &report {
+                tenant.last_elems_per_sec = report.elems_per_sec();
+                tenant.last_carry_wait_fraction = report.carry_wait_fraction();
+            }
+            if result.is_err() {
+                tenant.errors += 1;
+            }
+        });
+        *lock(&pending.ticket) = Some(result);
     }
-    let lane_metrics = metrics
-        .lanes
-        .get_mut(&lane.label)
-        .expect("inserted above");
-    lane_metrics.batches += 1;
-    lane_metrics.requests += batch.len() as u64;
-    lane_metrics.max_batch_requests = lane_metrics.max_batch_requests.max(batch.len() as u64);
-    for (i, pending) in batch.drain(..).enumerate() {
-        // `get_mut` first: the steady state is a known tenant, and the
-        // entry API would clone the name on every request.
-        if !metrics.tenants.contains_key(&pending.request.tenant) {
-            metrics
-                .tenants
-                .insert(pending.request.tenant.clone(), Default::default());
-        }
-        let tenant = metrics
-            .tenants
-            .get_mut(&pending.request.tenant)
-            .expect("inserted above");
-        tenant.requests += 1;
-        tenant.elements += pending.request.values.len() as u64;
-        tenant.batches += 1;
-        tenant.queue_wait_us += u64::try_from(
-            launched
-                .saturating_duration_since(pending.enqueued)
-                .as_micros(),
-        )
-        .unwrap_or(u64::MAX);
-        tenant.exec_us += exec_us;
-        if let Some(report) = &report {
-            tenant.last_elems_per_sec = report.elems_per_sec();
-            tenant.last_carry_wait_fraction = report.carry_wait_fraction();
-        }
-        let result = match &outcome {
-            Ok(results) => results[i].clone(),
-            Err(_) => Err(RequestError::Panicked),
-        };
-        if result.is_err() {
-            tenant.errors += 1;
-        }
-        pending.ticket.fill(result);
+}
+
+/// Applies `update` to `map[key]`, inserting the default on a miss. The
+/// key is cloned only on that miss: the steady state is a known name,
+/// and the entry API would clone it on every call.
+fn update_entry<V: Default>(map: &mut HashMap<String, V>, key: &str, update: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(value) => update(value),
+        None => update(map.entry(key.to_owned()).or_default()),
     }
-    drop(metrics);
 }
 
 /// The Sum lane launch: fuse the non-streaming members into one segmented
@@ -732,7 +726,7 @@ fn execute_sum_batch(
                 // The shard invariant (inclusive order-1 tuple-1, one head
                 // per value) failed for this launch: surface it as a
                 // per-request error on every fused member instead of
-                // panicking the executor.
+                // panicking the batch.
                 for &(i, _) in &bounds {
                     results[i] = Err(RequestError::Malformed(err));
                 }
@@ -741,7 +735,7 @@ fn execute_sum_batch(
     }
 
     // Streaming members run per request — their carry travels in the
-    // request/response, so any executor (and any drain order) works.
+    // request/response, so any batch (and any drain order) works.
     for (i, pending) in batch.iter().enumerate() {
         let req = &pending.request;
         if !(req.streaming || req.checkpoint.is_some()) {

@@ -128,7 +128,7 @@ fn concurrent_clients_get_correct_results_and_clean_shutdown() {
     let socket = socket_path("main");
     let mut server = spawn_server(
         &socket,
-        &["--executors", "1", "--batch-requests", "64", "--batch-elems", "4096"],
+        &["--batch-requests", "64", "--batch-elems", "4096"],
     );
     connect_with_retry(&socket);
 
@@ -212,10 +212,7 @@ fn concurrent_clients_get_correct_results_and_clean_shutdown() {
 #[test]
 fn chaos_panic_fails_the_batch_but_not_the_server() {
     let socket = socket_path("chaos");
-    let mut server = spawn_server(
-        &socket,
-        &["--chaos-panic-tenant", "evil", "--executors", "1"],
-    );
+    let mut server = spawn_server(&socket, &["--chaos-panic-tenant", "evil"]);
     let mut client = connect_with_retry(&socket);
 
     // The poisoned tenant's request fails...
@@ -239,7 +236,7 @@ fn chaos_panic_fails_the_batch_but_not_the_server() {
 /// requests come back strictly in order.
 #[test]
 fn tcp_mode_serves_mixed_specs_streaming_and_field_bounds() {
-    let (mut server, addr) = spawn_tcp_server(&["--executors", "1"]);
+    let (mut server, addr) = spawn_tcp_server(&[]);
     let mut client = Client::connect_tcp(&addr).expect("connect tcp");
 
     // Plain segmented sums work over TCP exactly as over the Unix socket.
@@ -332,7 +329,7 @@ fn vm_size_kib(pid: u32) -> u64 {
 #[test]
 fn connection_churn_does_not_grow_the_daemon() {
     let socket = socket_path("churn");
-    let mut server = spawn_server(&socket, &["--executors", "1"]);
+    let mut server = spawn_server(&socket, &[]);
     let cycle = |i: i32| {
         let mut client = connect_with_retry(&socket);
         let got = client

@@ -11,7 +11,8 @@
 //! loop) — the definition the routed execution must be indistinguishable
 //! from.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use sam_core::cpu::CpuScanner;
@@ -57,6 +58,34 @@ fn serial_linrec(values: &[i32], coeffs: &[i32], kind: ScanKind) -> Vec<i32> {
             }
         })
         .collect()
+}
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// finished within two minutes: a lane nobody runs hangs instead of
+/// failing. A hung thread is leaked and reaped by libtest's process exit.
+fn with_watchdog(body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)));
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("watchdog expired: a lane was left with nobody to run it");
+    if let Err(payload) = outcome {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+/// A seeded request of 1 to 881 elements (long enough to span several
+/// engine chunks) on the Sum lane or, every third one, a recurrence lane.
+fn seeded_request(tenant: &str, i: i32) -> ScanRequest {
+    let values: Vec<i32> = (0..(i % 23) * 40 + 1).map(|j| j * 7 - i).collect();
+    let request = ScanRequest::inclusive(tenant, values);
+    if i % 3 == 0 {
+        request.with_recurrence(vec![2, -1])
+    } else {
+        request
+    }
 }
 
 fn engine_grid() -> Vec<Engine> {
@@ -498,7 +527,7 @@ fn response_handles_support_polling() {
 /// one chunky request to occupy its lone executor, then a burst of
 /// micro-requests interleaved across the families queues behind them.
 fn assert_micro_requests_coalesce_per_lane(families: &[Option<Vec<i32>>]) {
-    let service = ScanService::start(ServiceConfig::default().with_executors(1));
+    let service = ScanService::start(ServiceConfig::default());
     let on_lane = |request: ScanRequest, family: &Option<Vec<i32>>| match family {
         Some(coeffs) => request.with_recurrence(coeffs.clone()),
         None => request,
@@ -556,4 +585,81 @@ fn queued_micro_requests_coalesce_into_shared_launches() {
 #[test]
 fn queued_recurrence_micro_requests_coalesce_on_every_lane() {
     assert_micro_requests_coalesce_per_lane(&[None, Some(vec![3]), Some(vec![2, -1])]);
+}
+
+/// A single thread `submit`s far past the queue bound before waiting on
+/// anything. With no lane threads, the blocked submitter must run the
+/// lane itself to make room; otherwise this deadlocks.
+#[test]
+fn blocking_submit_past_capacity_runs_the_lane_from_one_thread() {
+    with_watchdog(|| {
+        let service = ScanService::start(ServiceConfig::default().with_queue_capacity(8));
+        let handles: Vec<_> = (0..64)
+            .map(|i| {
+                let request = seeded_request("solo", i);
+                let expect = oracle(&request);
+                (service.submit(request).expect("submit blocks, then admits"), expect)
+            })
+            .collect();
+        for (handle, expect) in handles {
+            assert_eq!(handle.wait().unwrap(), expect);
+        }
+        assert_eq!(service.metrics().requests, 64);
+        service.shutdown();
+    });
+}
+
+/// One request per batch, four threads contending: the combining role
+/// changes hands on nearly every batch, and every reply still matches
+/// the oracle on the default and on a hostile-scheduled engine.
+#[test]
+fn combining_role_changes_hands_without_losing_replies() {
+    for engine in [Engine::auto(), hostile_engine(19)] {
+        with_watchdog(move || {
+            let cfg = ServiceConfig::default()
+                .with_engine(engine)
+                .with_batch_limits(1, 1 << 20);
+            let service = ScanService::start(cfg);
+            let start = Barrier::new(4);
+            std::thread::scope(|scope| {
+                for t in 0..4 {
+                    let (service, start) = (&service, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for r in 0..200 {
+                            let request = seeded_request(&format!("t{t}"), t * 1000 + r);
+                            let expect = oracle(&request);
+                            assert_eq!(service.scan(request).unwrap(), expect, "t{t} r{r}");
+                        }
+                    });
+                }
+            });
+            let metrics = service.metrics();
+            assert_eq!(metrics.requests, 800);
+            assert_eq!(metrics.batches, 800, "every batch holds one request");
+            service.shutdown();
+        });
+    }
+}
+
+/// A request whose handle is dropped unwaited still runs, in the next
+/// batch anyone runs on its lane: it is counted, and the requests queued
+/// behind it complete.
+#[test]
+fn abandoned_requests_run_in_the_next_batch_and_hold_nothing_up() {
+    with_watchdog(|| {
+        let cfg = ServiceConfig::default().with_batch_limits(1, 1 << 20);
+        let service = ScanService::start(cfg);
+        for i in 0..5 {
+            let request = ScanRequest::inclusive("abandoned", vec![i; 8]);
+            drop(service.submit(request).unwrap());
+        }
+        let request = ScanRequest::inclusive("kept", vec![4, 5, 6]);
+        assert_eq!(service.scan(request).unwrap(), vec![4, 9, 15]);
+        let metrics = service.metrics();
+        assert_eq!(metrics.requests, 6);
+        assert_eq!(metrics.tenants["abandoned"].requests, 5);
+        assert_eq!(metrics.tenants["abandoned"].errors, 0);
+        service.shutdown();
+    });
 }
