@@ -2,20 +2,19 @@
 //!
 //! The paper's StreamScan-style auto-tuner ([`crate::autotune`]) picks
 //! `items_per_thread` once, at install time, from an analytic model; this
-//! crate's CPU equivalents ([`crate::plan::auto_parallel_threshold`],
-//! the NT-store threshold in [`crate::simd`], the chunk geometry frozen
-//! into [`crate::cpu::CpuScanner::default`]) were likewise calibrated once
-//! against one bench host. This module closes the loop at *run* time:
-//! adaptive plans ([`crate::plan::PlanHint::adaptive`]) measure every scan
-//! they execute and re-tune their geometry from the observations.
+//! crate's CPU equivalents (the NT-store threshold in [`crate::simd`],
+//! the chunk geometry frozen into [`crate::cpu::CpuScanner::default`])
+//! were likewise calibrated once against one bench host. This module
+//! closes the loop at *run* time: adaptive plans
+//! ([`crate::plan::PlanHint::adaptive`]) measure every scan they execute
+//! and re-tune their geometry from the observations.
 //!
 //! Three pieces:
 //!
 //! * [`Geometry`] / [`Cost`] — the knob vector a plan resolves per scan
-//!   (worker count, chunk size, Auto crossover threshold, NT-store
-//!   threshold) and the scalar signal that
-//!   scores it (elements/second, with the carry-wait fraction from traced
-//!   [`ScanReport`]s as a tie-breaker).
+//!   (worker count, chunk size, NT-store threshold) and the scalar signal
+//!   that scores it (elements/second, with the carry-wait fraction from
+//!   traced [`ScanReport`]s as a tie-breaker).
 //! * [`Driver`] — the online search: a **successive-halving warmup** over
 //!   a candidate grid derived from the same shapes the install-time tuner
 //!   searches ([`crate::autotune`]'s candidate list), then a **hill-climb**
@@ -35,8 +34,8 @@
 //!
 //! Every geometry the driver explores is **bit-identical** to the default
 //! plan: the NT-store threshold only selects between two identical store
-//! strategies, and chunk/worker/threshold changes are only
-//! explored for operators with exactly associative algebra
+//! strategies, and chunk/worker changes are only explored for operators
+//! with exactly associative algebra
 //! ([`crate::chunk_kernel::ChunkKernel::supports_cascade`] — wrapping
 //! integer sums). Operators where the chunk decomposition is observable
 //! (floating-point sums, `Max`, ...) run the frozen default geometry and
@@ -73,10 +72,6 @@ const NT_CHOICES: [usize; 3] = [1 << 20, crate::simd::NT_STORE_MIN_BYTES, usize:
 const CHUNK_MIN: usize = 1 << 10;
 /// Upper bound for the chunk-size knob (elements).
 const CHUNK_MAX: usize = 1 << 22;
-/// Bounds for the Auto crossover threshold knob (elements).
-const THRESHOLD_MIN: usize = 1 << 10;
-/// Upper bound for the Auto crossover threshold knob (elements).
-const THRESHOLD_MAX: usize = 1 << 20;
 
 // --- Geometry -------------------------------------------------------------
 
@@ -87,11 +82,10 @@ pub struct Geometry {
     /// Worker threads for the parallel engine (clamped to the engine's
     /// configured pool size).
     pub workers: usize,
-    /// Chunk size in elements.
+    /// Chunk size in elements. A scan that fits in one chunk runs
+    /// serially on the calling thread, so this knob is also the
+    /// serial/parallel crossover.
     pub chunk_elems: usize,
-    /// Serial/parallel crossover in elements ([`crate::Engine::Auto`]
-    /// plans only; ignored by pinned engines).
-    pub threshold: usize,
     /// NT-store threshold in bytes of scan output size
     /// ([`crate::simd::nt_store_min_bytes`]); `usize::MAX` disables
     /// streaming stores.
@@ -101,16 +95,15 @@ pub struct Geometry {
 impl Geometry {
     /// The frozen-constant geometry — the exact defaults a non-adaptive
     /// plan runs with. This is the *single source of truth* for initial
-    /// geometry: the frozen constants ([`crate::AUTO_PARALLEL_THRESHOLD`],
-    /// the 8 MiB NT threshold, the default chunk size) reach adaptive
-    /// plans only through here, and it is always in the warmup candidate
+    /// geometry: the frozen constants (the 8 MiB NT threshold, the
+    /// engine's worker count and chunk size) reach adaptive plans only
+    /// through here, and it is always in the warmup candidate
     /// set, so a converged adaptive plan can never be slower than the
     /// frozen baseline by more than measurement noise.
-    pub fn frozen(spec: &ScanSpec, workers: usize, chunk_elems: usize) -> Geometry {
+    pub fn frozen(workers: usize, chunk_elems: usize) -> Geometry {
         Geometry {
             workers,
             chunk_elems,
-            threshold: crate::plan::auto_parallel_threshold(spec.order(), spec.tuple()),
             nt_min_bytes: crate::simd::NT_STORE_MIN_BYTES,
         }
     }
@@ -123,7 +116,6 @@ impl Geometry {
         if self.nt_min_bytes == 0 {
             self.nt_min_bytes = crate::simd::NT_STORE_MIN_BYTES;
         }
-        self.threshold = self.threshold.clamp(THRESHOLD_MIN, THRESHOLD_MAX);
         self
     }
 }
@@ -238,7 +230,7 @@ pub enum DriverPhase {
 }
 
 /// Single-knob mutations the hill-climb cycles through, in order.
-const MUTATIONS: usize = 7;
+const MUTATIONS: usize = 5;
 
 /// The online search driver: warmup (successive halving) → climb
 /// (hysteretic hill-climb) → steady (no exploration), with drift-triggered
@@ -500,7 +492,8 @@ impl Driver {
             return;
         }
         // Next rung: reset per-rung bests so later rungs re-measure, and
-        // resume from the first survivor.
+        // resume from the first survivor (more than one is alive here, so
+        // the fallback never fires).
         for i in 0..self.candidates.len() {
             if self.alive[i] {
                 self.scores[i] = 0.0;
@@ -508,7 +501,7 @@ impl Driver {
         }
         let first = (0..self.candidates.len())
             .find(|&i| self.alive[i])
-            .expect("at least one survivor");
+            .unwrap_or(0);
         self.cursor = first;
         self.current = self.candidates[first];
     }
@@ -532,7 +525,7 @@ impl Driver {
             1 => g.chunk_elems = (g.chunk_elems >> 1).max(CHUNK_MIN),
             2 => g.workers = (g.workers + 1).min(self.workers_max),
             3 => g.workers = g.workers.saturating_sub(1).max(1),
-            4 => {
+            _ => {
                 // Cycle to the next NT choice (nearest-above, wrapping).
                 let cur = g.nt_min_bytes;
                 let next = NT_CHOICES
@@ -542,8 +535,6 @@ impl Driver {
                     .unwrap_or(NT_CHOICES[0]);
                 g.nt_min_bytes = next;
             }
-            5 => g.threshold = (g.threshold << 1).min(THRESHOLD_MAX),
-            _ => g.threshold = (g.threshold >> 1).max(THRESHOLD_MIN),
         }
         g.clamped(self.workers_max)
     }
@@ -675,7 +666,6 @@ pub struct StoredTuning {
 /// version = 1
 /// workers = 8
 /// chunk_elems = 32768
-/// threshold = 16384
 /// nt_min_bytes = 8388608
 /// score = 937000000.0
 /// episodes = 120
@@ -754,11 +744,10 @@ fn format_tuning(t: &StoredTuning) -> String {
         "version = {STORE_VERSION}\n\
          workers = {}\n\
          chunk_elems = {}\n\
-         threshold = {}\n\
          nt_min_bytes = {}\n\
          score = {}\n\
          episodes = {}\n",
-        g.workers, g.chunk_elems, g.threshold, g.nt_min_bytes, t.score, t.episodes,
+        g.workers, g.chunk_elems, g.nt_min_bytes, t.score, t.episodes,
     )
 }
 
@@ -767,7 +756,6 @@ fn parse_tuning(text: &str) -> Option<StoredTuning> {
     let mut version = None;
     let mut workers = None;
     let mut chunk_elems = None;
-    let mut threshold = None;
     let mut nt_min_bytes = None;
     let mut score = None;
     let mut episodes = None;
@@ -782,12 +770,12 @@ fn parse_tuning(text: &str) -> Option<StoredTuning> {
             "version" => version = Some(value.parse::<u32>().ok()?),
             "workers" => workers = Some(value.parse::<usize>().ok()?),
             "chunk_elems" => chunk_elems = Some(value.parse::<usize>().ok()?),
-            "threshold" => threshold = Some(value.parse::<usize>().ok()?),
             "nt_min_bytes" => nt_min_bytes = Some(value.parse::<usize>().ok()?),
             "score" => score = Some(value.parse::<f64>().ok()?),
             "episodes" => episodes = Some(value.parse::<u64>().ok()?),
             // Unknown keys are tolerated for forward compatibility, and so
-            // is the retired `path` key older stores still carry.
+            // are the retired `path` and `threshold` keys older stores
+            // still carry.
             _ => {}
         }
     }
@@ -807,7 +795,6 @@ fn parse_tuning(text: &str) -> Option<StoredTuning> {
         geometry: Geometry {
             workers,
             chunk_elems,
-            threshold: threshold?,
             nt_min_bytes: nt_min_bytes?,
         },
         score,
@@ -823,7 +810,6 @@ mod tests {
         Geometry {
             workers: 4,
             chunk_elems: 32 * 1024,
-            threshold: 1 << 14,
             nt_min_bytes: 8 << 20,
         }
     }
@@ -884,25 +870,24 @@ mod tests {
     fn hysteresis_rejects_noise_improvements() {
         let mut d = Driver::new(DriverConfig::default(), frozen(), 4);
         // Flat surface with a +2% "improvement" on a geometry only the
-        // hill-climb can reach (warmup never varies the threshold knob):
+        // hill-climb can reach (warmup tries 1, 2 and 4 workers, never 3):
         // below the 5% hysteresis margin, it must never be adopted.
+        let mut probed = false;
         for _ in 0..2000 {
             if d.converged() {
                 break;
             }
             let g = d.geometry();
-            let eps = if g.threshold != frozen().threshold { 1.02 } else { 1.0 };
+            probed |= g.workers == 3;
+            let eps = if g.workers == 3 { 1.02 } else { 1.0 };
             d.observe(Cost {
                 elems_per_sec: 1e9 * eps,
                 carry_wait_frac: 0.0,
             });
         }
         assert!(d.converged());
-        assert_eq!(
-            d.best().threshold,
-            frozen().threshold,
-            "sub-hysteresis improvements must not be adopted"
-        );
+        assert!(probed, "the climb must probe the noisy geometry");
+        assert_ne!(d.best().workers, 3, "sub-hysteresis improvements must not be adopted");
     }
 
     #[test]
@@ -990,7 +975,6 @@ mod tests {
             geometry: Geometry {
                 workers: 3,
                 chunk_elems: 8192,
-                threshold: 4096,
                 nt_min_bytes: usize::MAX,
             },
             score: 1.25e9,
@@ -1026,8 +1010,9 @@ mod tests {
     #[test]
     fn stores_with_the_retired_path_key_still_load() {
         // A version-1 store written while geometries still carried a
-        // cascade-vs-iterated kernel path: the `path` line is ignored and
-        // every other knob loads as written.
+        // cascade-vs-iterated kernel path and a serial/parallel crossover:
+        // the `path` and `threshold` lines are ignored and every other
+        // knob loads as written.
         let legacy = "version = 1\n\
                       workers = 3\n\
                       chunk_elems = 8192\n\
@@ -1040,7 +1025,6 @@ mod tests {
             geometry: Geometry {
                 workers: 3,
                 chunk_elems: 8192,
-                threshold: 4096,
                 nt_min_bytes: usize::MAX,
             },
             score: 1.25e9,

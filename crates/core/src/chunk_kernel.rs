@@ -642,12 +642,6 @@ fn sum_stride1<T: ScanElement, S: Sink<T>>(io: &mut S, mut carry: T) -> T {
 
 // --- Sum: cascade and lane-parallel (vertical) tuple kernels ---------------
 
-/// Tuple size past which the [`crate::plan::auto_parallel_threshold`]
-/// crossover model halves its threshold for a slower serial sweep. The
-/// vertical cascade runs every base-aligned stride, so the boundary is a
-/// calibration input of that model, not a kernel limit.
-pub const VERTICAL_LANES_MAX: usize = 64;
-
 /// Stride-1 order-`Q` cascade with the state held in `Q` registers: per
 /// element, `Q` dependent adds — but the chains of *successive elements*
 /// overlap (level `i` of element `j + 1` only needs level `i` of element

@@ -904,7 +904,9 @@ mod tests {
     /// Streaming stores are decided per scan: when the scan's output
     /// crosses the threshold, every worker's chunk sweeps stream although
     /// each 32 Ki-element chunk (256 KiB) is below it; when the scan is
-    /// below the threshold, none do.
+    /// below the threshold, none do. And the chunk count is the only
+    /// serial/parallel rule: a scan of one chunk sweeps on the calling
+    /// thread, however many workers the scanner has.
     #[test]
     fn chunk_sweeps_follow_the_scans_streaming_decision() {
         let _nt = crate::simd::nt_store_override(1 << 20);
@@ -922,6 +924,17 @@ mod tests {
                 "n={n}: sweeps saw {seen:?}, want stream={want}"
             );
         }
+        let input = pseudo_random(DEFAULT_CHUNK_ELEMS);
+        let probe = StreamProbe::default();
+        let got = CpuScanner::new(2).scan(&input, &probe, &spec);
+        assert_eq!(got, crate::serial::scan(&input, &Sum, &spec));
+        let seen = probe.0.into_inner().unwrap();
+        let caller = std::thread::current().id();
+        assert!(!seen.is_empty(), "the one-chunk scan sweeps");
+        assert!(
+            seen.iter().all(|&(id, _)| id == caller),
+            "one chunk sweeps on the calling thread: {seen:?}"
+        );
     }
 
     #[test]

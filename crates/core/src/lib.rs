@@ -64,10 +64,7 @@ pub use kernel::{AuxMode, CarryPropagation, SamParams, SamRunInfo};
 pub use obs::{Phase, ScanReport, Span, TraceSink, WaitHistogram};
 pub use carry::CarrySemigroup;
 pub use op::{LinRec, LinRecError, ScanOp};
-pub use plan::{
-    auto_parallel_threshold, CarryState, CarryStateError, Engine, PlanHint, ScanPlan, ScanSession,
-    AUTO_PARALLEL_THRESHOLD,
-};
+pub use plan::{CarryState, CarryStateError, Engine, PlanHint, ScanPlan, ScanSession};
 
 /// The process-wide CPU engine behind the convenience entry points.
 ///
@@ -80,11 +77,11 @@ fn shared_cpu() -> &'static cpu::CpuScanner {
     SHARED.get_or_init(cpu::CpuScanner::default)
 }
 
-/// Scans `input` according to `spec`, using the multi-threaded CPU engine
-/// for large inputs and the serial engine for small ones.
+/// Scans `input` according to `spec` on one process-wide
+/// [`cpu::CpuScanner`]: an input of at most one chunk is scanned serially
+/// on the calling thread, a longer one in parallel.
 ///
-/// This is the convenience entry point; the parallel path reuses one
-/// process-wide [`cpu::CpuScanner`]. Use [`ScanPlan`] / [`ScanSession`]
+/// This is the convenience entry point. Use [`ScanPlan`] / [`ScanSession`]
 /// (or [`cpu::CpuScanner`] directly) to control worker count and chunking,
 /// stream inputs in batches, or run on the simulated GPU.
 pub fn scan<T, Op>(input: &[T], op: &Op, spec: &ScanSpec) -> Vec<T>
@@ -92,11 +89,7 @@ where
     T: ScanElement,
     Op: chunk_kernel::ChunkKernel<T>,
 {
-    if input.len() < plan::auto_parallel_threshold(spec.order(), spec.tuple()) {
-        serial::scan(input, op, spec)
-    } else {
-        shared_cpu().scan(input, op, spec)
-    }
+    shared_cpu().scan(input, op, spec)
 }
 
 /// Conventional inclusive prefix sum of `input` (order 1, tuple 1).

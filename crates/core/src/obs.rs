@@ -44,7 +44,7 @@ pub const WAIT_BUCKETS: usize = 20;
 /// Which phase of the scan pipeline a [`Span`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Plan resolution: engine selection, threshold/geometry derivation,
+    /// Plan resolution: engine selection, geometry derivation,
     /// engine-resource construction ([`crate::plan::ScanPlan::new`]).
     Plan,
     /// A chunk kernel scanning elements (local strided scan or cascade
@@ -339,8 +339,9 @@ pub fn spans_from_events(
 /// [`ScanPlan::last_report`]: crate::plan::ScanPlan::last_report
 #[derive(Debug, Clone)]
 pub struct ScanReport {
-    /// Engine that actually executed (`"serial"`, `"cpu"`, `"gpu-sim"`) —
-    /// for adaptive plans this reflects the per-call crossover decision.
+    /// Engine that executed (`"serial"`, `"cpu"`, `"gpu-sim"`): the
+    /// plan's engine. A `"cpu"` scan of one chunk ran serially on the
+    /// calling thread, as its single `ChunkScan` span shows.
     pub engine: &'static str,
     /// The kernel family ([`crate::isa::Isa::name`]) the `Sum` chunk
     /// kernels dispatch to under this plan — `"scalar"`, `"swar"`,

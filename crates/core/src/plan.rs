@@ -1,15 +1,14 @@
 //! Plan-once / scan-many execution layer over the three engines.
 //!
 //! Every engine in this workspace used to re-derive the same facts on
-//! every call: validate the [`ScanSpec`], pick the serial/parallel
-//! crossover, compute the chunk geometry, gate the single-pass cascade
-//! kernels on [`ChunkKernel::supports_cascade`], and (worst of all)
-//! construct a fresh [`CpuScanner`] or [`Gpu`] per invocation. This module
-//! separates **planning** from **execution**:
+//! every call: validate the [`ScanSpec`], compute the chunk geometry, gate
+//! the single-pass cascade kernels on [`ChunkKernel::supports_cascade`],
+//! and (worst of all) construct a fresh [`CpuScanner`] or [`Gpu`] per
+//! invocation. This module separates **planning** from **execution**:
 //!
 //! * [`ScanPlan`] — an immutable, cheaply cloneable plan: the validated
-//!   spec plus every per-call decision resolved once (crossover threshold,
-//!   chunk geometry, engine resources). Plans own their engine resources —
+//!   spec plus every per-call decision resolved once (chunk geometry,
+//!   engine resources). Plans own their engine resources —
 //!   the worker pool + grow-only arena for the CPU engine, the simulated
 //!   [`Gpu`] instance for the simulated engine — behind [`Arc`], so
 //!   clones and sessions share them.
@@ -39,14 +38,11 @@
 //!   engine's exact chunk geometry, with carries folded in chunk order
 //!   from the identity — the determinism contract of Section 3.1.
 //!
-//! Float caveats, documented rather than papered over: the chunked
+//! Float caveat, documented rather than papered over: the chunked
 //! engines fold the identity into every chunk's carry, so feeding data
 //! containing `-0.0` can differ from the serial engine in the sign of
-//! zero (the engines themselves differ the same way); and an
-//! [`Engine::Auto`] plan whose crossover threshold exceeds the chunk size
-//! can one-shot through the serial engine at sizes the stream treats as
-//! chunked (with the default geometry the threshold is below one chunk,
-//! so this does not arise). Integer scans are exact everywhere.
+//! zero (the engines themselves differ the same way). Integer scans are
+//! exact everywhere.
 //!
 //! # Checkpoint format
 //!
@@ -72,87 +68,16 @@ use crate::obs::{self, Phase, ScanReport, Span, TraceSink};
 use gpu_sim::memory::contiguous_transactions;
 use gpu_sim::{AccessClass, DeviceSpec, Gpu, MetricsSnapshot, Pod64};
 
-/// Crossover size (elements) below which [`Engine::Auto`] and
-/// [`crate::scan`] use the serial engine instead of the multi-threaded one.
-///
-/// Calibrated on the reference host (Xeon 2.1 GHz, 48 KiB L1d / 2 MiB L2)
-/// by timing the two one-shot library paths this threshold actually
-/// chooses between — `serial::scan` (copy + in-place) versus
-/// `CpuScanner::scan` (allocate + fused `scan_into`) — for order-1 tuple-1
-/// i64 sums: serial wins at 2^12 (1.93 vs 1.81 Gelem/s), the CPU engine
-/// wins from 2^14 up (1.82 vs 1.73 Gelem/s, widening to 1.5 vs 1.1 at
-/// 2^20), so the crossover sits at 2^14 — roughly where the working set
-/// leaves L1 and the allocation overhead amortizes. With the output
-/// buffer reused across calls (steady-state `scan_into`), the fused CPU
-/// path won at every size on that host; callers who hold a buffer should
-/// call `CpuScanner::scan_into` directly and skip `Engine::Auto`.
-/// On single-core hosts the CPU engine degenerates to the same fused
-/// serial kernels, so the threshold is not load-bearing there. Re-time the
-/// one-shot paths after kernel changes and move this crossover if the
-/// curves shift.
-///
-/// This constant is the order-1 tuple-1 calibration point;
-/// [`auto_parallel_threshold`] scales it per spec shape, and
-/// [`Engine::auto`] uses that scaled value.
-///
-/// **Fallback seed only.** Like every frozen geometry constant (the CPU
-/// engine's default chunk size, the NT-store threshold in
-/// [`crate::simd`]), this is the *starting point* of the online search,
-/// not a tuned truth: adaptive plans ([`crate::plan::PlanHint::adaptive`])
-/// take their initial crossover from here via
-/// [`crate::adapt::Geometry::frozen`] and then re-tune it per call from
-/// observed throughput. Non-adaptive plans run this value as-is.
-pub const AUTO_PARALLEL_THRESHOLD: usize = 1 << 14;
-
-/// Serial↔parallel crossover (elements) for a scan of the given `order` and
-/// `tuple`, used by [`Engine::auto`] and [`crate::scan`].
-///
-/// The crossover balances the CPU engine's fixed startup cost (thread
-/// spawn plus arena acquisition, independent of the spec) against the
-/// per-element work it parallelizes. That work grows linearly with the order — `q` adds
-/// per element on the single-pass cascade path, `q` strided passes on the
-/// iterated fallback — so the break-even point shrinks proportionally:
-/// `base / order`, anchored at the measured order-1 tuple-1 point
-/// [`AUTO_PARALLEL_THRESHOLD`] (an order-8 scan does 8x the work per
-/// element of the calibration scan and amortizes the startup cost at ~1/8
-/// the input size). Tuple size leaves per-element work unchanged while the
-/// lane-parallel vertical kernels apply (`tuple <=`
-/// [`crate::chunk_kernel::VERTICAL_LANES_MAX`], one add per element
-/// regardless of `s`); past that width it assumes a scalar sweep at half
-/// the throughput (a calibration that predates the vertical cascade's
-/// wider strides) and halves the crossover. The result is floored at
-/// `1 << 11` — below that, chunk-count limits leave too little
-/// parallelism to recover the startup cost at any spec shape.
-///
-/// Like [`AUTO_PARALLEL_THRESHOLD`], this is the fallback seed: adaptive
-/// plans use it only as the initial geometry ([`crate::adapt`]) and
-/// re-tune the crossover online.
-pub fn auto_parallel_threshold(order: u32, tuple: usize) -> usize {
-    const FLOOR: usize = 1 << 11;
-    let mut threshold = AUTO_PARALLEL_THRESHOLD / (order.max(1) as usize);
-    if tuple > crate::chunk_kernel::VERTICAL_LANES_MAX {
-        threshold /= 2;
-    }
-    threshold.max(FLOOR)
-}
-
 /// Which engine executes the scan.
 #[derive(Debug, Clone)]
 pub enum Engine {
     /// The serial reference implementation.
     Serial,
-    /// The multi-threaded SAM engine.
+    /// The multi-threaded SAM engine. Its chunk geometry is the only
+    /// serial/parallel rule: a scan that spans one chunk runs the fused
+    /// serial kernels on the calling thread, and a longer one uses up to
+    /// one worker per chunk.
     Cpu(CpuScanner),
-    /// Adaptive: serial below a size threshold, CPU engine above.
-    Auto {
-        /// Crossover size in elements; `None` derives it from the spec via
-        /// [`auto_parallel_threshold`].
-        threshold: Option<usize>,
-        /// CPU engine used above the threshold; `None` builds a default
-        /// one when the plan is resolved. A configured scanner (worker
-        /// count, chunk size, scheduler hooks) is honoured, not dropped.
-        cpu: Option<CpuScanner>,
-    },
     /// The instrumented SAM kernel on a simulated device.
     Simulated {
         /// Device to simulate.
@@ -168,22 +93,11 @@ impl Engine {
         Engine::Cpu(CpuScanner::new(workers))
     }
 
-    /// The default adaptive engine, crossing over at the per-spec
-    /// [`auto_parallel_threshold`].
+    /// The default engine: a [`CpuScanner::default`] (one worker per
+    /// hardware thread, default chunk size). Scans of at most one chunk
+    /// stay on the calling thread.
     pub fn auto() -> Self {
-        Engine::Auto {
-            threshold: None,
-            cpu: None,
-        }
-    }
-
-    /// An adaptive engine that uses the given configured CPU scanner above
-    /// the per-spec [`auto_parallel_threshold`].
-    pub fn auto_with(cpu: CpuScanner) -> Self {
-        Engine::Auto {
-            threshold: None,
-            cpu: Some(cpu),
-        }
+        Engine::Cpu(CpuScanner::default())
     }
 
     /// A simulated Titan X with auto-tuned parameters.
@@ -207,9 +121,6 @@ pub struct PlanHint {
     /// Expected elements per scan or stream; pre-sizes session buffers so
     /// the very first [`ScanSession::feed`] is allocation-free.
     pub expected_len: Option<usize>,
-    /// Overrides the [`Engine::Auto`] serial/parallel crossover (elements);
-    /// ignored by the other engines.
-    pub threshold: Option<usize>,
     /// Enables scan tracing: the plan carries a [`TraceSink`], the engines
     /// record spans and traffic into it, and every scan produces a
     /// [`ScanReport`] ([`ScanPlan::last_report`]). Off by default — the
@@ -217,7 +128,7 @@ pub struct PlanHint {
     pub trace: bool,
     /// Enables online feedback-directed tuning ([`crate::adapt`]): the
     /// plan measures every scan and re-tunes its geometry (chunk size,
-    /// worker count, crossover and NT-store thresholds) from
+    /// worker count and NT-store threshold) from
     /// the observations, persisting the converged tuning when
     /// `SAM_TUNING_DIR` is set. Adaptation never changes results: only
     /// operators with exact carry algebra
@@ -266,10 +177,6 @@ impl PlanHint {
 enum PlanExec {
     Serial,
     Cpu(Arc<CpuScanner>),
-    Auto {
-        threshold: usize,
-        cpu: Arc<CpuScanner>,
-    },
     Gpu {
         gpu: Arc<Gpu>,
         params: SamParams,
@@ -281,11 +188,6 @@ impl std::fmt::Debug for PlanExec {
         match self {
             PlanExec::Serial => f.write_str("Serial"),
             PlanExec::Cpu(cpu) => f.debug_tuple("Cpu").field(cpu).finish(),
-            PlanExec::Auto { threshold, cpu } => f
-                .debug_struct("Auto")
-                .field("threshold", threshold)
-                .field("cpu", cpu)
-                .finish(),
             PlanExec::Gpu { gpu, params } => f
                 .debug_struct("Gpu")
                 .field("device", &gpu.spec().name)
@@ -314,9 +216,8 @@ impl AdaptiveState {
     /// from the [`crate::adapt::TuningStore`] named by `SAM_TUNING_DIR`
     /// when a tuning for this `(spec, host)` is already on disk — the
     /// second process start begins at the learned optimum.
-    fn new(spec: &ScanSpec, workers: usize, chunk_elems: usize, threshold: usize) -> AdaptiveState {
-        let mut frozen = crate::adapt::Geometry::frozen(spec, workers, chunk_elems);
-        frozen.threshold = threshold;
+    fn new(spec: &ScanSpec, workers: usize, chunk_elems: usize) -> AdaptiveState {
+        let frozen = crate::adapt::Geometry::frozen(workers, chunk_elems);
         let store = crate::adapt::TuningStore::from_env();
         let key = crate::adapt::tuning_key(spec);
         let stored = store.as_ref().and_then(|s| s.load(&key));
@@ -420,10 +321,8 @@ impl ScanPlan {
     /// Resolves `engine` for `spec` into an immutable plan.
     ///
     /// This is where every per-call decision happens exactly once: the
-    /// [`Engine::Auto`] crossover threshold (from `hint`, the engine's own
-    /// override, or [`auto_parallel_threshold`]), the chunk geometry, and
-    /// the engine resources ([`Engine::Auto`] without a configured scanner
-    /// gets one default [`CpuScanner`] for the plan's lifetime;
+    /// chunk geometry and the engine resources (the [`CpuScanner`] is
+    /// shared by every clone and session for the plan's lifetime;
     /// [`Engine::Simulated`] gets one [`Gpu`]).
     pub fn new(spec: ScanSpec, engine: Engine, hint: PlanHint) -> ScanPlan {
         let sink = hint.trace.then(|| Arc::new(TraceSink::new()));
@@ -435,13 +334,6 @@ impl ScanPlan {
         let exec = match engine {
             Engine::Serial => PlanExec::Serial,
             Engine::Cpu(cpu) => PlanExec::Cpu(Arc::new(with_sink(cpu))),
-            Engine::Auto { threshold, cpu } => PlanExec::Auto {
-                threshold: hint
-                    .threshold
-                    .or(threshold)
-                    .unwrap_or_else(|| auto_parallel_threshold(spec.order(), spec.tuple())),
-                cpu: Arc::new(with_sink(cpu.unwrap_or_default())),
-            },
             Engine::Simulated { device, params } => PlanExec::Gpu {
                 gpu: Arc::new(if sink.is_some() {
                     Gpu::with_trace(device)
@@ -467,19 +359,11 @@ impl ScanPlan {
                     &spec,
                     1,
                     crate::cpu::DEFAULT_CHUNK_ELEMS,
-                    auto_parallel_threshold(spec.order(), spec.tuple()),
                 ))),
                 PlanExec::Cpu(cpu) => Some(Arc::new(AdaptiveState::new(
                     &spec,
                     cpu.workers(),
                     cpu.chunk_elems(),
-                    auto_parallel_threshold(spec.order(), spec.tuple()),
-                ))),
-                PlanExec::Auto { threshold, cpu } => Some(Arc::new(AdaptiveState::new(
-                    &spec,
-                    cpu.workers(),
-                    cpu.chunk_elems(),
-                    *threshold,
                 ))),
                 // The simulated device has its own install-time tuner
                 // ([`crate::autotune`]); online adaptation targets the
@@ -512,20 +396,10 @@ impl ScanPlan {
         &self.spec
     }
 
-    /// The resolved serial/parallel crossover in elements (adaptive plans
-    /// only).
-    pub fn threshold(&self) -> Option<usize> {
-        match &self.exec {
-            PlanExec::Auto { threshold, .. } => Some(*threshold),
-            _ => None,
-        }
-    }
-
-    /// The plan-owned CPU engine, if this plan can execute on one
-    /// ([`Engine::Cpu`] and [`Engine::Auto`] plans).
+    /// The plan-owned CPU engine ([`Engine::Cpu`] plans).
     pub fn cpu(&self) -> Option<&CpuScanner> {
         match &self.exec {
-            PlanExec::Cpu(cpu) | PlanExec::Auto { cpu, .. } => Some(cpu),
+            PlanExec::Cpu(cpu) => Some(cpu),
             _ => None,
         }
     }
@@ -545,7 +419,7 @@ impl ScanPlan {
     pub fn chunk_elems(&self) -> Option<usize> {
         match &self.exec {
             PlanExec::Serial => None,
-            PlanExec::Cpu(cpu) | PlanExec::Auto { cpu, .. } => Some(cpu.chunk_elems()),
+            PlanExec::Cpu(cpu) => Some(cpu.chunk_elems()),
             PlanExec::Gpu { gpu, params } => {
                 Some(gpu.spec().threads_per_block as usize * params.items_per_thread)
             }
@@ -624,9 +498,8 @@ impl ScanPlan {
 
     /// The untraced dispatch: runs the scan on the resolved engine and
     /// names the engine that actually executed. `geom` (adaptive plans,
-    /// exact operators only) overrides the frozen geometry — worker
-    /// count, chunk size, and the Auto crossover; `None`
-    /// runs the plan exactly as frozen.
+    /// exact operators only) overrides the frozen worker count and chunk
+    /// size; `None` runs the plan exactly as frozen.
     fn dispatch<T, Op>(
         &self,
         input: &[T],
@@ -644,43 +517,19 @@ impl ScanPlan {
                 "serial"
             }
             PlanExec::Cpu(cpu) => {
-                self.dispatch_cpu(cpu, input, out, op, geom);
-                "cpu"
-            }
-            PlanExec::Auto { threshold, cpu } => {
-                let crossover = geom.map_or(*threshold, |g| g.threshold);
-                if input.len() < crossover {
-                    crate::serial::scan_into(input, out, op, &self.spec);
-                    "serial"
-                } else {
-                    self.dispatch_cpu(cpu, input, out, op, geom);
-                    "cpu"
+                match geom {
+                    Some(g) => {
+                        cpu.scan_into_geom(input, out, op, &self.spec, g.workers, g.chunk_elems)
+                    }
+                    None => cpu.scan_into(input, out, op, &self.spec),
                 }
+                "cpu"
             }
             PlanExec::Gpu { gpu, params } => {
                 let (result, _info) = scan_on_gpu(gpu, input, op, &self.spec, params);
                 out.copy_from_slice(&result);
                 "gpu-sim"
             }
-        }
-    }
-
-    /// Runs on the plan's CPU engine, with the adaptive geometry override
-    /// when present.
-    fn dispatch_cpu<T, Op>(
-        &self,
-        cpu: &CpuScanner,
-        input: &[T],
-        out: &mut [T],
-        op: &Op,
-        geom: Option<crate::adapt::Geometry>,
-    ) where
-        T: Pod64,
-        Op: ChunkKernel<T>,
-    {
-        match geom {
-            Some(g) => cpu.scan_into_geom(input, out, op, &self.spec, g.workers, g.chunk_elems),
-            None => cpu.scan_into(input, out, op, &self.spec),
         }
     }
 
@@ -779,7 +628,7 @@ impl ScanPlan {
         } else {
             match &self.exec {
                 PlanExec::Serial => StreamMode::Continuous,
-                PlanExec::Cpu(cpu) | PlanExec::Auto { cpu, .. } => {
+                PlanExec::Cpu(cpu) => {
                     if cpu.workers() == 1 {
                         StreamMode::Continuous
                     } else {
@@ -1008,7 +857,7 @@ impl<T: Pod64, Op: ChunkKernel<T>> ScanSession<T, Op> {
                 let wall_us = sink.now_us().saturating_sub(t0);
                 let engine = match &self.plan.exec {
                     PlanExec::Serial => "serial",
-                    PlanExec::Cpu(_) | PlanExec::Auto { .. } => "cpu",
+                    PlanExec::Cpu(_) => "cpu",
                     PlanExec::Gpu { .. } => "gpu-sim",
                 };
                 if !matches!(&self.plan.exec, PlanExec::Gpu { .. }) {
@@ -1873,24 +1722,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_plan_resolves_threshold_once() {
-        let spec = ScanSpec::inclusive().with_order(4).unwrap();
-        let plan = ScanPlan::new(spec, Engine::auto(), PlanHint::default());
-        assert_eq!(plan.threshold(), Some(auto_parallel_threshold(4, 1)));
-        let hinted = ScanPlan::new(
-            spec,
-            Engine::auto(),
-            PlanHint {
-                threshold: Some(42),
-                ..PlanHint::default()
-            },
-        );
-        assert_eq!(hinted.threshold(), Some(42));
-        assert!(plan.cpu().is_some());
-        assert!(plan.gpu().is_none());
-    }
-
-    #[test]
     fn empty_feed_is_a_no_op() {
         let plan = ScanPlan::new(ScanSpec::inclusive(), Engine::Serial, PlanHint::default());
         let mut session = plan.session::<i64, _>(Sum);
@@ -1923,37 +1754,31 @@ mod tests {
                 },
             },
         ] {
-            assert_eq!(plan(spec, engine).scan(&input, &Sum), spec_result);
+            let (cpu, gpu) = (
+                matches!(engine, Engine::Cpu(_)),
+                matches!(engine, Engine::Simulated { .. }),
+            );
+            let p = plan(spec, engine);
+            assert_eq!(p.scan(&input, &Sum), spec_result);
+            assert_eq!(p.cpu().is_some(), cpu, "{p:?}");
+            assert_eq!(p.gpu().is_some(), gpu, "{p:?}");
         }
     }
 
     #[test]
-    fn auto_threshold_behaviour_is_invisible() {
-        let small = data(100);
-        let p = plan(
-            ScanSpec::inclusive(),
-            Engine::Auto {
-                threshold: Some(50),
-                cpu: None,
-            },
-        );
-        assert_eq!(p.scan(&small, &Sum), crate::serial::prefix_sum(&small));
-    }
-
-    #[test]
     fn auto_engine_reuses_resources_across_calls() {
-        // Regression: Engine::Auto used to construct a CpuScanner (fresh
-        // arena and all) on every parallel-path call. The plan must hold
-        // one scanner whose arena, once grown, never regrows.
+        // Regression: the default engine used to construct a CpuScanner
+        // (fresh arena and all) on every parallel-path call. The plan must
+        // hold one scanner whose arena, once grown, never regrows.
         // Two explicit workers so the parallel protocol engages even on
         // single-core hosts (where a default scanner degenerates to serial).
         let p = plan(
             ScanSpec::inclusive(),
-            Engine::auto_with(CpuScanner::new(2).with_chunk_elems(8192)),
+            Engine::Cpu(CpuScanner::new(2).with_chunk_elems(8192)),
         );
-        let input = data(100_000); // well above the crossover
+        let input = data(100_000); // many chunks
         p.scan(&input, &Sum);
-        let cpu = p.cpu().expect("auto plan owns a cpu engine");
+        let cpu = p.cpu().expect("cpu plan owns a cpu engine");
         let first = cpu.arena_capacity();
         assert!(first.0 > 0, "parallel path must have used the plan arena");
         for _ in 0..5 {
@@ -1964,11 +1789,11 @@ mod tests {
 
     #[test]
     fn auto_honours_configured_cpu_scanner() {
-        // Regression: Engine::Auto silently dropped a user-configured
-        // CpuScanner and ran a default one above the threshold.
+        // Regression: the default engine silently dropped a
+        // user-configured CpuScanner and ran a default one.
         let p = plan(
             ScanSpec::inclusive(),
-            Engine::auto_with(CpuScanner::new(2).with_chunk_elems(4096)),
+            Engine::Cpu(CpuScanner::new(2).with_chunk_elems(4096)),
         );
         let cpu = p.cpu().unwrap();
         assert_eq!(cpu.workers(), 2);
@@ -1997,30 +1822,5 @@ mod tests {
         let gpu = p.gpu().expect("simulated plan owns a device") as *const _;
         p.scan(&input, &Sum);
         assert!(std::ptr::eq(gpu, p.gpu().unwrap()));
-    }
-
-    #[test]
-    fn auto_threshold_scales_with_per_element_work() {
-        // Order-1 tuple-1 is the calibration anchor.
-        assert_eq!(auto_parallel_threshold(1, 1), AUTO_PARALLEL_THRESHOLD);
-        // Higher orders do proportionally more work per element and cross
-        // over earlier — monotonically.
-        let mut prev = auto_parallel_threshold(1, 1);
-        for order in 2..=8 {
-            let t = auto_parallel_threshold(order, 1);
-            assert!(t <= prev, "order={order}");
-            prev = t;
-        }
-        assert_eq!(auto_parallel_threshold(8, 1), 1 << 11);
-        // Vectorizable tuple widths share the scalar anchor; past the
-        // vertical-kernel limit the serial engine slows and the crossover
-        // halves (subject to the floor).
-        assert_eq!(auto_parallel_threshold(1, 64), AUTO_PARALLEL_THRESHOLD);
-        assert_eq!(
-            auto_parallel_threshold(1, 65),
-            AUTO_PARALLEL_THRESHOLD / 2
-        );
-        // Never below the chunk-parallelism floor.
-        assert_eq!(auto_parallel_threshold(1000, 1000), 1 << 11);
     }
 }

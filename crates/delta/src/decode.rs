@@ -77,8 +77,9 @@ pub struct StreamingDecoder<T: ScanElement> {
 }
 
 impl<T: ScanElement> StreamingDecoder<T> {
-    /// Creates a decoder for `spec` on the default adaptive engine. The
-    /// spec's kind is ignored; decoding is always the inclusive scan.
+    /// Creates a decoder for `spec` on the default engine
+    /// ([`Engine::auto`]). The spec's kind is ignored; decoding is always
+    /// the inclusive scan.
     pub fn new(spec: &ScanSpec) -> Self {
         StreamingDecoder::with_engine(spec, Engine::auto())
     }

@@ -355,3 +355,36 @@ fn connection_churn_does_not_grow_the_daemon() {
         "VmSize grew from {settled} KiB to {after} KiB over 390 connections"
     );
 }
+
+/// `--engine` picks the daemon's scan engine: each accepted spelling
+/// serves a multi-chunk segmented scan equal to the oracle, and a CPU
+/// engine without workers is a usage error (exit 2).
+#[test]
+fn engine_flag_selects_the_scan_engine() {
+    let values: Vec<i32> = (0..100_000).map(|i| i % 19 - 9).collect();
+    let heads: Vec<bool> = (0..values.len()).map(|i| i % 40_000 == 7).collect();
+    for engine in ["serial", "auto", "cpu:2"] {
+        let socket = socket_path(&format!("engine-{}", engine.replace(':', "")));
+        let mut server = spawn_server(&socket, &["--engine", engine]);
+        let mut client = connect_with_retry(&socket);
+        for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
+            let request =
+                ScanRequest::new("engine", kind, values.clone()).with_heads(heads.clone());
+            let got = client.scan(&request).expect("io").expect("scan served");
+            assert_eq!(got, oracle(&values, &heads, kind), "--engine {engine} {kind:?}");
+        }
+        assert!(client.shutdown_server().expect("io").is_ok());
+        await_clean_exit(&mut server, engine);
+    }
+    let socket = socket_path("engine-cpu0");
+    let status = Command::new(env!("CARGO_BIN_EXE_sam_serviced"))
+        .arg("--socket")
+        .arg(&socket)
+        .args(["--engine", "cpu:0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run sam_serviced");
+    assert_eq!(status.code(), Some(2), "--engine cpu:0 is a usage error");
+    assert!(!socket.exists(), "a usage error binds nothing");
+}

@@ -21,8 +21,8 @@ fn main() {
     let spec = ScanSpec::new(ScanKind::Inclusive, 2, 2).expect("valid spec");
     let input: Vec<i64> = (0..100_000).map(|i| i % 97 - 48).collect();
 
-    // Plan once: engine choice, crossover threshold, chunk geometry and
-    // kernel selection are all resolved here, not per call.
+    // Plan once: engine resources, chunk geometry and kernel selection
+    // are all resolved here, not per call.
     let plan = ScanPlan::new(spec, Engine::auto(), PlanHint::expected_len(4096));
     let one_shot = plan.scan(&input, &Sum);
 

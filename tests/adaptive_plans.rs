@@ -337,7 +337,7 @@ fn conflicting_per_plan_nt_thresholds_are_both_honored() {
     let seed = |spec: &ScanSpec, nt_min_bytes: usize| {
         let geometry = Geometry {
             nt_min_bytes,
-            ..Geometry::frozen(spec, 2, 32 * 1024)
+            ..Geometry::frozen(2, 32 * 1024)
         };
         store
             .save(

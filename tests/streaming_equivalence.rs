@@ -20,14 +20,15 @@ use sam_core::{ScanKind, ScanSpec};
 /// The engine grid, indexed so the vendored proptest (same-typed
 /// `prop_oneof!` arms only) can pick one: serial, single-worker CPU
 /// (continuous fold), multi-worker CPU with a deliberately small chunk
-/// (chunked fold with many boundaries), adaptive, and the instrumented
-/// simulated device.
+/// (chunked fold with many boundaries), the default engine
+/// ([`Engine::auto`]: one worker per hardware thread, default chunk size),
+/// and the instrumented simulated device.
 fn engine(index: usize, workers: usize, chunk: usize) -> Engine {
     match index {
         0 => Engine::Serial,
         1 => Engine::Cpu(CpuScanner::new(1)),
         2 => Engine::Cpu(CpuScanner::new(workers).with_chunk_elems(chunk)),
-        3 => Engine::auto_with(CpuScanner::new(2).with_chunk_elems(64)),
+        3 => Engine::auto(),
         _ => Engine::Simulated {
             device: DeviceSpec::k40(),
             params: SamParams {
