@@ -6,7 +6,7 @@
 //! while it waits for a reply it may run its lane's next batch for every
 //! connection queued there (the service has no threads of its own). The
 //! service coalesces across *all* connections and transports, so
-//! concurrent clients' micro-scans fuse into shared per-lane launches.
+//! concurrent clients' micro-scans share per-lane batches.
 //! Every request path is panic-free: malformed frames get error
 //! responses, malformed scans get per-request errors, and a handler panic
 //! fails one batch without taking the process down. Accept-loop errors

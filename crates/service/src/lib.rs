@@ -4,20 +4,20 @@
 //! production traffic is mostly the opposite shape: many concurrent
 //! tenants each asking for *small* prefix sums. Launched one by one,
 //! those micro-scans pay the fixed per-launch cost (queue hop, dispatch,
-//! packing) over and over while the kernel itself finishes in
-//! nanoseconds. [`ScanService`] restores the paper's regime by
-//! **coalescing**: compatible requests waiting in the admission queue are
-//! fused into one *segmented* scan — each request becomes a segment
-//! (its head flag resets the running sum), so 10k micro-scans execute as
-//! a single launch over the concatenated values, bit-identical to 10k
-//! independent scans by the segmented-scan identity
-//! ([`sam_core::segmented`]).
+//! session set-up) over and over while the kernel itself finishes in
+//! nanoseconds. [`ScanService`] amortizes that fixed cost by
+//! **coalescing**: requests waiting in a lane's admission queue are
+//! drained as one batch by one thread, which runs each member on its own
+//! over the lane's cached plan and sessions. The queue hand-off, the lane
+//! lock and the session set-up are paid once per batch; each scan itself
+//! runs on the vectorized scan kernels, so every output is bit-identical
+//! to an independent scan of its request.
 //!
 //! The moving parts:
 //!
 //! - **Spec-sharded lanes** — a routing front-end keys every request to a
-//!   *lane* by its operator family: plain prefix sums ride the segmented
-//!   Sum lane, and each distinct linear-recurrence coefficient vector
+//!   *lane* by its operator family: plain and segmented prefix sums ride
+//!   the Sum lane, and each distinct linear-recurrence coefficient vector
 //!   ([`ScanRequest::with_recurrence`]) lazily gets its own lane with
 //!   its own queue and cached [`sam_core::op::LinRec`] sessions. Recurrence requests therefore *execute* (bit-identical to
 //!   the serial recurrence loop) instead of being rejected at admission.
@@ -38,11 +38,11 @@
 //!   [`ServiceConfig::max_batch_requests`] / [`ServiceConfig::max_batch_elems`]
 //!   per launch. There is no artificial delay window: an idle service
 //!   dispatches a lone request immediately, and batches form exactly when
-//!   a backlog exists — the queue *is* the coalescing window. Sum-lane
-//!   batches fuse into one segmented launch; recurrence-lane batches
-//!   amortize one cached session and plan across the drained requests
-//!   (a recurrence restart is not expressible as a segment head, so
-//!   members run back-to-back on the shared session instead of fusing).
+//!   a backlog exists — the queue *is* the coalescing window. Members
+//!   run back-to-back on the lane's cached sessions: a plain sum on the
+//!   Sum kernels (an exclusive one shifts its inclusive result), a
+//!   segmented sum on [`sam_core::segmented::scan_serial`], a recurrence
+//!   on its lane's [`sam_core::op::LinRec`] session.
 //! - **Streaming requests** — [`ScanRequest::streaming`] asks for a
 //!   [`sam_core::plan::CarryState`] checkpoint alongside the outputs;
 //!   the next frame carries it back ([`ScanRequest::with_checkpoint`])
@@ -54,8 +54,8 @@
 //!   `(ScanSpec, host fingerprint)` key ([`sam_core::plan::PlanCache`])
 //!   and shared by every lane
 //!   ([`ScanService::plans_cached`]); sessions over them are cached
-//!   per lane and reach a zero-allocation steady state through
-//!   [`sam_core::segmented::try_feed_segmented_into`].
+//!   per lane, so the steady state allocates only each request's
+//!   output.
 //! - **Isolation** — one tenant's malformed request is rejected with an
 //!   error ([`RequestError::Malformed`]) before it reaches a shared
 //!   worker, and a panicking handler fails only its own batch
@@ -117,7 +117,7 @@ pub struct ServiceConfig {
     /// [`ScanService::try_submit`] fails fast past this;
     /// [`ScanService::submit`] blocks until space frees up.
     pub queue_capacity: usize,
-    /// Maximum requests fused into one segmented launch.
+    /// Maximum requests drained into one batch.
     pub max_batch_requests: usize,
     /// Maximum total elements per launch — also the per-request size cap
     /// ([`RequestError::TooLarge`]).
@@ -130,9 +130,11 @@ pub struct ServiceConfig {
     pub max_lanes: usize,
     /// Engine the cached plans resolve to.
     pub engine: Engine,
-    /// Trace launches: every batch produces a [`sam_core::ScanReport`],
-    /// and per-tenant metrics pick up measured throughput. Costs clocks
-    /// and span bookkeeping on the hot path; off by default.
+    /// Trace scans: every scan on a cached plan produces a
+    /// [`sam_core::ScanReport`], and each batch's tenants pick up the
+    /// latest report's measured throughput. Segmented members run the
+    /// serial segmented scan and produce none. Costs clocks and span
+    /// bookkeeping on the hot path; off by default.
     pub trace: bool,
     /// Fault-injection hook: whichever thread runs a batch holding a
     /// request from this tenant panics mid-batch. This is how the
@@ -191,17 +193,17 @@ impl ServiceConfig {
 /// One tenant's scan request: a prefix sum over `values`, restarted at
 /// every `true` in `heads`.
 ///
-/// Requests are *independent*: the service forces a segment head at the
-/// start of every request when batching, so no request ever observes
-/// another's running sum — regardless of what its own `heads[0]` says.
+/// Requests are *independent*: every request's scan starts at its own
+/// first element, so no request ever observes another's running sum —
+/// and `heads[0]` is a head whatever it says.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanRequest {
     /// Tenant identity, for metrics attribution and fault injection.
     pub tenant: String,
-    /// Inclusive or exclusive outputs. Both kinds batch together: the
-    /// fused launch is always inclusive, and exclusive outputs are
-    /// derived per request (`out[i] = 0` at heads, else `inclusive[i-1]`,
-    /// which is exact for integer sums).
+    /// Inclusive or exclusive outputs. Both kinds batch together, and a
+    /// plain exclusive sum runs on the inclusive plan: its outputs are the
+    /// inclusive ones shifted right by one with a leading `0`, which is
+    /// exact for integer sums.
     pub kind: ScanKind,
     /// The elements to scan.
     pub values: Vec<i32>,

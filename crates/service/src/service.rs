@@ -2,16 +2,16 @@
 //! bounded admission queues, coalescing batches over cached plans,
 //! panic-isolated batch execution, and reply tickets.
 //!
-//! Every request is keyed to a [`LaneKey`] by its operator family. The
-//! Sum lane fuses compatible requests into one segmented launch (the
-//! pair transformation); each recurrence coefficient vector gets its own
-//! lane whose batches run drained requests back-to-back on a cached
-//! [`LinRec`] session — correct for recurrences, whose restarts are not
-//! expressible as segment-head flags. Streaming requests (carry
-//! checkpoints across frames) execute per request on cached plain
-//! sessions, resumable by any batch because the carry travels in the
-//! request itself. No lane owns a thread: each runs on the threads that
-//! block on it (flat combining; see [`Lane::run_or_wait`]).
+//! Every request is keyed to a [`LaneKey`] by its operator family: plain
+//! and segmented prefix sums share the Sum lane, and each recurrence
+//! coefficient vector gets its own lane. A batch runs its drained members
+//! back-to-back, each on its own, over the lane's cached sessions: plain
+//! sums on the scan kernels, segmented ones on the serial segmented scan,
+//! recurrences on a [`LinRec`] session. The batch amortizes the queue
+//! hand-off and the sessions, not the scans. Streaming requests (carry
+//! checkpoints across frames) resume from the carry they bring, so any
+//! batch can run them. No lane owns a thread: each runs on the threads
+//! that block on it (flat combining; see [`Lane::run_or_wait`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -22,17 +22,10 @@ use std::time::Instant;
 use sam_core::chunk_kernel::ChunkKernel;
 use sam_core::op::{LinRec, Sum};
 use sam_core::plan::{CarryState, PlanCache, PlanHint, ScanPlan, ScanSession};
-use sam_core::segmented::{try_feed_segmented_into, Packed32, SegmentedOp};
 use sam_core::{ScanKind, ScanSpec};
 
 use crate::metrics::ServiceMetrics;
 use crate::{RequestError, ScanOutput, ScanRequest, ServiceConfig};
-
-/// The session type the Sum lane's coalesced launches run on: the
-/// Blelloch pair transformation over wrapping `i32` sums, on an inclusive
-/// order-1 tuple-1 plan (the only spec the pair transformation composes
-/// with — the lane invariant [`execute_sum_batch`] enforces per launch).
-type SegSession = ScanSession<Packed32<i32>, SegmentedOp<Sum>>;
 
 /// Locks a mutex, riding through poisoning: a panicked batch must not
 /// take the queue or the metrics down with it (the batch's own
@@ -48,7 +41,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// recurrence coefficient vector (whose length is the order/depth).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum LaneKey {
-    /// Plain prefix sums: coalesced into fused segmented launches.
+    /// Plain and segmented prefix sums.
     Sum,
     /// A linear-recurrence family, one lane per coefficient vector.
     Recurrence(Vec<i32>),
@@ -465,20 +458,12 @@ impl Drop for ScanService {
     }
 }
 
-/// A lane's cached sessions and scratch, shaped by its operator family. Rebuilt from scratch after a panicked batch (the
-/// cached streaming state is suspect).
+/// A lane's cached sessions, shaped by its operator family. Rebuilt from
+/// scratch after a panicked batch (the cached streaming state is suspect).
 enum LaneState {
     Sum {
-        /// The fused segmented launch session (boxed: it dwarfs the
-        /// recurrence variant).
-        seg: Option<Box<SegSession>>,
-        scratch: Vec<Packed32<i32>>,
-        packed_out: Vec<i32>,
-        /// Fuse buffers for the coalesced launch.
-        values: Vec<i32>,
-        heads: Vec<bool>,
-        /// Per-kind plain Sum sessions for streaming members.
-        stream: HashMap<ScanKind, ScanSession<i32, Sum>>,
+        /// Per-kind plain Sum sessions; all drained members share them.
+        sessions: HashMap<ScanKind, ScanSession<i32, Sum>>,
     },
     Recurrence {
         coeffs: Vec<i32>,
@@ -491,12 +476,7 @@ impl LaneState {
     fn new(key: &LaneKey) -> LaneState {
         match key {
             LaneKey::Sum => LaneState::Sum {
-                seg: None,
-                scratch: Vec::new(),
-                packed_out: Vec::new(),
-                values: Vec::new(),
-                heads: Vec::new(),
-                stream: HashMap::new(),
+                sessions: HashMap::new(),
             },
             LaneKey::Recurrence(coeffs) => LaneState::Recurrence {
                 coeffs: coeffs.clone(),
@@ -508,23 +488,17 @@ impl LaneState {
     /// Discards every cached session (after a panicked batch).
     fn rebuild(&mut self) {
         match self {
-            LaneState::Sum { seg, stream, .. } => {
-                *seg = None;
-                stream.clear();
-            }
+            LaneState::Sum { sessions } => sessions.clear(),
             LaneState::Recurrence { sessions, .. } => sessions.clear(),
         }
     }
 
-    /// The most recent traced report from any session this state holds.
+    /// The latest traced report of the first cached session that has one.
     fn last_report(&self) -> Option<sam_core::ScanReport> {
         match self {
-            LaneState::Sum { seg, stream, .. } => seg
-                .as_ref()
-                .and_then(|s| s.last_report())
-                .or_else(|| stream.values().next().and_then(|s| s.last_report())),
+            LaneState::Sum { sessions } => sessions.values().find_map(|s| s.last_report()),
             LaneState::Recurrence { sessions, .. } => {
-                sessions.values().next().and_then(|s| s.last_report())
+                sessions.values().find_map(|s| s.last_report())
             }
         }
     }
@@ -572,14 +546,7 @@ fn execute_batch(shared: &Shared, lane: &Lane, state: &mut LaneState, batch: &mu
     let launched = Instant::now();
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let results = match state {
-            LaneState::Sum {
-                seg,
-                scratch,
-                packed_out,
-                values,
-                heads,
-                stream,
-            } => execute_sum_batch(shared, batch, seg, scratch, packed_out, values, heads, stream),
+            LaneState::Sum { sessions } => execute_sum_batch(shared, batch, sessions),
             LaneState::Recurrence { coeffs, sessions } => {
                 execute_recurrence_batch(shared, batch, coeffs, sessions)
             }
@@ -661,93 +628,51 @@ fn update_entry<V: Default>(map: &mut HashMap<String, V>, key: &str, update: imp
     }
 }
 
-/// The Sum lane launch: fuse the non-streaming members into one segmented
-/// scan (every member a fresh segment — tenant isolation) and run each
-/// streaming member on its kind's cached plain session. Returns one
+/// The Sum lane launch: every member runs on its own, in batch order.
+/// Streaming members run on their kind's cached session; plain members
+/// run one-shot on the cached inclusive session (exclusive ones shift the
+/// result, which is exact for integer sums); segmented members run the
+/// serial segmented scan, which restarts at index 0 and at every head —
+/// so no request ever observes a neighbor's running sum. Returns one
 /// result per batch member, in batch order.
-#[allow(clippy::too_many_arguments)]
 fn execute_sum_batch(
     shared: &Shared,
     batch: &[Pending],
-    seg: &mut Option<Box<SegSession>>,
-    scratch: &mut Vec<Packed32<i32>>,
-    packed_out: &mut Vec<i32>,
-    values: &mut Vec<i32>,
-    heads: &mut Vec<bool>,
-    stream: &mut HashMap<ScanKind, ScanSession<i32, Sum>>,
+    sessions: &mut HashMap<ScanKind, ScanSession<i32, Sum>>,
 ) -> Vec<Result<ScanOutput, RequestError>> {
-    let mut results: Vec<Result<ScanOutput, RequestError>> = Vec::with_capacity(batch.len());
-
-    // Fuse: every non-streaming request starts a fresh segment (a request
-    // must never observe a neighbor's running sum), and its own interior
-    // head flags are honored beyond that.
-    values.clear();
-    heads.clear();
-    let mut bounds: Vec<(usize, usize)> = Vec::new(); // (batch index, end offset)
-    for (i, pending) in batch.iter().enumerate() {
-        let req = &pending.request;
-        if req.streaming || req.checkpoint.is_some() {
-            results.push(Err(RequestError::Panicked)); // placeholder, filled below
-            continue;
-        }
-        let start = values.len();
-        values.extend_from_slice(&req.values);
-        if req.heads.is_empty() {
-            heads.resize(values.len(), false);
-        } else {
-            heads.extend_from_slice(&req.heads);
-        }
-        if let Some(first) = heads.get_mut(start) {
-            *first = true;
-        }
-        bounds.push((i, values.len()));
-        results.push(Err(RequestError::Panicked)); // placeholder, filled below
-    }
-
-    if !bounds.is_empty() {
-        let sess: &mut SegSession = seg.get_or_insert_with(|| {
-            Box::new(plan_for(shared, ScanSpec::inclusive()).session(SegmentedOp::new(Sum)))
-        });
-        // Each launch is self-contained; reset discards any carry a
-        // previous (possibly foreign) batch left behind.
-        sess.reset();
-        match try_feed_segmented_into(sess, values, heads, scratch, packed_out) {
-            Ok(()) => {
-                let mut start = 0usize;
-                for &(i, end) in &bounds {
-                    results[i] = Ok(ScanOutput {
-                        values: unfuse(&batch[i].request, &packed_out[start..end]),
-                        checkpoint: None,
-                    });
-                    start = end;
-                }
+    batch
+        .iter()
+        .map(|pending| {
+            let req = &pending.request;
+            if req.streaming || req.checkpoint.is_some() {
+                let session = sessions.entry(req.kind).or_insert_with(|| {
+                    let spec = ScanSpec::inclusive().with_kind(req.kind);
+                    plan_for(shared, spec).session(Sum)
+                });
+                return run_single(session, req);
             }
-            Err(err) => {
-                // The shard invariant (inclusive order-1 tuple-1, one head
-                // per value) failed for this launch: surface it as a
-                // per-request error on every fused member instead of
-                // panicking the batch.
-                for &(i, _) in &bounds {
-                    results[i] = Err(RequestError::Malformed(err));
+            let values = if req.heads.is_empty() {
+                let session = sessions
+                    .entry(ScanKind::Inclusive)
+                    .or_insert_with(|| plan_for(shared, ScanSpec::inclusive()).session(Sum));
+                let mut out = vec![0; req.values.len()];
+                session.scan_into(&req.values, &mut out);
+                if req.kind == ScanKind::Exclusive && !out.is_empty() {
+                    let n = out.len();
+                    out.copy_within(..n - 1, 1);
+                    out[0] = 0;
                 }
-            }
-        }
-    }
-
-    // Streaming members run per request — their carry travels in the
-    // request/response, so any batch (and any drain order) works.
-    for (i, pending) in batch.iter().enumerate() {
-        let req = &pending.request;
-        if !(req.streaming || req.checkpoint.is_some()) {
-            continue;
-        }
-        let session = stream.entry(req.kind).or_insert_with(|| {
-            let spec = ScanSpec::inclusive().with_kind(req.kind);
-            plan_for(shared, spec).session(Sum)
-        });
-        results[i] = run_single(session, req);
-    }
-    results
+                out
+            } else {
+                // Admission guarantees one head per value.
+                sam_core::segmented::scan_serial(&req.values, &req.heads, &Sum, req.kind)
+            };
+            Ok(ScanOutput {
+                values,
+                checkpoint: None,
+            })
+        })
+        .collect()
 }
 
 /// A recurrence lane launch: every drained member runs back-to-back on
@@ -788,27 +713,6 @@ fn execute_recurrence_batch(
             run_single(session, req)
         })
         .collect()
-}
-
-/// Recovers one request's outputs from its slice of the fused inclusive
-/// launch: inclusive requests take the slice verbatim; exclusive ones
-/// shift within their own segments (`out[i] = 0` at a head, else
-/// `inclusive[i - 1]` — exact for integer sums, and `i - 1` is in the
-/// same segment by construction).
-fn unfuse(request: &ScanRequest, inclusive: &[i32]) -> Vec<i32> {
-    match request.kind {
-        ScanKind::Inclusive => inclusive.to_vec(),
-        ScanKind::Exclusive => (0..inclusive.len())
-            .map(|i| {
-                let head = i == 0 || request.heads.get(i).copied().unwrap_or(false);
-                if head {
-                    0
-                } else {
-                    inclusive[i - 1]
-                }
-            })
-            .collect(),
-    }
 }
 
 #[cfg(test)]
@@ -1042,6 +946,77 @@ mod tests {
     fn empty_request_yields_empty_output() {
         let service = ScanService::start(ServiceConfig::default());
         assert_eq!(service.scan(ScanRequest::inclusive("t", vec![])).unwrap(), vec![]);
+        service.shutdown();
+    }
+
+    /// The plain-sum oracle: wrapping `i32` prefix sums.
+    fn serial_sum(values: &[i32], kind: ScanKind) -> Vec<i32> {
+        sam_core::segmented::scan_serial(values, &vec![false; values.len()], &Sum, kind)
+    }
+
+    #[test]
+    fn mixed_sum_members_share_one_batch_and_match_the_oracles() {
+        let service = ScanService::start(ServiceConfig::default());
+        let values: Vec<i32> = (0..37).map(|i| (i * 7919) % 201 - 100).collect();
+        let mut interior = vec![false; values.len()];
+        interior[5] = true;
+        interior[20] = true;
+        let mut led = interior.clone();
+        led[0] = true;
+        let requests = [
+            ScanRequest::inclusive("a", values.clone()),
+            ScanRequest::exclusive("b", values.clone()),
+            ScanRequest::inclusive("c", values.clone()).with_heads(led.clone()),
+            ScanRequest::exclusive("c", values.clone()).with_heads(led),
+            // heads[0] = false: the request start is still a head.
+            ScanRequest::inclusive("d", values.clone()).with_heads(interior.clone()),
+            ScanRequest::exclusive("d", values.clone()).with_heads(interior),
+            ScanRequest::exclusive("e", Vec::new()),
+            ScanRequest::inclusive("s", values.clone()).streaming(),
+        ];
+        let before = service.metrics().batches;
+        // Queue every member before anyone waits, so one batch drains them.
+        let handles: Vec<ResponseHandle> = requests
+            .iter()
+            .map(|r| service.submit(r.clone()).unwrap())
+            .collect();
+        for (request, handle) in requests.iter().zip(handles) {
+            let want = if request.heads.is_empty() {
+                serial_sum(&request.values, request.kind)
+            } else {
+                sam_core::segmented::scan_serial(
+                    &request.values,
+                    &request.heads,
+                    &Sum,
+                    request.kind,
+                )
+            };
+            assert_eq!(handle.wait().unwrap(), want, "{request:?}");
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.batches, before + 1, "the members shared one launch");
+        assert_eq!(metrics.lanes["sum"].max_batch_requests, requests.len() as u64);
+        // Both plain kinds and the inclusive stream run on one plan.
+        assert_eq!(service.plans_cached(), 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn traced_services_report_per_tenant_throughput() {
+        let service = ScanService::start(ServiceConfig::default().with_trace());
+        // Large enough that a scan spans at least a microsecond.
+        let values: Vec<i32> = (0..1 << 18).map(|i| i % 13 - 6).collect();
+        service
+            .scan(ScanRequest::inclusive("plain", values.clone()))
+            .unwrap();
+        service
+            .scan(ScanRequest::inclusive("rec", values).with_recurrence(vec![1, 1]))
+            .unwrap();
+        let metrics = service.metrics();
+        for tenant in ["plain", "rec"] {
+            let rate = metrics.tenants[tenant].last_elems_per_sec;
+            assert!(rate > 0.0, "{tenant}: {rate}");
+        }
         service.shutdown();
     }
 

@@ -335,22 +335,25 @@ pub fn encode_response(result: &Result<ScanOutput, String>) -> Result<Vec<u8>, W
             }
             Ok(out)
         }
-        Err(msg) => {
-            let bytes = msg.as_bytes();
-            if bytes.len() > u16::MAX as usize {
-                return Err(WireError::FieldTooLong {
-                    field: "error message",
-                    len: bytes.len(),
-                    max: u16::MAX as usize,
-                });
-            }
-            let mut out = Vec::with_capacity(3 + bytes.len());
-            out.push(1);
-            out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-            out.extend_from_slice(bytes);
-            Ok(out)
-        }
+        Err(msg) if msg.len() > u16::MAX as usize => Err(WireError::FieldTooLong {
+            field: "error message",
+            len: msg.len(),
+            max: u16::MAX as usize,
+        }),
+        Err(msg) => Ok(error_frame(msg)),
     }
+}
+
+/// The status-1 frame carrying `msg`. Callers pass a message that fits
+/// the `u16` length prefix; the clamp only keeps the frame consistent,
+/// so building it cannot fail.
+fn error_frame(msg: &str) -> Vec<u8> {
+    let bytes = &msg.as_bytes()[..msg.len().min(u16::MAX as usize)];
+    let mut out = Vec::with_capacity(3 + bytes.len());
+    out.push(1);
+    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    out.extend_from_slice(bytes);
+    out
 }
 
 /// Server-side [`encode_response`] that always produces a frame: an error
@@ -360,23 +363,25 @@ pub fn encode_response(result: &Result<ScanOutput, String>) -> Result<Vec<u8>, W
 /// with *something* or the client hangs — but the shortening happens
 /// here, visibly, not as a silent side effect of the codec.
 pub fn encode_response_lossy(result: &Result<ScanOutput, String>) -> Vec<u8> {
-    match encode_response(result) {
-        Ok(frame) => frame,
-        Err(WireError::FieldTooLong { max, .. }) => {
-            let msg = result.as_ref().expect_err("success never overflows u16");
-            let keep = max.saturating_sub(16); // room for the marker
-            let mut cut = keep.min(msg.len());
-            while cut > 0 && !msg.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            let shortened = format!("{}…[shortened]", &msg[..cut]);
-            encode_response(&Err(shortened)).expect("shortened message fits")
-        }
-        Err(err) => {
-            let fallback = format!("response unencodable: {err}");
-            encode_response(&Err(fallback)).expect("fallback message fits")
-        }
+    match (result, encode_response(result)) {
+        (_, Ok(frame)) => frame,
+        (Err(msg), Err(_)) => shortened_error_frame(msg),
+        (Ok(_), Err(err)) => shortened_error_frame(&format!("response unencodable: {err}")),
     }
+}
+
+/// [`error_frame`] for any message: one too long for the `u16` length
+/// prefix is cut at a UTF-8 character boundary and marked.
+fn shortened_error_frame(msg: &str) -> Vec<u8> {
+    const MARKER: &str = "…[shortened]";
+    if msg.len() <= u16::MAX as usize {
+        return error_frame(msg);
+    }
+    let mut cut = u16::MAX as usize - MARKER.len();
+    while !msg.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    error_frame(&format!("{}{MARKER}", &msg[..cut]))
 }
 
 /// Decodes a response payload.
@@ -671,6 +676,20 @@ mod tests {
         let decoded = decode_response(&frame).unwrap().unwrap_err();
         assert!(decoded.ends_with("…[shortened]"), "visible marker");
         assert!(decoded.chars().all(|c| c == 'é' || "…[shortened]".contains(c)));
+    }
+
+    #[test]
+    fn oversized_success_falls_back_to_a_decodable_error_frame() {
+        // Status, count and values: five bytes past the payload limit.
+        let result: Result<ScanOutput, String> = Ok(ScanOutput {
+            values: vec![0; MAX_FRAME / 4],
+            checkpoint: None,
+        });
+        assert!(matches!(encode_response(&result), Err(WireError::Oversized(_))));
+        let frame = encode_response_lossy(&result);
+        let decoded = decode_response(&frame).unwrap().unwrap_err();
+        assert!(decoded.starts_with("response unencodable: "), "{decoded}");
+        assert!(decoded.contains("exceeds MAX_FRAME"), "{decoded}");
     }
 
     #[test]
