@@ -142,10 +142,17 @@ fn assert_adaptive_converges(engine: Engine) {
     assert_eq!(snap.phase, DriverPhase::Steady);
     assert!(!snap.seeded, "fresh plan was not seeded");
     assert!(snap.episodes as usize <= converged_at + 1);
-    // The steady state keeps scanning correctly at the incumbent.
-    for _ in 0..10 {
+    // The steady state keeps scanning correctly at the incumbent. From the
+    // eighth steady episode on, the drift detector re-opens the search if
+    // wall-clock noise has halved the measured throughput
+    // (`adapt::tests::drift_reopens_the_search`), so only the first seven
+    // are fixed by the driver alone.
+    for _ in 0..7 {
         assert_eq!(adaptive.scan(&input, &Sum), expected);
-        assert_eq!(adaptive.adaptive_snapshot().unwrap().best, snap.best);
+        let now = adaptive.adaptive_snapshot().unwrap();
+        assert_eq!(now.phase, DriverPhase::Steady);
+        assert_eq!(now.best, snap.best);
+        assert_eq!(now.geometry, snap.best);
     }
 }
 

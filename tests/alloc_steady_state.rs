@@ -1,14 +1,14 @@
 //! Steady-state allocation discipline of [`CpuScanner::scan_into`]: after
 //! the first scan has grown the scanner's arena, further scans must not
 //! allocate per chunk. A counting global allocator measures exact
-//! allocation counts. The counter is process-wide (a thread-local one
-//! would miss allocations on CPU worker threads), so every test holds
-//! [`exclusive`] for its whole body: parallel test threads cannot
-//! contaminate another test's count.
+//! allocation counts. The counter spans every thread (a thread-local one
+//! would miss allocations on CPU worker threads) but the harness's: each
+//! test runs alone in a child process of this binary ([`isolated`]), and
+//! the main thread, which only runs the harness, is not counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::process::Command;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use sam_core::cpu::CpuScanner;
 use sam_core::op::{LinRec, Max, Sum};
@@ -20,11 +20,40 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// [`thread_id`] of the main thread: the first thread to allocate, since
+/// the process has no other thread until the harness spawns one.
+static MAIN_THREAD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static THREAD_MARK: u8 = const { 0 };
+}
+
+/// Tells live threads apart without allocating: the address of a
+/// thread-local that has no destructor, so it stays readable while the
+/// thread exits.
+fn thread_id() -> usize {
+    THREAD_MARK.with(|m| m as *const u8 as usize)
+}
+
+/// Counts one allocation, unless the main thread made it. Even with one
+/// test thread, the harness's main thread may still be recording the test
+/// it has just started while that test's first count is open.
+fn count() {
+    let me = thread_id();
+    let main = match MAIN_THREAD.compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => me,
+        Err(main) => main,
+    };
+    if me != main {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: delegates verbatim to `System`; the counter has no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -41,16 +70,42 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests in this file around the shared counter.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+/// Set in the environment of the child process [`isolated`] starts.
+const CHILD_ENV: &str = "ALLOC_STEADY_STATE_CHILD";
 
-fn exclusive() -> MutexGuard<'static, ()> {
-    // A failed test poisons the lock; the counter carries no state across
-    // tests, so the poison carries no information.
-    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// True in the child process, where the caller runs its body. Otherwise
+/// runs the test `name` in a child process of this binary, checks that it
+/// ran and passed, and returns false.
+///
+/// The child runs that one test on one test thread. In a shared process,
+/// other test threads would allocate inside a count: one finishing its
+/// test, or one setting up its output capture before its test starts.
+fn isolated(name: &str) -> bool {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        return true;
+    }
+    let exe = std::env::current_exe().expect("path of the test binary");
+    let out = Command::new(exe)
+        .args([name, "--exact", "--test-threads=1"])
+        .env(CHILD_ENV, "1")
+        .output()
+        .expect("start the isolated test run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("test result: ok. 1 passed"),
+        "isolated run of {name} failed ({}):\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
 }
 
 fn allocs_during(f: impl FnOnce()) -> u64 {
+    assert_ne!(
+        thread_id(),
+        MAIN_THREAD.load(Ordering::Relaxed),
+        "the main thread's allocations are not counted"
+    );
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
@@ -58,7 +113,9 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn scan_into_does_not_allocate_per_chunk() {
-    let _serial = exclusive();
+    if !isolated("scan_into_does_not_allocate_per_chunk") {
+        return;
+    }
     let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(3).unwrap();
     let input: Vec<i64> = (0..65_536).map(|i| (i % 977) - 400).collect();
     let mut out = vec![0i64; input.len()];
@@ -131,7 +188,9 @@ fn scan_into_does_not_allocate_per_chunk() {
 /// nothing either.
 #[test]
 fn session_steady_state_is_allocation_free() {
-    let _serial = exclusive();
+    if !isolated("session_steady_state_is_allocation_free") {
+        return;
+    }
     let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(3).unwrap();
     let input: Vec<i64> = (0..32_768).map(|i| (i % 613) - 300).collect();
 
@@ -197,7 +256,9 @@ fn session_steady_state_is_allocation_free() {
 #[test]
 fn converged_adaptive_feedback_is_allocation_free() {
     use sam_core::adapt::DriverPhase;
-    let _serial = exclusive();
+    if !isolated("converged_adaptive_feedback_is_allocation_free") {
+        return;
+    }
 
     let spec = ScanSpec::inclusive().with_order(2).unwrap();
     let input: Vec<i64> = (0..32_768).map(|i| (i % 811) - 400).collect();
