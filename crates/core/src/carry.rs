@@ -403,7 +403,6 @@ impl<T: Copy> CarryPlan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ScanSpec;
     use crate::op::Sum;
 
     /// Exact small binomials against a Pascal's-triangle oracle.
@@ -468,11 +467,7 @@ mod tests {
                     let mut cur = data.to_vec();
                     (0..q)
                         .map(|_| {
-                            crate::serial::scan_in_place(
-                                &mut cur,
-                                &Sum,
-                                &ScanSpec::inclusive(),
-                            );
+                            crate::serial::inclusive_strided_in_place(&mut cur, &Sum, 1);
                             *cur.last().unwrap()
                         })
                         .collect()

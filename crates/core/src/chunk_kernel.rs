@@ -23,20 +23,21 @@
 //!
 //! # One sweep per shape
 //!
-//! A chunk sweep varies only in where its results go: to a separate
-//! output, back into the buffer it reads, or nowhere when only the end
-//! state is published. Each sweep is therefore written once, generic over
-//! a private `Sink` (`Dst` / `InPlace` / `Discard`), and monomorphization
-//! gives every destination its own loop. A sink also routes the sweep to
-//! the matching explicit kernel in [`crate::simd`] (`stride1_from` /
-//! `stride1_in_place`, `vertical_from` / `vertical_in_place` /
-//! `vertical_totals`).
+//! A cascade sweep varies only in where its results go: to a separate
+//! output buffer, or nowhere when only the end state is published. Each
+//! sweep is therefore written once, generic over a private `Sink`
+//! (`Dst` / `Discard`), and monomorphization gives each its own loop. A
+//! sink also routes the sweep to the matching explicit kernel in
+//! [`crate::simd`] (`stride1_from`, `vertical_from` / `vertical_totals`).
+//! No cascade sweep writes the buffer it reads: every engine scans a
+//! source into a destination, reading each chunk once and writing it
+//! once.
 //!
 //! # Dispatch table
 //!
 //! | operator | element | stride, order | kernel |
 //! |---|---|---|---|
-//! | `Sum` | exact rings | 1, order 1 | explicit SIMD/SWAR kernel, else blocked multi-accumulator; exclusive `from` as the inclusive kernel shifted by one; register loop in place (exclusive) and for totals |
+//! | `Sum` | exact rings | 1, order 1 | explicit SIMD/SWAR kernel, else blocked multi-accumulator; exclusive as the inclusive kernel shifted by one; register loop for totals |
 //! | `Sum` | exact rings | 1, order 2..=8 | const-generic register cascade |
 //! | `Sum` | exact rings | s > 1, base-aligned | **vertical lane-parallel**: `s` accumulators advance together in row form, no per-element lane rotation |
 //! | `Sum` | exact rings | other | rotating-lane cascade |
@@ -314,27 +315,6 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
         cascade_generic(self, &mut Dst { src, dst }, base, s, state, exclusive);
     }
 
-    /// In-place form of [`ChunkKernel::cascade_scan_from`]: `data` is read
-    /// as input and overwritten with the cascade outputs position by
-    /// position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is zero or `state.len()` is not a positive multiple of
-    /// `s`.
-    fn cascade_scan_in_place(
-        &self,
-        data: &mut [T],
-        base: usize,
-        s: usize,
-        state: &mut [T],
-        exclusive: bool,
-    ) {
-        assert!(s > 0, "stride must be positive");
-        check_cascade_state(state.len(), s);
-        cascade_generic(self, &mut InPlace(data), base, s, state, exclusive);
-    }
-
     /// Totals-only cascade: advances `state` over `src` without writing any
     /// outputs — the single-pass protocol's first sweep, which publishes all
     /// `q x s` local sums from one read of the chunk.
@@ -438,7 +418,7 @@ trait Sink<T: Copy> {
     /// Stores `seed` as output 0 and returns the sink that reads inputs
     /// `..n - 1` into outputs `1..`: the exclusive order-1 sweep as an
     /// inclusive one shifted by one position. `None` for an empty span
-    /// and for sinks without a separate output buffer.
+    /// and for the totals sink.
     fn shift_by_one(&mut self, _seed: T) -> Option<Dst<'_, T>> {
         None
     }
@@ -455,9 +435,6 @@ struct Dst<'a, T> {
     src: &'a [T],
     dst: &'a mut [T],
 }
-
-/// Reads and overwrites one buffer.
-struct InPlace<'a, T>(&'a mut [T]);
 
 /// Reads `src` and drops every output (the totals sweep).
 struct Discard<'a, T>(&'a [T]);
@@ -494,33 +471,6 @@ impl<T: Copy> Sink<T> for Dst<'_, T> {
         T: ScanElement,
     {
         crate::simd::vertical_from(isa, self.src, self.dst, s, state, exclusive)
-    }
-}
-
-impl<T: Copy> Sink<T> for InPlace<'_, T> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    #[inline(always)]
-    fn input(&self, i: usize) -> T {
-        self.0[i]
-    }
-    #[inline(always)]
-    fn emit(&mut self, i: usize, v: T) {
-        self.0[i] = v;
-    }
-    fn sum_stride1_simd(&mut self, isa: Isa, seed: T) -> Option<T>
-    where
-        T: ScanElement,
-    {
-        crate::simd::stride1_in_place(isa, self.0, seed)
-    }
-    fn sum_vertical_simd(&mut self, isa: Isa, s: usize, state: &mut [T], exclusive: bool) -> bool
-    where
-        T: ScanElement,
-    {
-        crate::simd::vertical_in_place(isa, self.0, s, state, exclusive)
     }
 }
 
@@ -672,8 +622,7 @@ fn sum_cascade1<T: ScanElement, S: Sink<T>, const Q: usize, const EXCLUSIVE: boo
 /// Wang & Ross for strided scans, composed with the order-`q` state).
 ///
 /// Requires `base % s == 0` so position `j` of the span is lane `j % s`.
-/// The tail (`len % s` elements) is a final partial row. Each position is
-/// read before it is written, so the in-place sink is correct.
+/// The tail (`len % s` elements) is a final partial row.
 fn sum_cascade_vertical<T: ScanElement, S: Sink<T>>(
     io: &mut S,
     s: usize,
@@ -730,7 +679,7 @@ fn sum_register<T: ScanElement, S: Sink<T>, const Q: usize>(
 /// An inclusive sweep that stores its outputs takes [`sum_stride1`]; the
 /// exclusive sweep into a separate buffer is that scan shifted by one
 /// position (`dst[0] = seed`, then `src[..n - 1]` into `dst[1..]`). The
-/// in-place exclusive and the totals sweeps keep the register loop.
+/// totals sweep keeps the register loop.
 fn sum_order1<T: ScanElement, S: Sink<T>>(io: &mut S, state: &mut [T], exclusive: bool) {
     let seed = state[0];
     if S::EMITS && !exclusive {
@@ -799,19 +748,6 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
         check_fused(src.len(), dst.len(), s);
         check_cascade_state(state.len(), s);
         sum_cascade(&mut Dst { src, dst }, base, s, state, exclusive);
-    }
-
-    fn cascade_scan_in_place(
-        &self,
-        data: &mut [T],
-        base: usize,
-        s: usize,
-        state: &mut [T],
-        exclusive: bool,
-    ) {
-        assert!(s > 0, "stride must be positive");
-        check_cascade_state(state.len(), s);
-        sum_cascade(&mut InPlace(data), base, s, state, exclusive);
     }
 
     fn cascade_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T]) {
@@ -1043,8 +979,8 @@ fn with_window<T: ScanElement, const Q: usize>(
     f(c, w);
 }
 
-/// Output sweep (`from` / in place): the register sweep for stride 1 and
-/// order <= 8, the rotating-lane loop otherwise.
+/// Output sweep: the register sweep for stride 1 and order <= 8, the
+/// rotating-lane loop otherwise.
 fn linrec_sweep<T: ScanElement, S: Sink<T>>(
     coeffs: &[T],
     io: &mut S,
@@ -1162,19 +1098,6 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
         linrec_sweep(self.coeffs(), &mut Dst { src, dst }, base, s, state, exclusive);
     }
 
-    fn cascade_scan_in_place(
-        &self,
-        data: &mut [T],
-        base: usize,
-        s: usize,
-        state: &mut [T],
-        exclusive: bool,
-    ) {
-        assert!(s > 0, "stride must be positive");
-        check_recurrence_state(state.len(), s, self.coeffs().len());
-        linrec_sweep(self.coeffs(), &mut InPlace(data), base, s, state, exclusive);
-    }
-
     fn cascade_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T]) {
         assert!(s > 0, "stride must be positive");
         check_recurrence_state(state.len(), s, self.coeffs().len());
@@ -1229,7 +1152,7 @@ mod tests {
     }
 
     /// Runs the one-row (order-1) `Sum` cascade of `input`, inclusive and
-    /// exclusive, through every sink (`from`, in place, totals), from a
+    /// exclusive, through both sinks (`from`, totals), from a
     /// zero and from a non-zero seed. The oracle is the zero-seed
     /// reference loop plus the seed's lane entry at every output; the end
     /// state is the seed plus each lane's total.
@@ -1255,12 +1178,7 @@ mod tests {
                 let mut dst = vec![T::ZERO; input.len()];
                 let mut state = seed.clone();
                 Sum.cascade_scan_from(input, &mut dst, 0, s, &mut state, exclusive);
-                assert_eq!((dst, &state), (want.clone(), &end), "from {tag}");
-
-                let mut data = input.to_vec();
-                let mut state = seed.clone();
-                Sum.cascade_scan_in_place(&mut data, 0, s, &mut state, exclusive);
-                assert_eq!((data, &state), (want, &end), "in place {tag}");
+                assert_eq!((dst, &state), (want, &end), "from {tag}");
             }
             let mut state = seed.clone();
             Sum.cascade_totals(input, 0, s, &mut state);
@@ -1432,12 +1350,6 @@ mod tests {
                         Sum.cascade_scan_from(&input, &mut dst, 0, s, &mut state, exclusive);
                         assert_eq!(dst, expect, "from n={n} q={q} s={s} exc={exclusive}");
 
-                        let mut in_place = input.clone();
-                        let mut state2 = vec![0i64; q * s];
-                        Sum.cascade_scan_in_place(&mut in_place, 0, s, &mut state2, exclusive);
-                        assert_eq!(in_place, expect, "in-place n={n} q={q} s={s}");
-                        assert_eq!(state, state2);
-
                         // Totals-only sweep advances state identically.
                         let mut state3 = vec![0i64; q * s];
                         Sum.cascade_totals(&input, 0, s, &mut state3);
@@ -1495,8 +1407,8 @@ mod tests {
     }
 
     /// Splitting a cascade at any point and resuming with the carried state
-    /// gives the same outputs and end state through every sink (`from`, in
-    /// place, totals), from a zero and a non-zero seed — chunk-boundary
+    /// gives the same outputs and end state through both sinks (`from`,
+    /// totals), from a zero and a non-zero seed — chunk-boundary
     /// correctness for the single-pass engines, including unaligned
     /// (rotating-lane) resumes and order 9 (past the register kernels).
     fn check_cascade_resumes<T: ScanElement + std::fmt::Debug + PartialEq>() {
@@ -1529,14 +1441,6 @@ mod tests {
                             Sum.cascade_scan_from(hi, dhi, split, s, &mut state, exclusive);
                             assert_eq!(dst, expect, "from {tag} exc={exclusive}");
                             assert_eq!(state, end, "from state {tag} exc={exclusive}");
-
-                            let mut data = input.clone();
-                            let mut state = seed.clone();
-                            let (dlo, dhi) = data.split_at_mut(split);
-                            Sum.cascade_scan_in_place(dlo, 0, s, &mut state, exclusive);
-                            Sum.cascade_scan_in_place(dhi, split, s, &mut state, exclusive);
-                            assert_eq!(data, expect, "in place {tag} exc={exclusive}");
-                            assert_eq!(state, end, "in place state {tag} exc={exclusive}");
                             assert_eq!(totals, end, "totals {tag}");
                         }
                     }
@@ -1617,8 +1521,7 @@ mod tests {
     /// orders 1..=9 (9 is past the register kernels), strides 1 and 3,
     /// lengths on both sides of every multi-chain split point (chain counts
     /// 2, 3 and 4) and lengths that no chain count divides. The totals
-    /// sweep must end in the output sweeps' state, and `from` and in-place
-    /// must agree for both kinds.
+    /// sweep must end in the output sweep's state, for both kinds.
     fn check_recurrence_sweeps<T: ScanElement + std::fmt::Debug + PartialEq>(
         coeff_of: impl Fn(u64) -> T,
     ) {
@@ -1654,12 +1557,6 @@ mod tests {
                         op.cascade_scan_from(&input, &mut dst, 0, s, &mut state, exclusive);
                         assert_eq!(dst, expect, "from {tag} exc={exclusive}");
                         assert_eq!(state, end, "from state {tag} exc={exclusive}");
-
-                        let mut data = input.clone();
-                        let mut state = seed.clone();
-                        op.cascade_scan_in_place(&mut data, 0, s, &mut state, exclusive);
-                        assert_eq!(data, expect, "in place {tag} exc={exclusive}");
-                        assert_eq!(state, end, "in place state {tag} exc={exclusive}");
                         assert_eq!(totals, end, "totals {tag}");
                     }
                 }

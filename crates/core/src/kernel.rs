@@ -273,6 +273,9 @@ where
             let mut state: Vec<T> = vec![op.identity(); qs];
             let mut own_end: Vec<T> = vec![op.identity(); qs];
             let mut totals: Vec<T> = vec![op.identity(); qs];
+            // Sweep 2's output, one chunk long: the sweep reads `vals`
+            // and writes here, and the chunk is stored from here.
+            let mut out: Vec<T> = vec![op.identity(); chunk_elems.min(n)];
             let mut paced_until: i64 = -1;
 
             for c in ctx.owned_chunks(num_chunks) {
@@ -336,13 +339,14 @@ where
                 ctx.emit(c as u64, EventKind::CarryReady { iter: 0 });
 
                 // --- Sweep 2: seeded cascade yields final outputs --------
-                op.cascade_scan_in_place(&mut vals, base, s, &mut state, exclusive);
+                let out = &mut out[..len];
+                op.cascade_scan_from(&vals, out, base, s, &mut state, exclusive);
                 account_block_scan(m, ctx, len, threads);
                 m.add_compute((len * (q - 1)) as u64);
                 own_end.copy_from_slice(&state);
 
                 // --- Store the chunk once, fully coalesced ---------------
-                output_buf.store_block(m, base, &vals, AccessClass::Element);
+                output_buf.store_block(m, base, out, AccessClass::Element);
                 ctx.emit(c as u64, EventKind::ChunkDone);
 
                 if params.aux == AuxMode::Ring {

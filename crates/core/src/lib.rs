@@ -11,8 +11,9 @@
 //! ([`ScanSpec`]) and one operator abstraction ([`op::ScanOp`]):
 //!
 //! * [`serial`] — reference implementations (the correctness oracle);
-//! * [`cpu`] — a real multi-threaded SAM with persistent workers, circular
-//!   carry buffers and ready flags (the paper's protocol on host threads);
+//! * [`cpu`] — a real multi-threaded SAM: worker threads spawned per scan,
+//!   one published-sum slot and ready counter per chunk, and the paper's
+//!   carry protocol on host threads;
 //! * [`kernel`] — the unified SAM kernel on the [`gpu_sim`] substrate, used
 //!   by the paper-figure reproduction harness.
 //!

@@ -52,10 +52,10 @@ pub fn exclusive_strided_in_place<T: Copy>(data: &mut [T], op: &impl ChunkKernel
 /// Order `q` iterates the strided scan `q` times; for an exclusive spec the
 /// first `q - 1` iterations are inclusive and the final one is exclusive
 /// (the natural generalization: the result is the exclusive form of the
-/// `q`-th order inclusive scan).
+/// `q`-th order inclusive scan). Runs [`scan_into`] on a fresh output.
 pub fn scan<T: Copy>(input: &[T], op: &impl ChunkKernel<T>, spec: &ScanSpec) -> Vec<T> {
-    let mut out = input.to_vec();
-    scan_in_place(&mut out, op, spec);
+    let mut out = vec![op.identity(); input.len()];
+    scan_into(input, &mut out, op, spec);
     out
 }
 
@@ -64,46 +64,12 @@ pub fn scan<T: Copy>(input: &[T], op: &impl ChunkKernel<T>, spec: &ScanSpec) -> 
 /// tuple widths; larger shapes heap-allocate once per call.
 const CASCADE_STATE_STACK: usize = 64;
 
-/// Runs `f` on an identity-filled `q x s` cascade state for `spec`: on the
-/// stack up to [`CASCADE_STATE_STACK`] entries, else on the heap.
-fn with_cascade_state<T: Copy>(op: &impl ChunkKernel<T>, spec: &ScanSpec, f: impl FnOnce(&mut [T])) {
-    let qs = spec.lane_state_len();
-    if qs <= CASCADE_STATE_STACK {
-        f(&mut [op.identity(); CASCADE_STATE_STACK][..qs]);
-    } else {
-        f(&mut vec![op.identity(); qs]);
-    }
-}
-
-/// In-place version of [`scan`].
-pub fn scan_in_place<T: Copy>(data: &mut [T], op: &impl ChunkKernel<T>, spec: &ScanSpec) {
-    let s = spec.tuple();
-    if op.supports_cascade() {
-        // Single-pass fused reference: one sweep with a q x s state vector
-        // (see `crate::carry`) instead of q full passes — bit-identical for
-        // the exactly-associative operators the gate admits.
-        let exclusive = spec.kind() == ScanKind::Exclusive;
-        with_cascade_state(op, spec, |state| {
-            op.cascade_scan_in_place(data, 0, s, state, exclusive)
-        });
-        return;
-    }
-    for iter in 0..spec.order() {
-        let last = iter + 1 == spec.order();
-        match (last, spec.kind()) {
-            (true, ScanKind::Exclusive) => op.exclusive_in_place(data, s),
-            _ => op.inclusive_in_place(data, s),
-        }
-    }
-}
-
 /// Scans `input` into a caller-provided buffer of the same length, fusing
 /// the first iteration with the read of `input`: the output buffer is the
 /// only memory written, and `input` is read exactly once.
 ///
-/// For first-order scans this halves memory traffic versus
-/// copy-then-[`scan_in_place`]; higher orders run their remaining
-/// iterations in place on `out`. Results are bit-identical to [`scan`].
+/// Operators with the cascade run it in one sweep at every order; the
+/// others run their remaining iterations in place on `out`.
 ///
 /// # Panics
 ///
@@ -114,11 +80,19 @@ pub fn scan_into<T: Copy>(input: &[T], out: &mut [T], op: &impl ChunkKernel<T>, 
     let q = spec.order();
     if op.supports_cascade() {
         // Single-pass fused cascade: input read once, output written once,
-        // independent of order.
+        // independent of order. The identity-filled `q x s` state lives on
+        // the stack up to `CASCADE_STATE_STACK` entries.
         let exclusive = spec.kind() == ScanKind::Exclusive;
-        with_cascade_state(op, spec, |state| {
-            op.cascade_scan_from(input, out, 0, s, state, exclusive)
-        });
+        let qs = spec.lane_state_len();
+        let mut heap = Vec::new();
+        let mut stack = [op.identity(); CASCADE_STATE_STACK];
+        let state = if qs <= CASCADE_STATE_STACK {
+            &mut stack[..qs]
+        } else {
+            heap.resize(qs, op.identity());
+            &mut heap[..]
+        };
+        op.cascade_scan_from(input, out, 0, s, state, exclusive);
         return;
     }
     // Iteration 0 reads the input directly; later iterations are in place.

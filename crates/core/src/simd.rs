@@ -48,6 +48,14 @@
 //! tail, so any `s` works; sub-vector rows (8–15 bytes) use one SWAR word
 //! per strip instead.
 //!
+//! # One direction per sweep
+//!
+//! Every output sweep reads `src` and writes a separate `dst`
+//! ([`stride1_from`], [`vertical_from`]); [`vertical_totals`] writes
+//! nothing. Each output position is stored once and no input is
+//! overwritten, which is what lets the stride-1 and small-row store
+//! paths switch to non-temporal stores past [`nt_store_min_bytes`].
+//!
 //! # Determinism contract
 //!
 //! Every kernel is bit-identical to the scalar loop it replaces. All are
@@ -90,26 +98,18 @@ use crate::isa::Isa;
 /// Defined on every target (only the x86-64 store paths consult it, but
 /// `cfg!`-guarded expressions still name it on other architectures).
 ///
-/// This constant is the *fallback seed* only: the store paths consult
+/// This constant is the *default* only: the store paths consult
 /// [`nt_store_min_bytes`], which an adaptive plan may retune at runtime
 /// ([`crate::adapt`]). Retuning never changes results — it only moves the
 /// point where stores switch from cacheable to streaming.
 pub(crate) const NT_STORE_MIN_BYTES: usize = 8 << 20;
 
-/// Process-wide *default seed* for the NT-store threshold; 0 means "use
-/// the frozen 8 MiB constant". Kernels sit below any plan state, so the
-/// default has to live here — but plans with their own tuned threshold do
-/// **not** write it. They install a scoped, thread-local override
-/// ([`nt_store_override`]) for the duration of their dispatch instead, so
-/// two concurrent plans with conflicting converged thresholds each see
-/// their own value rather than fighting over one global.
-static NT_STORE_MIN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
 std::thread_local! {
-    /// Per-thread scoped override; 0 means "no override, consult the
-    /// process default". Set only through [`nt_store_override`], which
-    /// restores the previous value on drop — plans install it on the
-    /// dispatching thread for the duration of a scan.
+    /// Per-thread scoped override; 0 means "no override, use
+    /// [`NT_STORE_MIN_BYTES`]". Set only through [`nt_store_override`],
+    /// which restores the previous value on drop — plans install it on the
+    /// dispatching thread for the duration of a scan, so two concurrent
+    /// plans with conflicting tuned thresholds each see their own value.
     static NT_STORE_TL: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 
     /// The streaming decision of the scan whose chunk sweeps this thread
@@ -120,34 +120,20 @@ std::thread_local! {
 
 /// The scan output size in bytes at or above which stride-1/vertical
 /// kernels use non-temporal stores, as seen by the *current thread*: an
-/// active scoped override ([`nt_store_override`]) wins, then the
-/// process-wide default ([`set_nt_store_min_bytes`]), then the frozen
-/// 8 MiB seed.
+/// active scoped override ([`nt_store_override`]), else the 8 MiB
+/// default.
 pub fn nt_store_min_bytes() -> usize {
     match NT_STORE_TL.with(std::cell::Cell::get) {
-        0 => match NT_STORE_MIN.load(std::sync::atomic::Ordering::Relaxed) {
-            0 => NT_STORE_MIN_BYTES,
-            v => v,
-        },
+        0 => NT_STORE_MIN_BYTES,
         v => v,
     }
 }
 
-/// Sets the process-wide NT-store threshold **default seed** in bytes.
-/// `usize::MAX` effectively disables streaming stores; `0` restores the
-/// frozen default. Safe to call at any time: the threshold only selects
-/// between two bit-identical store strategies. Plans with a per-plan tuned
-/// threshold should use [`nt_store_override`] instead — this setter is the
-/// fallback every plan without its own override inherits.
-pub fn set_nt_store_min_bytes(bytes: usize) {
-    NT_STORE_MIN.store(bytes, std::sync::atomic::Ordering::Relaxed);
-}
-
 /// Installs a scoped, thread-local NT-store threshold override, returning
-/// a guard that restores the previous state on drop. `0` means "no
-/// override" (the guard is a no-op that leaves the thread consulting the
-/// process default), so callers can thread an optional per-plan value
-/// unconditionally.
+/// a guard that restores the previous state on drop. `usize::MAX`
+/// effectively disables streaming stores. `0` means "no override" (the
+/// guard is a no-op that leaves the thread on the 8 MiB default), so
+/// callers can thread an optional per-plan value unconditionally.
 ///
 /// Overrides nest: the guard restores whatever was active when it was
 /// created. They are per-thread; an engine spawning workers reads the
@@ -222,99 +208,72 @@ impl Drop for NtStoreOverride {
 /// has no kernel for this element type or the running CPU cannot execute
 /// it (use the scalar path).
 ///
-/// `src` and `dst` may be the same allocation only via
-/// [`stride1_in_place`].
-///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn stride1_from<T: ScanElement>(isa: Isa, src: &[T], dst: &mut [T], carry: T) -> Option<T> {
     assert_eq!(src.len(), dst.len(), "stride-1 kernel buffers must match");
-    // SAFETY: disjoint borrows guarantee non-overlap; pointer variant
-    // requirements documented there.
-    unsafe { stride1_ptr(isa, src.as_ptr(), dst.as_mut_ptr(), src.len(), carry, true) }
-}
-
-/// In-place form of [`stride1_from`]: scans `data` into itself seeded by
-/// `carry` (`data[j] = carry + data[0] + … + data[j]`, wrapping). Returns
-/// the final running total, or `None` when `isa` has no kernel for this
-/// element type or is unavailable on the running CPU.
-pub fn stride1_in_place<T: ScanElement>(isa: Isa, data: &mut [T], carry: T) -> Option<T> {
-    let p = data.as_mut_ptr();
-    // SAFETY: every kernel loads a block before storing it, so src == dst
-    // aliasing is fine; in-place never uses non-temporal stores.
-    unsafe { stride1_ptr(isa, p, p, data.len(), carry, false) }
-}
-
-/// The shared pointer-level stride-1 dispatch.
-///
-/// # Safety
-///
-/// `src` and `dst` must each be valid for `n` elements and either equal or
-/// non-overlapping. `allow_nt` must be false when they are equal.
-unsafe fn stride1_ptr<T: ScanElement>(
-    isa: Isa,
-    src: *const T,
-    dst: *mut T,
-    n: usize,
-    carry: T,
-    allow_nt: bool,
-) -> Option<T> {
     // `is_available` also guards soundness: the vector arms below jump into
     // `#[target_feature]` kernels, so an ISA the CPU cannot execute must
     // decline here rather than fault (callers may pass any `Isa`).
     if !T::IS_WRAPPING_INT || isa == Isa::Scalar || !isa.is_available() {
         return None;
     }
-    let _ = allow_nt;
-    match std::mem::size_of::<T>() {
-        1 | 2 if cfg!(target_endian = "little") => {
-            let w = std::mem::size_of::<T>();
-            let c0 = lane_bits_of(carry);
-            let c = if w == 1 {
-                swar_scan::<1>(src.cast(), dst.cast(), n, c0)
-            } else {
-                swar_scan::<2>(src.cast(), dst.cast(), n, c0)
-            };
-            Some(lane_of_bits(c))
+    let n = src.len();
+    let (src, dst) = (src.as_ptr(), dst.as_mut_ptr());
+    // SAFETY: both slices hold `n` elements and, as a shared and a unique
+    // borrow, do not overlap (the streaming arms need that); every arm
+    // runs only on an ISA the check above found available.
+    unsafe {
+        match std::mem::size_of::<T>() {
+            1 | 2 if cfg!(target_endian = "little") => {
+                let w = std::mem::size_of::<T>();
+                let c0 = lane_bits_of(carry);
+                let c = if w == 1 {
+                    swar_scan::<1>(src.cast(), dst.cast(), n, c0)
+                } else {
+                    swar_scan::<2>(src.cast(), dst.cast(), n, c0)
+                };
+                Some(lane_of_bits(c))
+            }
+            #[cfg(target_arch = "x86_64")]
+            4 if matches!(isa, Isa::Avx2 | Isa::Avx512) => {
+                let nt = streams(n * 4);
+                let c0 = lane_bits_of(carry) as u32;
+                let c = match (isa, nt) {
+                    (Isa::Avx2, false) => x86::scan_w4_avx2::<false>(src.cast(), dst.cast(), n, c0),
+                    (Isa::Avx2, true) => x86::scan_w4_avx2::<true>(src.cast(), dst.cast(), n, c0),
+                    (_, false) => x86::scan_w4_avx512::<false>(src.cast(), dst.cast(), n, c0),
+                    (_, true) => x86::scan_w4_avx512::<true>(src.cast(), dst.cast(), n, c0),
+                };
+                Some(lane_of_bits(u64::from(c)))
+            }
+            #[cfg(target_arch = "x86_64")]
+            8 if matches!(isa, Isa::Avx2 | Isa::Avx512) => {
+                let nt = streams(n * 8);
+                let c0 = lane_bits_of(carry);
+                let c = match (isa, nt) {
+                    (Isa::Avx2, false) => x86::scan_w8_avx2::<false>(src.cast(), dst.cast(), n, c0),
+                    (Isa::Avx2, true) => x86::scan_w8_avx2::<true>(src.cast(), dst.cast(), n, c0),
+                    (_, false) => x86::scan_w8_avx512::<false>(src.cast(), dst.cast(), n, c0),
+                    (_, true) => x86::scan_w8_avx512::<true>(src.cast(), dst.cast(), n, c0),
+                };
+                Some(lane_of_bits(c))
+            }
+            #[cfg(target_arch = "aarch64")]
+            4 if isa == Isa::Neon => {
+                let c0 = lane_bits_of(carry) as u32;
+                let c = arm::scan_w4_neon(src.cast(), dst.cast(), n, c0);
+                Some(lane_of_bits(u64::from(c)))
+            }
+            #[cfg(target_arch = "aarch64")]
+            8 if isa == Isa::Neon => {
+                let c0 = lane_bits_of(carry);
+                let c = arm::scan_w8_neon(src.cast(), dst.cast(), n, c0);
+                Some(lane_of_bits(c))
+            }
+            _ => None,
         }
-        #[cfg(target_arch = "x86_64")]
-        4 if matches!(isa, Isa::Avx2 | Isa::Avx512) => {
-            let nt = allow_nt && streams(n * 4);
-            let c0 = lane_bits_of(carry) as u32;
-            let c = match (isa, nt) {
-                (Isa::Avx2, false) => x86::scan_w4_avx2::<false>(src.cast(), dst.cast(), n, c0),
-                (Isa::Avx2, true) => x86::scan_w4_avx2::<true>(src.cast(), dst.cast(), n, c0),
-                (_, false) => x86::scan_w4_avx512::<false>(src.cast(), dst.cast(), n, c0),
-                (_, true) => x86::scan_w4_avx512::<true>(src.cast(), dst.cast(), n, c0),
-            };
-            Some(lane_of_bits(u64::from(c)))
-        }
-        #[cfg(target_arch = "x86_64")]
-        8 if matches!(isa, Isa::Avx2 | Isa::Avx512) => {
-            let nt = allow_nt && streams(n * 8);
-            let c0 = lane_bits_of(carry);
-            let c = match (isa, nt) {
-                (Isa::Avx2, false) => x86::scan_w8_avx2::<false>(src.cast(), dst.cast(), n, c0),
-                (Isa::Avx2, true) => x86::scan_w8_avx2::<true>(src.cast(), dst.cast(), n, c0),
-                (_, false) => x86::scan_w8_avx512::<false>(src.cast(), dst.cast(), n, c0),
-                (_, true) => x86::scan_w8_avx512::<true>(src.cast(), dst.cast(), n, c0),
-            };
-            Some(lane_of_bits(c))
-        }
-        #[cfg(target_arch = "aarch64")]
-        4 if isa == Isa::Neon => {
-            let c0 = lane_bits_of(carry) as u32;
-            let c = arm::scan_w4_neon(src.cast(), dst.cast(), n, c0);
-            Some(lane_of_bits(u64::from(c)))
-        }
-        #[cfg(target_arch = "aarch64")]
-        8 if isa == Isa::Neon => {
-            let c0 = lane_bits_of(carry);
-            let c = arm::scan_w8_neon(src.cast(), dst.cast(), n, c0);
-            Some(lane_of_bits(c))
-        }
-        _ => None,
     }
 }
 
@@ -351,36 +310,6 @@ pub fn vertical_from<T: ScanElement>(
     let done = rows * s;
     for (l, (&x, d)) in src[done..].iter().zip(&mut dst[done..]).enumerate() {
         *d = tail_lane(state, s, l, x, exclusive);
-    }
-    true
-}
-
-/// In-place form of [`vertical_from`]. Returns `false` when `isa` has no
-/// kernel for this shape or is unavailable on the running CPU.
-///
-/// # Panics
-///
-/// Panics if `s` is zero or `state.len()` is not a positive multiple of
-/// `s`.
-pub fn vertical_in_place<T: ScanElement>(
-    isa: Isa,
-    data: &mut [T],
-    s: usize,
-    state: &mut [T],
-    exclusive: bool,
-) -> bool {
-    check_vertical(s, state.len());
-    let (rows, q) = (data.len() / s, state.len() / s);
-    let op = VertOp::InPlace {
-        data: data.as_mut_ptr().cast(),
-        exclusive,
-    };
-    if !vert_dispatch::<T>(isa, op, rows, s, state.as_mut_ptr().cast(), q) {
-        return false;
-    }
-    let done = rows * s;
-    for (l, v) in data[done..].iter_mut().enumerate() {
-        *v = tail_lane(state, s, l, *v, exclusive);
     }
     true
 }
@@ -449,10 +378,6 @@ enum VertOp {
     From {
         src: *const u8,
         dst: *mut u8,
-        exclusive: bool,
-    },
-    InPlace {
-        data: *mut u8,
         exclusive: bool,
     },
     Totals {
@@ -669,15 +594,16 @@ unsafe fn small_store<const NT: bool>(p: *mut u8, v: u64) {
 /// Order-1 vertical sweep with the running row held in `WORDS` `u64` lane
 /// words (per-lane adds via [`swar_word_add`], which is a plain add for
 /// `W == 8`). `src` may equal `dst` (each word is loaded before its
-/// position is stored).
+/// position is stored): above order 1 the dispatcher re-scans its stack
+/// block into itself.
 ///
 /// # Safety
 ///
 /// `src`/`dst` valid for `rows * WORDS * 8` bytes and equal or
 /// non-overlapping; `state` valid for `WORDS * 8` bytes, overlapping
 /// neither. With `NT`, `dst` must be 8-byte aligned and distinct from
-/// `src` (the dispatcher only sets it for out-of-place sweeps past the
-/// non-temporal threshold, where eliding the destination's
+/// `src` (the dispatcher only sets it for the sweep into the destination
+/// past the non-temporal threshold, where eliding the destination's
 /// read-for-ownership pays like it does on the stride-1 kernels).
 unsafe fn small_from<const W: usize, const WORDS: usize, const NT: bool>(
     src: *const u8,
@@ -750,10 +676,10 @@ unsafe fn small_totals<const W: usize, const WORDS: usize>(
 /// is the inclusive order-1 scan of level `i - 1` seeded with state row
 /// `i`, and the exclusive output is the exclusive order-1 scan of level
 /// `q - 2` seeded with the top row. Above order 1 the rows go through one
-/// fixed block at a time: level 0 reads the source into the block (the
-/// destination, in place), levels `1..q - 1` re-scan the block in place,
-/// and the last level writes the destination (or, for totals, only
-/// advances the top row), so the destination is written exactly once.
+/// fixed block at a time: level 0 reads the source into the block, levels
+/// `1..q - 1` re-scan the block in place, and the last level writes the
+/// destination (or, for totals, only advances the top row), so the
+/// destination is written exactly once.
 fn small_dispatch(
     width: usize,
     op: VertOp,
@@ -779,8 +705,6 @@ fn small_dispatch(
         // `movnti` needs an 8-aligned destination and there is no
         // row-granular way to align first (rows advance in `b`-byte
         // strides), so unaligned destinations keep cacheable stores.
-        // In-place just read the line; there is no ownership read for a
-        // streaming store to elide.
         let nt = match op {
             VertOp::From { dst, .. } => {
                 cfg!(target_arch = "x86_64")
@@ -795,16 +719,12 @@ fn small_dispatch(
         } else {
             SMALL_BLOCK_WORDS / WORDS
         };
+        let (VertOp::From { src, .. } | VertOp::Totals { src }) = op;
+        let buf = block.as_mut_ptr().cast::<u8>();
         let mut r = 0;
         while r < rows {
             let n = per.min(rows - r);
-            let (src, buf) = match op {
-                VertOp::From { src, .. } | VertOp::Totals { src } => {
-                    (src.add(r * b), block.as_mut_ptr().cast::<u8>())
-                }
-                VertOp::InPlace { data, .. } => (data.add(r * b).cast_const(), data.add(r * b)),
-            };
-            let mut level = src;
+            let mut level = src.add(r * b);
             for i in 0..q - 1 {
                 small_from::<W, WORDS, false>(level, buf, n, state.add(i * b), false);
                 level = buf;
@@ -815,9 +735,6 @@ fn small_dispatch(
                 }
                 VertOp::From { dst, exclusive, .. } => {
                     small_from::<W, WORDS, false>(level, dst.add(r * b), n, top, exclusive)
-                }
-                VertOp::InPlace { exclusive, .. } => {
-                    small_from::<W, WORDS, false>(level, buf, n, top, exclusive)
                 }
                 VertOp::Totals { .. } => small_totals::<W, WORDS>(level, n, top),
             }
@@ -868,15 +785,6 @@ trait RowOps {
     ///
     /// Pointers valid for `bytes` bytes; the family's ISA available.
     unsafe fn add2<const W: usize>(dst: *mut u8, a: *const u8, b: *const u8, bytes: usize);
-
-    /// The exclusive-rewrite step, strip-wise:
-    /// `d = *data; *data = *top; *acc = *acc + d`. `top` may alias `acc`
-    /// (each strip loads `top` before storing `acc`); `data` is distinct.
-    ///
-    /// # Safety
-    ///
-    /// Pointers valid for `bytes` bytes; the family's ISA available.
-    unsafe fn exc_step<const W: usize>(data: *mut u8, top: *const u8, acc: *mut u8, bytes: usize);
 }
 
 /// Scalar remainder shared by every family's strip loops.
@@ -885,24 +793,6 @@ unsafe fn scalar_add2<const W: usize>(dst: *mut u8, a: *const u8, b: *const u8, 
     while off < bytes {
         let v = lane_add::<W>(lane_load::<W>(a.add(off)), lane_load::<W>(b.add(off)));
         lane_store::<W>(dst.add(off), v);
-        off += W;
-    }
-}
-
-/// Scalar remainder of [`RowOps::exc_step`].
-#[inline(always)]
-unsafe fn scalar_exc_step<const W: usize>(
-    data: *mut u8,
-    top: *const u8,
-    acc: *mut u8,
-    mut off: usize,
-    bytes: usize,
-) {
-    while off < bytes {
-        let d = lane_load::<W>(data.add(off));
-        lane_store::<W>(data.add(off), lane_load::<W>(top.add(off)));
-        let s0 = lane_load::<W>(acc.add(off));
-        lane_store::<W>(acc.add(off), lane_add::<W>(s0, d));
         off += W;
     }
 }
@@ -922,20 +812,6 @@ impl RowOps for SwarRows {
             off += 8;
         }
         scalar_add2::<W>(dst, a, b, off, bytes);
-    }
-
-    #[inline(always)]
-    unsafe fn exc_step<const W: usize>(data: *mut u8, top: *const u8, acc: *mut u8, bytes: usize) {
-        let mut off = 0;
-        while off + 8 <= bytes {
-            let d = data.add(off).cast::<u64>().read_unaligned();
-            let t = top.add(off).cast::<u64>().read_unaligned();
-            data.add(off).cast::<u64>().write_unaligned(t);
-            let s0 = acc.add(off).cast::<u64>().read_unaligned();
-            acc.add(off).cast::<u64>().write_unaligned(swar_word_add::<W>(s0, d));
-            off += 8;
-        }
-        scalar_exc_step::<W>(data, top, acc, off, bytes);
     }
 }
 
@@ -992,45 +868,6 @@ unsafe fn vertical_from_rows<F: RowOps, const W: usize>(
     }
 }
 
-/// In-place form of [`vertical_from_rows`].
-#[inline(always)]
-unsafe fn vertical_in_place_rows<F: RowOps, const W: usize>(
-    data: *mut u8,
-    rows: usize,
-    b: usize,
-    state: *mut u8,
-    q: usize,
-    exclusive: bool,
-) {
-    let top = state.add((q - 1) * b);
-    if q == 1 && !exclusive {
-        if rows == 0 {
-            return;
-        }
-        F::add2::<W>(data, state.cast_const(), data.cast_const(), b);
-        for r in 1..rows {
-            F::add2::<W>(data.add(r * b), data.add((r - 1) * b).cast_const(), data.add(r * b).cast_const(), b);
-        }
-        std::ptr::copy_nonoverlapping(data.add((rows - 1) * b).cast_const(), state, b);
-        return;
-    }
-    for r in 0..rows {
-        let row = data.add(r * b);
-        if exclusive {
-            // Row gets the pre-update top; state row 0 absorbs the input.
-            F::exc_step::<W>(row, top.cast_const(), state, b);
-        } else {
-            F::add2::<W>(state, state.cast_const(), row.cast_const(), b);
-        }
-        for i in 1..q {
-            F::add2::<W>(state.add(i * b), state.add(i * b).cast_const(), state.add((i - 1) * b).cast_const(), b);
-        }
-        if !exclusive {
-            std::ptr::copy_nonoverlapping(top.cast_const(), row, b);
-        }
-    }
-}
-
 /// Totals-only form of [`vertical_from_rows`].
 #[inline(always)]
 unsafe fn vertical_totals_rows<F: RowOps, const W: usize>(
@@ -1059,9 +896,6 @@ macro_rules! vertical_runner {
                 VertOp::From { src, dst, exclusive } => {
                     vertical_from_rows::<$fam, W>(src, dst, rows, b, state, q, exclusive)
                 }
-                VertOp::InPlace { data, exclusive } => {
-                    vertical_in_place_rows::<$fam, W>(data, rows, b, state, q, exclusive)
-                }
                 VertOp::Totals { src } => vertical_totals_rows::<$fam, W>(src, rows, b, state, q),
             }
         }
@@ -1084,7 +918,7 @@ vertical_runner!(run_vert_neon, arm::NeonRows);
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{lane_add, lane_load, lane_store, scalar_add2, scalar_exc_step, RowOps};
+    use super::{lane_add, lane_load, lane_store, scalar_add2, RowOps};
     use std::arch::x86_64::*;
 
     /// How far ahead of the current read position the streaming kernels
@@ -1162,28 +996,6 @@ mod x86 {
             }
             scalar_add2::<W>(dst, a, b, off, bytes);
         }
-
-        #[inline(always)]
-        unsafe fn exc_step<const W: usize>(data: *mut u8, top: *const u8, acc: *mut u8, bytes: usize) {
-            let mut off = 0;
-            while off + 32 <= bytes {
-                let d = _mm256_loadu_si256(data.add(off).cast());
-                let t = _mm256_loadu_si256(top.add(off).cast());
-                _mm256_storeu_si256(data.add(off).cast(), t);
-                let s0 = _mm256_loadu_si256(acc.add(off).cast());
-                _mm256_storeu_si256(acc.add(off).cast(), add256::<W>(s0, d));
-                off += 32;
-            }
-            if off + 16 <= bytes {
-                let d = _mm_loadu_si128(data.add(off).cast());
-                let t = _mm_loadu_si128(top.add(off).cast());
-                _mm_storeu_si128(data.add(off).cast(), t);
-                let s0 = _mm_loadu_si128(acc.add(off).cast());
-                _mm_storeu_si128(acc.add(off).cast(), add128::<W>(s0, d));
-                off += 16;
-            }
-            scalar_exc_step::<W>(data, top, acc, off, bytes);
-        }
     }
 
     /// AVX-512 row family: 64-byte strips, then the AVX2 remainder.
@@ -1200,20 +1012,6 @@ mod x86 {
                 off += 64;
             }
             Avx2Rows::add2::<W>(dst.add(off), a.add(off), b.add(off), bytes - off);
-        }
-
-        #[inline(always)]
-        unsafe fn exc_step<const W: usize>(data: *mut u8, top: *const u8, acc: *mut u8, bytes: usize) {
-            let mut off = 0;
-            while off + 64 <= bytes {
-                let d = _mm512_loadu_si512(data.add(off).cast());
-                let t = _mm512_loadu_si512(top.add(off).cast());
-                _mm512_storeu_si512(data.add(off).cast(), t);
-                let s0 = _mm512_loadu_si512(acc.add(off).cast());
-                _mm512_storeu_si512(acc.add(off).cast(), add512::<W>(s0, d));
-                off += 64;
-            }
-            Avx2Rows::exc_step::<W>(data.add(off), top.add(off), acc.add(off), bytes - off);
         }
     }
 
@@ -1455,7 +1253,7 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
-    use super::{scalar_add2, scalar_exc_step, RowOps};
+    use super::{scalar_add2, RowOps};
     use std::arch::aarch64::*;
 
     /// Width-dispatched 128-bit lane add on byte-typed vectors.
@@ -1484,20 +1282,6 @@ mod arm {
                 off += 16;
             }
             scalar_add2::<W>(dst, a, b, off, bytes);
-        }
-
-        #[inline(always)]
-        unsafe fn exc_step<const W: usize>(data: *mut u8, top: *const u8, acc: *mut u8, bytes: usize) {
-            let mut off = 0;
-            while off + 16 <= bytes {
-                let d = vld1q_u8(data.add(off));
-                let t = vld1q_u8(top.add(off));
-                vst1q_u8(data.add(off), t);
-                let s0 = vld1q_u8(acc.add(off));
-                vst1q_u8(acc.add(off), addq::<W>(s0, d));
-                off += 16;
-            }
-            scalar_exc_step::<W>(data, top, acc, off, bytes);
         }
     }
 
@@ -1580,10 +1364,8 @@ mod tests {
             let src = vec![1i64; 100];
             let mut dst = vec![0i64; 100];
             assert_eq!(stride1_from(isa, &src, &mut dst, 0), None, "{isa}");
-            assert_eq!(stride1_in_place(isa, &mut dst, 0), None, "{isa}");
             let mut state = vec![0i64; 4];
             assert!(!vertical_from(isa, &src, &mut dst, 4, &mut state, false), "{isa}");
-            assert!(!vertical_in_place(isa, &mut dst, 4, &mut state, false), "{isa}");
             assert!(!vertical_totals(isa, &src, 4, &mut state), "{isa}");
         }
     }
@@ -1655,7 +1437,6 @@ mod tests {
         assert_eq!(stride1_from(Isa::Scalar, &src, &mut dst, 0), None);
         let mut state = [0i64; 2];
         assert!(!vertical_from(Isa::Scalar, &src[..2], &mut dst[..2], 2, &mut state, false));
-        assert!(!vertical_in_place(Isa::Scalar, &mut dst[..2], 2, &mut state, false));
         assert!(!vertical_totals(Isa::Scalar, &src[..2], 2, &mut state));
     }
 

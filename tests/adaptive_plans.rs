@@ -321,11 +321,11 @@ fn traced_adaptive_episodes_are_observed_once() {
 
 /// Two concurrent adaptive plans whose persisted tunings converged on
 /// *conflicting* NT-store thresholds are both honored: each dispatch sees
-/// its own per-plan threshold (scoped override), and the process-global
-/// default is never clobbered. Before the fix, every adaptive dispatch
-/// wrote its threshold into the one `set_nt_store_min_bytes` global, so
-/// the last plan to start silently retuned every other plan in the
-/// process — this test fails on that code.
+/// its own per-plan threshold (scoped override), and the threshold the
+/// calling thread sees afterwards is unchanged. An adaptive dispatch that
+/// wrote its threshold into one process-wide global would let the last
+/// plan to start silently retune every other plan in the process; this
+/// test fails on such code.
 #[test]
 fn conflicting_per_plan_nt_thresholds_are_both_honored() {
     use sam_core::adapt::{tuning_key, Geometry, StoredTuning};
@@ -370,7 +370,7 @@ fn conflicting_per_plan_nt_thresholds_are_both_honored() {
     let expected_hi = ScanPlan::new(spec_hi, Engine::cpu(2), PlanHint::default()).scan(&input, &Sum);
 
     // Interleave the two plans from concurrent threads; both must stay
-    // bit-identical, and neither may leak its threshold into the global.
+    // bit-identical, and neither may leak its threshold to this thread.
     let default_nt = sam_core::simd::nt_store_min_bytes();
     std::thread::scope(|scope| {
         let lo = scope.spawn(|| {
@@ -405,7 +405,7 @@ fn conflicting_per_plan_nt_thresholds_are_both_honored() {
 }
 
 /// The scoped NT override itself: per-thread, nesting restores, and the
-/// `0` guard is a no-op that keeps consulting the process default.
+/// `0` guard is a no-op that keeps the thread on the default.
 #[test]
 fn nt_store_override_is_scoped_and_nested() {
     use sam_core::simd::{nt_store_min_bytes, nt_store_override};

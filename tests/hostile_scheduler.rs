@@ -172,27 +172,34 @@ fn cpu_scan_correct_under_adversarial_schedules() {
             SchedPolicy::stalled_predecessor(12, 0),
             SchedPolicy::hostile(13),
         ];
-        fn check(op: &impl ChunkKernel<i64>, input: &[i64], spec: &ScanSpec, policy: &SchedPolicy) {
+        fn check(
+            op: &impl ChunkKernel<i64>,
+            input: &[i64],
+            spec: &ScanSpec,
+            expect: &[i64],
+            policy: &SchedPolicy,
+        ) {
             let sched = Arc::new(Scheduler::new(policy.clone()));
             let scanner = CpuScanner::new(4)
                 .with_chunk_elems(64)
                 .with_scheduler(sched);
-            assert_eq!(
-                scanner.scan(input, op, spec),
-                serial::scan(input, op, spec),
-                "spec={spec:?} policy={policy:?}"
-            );
+            assert_eq!(scanner.scan(input, op, spec), expect, "spec={spec:?} policy={policy:?}");
         }
-        for spec in &specs {
+        // The `Sum` oracle is computed here, before the streaming threshold
+        // below is installed, so it stays on cacheable stores.
+        let sum_expect: Vec<Vec<i64>> =
+            specs.iter().map(|spec| serial::scan(&input, &Sum, spec)).collect();
+        for (spec, expect) in specs.iter().zip(&sum_expect) {
+            let xor_expect = serial::scan(&input, &Xor, spec);
             for policy in &policies {
-                check(&Sum, &input, spec, policy);
-                check(&Xor, &input, spec, policy);
+                check(&Sum, &input, spec, expect, policy);
+                check(&Xor, &input, spec, &xor_expect, policy);
             }
         }
         let _nt = sam_core::simd::nt_store_override(1 << 10);
-        for spec in &specs {
+        for (spec, expect) in specs.iter().zip(&sum_expect) {
             for policy in &policies {
-                check(&Sum, &input, spec, policy);
+                check(&Sum, &input, spec, expect, policy);
             }
         }
     });

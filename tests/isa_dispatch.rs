@@ -178,19 +178,18 @@ fn vertical_support_contract() {
 #[test]
 fn scalar_family_always_declines() {
     assert!(simd::stride1_from(Isa::Scalar, &[1i64; 8], &mut [0i64; 8], 0).is_none());
-    assert!(simd::stride1_in_place(Isa::Scalar, &mut [1u8; 64], 0).is_none());
     let mut state = seeded_state::<i64>(2, 8);
     assert!(!simd::vertical_from(Isa::Scalar, &[1i64; 32], &mut [0i64; 32], 8, &mut state, false));
-    assert!(!simd::vertical_in_place(Isa::Scalar, &mut [1i64; 32], 8, &mut state, true));
     assert!(!simd::vertical_totals(Isa::Scalar, &[1i64; 32], 8, &mut state));
 }
 
 // --- Stride-1 equivalence matrix -------------------------------------------
 
 /// Runs every available family over every adversarial length at aligned
-/// and offset-by-one-element positions, comparing outputs and carry-out
-/// against the oracle. The offset run shifts both slices off the vector
-/// kernels' natural alignment, exercising the dst-aligning prologues.
+/// and offset-by-one-element positions, from a zero and from a non-zero
+/// seed, comparing outputs and carry-out against the oracle. The offset
+/// run shifts both slices off the vector kernels' natural alignment,
+/// exercising the dst-aligning prologues.
 fn stride1_matrix<T: ScanElement>(seed: u64) {
     let carry = T::from_i64(0x55);
     for isa in isa::available() {
@@ -201,24 +200,14 @@ fn stride1_matrix<T: ScanElement>(seed: u64) {
             for offset in [0usize, 1] {
                 let backing = pattern::<T>(n + offset, seed);
                 let src = &backing[offset..];
-                let (want, want_carry) = stride1_oracle(src, carry);
-
-                let mut dst = vec![T::ZERO; n + offset];
-                let got_carry = simd::stride1_from(isa, src, &mut dst[offset..], carry)
-                    .expect("support contract says this path is taken");
-                assert_eq!(dst[offset..], want[..], "{isa} n={n} off={offset} stride-1 output");
-                assert_eq!(got_carry, want_carry, "{isa} n={n} off={offset} carry-out");
-
-                // In-place form, same buffer for src and dst, from a zero
-                // and from the non-zero seed.
                 for c0 in [T::ZERO, carry] {
-                    let mut data = backing.clone();
-                    let (want_ip, want_ip_carry) = stride1_oracle(&data[offset..], c0);
-                    let got = simd::stride1_in_place(isa, &mut data[offset..], c0)
+                    let (want, want_carry) = stride1_oracle(src, c0);
+                    let mut dst = vec![T::ZERO; n + offset];
+                    let got_carry = simd::stride1_from(isa, src, &mut dst[offset..], c0)
                         .expect("support contract says this path is taken");
                     let ctx = format!("{isa} n={n} off={offset} carry={c0:?}");
-                    assert_eq!(data[offset..], want_ip[..], "{ctx} in-place");
-                    assert_eq!(got, want_ip_carry, "{ctx} in-place total");
+                    assert_eq!(dst[offset..], want[..], "{ctx} stride-1 output");
+                    assert_eq!(got_carry, want_carry, "{ctx} carry-out");
                 }
             }
         }
@@ -257,7 +246,7 @@ fn stride1_matches_oracle_u32_u64() {
 /// most 64 bytes) scan orders above 1 through, one level at a time.
 const SMALL_BLOCK_BYTES: usize = 4096;
 
-/// All three vertical sweeps (from, in-place, totals) for one element
+/// Both vertical sweeps (from, totals) for one element
 /// type over orders × strides × tail shapes × both scan kinds, with a
 /// nonzero seeded state so carried-in history is part of every check.
 fn vertical_matrix<T: ScanElement>(seed: u64) {
@@ -296,17 +285,9 @@ fn vertical_matrix<T: ScanElement>(seed: u64) {
                         assert_eq!(dst, want, "{ctx} vertical_from output");
                         assert_eq!(state, oracle_state, "{ctx} vertical_from state");
 
-                        let mut data = src.clone();
                         let mut state2 = seeded_state::<T>(q, s);
-                        assert!(simd::vertical_in_place(
-                            isa, &mut data, s, &mut state2, exclusive
-                        ));
-                        assert_eq!(data, want, "{ctx} vertical_in_place output");
-                        assert_eq!(state2, oracle_state, "{ctx} vertical_in_place state");
-
-                        let mut state3 = seeded_state::<T>(q, s);
-                        assert!(simd::vertical_totals(isa, &src, s, &mut state3));
-                        assert_eq!(state3, oracle_state, "{ctx} vertical_totals state");
+                        assert!(simd::vertical_totals(isa, &src, s, &mut state2));
+                        assert_eq!(state2, oracle_state, "{ctx} vertical_totals state");
                     }
                 }
             }
@@ -386,7 +367,8 @@ fn nt_threshold_matches_oracle() {
 /// 1, and the small-row vertical kernel at tuples 2 and 5. Each output
 /// starts one element into its buffer: 8-aligned but not line-aligned for
 /// i64 (the stride-1 kernels' aligning prologue), only 4-aligned for i32
-/// (the small-row kernel's decline path).
+/// (the small-row kernel's decline path). The serial oracle runs before
+/// the threshold is installed, so it stays on cacheable stores.
 #[test]
 fn cpu_engine_streams_past_the_scan_threshold() {
     fn check<T, Op>(input: &[T], op: &Op, spec: &ScanSpec, tag: &str)
@@ -394,11 +376,12 @@ fn cpu_engine_streams_past_the_scan_threshold() {
         T: ScanElement + Pod64 + std::fmt::Debug + PartialEq,
         Op: ChunkKernel<T>,
     {
+        let want = serial::scan(input, op, spec);
+        let _nt = simd::nt_store_override(1 << 20);
         let mut out = vec![T::ZERO; input.len() + 1];
         CpuScanner::new(2).scan_into(input, &mut out[1..], op, spec);
-        assert!(out[1..] == serial::scan(input, op, spec)[..], "{tag} {spec:?}");
+        assert!(out[1..] == want[..], "{tag} {spec:?}");
     }
-    let _nt = simd::nt_store_override(1 << 20);
     let n = 3 * (1 << 17) + 37;
     let (src64, src32) = (pattern::<i64>(n, 0x6003), pattern::<i32>(n, 0x6004));
     // The bulk_sum corners: (order, tuple, exclusive).
