@@ -1,12 +1,11 @@
 //! Multi-threaded SAM on host CPU threads.
 //!
 //! This is the paper's protocol transplanted to a multicore CPU: `k`
-//! worker threads, spawned per scan and joined before it returns, stand
-//! in for the persistent thread blocks, each processing every `k`-th
-//! chunk; local per-lane sums are published to auxiliary arrays followed
-//! by a release of the chunk's ready counter, and consumers poll only
-//! not-yet-ready counters, then redundantly accumulate up to `k - 1`
-//! predecessor sums into their carry (Figure 2's
+//! workers stand in for the persistent thread blocks, each processing
+//! every `k`-th chunk; local per-lane sums are published to auxiliary
+//! arrays followed by a release of the chunk's ready counter, and
+//! consumers poll only not-yet-ready counters, then redundantly
+//! accumulate up to `k - 1` predecessor sums into their carry (Figure 2's
 //! write-followed-by-independent-reads pattern).
 //!
 //! Unlike a GPU, the host gives no fairness guarantee strong enough to
@@ -20,6 +19,20 @@
 //! for a given worker count and chunk size — the property Section 3.1
 //! contrasts with CUB.
 //!
+//! # Persistent workers
+//!
+//! The calling thread is worker 0. Workers `1..k` are threads of one
+//! process-wide pool (named `sam-scan-<b>`), spawned on the first scan
+//! that needs them and parked between scans: a scan publishes its worker
+//! body, unparks the pool workers it needs, runs worker 0 itself and
+//! returns once every one of them has finished the job. The pool only
+//! grows, to the largest `k - 1` any scan has used, so the process's
+//! thread count is bounded by the widest scan, not by the number of
+//! scanners or plans. One scan leases the pool at a time (`try_lock`); a
+//! scan that finds it busy — a concurrent scan, or one nested inside a
+//! worker — runs workers `1..k` on threads scoped to the call instead, so
+//! it never waits for the pool.
+//!
 //! # Steady-state allocation behaviour
 //!
 //! [`CpuScanner::scan_into`] performs **no per-chunk heap allocation**:
@@ -27,8 +40,8 @@
 //! fused [`ChunkKernel`] kernels (no staging copy of the input), per-worker
 //! lane scratch is allocated once per scan, and the auxiliary sum/ready
 //! arrays live in a grow-only arena owned by the scanner — after the first
-//! scan of a given geometry, repeated scans allocate nothing beyond the
-//! worker threads themselves.
+//! scan of a given geometry, repeated scans allocate only the per-worker
+//! scratch and create no thread.
 
 use crate::chunk_kernel::ChunkKernel;
 use crate::chunkops;
@@ -36,8 +49,10 @@ use crate::config::{ScanKind, ScanSpec};
 use crate::obs::{self, Phase, TraceSink};
 use gpu_sim::sched::{self, HookPoint};
 use gpu_sim::{Pod64, Scheduler};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// A reusable multi-threaded scanner with configurable worker count and
 /// chunk size.
@@ -140,8 +155,9 @@ impl Default for CpuScanner {
 }
 
 impl CpuScanner {
-    /// Creates a scanner that runs each scan on up to `workers` threads,
-    /// spawned per scan.
+    /// Creates a scanner that runs each scan on up to `workers` threads:
+    /// the calling thread and `workers - 1` persistent pool workers (see
+    /// the module docs).
     ///
     /// # Panics
     ///
@@ -257,8 +273,9 @@ impl CpuScanner {
     /// [`CpuScanner::scan_into`] with an explicit geometry — worker count
     /// and chunk size — overriding the scanner's configuration for this
     /// one call. This is the entry point adaptive plans ([`crate::adapt`])
-    /// explore geometries through; worker threads are spawned per scan, so
-    /// a per-call worker count is safe.
+    /// explore geometries through; the worker pool is shared by every
+    /// scanner and grows to the widest scan, so a per-call worker count is
+    /// safe.
     ///
     /// For exactly-associative operators every geometry is bit-identical;
     /// for merely pseudo-associative operators (floats) the chunk
@@ -325,10 +342,12 @@ impl CpuScanner {
 
     /// Runs one multi-worker scan over `geom` — the scaffold both publish
     /// protocols share. It leases and prepares the arena (`q * s` sum
-    /// slots per chunk), then spawns `k` scoped workers. Each installs
-    /// the scan's streaming-store decision (`geom.stream`) and enters the
-    /// scheduler's block, then runs `worker` over the chunks it owns.
-    /// Panics propagate, preferring the originating one.
+    /// slots per chunk), then runs `k` workers through [`run_blocks`], the
+    /// calling thread as worker 0. Each installs the scan's
+    /// streaming-store decision (`geom.stream`) and enters the scheduler's
+    /// block, then runs `worker` over the chunks it owns; both guards
+    /// restore the thread's state when the worker ends. Panics propagate,
+    /// preferring the originating one.
     fn run_workers<T, F>(&self, out: &mut [T], geom: Geometry, worker: F)
     where
         T: Send,
@@ -339,38 +358,23 @@ impl CpuScanner {
         arena.prepare(geom.num_chunks, geom.num_chunks * geom.qs);
         let sums = &arena.sums[..geom.num_chunks * geom.qs];
         let ready = &arena.ready[..geom.num_chunks];
-        let out = SyncSlice(out.as_mut_ptr());
+        let out = &SyncSlice(out.as_mut_ptr());
         let cancel = Arc::new(AtomicBool::new(false));
-        let payload = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..geom.k)
-                .map(|b| {
-                    let (worker, out, cancel) = (&worker, &out, Arc::clone(&cancel));
-                    let sched = self.sched.clone();
-                    scope.spawn(move || {
-                        let _stream = crate::simd::scan_streams(geom.stream);
-                        // The guard raises `cancel` if this worker panics,
-                        // so siblings blocked in `wait_for` on a ready
-                        // counter this worker will never bump unwind
-                        // cooperatively instead of spinning forever.
-                        let _guard = sched::enter_block(b, geom.k, sched, Arc::clone(&cancel));
-                        let w = Worker {
-                            b,
-                            sums,
-                            ready,
-                            cancel: &cancel,
-                            sink: self.trace.as_deref(),
-                        };
-                        worker(&w, Chunks { out, next: b, geom });
-                    })
-                })
-                .collect();
-            // Prefer the originating panic over the cooperative Cancelled
-            // unwinds it triggered in sibling workers.
-            sched::join_workers(handles)
+        run_blocks(geom.k, &|b| {
+            let _stream = crate::simd::scan_streams(geom.stream);
+            // The guard raises `cancel` if this worker panics, so siblings
+            // blocked in `wait_for` on a ready counter this worker will
+            // never bump unwind cooperatively instead of spinning forever.
+            let _guard = sched::enter_block(b, geom.k, self.sched.clone(), Arc::clone(&cancel));
+            let w = Worker {
+                b,
+                sums,
+                ready,
+                cancel: &cancel,
+                sink: self.trace.as_deref(),
+            };
+            worker(&w, Chunks { out, next: b, geom });
         });
-        if let Some(p) = payload {
-            std::panic::resume_unwind(p);
-        }
     }
 
     /// The iterated `q`-round protocol, for operators without the cascade:
@@ -613,19 +617,183 @@ impl<'a, T> Iterator for Chunks<'a, T> {
         let range = chunkops::chunk_range(c, self.geom.chunk_elems, self.geom.n);
         // SAFETY: each chunk belongs to exactly one worker's iterator
         // (round-robin ownership) and is yielded once, the ranges are
-        // disjoint, and `out` outlives the workers' scope.
+        // disjoint, and `out` outlives every worker (`run_blocks` returns
+        // only after all of them have finished).
         let chunk =
             unsafe { std::slice::from_raw_parts_mut(self.out.0.add(range.start), range.len()) };
         Some((c, range, chunk))
     }
 }
 
-/// Raw output pointer shareable across scoped workers writing disjoint
-/// chunk ranges.
+/// Raw output pointer shareable across workers writing disjoint chunk
+/// ranges.
 struct SyncSlice<T>(*mut T);
 // SAFETY: workers write disjoint ranges; see `Chunks`.
 unsafe impl<T: Send> Sync for SyncSlice<T> {}
 unsafe impl<T: Send> Send for SyncSlice<T> {}
+
+/// A worker body shared by the `k` workers of one scan; called with the
+/// worker's index.
+type Job<'a> = dyn Fn(usize) + Sync + 'a;
+
+/// Runs `block(b)` for every `b` in `0..k` and returns once all of them
+/// have returned or unwound, then propagates the originating panic, if
+/// any ([`sched::originating_panic`]). The calling thread runs block 0;
+/// blocks `1..k` run on the process-wide [`POOL`] when this call can
+/// lease it, and otherwise on threads scoped to the call.
+fn run_blocks(k: usize, block: &Job<'_>) {
+    let payload = match POOL.lease(k - 1) {
+        Some(lease) => POOL.run(lease, k, block),
+        None => std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..k).map(|b| scope.spawn(move || block(b))).collect();
+            let own = catch_unwind(AssertUnwindSafe(|| block(0))).err();
+            let theirs = handles.into_iter().filter_map(|h| h.join().err());
+            sched::originating_panic(own.into_iter().chain(theirs))
+        }),
+    };
+    if let Some(p) = payload {
+        std::panic::resume_unwind(p);
+    }
+}
+
+/// The process-wide worker pool (see the module docs).
+static POOL: Pool = Pool {
+    lease: Mutex::new(()),
+    state: Mutex::new(PoolState {
+        epoch: 0,
+        job: None,
+        k: 0,
+        running: 0,
+        panics: Vec::new(),
+        workers: Vec::new(),
+    }),
+    done: Condvar::new(),
+};
+
+/// Parked threads that run blocks `1..k` of one scan at a time.
+struct Pool {
+    /// Held by the scan running on the pool, for the whole scan.
+    lease: Mutex<()>,
+    state: Mutex<PoolState>,
+    /// Wakes the leasing scan when its last pool worker has finished.
+    done: Condvar,
+}
+
+struct PoolState {
+    /// Bumped once per published job.
+    epoch: u64,
+    /// The current job, `None` between jobs. Its lifetime is the leasing
+    /// scan's (see `Pool::run`).
+    job: Option<&'static Job<'static>>,
+    /// Worker count of the current job: pool worker `b` joins it iff
+    /// `b < k`.
+    k: usize,
+    /// Pool workers that have not yet finished the current job.
+    running: usize,
+    /// Panic payloads the current job's pool workers caught.
+    panics: Vec<Box<dyn Any + Send>>,
+    /// The pool's threads: `workers[b - 1]` is pool worker `b`.
+    workers: Vec<std::thread::Thread>,
+}
+
+impl Pool {
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        // Nothing panics while holding the state lock; recover anyway.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Leases the pool for one scan, first growing it to `helpers`
+    /// workers, or `None` when another scan holds it or a thread cannot
+    /// be spawned (the caller then spawns scoped threads).
+    fn lease(&'static self, helpers: usize) -> Option<MutexGuard<'static, ()>> {
+        let lease = match self.lease.try_lock() {
+            Ok(held) => held,
+            // The lease guards no data, and block 0 runs under
+            // `catch_unwind` while it is held.
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        // Pool threads live as long as the process, so their join handles
+        // are dropped; every job runs under `catch_unwind`, so no panic
+        // goes unseen.
+        let mut st = self.state();
+        while st.workers.len() < helpers {
+            let (b, seen) = (st.workers.len() + 1, st.epoch);
+            let spawned = std::thread::Builder::new()
+                .name(format!("sam-scan-{b}"))
+                .spawn(move || self.serve(b, seen))
+                .ok()?;
+            st.workers.push(spawned.thread().clone());
+        }
+        Some(lease)
+    }
+
+    /// Runs `block(0)` on the calling thread and `block(1..k)` on pool
+    /// workers, returning the originating panic payload, if any, once
+    /// every pool worker has finished the job.
+    fn run(
+        &self,
+        lease: MutexGuard<'_, ()>,
+        k: usize,
+        block: &Job<'_>,
+    ) -> Option<Box<dyn Any + Send>> {
+        // SAFETY: pool workers call the job only between its publication
+        // here and their `running` decrement. This function neither
+        // returns nor unwinds (block 0 runs under `catch_unwind`) before
+        // `running` is back to zero, and clears the job first, so `block`
+        // outlives every use of the extended reference.
+        let job = unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(block) };
+        {
+            let mut st = self.state();
+            st.epoch += 1;
+            st.job = Some(job);
+            st.k = k;
+            st.running = k - 1;
+            for worker in &st.workers[..k - 1] {
+                worker.unpark();
+            }
+        }
+        let own = catch_unwind(AssertUnwindSafe(|| block(0))).err();
+        let mut st = self.state();
+        while st.running > 0 {
+            st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.job = None;
+        let theirs = std::mem::take(&mut st.panics);
+        drop((st, lease));
+        sched::originating_panic(own.into_iter().chain(theirs))
+    }
+
+    /// Pool worker `b`'s loop: park until a job with more than `b`
+    /// workers is published after epoch `seen`, run block `b` of it under
+    /// `catch_unwind`, report, and park again. Never spins: a job unparks
+    /// only the workers it needs.
+    fn serve(&self, b: usize, mut seen: u64) {
+        loop {
+            let job = {
+                let st = self.state();
+                match st.job {
+                    Some(job) if st.epoch != seen && b < st.k => {
+                        seen = st.epoch;
+                        job
+                    }
+                    _ => {
+                        drop(st);
+                        std::thread::park();
+                        continue;
+                    }
+                }
+            };
+            let panic = catch_unwind(AssertUnwindSafe(|| job(b))).err();
+            let mut st = self.state();
+            st.panics.extend(panic);
+            st.running -= 1;
+            if st.running == 0 {
+                self.done.notify_one();
+            }
+        }
+    }
+}
 
 /// Spins until `flag` (the ready counter of chunk `chunk`) reaches at
 /// least `target`, acquiring its publication.

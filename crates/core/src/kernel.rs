@@ -273,8 +273,10 @@ where
             let mut state: Vec<T> = vec![op.identity(); qs];
             let mut own_end: Vec<T> = vec![op.identity(); qs];
             let mut totals: Vec<T> = vec![op.identity(); qs];
-            // Sweep 2's output, one chunk long: the sweep reads `vals`
-            // and writes here, and the chunk is stored from here.
+            // The loaded chunk and sweep 2's output, one chunk long each:
+            // the sweep reads `vals` and writes `out`, and the chunk is
+            // stored from `out`.
+            let mut vals: Vec<T> = vec![op.identity(); chunk_elems.min(n)];
             let mut out: Vec<T> = vec![op.identity(); chunk_elems.min(n)];
             let mut paced_until: i64 = -1;
 
@@ -294,14 +296,14 @@ where
                 ctx.emit(c as u64, EventKind::ChunkStart);
 
                 // --- Load the chunk once, fully coalesced ----------------
-                let mut vals = vec![op.identity(); len];
-                input_buf.load_block(m, base, &mut vals, AccessClass::Element);
+                let vals = &mut vals[..len];
+                input_buf.load_block(m, base, vals, AccessClass::Element);
 
                 // --- Sweep 1: all q*s local sums from ONE cascade --------
                 for t in totals.iter_mut() {
                     *t = op.identity();
                 }
-                op.cascade_totals(&vals, base, s, &mut totals);
+                op.cascade_totals(vals, base, s, &mut totals);
                 account_block_scan(m, ctx, len, threads);
                 m.add_compute((len * (q - 1)) as u64);
 
@@ -340,7 +342,7 @@ where
 
                 // --- Sweep 2: seeded cascade yields final outputs --------
                 let out = &mut out[..len];
-                op.cascade_scan_from(&vals, out, base, s, &mut state, exclusive);
+                op.cascade_scan_from(vals, out, base, s, &mut state, exclusive);
                 account_block_scan(m, ctx, len, threads);
                 m.add_compute((len * (q - 1)) as u64);
                 own_end.copy_from_slice(&state);
@@ -366,6 +368,8 @@ where
         // published — the ingredients of Figure 2's incremental update.
         let mut prev_carry: Vec<Vec<T>> = vec![vec![op.identity(); s]; q];
         let mut prev_totals: Vec<Vec<T>> = vec![vec![op.identity(); s]; q];
+        // The chunk under scan, one chunk long.
+        let mut vals: Vec<T> = vec![op.identity(); chunk_elems.min(n)];
         let mut paced_until: i64 = -1;
 
         for c in ctx.owned_chunks(num_chunks) {
@@ -382,8 +386,8 @@ where
             ctx.emit(c as u64, EventKind::ChunkStart);
 
             // --- Load the chunk once, fully coalesced --------------------
-            let mut vals = vec![op.identity(); len];
-            input_buf.load_block(m, base, &mut vals, AccessClass::Element);
+            let vals = &mut vals[..len];
+            input_buf.load_block(m, base, vals, AccessClass::Element);
 
             // Set on the last iteration of an exclusive scan: the chunk is
             // left holding its pre-carry local scan and rewritten in place
@@ -395,7 +399,7 @@ where
                 // rounds, and a sibling can die between any two of them.
                 ctx.check_cancelled();
                 // --- Local strided scan + per-lane totals ----------------
-                let totals = chunkops::local_scan_with_totals(&mut vals, base, s, op);
+                let totals = chunkops::local_scan_with_totals(vals, base, s, op);
                 account_block_scan(m, ctx, len, threads);
 
                 let carry = match params.carry {
@@ -465,17 +469,17 @@ where
                 if exclusive_last {
                     exclusive_carry = Some(carry);
                 } else {
-                    op.apply_carry(&mut vals, base, &carry);
+                    op.apply_carry(vals, base, &carry);
                     m.add_compute(len as u64);
                 }
             }
 
             // --- Store the chunk once, fully coalesced -------------------
             if let Some(carry) = exclusive_carry.take() {
-                op.exclusive_rewrite(&mut vals, base, &carry);
+                op.exclusive_rewrite(vals, base, &carry);
                 m.add_compute(len as u64);
             }
-            output_buf.store_block(m, base, &vals, AccessClass::Element);
+            output_buf.store_block(m, base, vals, AccessClass::Element);
             ctx.emit(c as u64, EventKind::ChunkDone);
 
             if params.aux == AuxMode::Ring {

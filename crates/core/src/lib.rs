@@ -11,8 +11,9 @@
 //! ([`ScanSpec`]) and one operator abstraction ([`op::ScanOp`]):
 //!
 //! * [`serial`] — reference implementations (the correctness oracle);
-//! * [`cpu`] — a real multi-threaded SAM: worker threads spawned per scan,
-//!   one published-sum slot and ready counter per chunk, and the paper's
+//! * [`cpu`] — a real multi-threaded SAM: the calling thread plus
+//!   persistent workers parked in one process-wide pool, one published-sum
+//!   slot and ready counter per chunk, and the paper's
 //!   carry protocol on host threads;
 //! * [`kernel`] — the unified SAM kernel on the [`gpu_sim`] substrate, used
 //!   by the paper-figure reproduction harness.

@@ -136,7 +136,7 @@ pub fn nt_store_min_bytes() -> usize {
 /// callers can thread an optional per-plan value unconditionally.
 ///
 /// Overrides nest: the guard restores whatever was active when it was
-/// created. They are per-thread; an engine spawning workers reads the
+/// created. They are per-thread; an engine running workers reads the
 /// threshold on the dispatching thread and hands its workers the
 /// resulting per-scan decision instead (the [`crate::cpu`] engine does).
 #[must_use = "the override lasts only while the guard is alive"]

@@ -558,9 +558,9 @@ impl Drop for BlockGuard {
 /// previous context on drop and raises `cancel` if the thread panics.
 ///
 /// Both launch layers call this for every worker: the simulated GPU from
-/// [`crate::Gpu::launch_persistent_with`], the CPU engine from its worker
-/// spawn loop. `sched` may be `None`, in which case the context only
-/// provides cancellation checking.
+/// [`crate::Gpu::launch_persistent_with`], the CPU engine from the body
+/// every worker of a scan runs. `sched` may be `None`, in which case the
+/// context only provides cancellation checking.
 pub fn enter_block(
     block: usize,
     grid_blocks: usize,
@@ -642,15 +642,23 @@ pub fn cancellation_requested() -> bool {
 pub fn join_workers<'scope>(
     handles: impl IntoIterator<Item = std::thread::ScopedJoinHandle<'scope, ()>>,
 ) -> Option<Box<dyn Any + Send + 'static>> {
-    let mut real: Option<Box<dyn Any + Send>> = None;
-    let mut cancelled: Option<Box<dyn Any + Send>> = None;
-    for handle in handles {
-        if let Err(payload) = handle.join() {
-            if payload.is::<Cancelled>() {
-                cancelled.get_or_insert(payload);
-            } else if real.is_none() {
-                real = Some(payload);
-            }
+    originating_panic(handles.into_iter().filter_map(|h| h.join().err()))
+}
+
+/// The panic payload to propagate out of one launch's worker payloads: the
+/// first real panic, else the first cooperative [`Cancelled`] unwind.
+/// [`join_workers`] applies it to joined threads; the CPU engine, whose
+/// workers are not all joinable threads, applies it to caught payloads.
+pub fn originating_panic(
+    payloads: impl IntoIterator<Item = Box<dyn Any + Send + 'static>>,
+) -> Option<Box<dyn Any + Send + 'static>> {
+    // Drains every payload: `join_workers` relies on it to join them all.
+    let (mut real, mut cancelled) = (None, None);
+    for payload in payloads {
+        if payload.is::<Cancelled>() {
+            cancelled.get_or_insert(payload);
+        } else {
+            real.get_or_insert(payload);
         }
     }
     real.or(cancelled)

@@ -3,11 +3,14 @@
 //! allocate per chunk. A counting global allocator measures exact
 //! allocation counts. The counter spans every thread (a thread-local one
 //! would miss allocations on CPU worker threads) but the harness's: each
-//! test runs alone in a child process of this binary ([`isolated`]), and
-//! the main thread, which only runs the harness, is not counted.
+//! test runs alone in a child process of this binary
+//! ([`common::isolated`]), and the main thread, which only runs the
+//! harness, is not counted.
 
+mod common;
+
+use common::{isolated, thread_count};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::process::Command;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use sam_core::cpu::CpuScanner;
@@ -70,36 +73,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Set in the environment of the child process [`isolated`] starts.
-const CHILD_ENV: &str = "ALLOC_STEADY_STATE_CHILD";
-
-/// True in the child process, where the caller runs its body. Otherwise
-/// runs the test `name` in a child process of this binary, checks that it
-/// ran and passed, and returns false.
-///
-/// The child runs that one test on one test thread. In a shared process,
-/// other test threads would allocate inside a count: one finishing its
-/// test, or one setting up its output capture before its test starts.
-fn isolated(name: &str) -> bool {
-    if std::env::var_os(CHILD_ENV).is_some() {
-        return true;
-    }
-    let exe = std::env::current_exe().expect("path of the test binary");
-    let out = Command::new(exe)
-        .args([name, "--exact", "--test-threads=1"])
-        .env(CHILD_ENV, "1")
-        .output()
-        .expect("start the isolated test run");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success() && stdout.contains("test result: ok. 1 passed"),
-        "isolated run of {name} failed ({}):\n{stdout}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    false
-}
-
 fn allocs_during(f: impl FnOnce()) -> u64 {
     assert_ne!(
         thread_id(),
@@ -134,21 +107,28 @@ fn scan_into_does_not_allocate_per_chunk() {
     assert_eq!(out, expect);
 
     // Multi-worker path: compare a few-chunks geometry against a
-    // many-chunks geometry on the same input. Worker spawn and per-worker
-    // scratch may allocate a bounded number of times per scan, but nothing
-    // may scale with the chunk count.
+    // many-chunks geometry on the same input. Per-worker scratch may
+    // allocate a bounded number of times per scan, but nothing may scale
+    // with the chunk count. And warm scans create no thread: their workers
+    // are the calling thread and the parked pool.
     let few = CpuScanner::new(3).with_chunk_elems(32_768); // 2 chunks
     let many = CpuScanner::new(3).with_chunk_elems(32); // 2048 chunks
     few.scan_into(&input, &mut out, &Sum, &spec); // warm-up (grows arena)
     many.scan_into(&input, &mut out, &Sum, &spec); // warm-up (grows arena)
 
+    let threads = thread_count();
     let allocs_few = allocs_during(|| few.scan_into(&input, &mut out, &Sum, &spec));
     let allocs_many = allocs_during(|| many.scan_into(&input, &mut out, &Sum, &spec));
     assert_eq!(out, expect);
+    assert_eq!(
+        thread_count(),
+        threads,
+        "a warm multi-chunk scan creates no thread"
+    );
 
     // 2048 chunks vs 2 chunks: any per-chunk allocation would add ≥ 2046.
-    // Thread spawning costs a handful of allocations per scan with some
-    // run-to-run jitter, so allow a fixed (chunk-independent) budget.
+    // Per-worker scratch costs a handful of allocations per scan, so allow
+    // a fixed (chunk-independent) budget.
     assert!(
         allocs_many <= allocs_few + 64 && allocs_many < 256,
         "allocations scale with chunk count: {allocs_few} for 2 chunks, \
