@@ -619,11 +619,10 @@ const CACHE_LINE_BYTES: usize = 64;
 /// core count, cache-line size — the machine-identity half of the
 /// [`TuningStore`] key. Example: `"avx512-c64-l64"`.
 pub fn host_fingerprint() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     format!(
         "{}-c{}-l{}",
         crate::isa::resolved().name(),
-        cores,
+        crate::cpu::host_threads(),
         CACHE_LINE_BYTES
     )
 }

@@ -28,10 +28,12 @@
 //! returns once every one of them has finished the job. The pool only
 //! grows, to the largest `k - 1` any scan has used, so the process's
 //! thread count is bounded by the widest scan, not by the number of
-//! scanners or plans. One scan leases the pool at a time (`try_lock`); a
-//! scan that finds it busy — a concurrent scan, or one nested inside a
-//! worker — runs workers `1..k` on threads scoped to the call instead, so
-//! it never waits for the pool.
+//! scanners or plans. The pool also owns the carry arena, the per-chunk
+//! sum slots and ready counters its workers publish through. One scan
+//! leases pool and arena together at a time (one `try_lock`); a scan that
+//! finds them busy — a concurrent scan, or one nested inside a worker —
+//! runs workers `1..k` on threads scoped to the call, with an arena local
+//! to the call, so it never waits for the pool.
 //!
 //! # Steady-state allocation behaviour
 //!
@@ -39,9 +41,13 @@
 //! each chunk is scanned directly in the caller's output buffer through the
 //! fused [`ChunkKernel`] kernels (no staging copy of the input), per-worker
 //! lane scratch is allocated once per scan, and the auxiliary sum/ready
-//! arrays live in a grow-only arena owned by the scanner — after the first
-//! scan of a given geometry, repeated scans allocate only the per-worker
-//! scratch and create no thread.
+//! arrays live in the pool's grow-only arena — after the first scan of a
+//! given geometry by any scanner, repeated scans allocate only the
+//! per-worker scratch and create no thread. Like the pool's threads, the
+//! arena never shrinks: it holds `1 + q * s` 8-byte words per chunk of the
+//! largest scan so far, so with the default 32 Ki-element chunks of 8-byte
+//! elements its size is `(1 + q * s) / 32768` of that scan's output, 1/4096
+//! at `q * s = 7`.
 
 use crate::chunk_kernel::ChunkKernel;
 use crate::chunkops;
@@ -52,7 +58,7 @@ use gpu_sim::{Pod64, Scheduler};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 /// A reusable multi-threaded scanner with configurable worker count and
 /// chunk size.
@@ -68,16 +74,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 /// let parallel = scanner.scan(&input, &Sum, &spec);
 /// assert_eq!(parallel, sam_core::serial::scan(&input, &Sum, &spec));
 /// ```
+#[derive(Clone, Debug)]
 pub struct CpuScanner {
     workers: usize,
     chunk_elems: usize,
-    /// Grow-only auxiliary-array arena, reused across scans (see the
-    /// module docs). `try_lock`ed per scan: concurrent scans on a shared
-    /// scanner fall back to a scan-local arena instead of serializing.
-    /// Poisoning is recovered from — the arena holds no invariants across
-    /// scans (ready counters are reset by `prepare`), so a panicked scan
-    /// must not permanently degrade the scanner.
-    arena: Mutex<Arena>,
     /// Optional schedule-exploration scheduler (`gpu_sim::sched`): when
     /// set, every worker's ready-counter publish and wait probe becomes an
     /// injection / recording / replay point.
@@ -88,66 +88,23 @@ pub struct CpuScanner {
     trace: Option<Arc<TraceSink>>,
 }
 
-/// Reusable backing store for the per-chunk sum slots and ready counters.
-#[derive(Default)]
-struct Arena {
-    sums: Vec<AtomicU64>,
-    ready: Vec<AtomicU64>,
-}
-
-impl Arena {
-    /// Grows the arrays to the scan's geometry and resets the ready
-    /// counters. Sum slots need no reset: they are only read after the
-    /// matching ready counter is released in this scan.
-    fn prepare(&mut self, chunks: usize, slots: usize) {
-        if self.sums.len() < slots {
-            self.sums.resize_with(slots, || AtomicU64::new(0));
-        }
-        if self.ready.len() < chunks {
-            self.ready.resize_with(chunks, || AtomicU64::new(0));
-        }
-        for r in &self.ready[..chunks] {
-            r.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-impl Clone for CpuScanner {
-    fn clone(&self) -> Self {
-        CpuScanner {
-            workers: self.workers,
-            chunk_elems: self.chunk_elems,
-            arena: Mutex::new(Arena::default()),
-            sched: self.sched.clone(),
-            trace: self.trace.clone(),
-        }
-    }
-}
-
-impl std::fmt::Debug for CpuScanner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CpuScanner")
-            .field("workers", &self.workers)
-            .field("chunk_elems", &self.chunk_elems)
-            .field("sched", &self.sched.is_some())
-            .field("trace", &self.trace.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
 /// The default chunk size in elements — a fallback seed only: adaptive
 /// plans ([`crate::plan::PlanHint::adaptive`]) treat it as the starting
 /// point of the chunk-size search, not as a tuned truth.
 pub(crate) const DEFAULT_CHUNK_ELEMS: usize = 32 * 1024;
 
+/// The host's hardware thread count, probed once per process.
+pub(crate) fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
 impl Default for CpuScanner {
     /// One worker per available hardware thread, 32Ki-element chunks.
     fn default() -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
         CpuScanner {
-            workers,
+            workers: host_threads(),
             chunk_elems: DEFAULT_CHUNK_ELEMS,
-            arena: Mutex::new(Arena::default()),
             sched: None,
             trace: None,
         }
@@ -212,35 +169,6 @@ impl CpuScanner {
         self.chunk_elems
     }
 
-    /// Current capacity of the shared arena as `(ready_slots, sum_slots)`.
-    ///
-    /// The arena is grow-only, so steady-state reuse of one scanner keeps
-    /// these numbers constant — regression tests use this to prove that
-    /// plan/session call sites are not rebuilding engines per call.
-    pub fn arena_capacity(&self) -> (usize, usize) {
-        match self.arena.lock() {
-            Ok(a) => (a.ready.len(), a.sums.len()),
-            Err(poisoned) => {
-                let a = poisoned.into_inner();
-                (a.ready.len(), a.sums.len())
-            }
-        }
-    }
-
-    /// Leases the shared arena for one multi-worker scan, or `None` when
-    /// another scan holds it (the caller then uses a scan-local arena).
-    fn lease_arena(&self) -> Option<MutexGuard<'_, Arena>> {
-        match self.arena.try_lock() {
-            Ok(held) => Some(held),
-            // A panicked scan poisons the lock but leaves no cross-scan
-            // invariants behind (ready counters are reset by `prepare`);
-            // recover instead of degrading every future scan to a
-            // scan-local arena.
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Scans `input` according to `spec` with operator `op`.
     pub fn scan<T, Op>(&self, input: &[T], op: &Op, spec: &ScanSpec) -> Vec<T>
     where
@@ -256,8 +184,8 @@ impl CpuScanner {
     ///
     /// The steady state is allocation-free per chunk: chunks are scanned
     /// directly in `out` via the fused [`ChunkKernel`] kernels, and the
-    /// auxiliary arrays come from the scanner's grow-only arena (see the
-    /// module docs).
+    /// auxiliary arrays come from the worker pool's grow-only arena (see
+    /// the module docs).
     ///
     /// # Panics
     ///
@@ -341,26 +269,33 @@ impl CpuScanner {
     }
 
     /// Runs one multi-worker scan over `geom` — the scaffold both publish
-    /// protocols share. It leases and prepares the arena (`q * s` sum
-    /// slots per chunk), then runs `k` workers through [`run_blocks`], the
-    /// calling thread as worker 0. Each installs the scan's
-    /// streaming-store decision (`geom.stream`) and enters the scheduler's
-    /// block, then runs `worker` over the chunks it owns; both guards
-    /// restore the thread's state when the worker ends. Panics propagate,
-    /// preferring the originating one.
+    /// protocols share. One lease of the process-wide [`POOL`] decides
+    /// where workers `1..k` run and which arena they publish through: the
+    /// pool's workers and its arena, or, when the pool is busy, threads
+    /// scoped to the call and an arena local to it. The arena is prepared
+    /// with `q * s` sum slots per chunk, and the calling thread runs worker
+    /// 0. Each worker installs the scan's streaming-store decision
+    /// (`geom.stream`) and enters the scheduler's block, then runs `worker`
+    /// over the chunks it owns; both guards restore the thread's state when
+    /// the worker ends. Returns once every worker has returned or unwound,
+    /// then propagates the originating panic, if any
+    /// ([`sched::originating_panic`]).
     fn run_workers<T, F>(&self, out: &mut [T], geom: Geometry, worker: F)
     where
         T: Send,
         F: Fn(&Worker<'_>, Chunks<'_, T>) + Sync,
     {
-        let (mut guard, mut local_arena) = (self.lease_arena(), Arena::default());
-        let arena = guard.as_deref_mut().unwrap_or(&mut local_arena);
-        arena.prepare(geom.num_chunks, geom.num_chunks * geom.qs);
-        let sums = &arena.sums[..geom.num_chunks * geom.qs];
-        let ready = &arena.ready[..geom.num_chunks];
+        let (chunks, slots) = (geom.num_chunks, geom.num_chunks * geom.qs);
+        let (mut lease, mut local) = (POOL.lease(geom.k - 1), Arena::default());
+        lease
+            .as_deref_mut()
+            .unwrap_or(&mut local)
+            .prepare(chunks, slots);
+        let arena = lease.as_deref().unwrap_or(&local);
+        let (sums, ready) = (&arena.sums[..slots], &arena.ready[..chunks]);
         let out = &SyncSlice(out.as_mut_ptr());
         let cancel = Arc::new(AtomicBool::new(false));
-        run_blocks(geom.k, &|b| {
+        let block = |b: usize| {
             let _stream = crate::simd::scan_streams(geom.stream);
             // The guard raises `cancel` if this worker panics, so siblings
             // blocked in `wait_for` on a ready counter this worker will
@@ -374,7 +309,23 @@ impl CpuScanner {
                 sink: self.trace.as_deref(),
             };
             worker(&w, Chunks { out, next: b, geom });
-        });
+        };
+        let payload = match &lease {
+            Some(held) => POOL.run(held, geom.k, &block),
+            None => std::thread::scope(|scope| {
+                let block = &block;
+                let handles: Vec<_> = (1..geom.k).map(|b| scope.spawn(move || block(b))).collect();
+                let own = catch_unwind(AssertUnwindSafe(|| block(0))).err();
+                let theirs = handles.into_iter().filter_map(|h| h.join().err());
+                sched::originating_panic(own.into_iter().chain(theirs))
+            }),
+        };
+        // Release the lease before unwinding, so a propagated panic does
+        // not poison it.
+        drop(lease);
+        if let Some(p) = payload {
+            std::panic::resume_unwind(p);
+        }
     }
 
     /// The iterated `q`-round protocol, for operators without the cascade:
@@ -636,29 +587,36 @@ unsafe impl<T: Send> Send for SyncSlice<T> {}
 /// worker's index.
 type Job<'a> = dyn Fn(usize) + Sync + 'a;
 
-/// Runs `block(b)` for every `b` in `0..k` and returns once all of them
-/// have returned or unwound, then propagates the originating panic, if
-/// any ([`sched::originating_panic`]). The calling thread runs block 0;
-/// blocks `1..k` run on the process-wide [`POOL`] when this call can
-/// lease it, and otherwise on threads scoped to the call.
-fn run_blocks(k: usize, block: &Job<'_>) {
-    let payload = match POOL.lease(k - 1) {
-        Some(lease) => POOL.run(lease, k, block),
-        None => std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..k).map(|b| scope.spawn(move || block(b))).collect();
-            let own = catch_unwind(AssertUnwindSafe(|| block(0))).err();
-            let theirs = handles.into_iter().filter_map(|h| h.join().err());
-            sched::originating_panic(own.into_iter().chain(theirs))
-        }),
-    };
-    if let Some(p) = payload {
-        std::panic::resume_unwind(p);
+/// The per-chunk sum slots and ready counters of one scan.
+#[derive(Default)]
+struct Arena {
+    sums: Vec<AtomicU64>,
+    ready: Vec<AtomicU64>,
+}
+
+impl Arena {
+    /// Grows the arrays to the scan's geometry and resets the ready
+    /// counters. Sum slots need no reset: they are only read after the
+    /// matching ready counter is released in this scan.
+    fn prepare(&mut self, chunks: usize, slots: usize) {
+        if self.sums.len() < slots {
+            self.sums.resize_with(slots, || AtomicU64::new(0));
+        }
+        if self.ready.len() < chunks {
+            self.ready.resize_with(chunks, || AtomicU64::new(0));
+        }
+        for r in &self.ready[..chunks] {
+            r.store(0, Ordering::Relaxed);
+        }
     }
 }
 
 /// The process-wide worker pool (see the module docs).
 static POOL: Pool = Pool {
-    lease: Mutex::new(()),
+    lease: Mutex::new(Arena {
+        sums: Vec::new(),
+        ready: Vec::new(),
+    }),
     state: Mutex::new(PoolState {
         epoch: 0,
         job: None,
@@ -670,10 +628,12 @@ static POOL: Pool = Pool {
     done: Condvar::new(),
 };
 
-/// Parked threads that run blocks `1..k` of one scan at a time.
+/// Parked threads that run blocks `1..k` of one scan at a time, and the
+/// arena they publish through.
 struct Pool {
-    /// Held by the scan running on the pool, for the whole scan.
-    lease: Mutex<()>,
+    /// The grow-only arena, held by the scan running on the pool for the
+    /// whole scan: holding it is what leases the pool.
+    lease: Mutex<Arena>,
     state: Mutex<PoolState>,
     /// Wakes the leasing scan when its last pool worker has finished.
     done: Condvar,
@@ -702,14 +662,16 @@ impl Pool {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Leases the pool for one scan, first growing it to `helpers`
-    /// workers, or `None` when another scan holds it or a thread cannot
-    /// be spawned (the caller then spawns scoped threads).
-    fn lease(&'static self, helpers: usize) -> Option<MutexGuard<'static, ()>> {
+    /// Leases the pool and its arena for one scan, first growing the pool
+    /// to `helpers` workers, or `None` when another scan holds it or a
+    /// thread cannot be spawned (the caller then spawns scoped threads
+    /// and uses an arena of its own).
+    fn lease(&'static self, helpers: usize) -> Option<MutexGuard<'static, Arena>> {
         let lease = match self.lease.try_lock() {
             Ok(held) => held,
-            // The lease guards no data, and block 0 runs under
-            // `catch_unwind` while it is held.
+            // The arena holds nothing across scans (`prepare` resets the
+            // ready counters), and block 0 runs under `catch_unwind` while
+            // the lease is held.
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
             Err(TryLockError::WouldBlock) => return None,
         };
@@ -730,15 +692,18 @@ impl Pool {
 
     /// Runs `block(0)` on the calling thread and `block(1..k)` on pool
     /// workers, returning the originating panic payload, if any, once
-    /// every pool worker has finished the job.
+    /// every pool worker has finished the job. The caller holds the
+    /// pool's `lease` for the whole call, so no other job is published
+    /// while this one runs.
     fn run(
         &self,
-        lease: MutexGuard<'_, ()>,
+        _lease: &MutexGuard<'_, Arena>,
         k: usize,
         block: &Job<'_>,
     ) -> Option<Box<dyn Any + Send>> {
         // SAFETY: pool workers call the job only between its publication
-        // here and their `running` decrement. This function neither
+        // here and their `running` decrement. The lease keeps any other
+        // scan from publishing a job meanwhile. This function neither
         // returns nor unwinds (block 0 runs under `catch_unwind`) before
         // `running` is back to zero, and clears the job first, so `block`
         // outlives every use of the extended reference.
@@ -760,7 +725,7 @@ impl Pool {
         }
         st.job = None;
         let theirs = std::mem::take(&mut st.panics);
-        drop((st, lease));
+        drop(st);
         sched::originating_panic(own.into_iter().chain(theirs))
     }
 
@@ -975,25 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_scans_reuse_the_arena() {
-        let input = pseudo_random(50_000);
-        let scanner = CpuScanner::new(4).with_chunk_elems(256);
-        let spec = ScanSpec::inclusive().with_order(2).unwrap();
-        let expect = crate::serial::scan(&input, &Sum, &spec);
-        let mut out = vec![0i64; input.len()];
-        for _ in 0..3 {
-            out.fill(0);
-            scanner.scan_into(&input, &mut out, &Sum, &spec);
-            assert_eq!(out, expect);
-        }
-        // The arena kept its high-water marks.
-        let arena = scanner.arena.lock().unwrap();
-        let chunks = chunkops::num_chunks(input.len(), 256);
-        assert!(arena.ready.len() >= chunks);
-        assert!(arena.sums.len() >= chunks * 2);
-    }
-
-    #[test]
     fn concurrent_scans_on_a_shared_scanner() {
         let scanner = CpuScanner::new(2).with_chunk_elems(128);
         let input = pseudo_random(20_000);
@@ -1012,22 +958,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn clone_starts_with_a_fresh_arena() {
-        let scanner = CpuScanner::new(3).with_chunk_elems(64);
-        let input = pseudo_random(5000);
-        scanner.scan(&input, &Sum, &ScanSpec::inclusive());
-        let cloned = scanner.clone();
-        assert_eq!(cloned.workers(), 3);
-        assert_eq!(cloned.chunk_elems(), 64);
-        assert!(cloned.arena.lock().unwrap().ready.is_empty());
-        // And the clone still scans correctly.
-        assert_eq!(
-            cloned.scan(&input, &Sum, &ScanSpec::inclusive()),
-            crate::serial::scan(&input, &Sum, &ScanSpec::inclusive())
-        );
     }
 
     /// `Sum` that records, for every output sweep, the thread that ran it

@@ -12,9 +12,9 @@
 //!
 //! * [`serial`] — reference implementations (the correctness oracle);
 //! * [`cpu`] — a real multi-threaded SAM: the calling thread plus
-//!   persistent workers parked in one process-wide pool, one published-sum
-//!   slot and ready counter per chunk, and the paper's
-//!   carry protocol on host threads;
+//!   persistent workers parked in one process-wide pool, which also owns
+//!   the carry arena (one published-sum slot and ready counter per
+//!   chunk), and the paper's carry protocol on host threads;
 //! * [`kernel`] — the unified SAM kernel on the [`gpu_sim`] substrate, used
 //!   by the paper-figure reproduction harness.
 //!
@@ -68,20 +68,9 @@ pub use carry::CarrySemigroup;
 pub use op::{LinRec, LinRecError, ScanOp};
 pub use plan::{CarryState, CarryStateError, Engine, PlanHint, ScanPlan, ScanSession};
 
-/// The process-wide CPU engine behind the convenience entry points.
-///
-/// Built on first use and reused forever, so repeated [`scan`] calls share
-/// one worker configuration and one grow-only arena instead of paying an
-/// engine construction per call. Concurrent scans that contend on the
-/// arena fall back to scan-local buffers (see [`cpu::CpuScanner`]).
-fn shared_cpu() -> &'static cpu::CpuScanner {
-    static SHARED: std::sync::OnceLock<cpu::CpuScanner> = std::sync::OnceLock::new();
-    SHARED.get_or_init(cpu::CpuScanner::default)
-}
-
-/// Scans `input` according to `spec` on one process-wide
-/// [`cpu::CpuScanner`]: an input of at most one chunk is scanned serially
-/// on the calling thread, a longer one in parallel.
+/// Scans `input` according to `spec` on a [`cpu::CpuScanner::default`]:
+/// an input of at most one chunk is scanned serially on the calling
+/// thread, a longer one in parallel on the process-wide worker pool.
 ///
 /// This is the convenience entry point. Use [`ScanPlan`] / [`ScanSession`]
 /// (or [`cpu::CpuScanner`] directly) to control worker count and chunking,
@@ -91,7 +80,7 @@ where
     T: ScanElement,
     Op: chunk_kernel::ChunkKernel<T>,
 {
-    shared_cpu().scan(input, op, spec)
+    cpu::CpuScanner::default().scan(input, op, spec)
 }
 
 /// Conventional inclusive prefix sum of `input` (order 1, tuple 1).

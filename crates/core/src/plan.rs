@@ -8,10 +8,10 @@
 //!
 //! * [`ScanPlan`] — an immutable, cheaply cloneable plan: the validated
 //!   spec plus every per-call decision resolved once (chunk geometry,
-//!   engine resources). Plans own their engine resources —
-//!   the worker pool + grow-only arena for the CPU engine, the simulated
-//!   [`Gpu`] instance for the simulated engine — behind [`Arc`], so
-//!   clones and sessions share them.
+//!   engine resources). A CPU plan holds its [`CpuScanner`]
+//!   configuration, whose scans run on the process-wide worker pool and
+//!   its carry arena (see [`crate::cpu`]); a simulated plan owns its
+//!   [`Gpu`] instance behind [`Arc`], so clones and sessions share it.
 //! * [`ScanSession`] — a reusable execution handle created by
 //!   [`ScanPlan::session`]. Besides one-shot [`ScanSession::scan_into`],
 //!   it exposes a **streaming** API ([`ScanSession::feed`]) whose outputs
@@ -171,12 +171,14 @@ impl PlanHint {
     }
 }
 
-/// The resolved execution target of a plan. Resources are `Arc`-shared so
-/// plan clones and sessions reuse one worker pool / arena / device.
+/// The resolved execution target of a plan. A simulated device is
+/// `Arc`-shared so plan clones and sessions reuse it; a CPU scanner is
+/// plain configuration, and every scanner's scans share the process-wide
+/// worker pool and its carry arena.
 #[derive(Clone)]
 enum PlanExec {
     Serial,
-    Cpu(Arc<CpuScanner>),
+    Cpu(CpuScanner),
     Gpu {
         gpu: Arc<Gpu>,
         params: SamParams,
@@ -321,9 +323,10 @@ impl ScanPlan {
     /// Resolves `engine` for `spec` into an immutable plan.
     ///
     /// This is where every per-call decision happens exactly once: the
-    /// chunk geometry and the engine resources (the [`CpuScanner`] is
-    /// shared by every clone and session for the plan's lifetime;
-    /// [`Engine::Simulated`] gets one [`Gpu`]).
+    /// chunk geometry and the engine resources (the [`CpuScanner`]
+    /// configuration, with the plan's trace sink attached;
+    /// [`Engine::Simulated`] gets one [`Gpu`], shared by every clone and
+    /// session for the plan's lifetime).
     pub fn new(spec: ScanSpec, engine: Engine, hint: PlanHint) -> ScanPlan {
         let sink = hint.trace.then(|| Arc::new(TraceSink::new()));
         let t0 = sink.as_ref().map(|s| s.now_us());
@@ -333,7 +336,7 @@ impl ScanPlan {
         };
         let exec = match engine {
             Engine::Serial => PlanExec::Serial,
-            Engine::Cpu(cpu) => PlanExec::Cpu(Arc::new(with_sink(cpu))),
+            Engine::Cpu(cpu) => PlanExec::Cpu(with_sink(cpu)),
             Engine::Simulated { device, params } => PlanExec::Gpu {
                 gpu: Arc::new(if sink.is_some() {
                     Gpu::with_trace(device)
@@ -664,16 +667,14 @@ impl ScanPlan {
     }
 }
 
-/// A concurrent cache of resolved [`ScanPlan`]s keyed by
-/// `(spec, host fingerprint)` — the sharing layer a multi-lane front-end
-/// (one lane per spec) builds its per-shard sessions on.
+/// A concurrent in-memory cache of resolved [`ScanPlan`]s keyed by
+/// [`ScanSpec`] — the sharing layer a multi-lane front-end (one lane per
+/// operator family) builds its sessions on.
 ///
-/// Plans are resolved at most once per key and cloned out; clones share
-/// the plan's engine resources (worker pool, arena, device), so every
-/// shard and executor thread reuses one pool per spec instead of
-/// spinning up its own. The host fingerprint ([`crate::adapt::host_fingerprint`])
-/// is part of the key so persisted cache dumps never leak a tuning
-/// resolved for different hardware.
+/// Plans are resolved at most once per spec and cloned out; clones share
+/// the plan's trace sink, adaptive state and simulated device, so every
+/// lane that scans under one spec feeds one report stream and one
+/// tuning search.
 ///
 /// # Examples
 ///
@@ -691,7 +692,7 @@ impl ScanPlan {
 /// ```
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    plans: std::sync::Mutex<std::collections::HashMap<(ScanSpec, String), ScanPlan>>,
+    plans: std::sync::Mutex<std::collections::HashMap<ScanSpec, ScanPlan>>,
 }
 
 impl PlanCache {
@@ -700,20 +701,19 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Returns the cached plan for `spec` on this host, resolving it with
-    /// `make` on the first request. The builder runs under the cache lock,
-    /// so concurrent callers never resolve the same key twice.
+    /// Returns the cached plan for `spec`, resolving it with `make` on the
+    /// first request. The builder runs under the cache lock, so concurrent
+    /// callers never resolve the same spec twice.
     pub fn get_or_insert_with(&self, spec: ScanSpec, make: impl FnOnce() -> ScanPlan) -> ScanPlan {
-        let key = (spec, crate::adapt::host_fingerprint());
         self.plans
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(key)
+            .entry(spec)
             .or_insert_with(make)
             .clone()
     }
 
-    /// Distinct `(spec, host)` keys currently resolved.
+    /// Distinct specs currently resolved.
     pub fn len(&self) -> usize {
         self.plans
             .lock()
@@ -1766,34 +1766,13 @@ mod tests {
     }
 
     #[test]
-    fn auto_engine_reuses_resources_across_calls() {
-        // Regression: the default engine used to construct a CpuScanner
-        // (fresh arena and all) on every parallel-path call. The plan must
-        // hold one scanner whose arena, once grown, never regrows.
-        // Two explicit workers so the parallel protocol engages even on
-        // single-core hosts (where a default scanner degenerates to serial).
-        let p = plan(
-            ScanSpec::inclusive(),
-            Engine::Cpu(CpuScanner::new(2).with_chunk_elems(8192)),
-        );
-        let input = data(100_000); // many chunks
-        p.scan(&input, &Sum);
-        let cpu = p.cpu().expect("cpu plan owns a cpu engine");
-        let first = cpu.arena_capacity();
-        assert!(first.0 > 0, "parallel path must have used the plan arena");
-        for _ in 0..5 {
-            p.scan(&input, &Sum);
-        }
-        assert_eq!(p.cpu().unwrap().arena_capacity(), first);
-    }
-
-    #[test]
     fn auto_honours_configured_cpu_scanner() {
         // Regression: the default engine silently dropped a
         // user-configured CpuScanner and ran a default one.
-        let p = plan(
+        let p = ScanPlan::new(
             ScanSpec::inclusive(),
             Engine::Cpu(CpuScanner::new(2).with_chunk_elems(4096)),
+            PlanHint::default().with_trace(),
         );
         let cpu = p.cpu().unwrap();
         assert_eq!(cpu.workers(), 2);
@@ -1801,8 +1780,15 @@ mod tests {
         let input = data(40_000);
         assert_eq!(p.scan(&input, &Sum), crate::serial::prefix_sum(&input));
         // The configured chunk size was actually exercised: 40_000 elements
-        // at 4096 per chunk grows the arena to >= 10 chunk slots.
-        assert!(p.cpu().unwrap().arena_capacity().0 >= 10);
+        // at 4096 per chunk are chunks 0 through 9.
+        let report = p.last_report().expect("traced plan reports");
+        let chunks: std::collections::BTreeSet<u64> = report
+            .spans
+            .iter()
+            .filter(|sp| sp.phase == Phase::ChunkScan)
+            .map(|sp| sp.chunk)
+            .collect();
+        assert_eq!(chunks, (0..10).collect());
     }
 
     #[test]

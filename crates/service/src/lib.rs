@@ -51,8 +51,8 @@
 //!   family/coefficient fingerprint (the v2 `SAMC` format), so a sum
 //!   checkpoint can never silently resume a recurrence stream.
 //! - **Plan cache** — execution plans are resolved once per
-//!   `(ScanSpec, host fingerprint)` key ([`sam_core::plan::PlanCache`])
-//!   and shared by every lane
+//!   [`sam_core::ScanSpec`] ([`sam_core::plan::PlanCache`]) and shared
+//!   by every lane
 //!   ([`ScanService::plans_cached`]); sessions over them are cached
 //!   per lane, so the steady state allocates only each request's
 //!   output.

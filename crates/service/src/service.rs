@@ -689,15 +689,13 @@ fn execute_recurrence_batch(
         .iter()
         .map(|pending| {
             let req = &pending.request;
-            let op = match LinRec::new(coeffs.to_vec()) {
-                Ok(op) => op,
-                // Admission validated construction; if the invariant is
-                // ever violated it surfaces per request, not as a panic.
-                Err(err) => return Err(RequestError::BadRecurrence(err)),
-            };
             let session = match sessions.entry(req.kind) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::hash_map::Entry::Vacant(e) => {
+                    // Admission validated construction; if the invariant
+                    // is ever violated it surfaces per request, not as a
+                    // panic.
+                    let op = LinRec::new(coeffs.to_vec()).map_err(RequestError::BadRecurrence)?;
                     let spec = ScanSpec::inclusive()
                         .with_kind(req.kind)
                         .with_order(op.order())
@@ -707,7 +705,7 @@ fn execute_recurrence_batch(
                                 max: ScanSpec::MAX_ORDER as usize,
                             })
                         })?;
-                    e.insert(plan_for(shared, spec).session(op.clone()))
+                    e.insert(plan_for(shared, spec).session(op))
                 }
             };
             run_single(session, req)

@@ -44,7 +44,7 @@ fn main() {
     // --- 5. The multi-threaded CPU engine, planned once ------------------
     // Persistent workers, circular carry buffers, ready flags — the SAM
     // protocol on host threads. A `ScanPlan` resolves the engine once;
-    // the session reuses its worker pool and arena on every call.
+    // every call reuses the process-wide worker pool and its arena.
     let big: Vec<i64> = (0..2_000_000).map(|i| i % 1000 - 500).collect();
     let plan = ScanPlan::new(
         ScanSpec::inclusive(),

@@ -1,6 +1,6 @@
 //! Steady-state allocation discipline of [`CpuScanner::scan_into`]: after
-//! the first scan has grown the scanner's arena, further scans must not
-//! allocate per chunk. A counting global allocator measures exact
+//! the first scan has grown the worker pool's arena, further scans must
+//! not allocate per chunk, whichever scanner runs them. A counting global allocator measures exact
 //! allocation counts. The counter spans every thread (a thread-local one
 //! would miss allocations on CPU worker threads) but the harness's: each
 //! test runs alone in a child process of this binary
@@ -159,6 +159,32 @@ fn scan_into_does_not_allocate_per_chunk() {
             spec.order()
         );
     }
+}
+
+/// The carry arena belongs to the worker pool, not to a scanner: once one
+/// scanner has grown it, a fresh scanner of the same geometry allocates
+/// on its first scan exactly what a warm scan allocates (the per-worker
+/// scratch), and its output is still right.
+#[test]
+fn fresh_scanners_share_the_pool_arena() {
+    if !isolated("fresh_scanners_share_the_pool_arena") {
+        return;
+    }
+    let spec = ScanSpec::inclusive().with_order(2).unwrap();
+    let input: Vec<i64> = (0..65_536).map(|i| (i % 977) - 400).collect();
+    let mut out = vec![0i64; input.len()];
+    let warm = CpuScanner::new(2).with_chunk_elems(64); // 1024 chunks
+    warm.scan_into(&input, &mut out, &Sum, &spec); // warm-up (grows the pool and its arena)
+    let warm_allocs = allocs_during(|| warm.scan_into(&input, &mut out, &Sum, &spec));
+
+    let fresh = CpuScanner::new(2).with_chunk_elems(64);
+    out.fill(0);
+    let fresh_allocs = allocs_during(|| fresh.scan_into(&input, &mut out, &Sum, &spec));
+    assert_eq!(
+        fresh_allocs, warm_allocs,
+        "a fresh scanner's first scan must reuse the pool's arena"
+    );
+    assert_eq!(out, sam_core::serial::scan(&input, &Sum, &spec));
 }
 
 /// Plan-once sessions are allocation-free in steady state: after the

@@ -130,8 +130,8 @@ fn cpu_worker_panic_on_cascade_path_propagates() {
     assert_eq!(panic_message(payload.as_ref()), "injected worker panic");
 }
 
-/// A panicked scan must not permanently break the scanner: the poisoned
-/// arena lock is recovered and subsequent scans are correct.
+/// A panicked scan must not permanently break the scanner or the worker
+/// pool it leased with its arena: subsequent scans are correct.
 #[test]
 fn scanner_survives_a_panicked_scan() {
     let result = with_watchdog(|| {
