@@ -20,7 +20,7 @@ use gpu_sim::{AccessClass, GlobalBuffer, Gpu};
 use sam_core::chunkops;
 use sam_core::element::ScanElement;
 use sam_core::kernel::account_block_scan;
-use sam_core::chunk_kernel::ChunkKernel;
+use sam_core::op::ScanOp;
 use sam_core::{ScanKind, ScanSpec};
 
 /// First-pass strategy of a hierarchical scan (see module docs).
@@ -87,7 +87,7 @@ impl HierarchicalScan {
     pub fn scan<T, Op>(&self, gpu: &Gpu, input: &[T], op: &Op, spec: &ScanSpec) -> Option<Vec<T>>
     where
         T: ScanElement,
-        Op: ChunkKernel<T>,
+        Op: ScanOp<T>,
     {
         assert!(
             spec.is_first_order() && spec.tuple() == 1,
@@ -117,7 +117,7 @@ impl HierarchicalScan {
         kind: ScanKind,
     ) where
         T: ScanElement,
-        Op: ChunkKernel<T>,
+        Op: ScanOp<T>,
     {
         let n = data.len();
         let threads = gpu.spec().threads_per_block as usize;
@@ -134,17 +134,14 @@ impl HierarchicalScan {
                     let base = range.start;
                     let mut vals = vec![op.identity(); range.len()];
                     data.load_block(m, base, &mut vals, AccessClass::Element);
-                    let totals = chunkops::local_scan_with_totals(&mut vals, base, 1, op);
+                    let mut total = [op.identity()];
+                    chunkops::scan_chunk(&mut vals, base, 1, &mut total, op);
                     account_block_scan(m, ctx, vals.len(), threads);
-                    let stored = match kind {
-                        ScanKind::Inclusive => vals,
-                        ScanKind::Exclusive => {
-                            let id = [op.identity()];
-                            chunkops::exclusive_outputs(&vals, base, &id, op)
-                        }
-                    };
-                    out.store_block(m, base, &stored, AccessClass::Element);
-                    sums.store_block(m, ctx.block, &totals, AccessClass::Element);
+                    if kind == ScanKind::Exclusive {
+                        chunkops::exclusive_rewrite(&mut vals, base, &[op.identity()], op);
+                    }
+                    out.store_block(m, base, &vals, AccessClass::Element);
+                    sums.store_block(m, ctx.block, &total, AccessClass::Element);
                 });
 
                 if blocks > 1 {
@@ -161,7 +158,7 @@ impl HierarchicalScan {
                         out.load_block(m, base, &mut vals, AccessClass::Element);
                         let mut carry = [op.identity()];
                         carries.load_block(m, ctx.block, &mut carry, AccessClass::Element);
-                        op.apply_carry(&mut vals, 0, &carry);
+                        chunkops::apply_carry(&mut vals, 0, &carry, op);
                         m.add_compute(vals.len() as u64);
                         out.store_block(m, base, &vals, AccessClass::Element);
                     });
@@ -197,19 +194,20 @@ impl HierarchicalScan {
                     let base = range.start;
                     let mut vals = vec![op.identity(); range.len()];
                     data.load_block(m, base, &mut vals, AccessClass::Element);
-                    let _ = chunkops::local_scan_with_totals(&mut vals, base, 1, op);
+                    chunkops::scan_chunk(&mut vals, base, 1, &mut [op.identity()], op);
                     account_block_scan(m, ctx, vals.len(), threads);
                     let mut carry = [op.identity()];
                     carries.load_block(m, ctx.block, &mut carry, AccessClass::Element);
-                    let stored = match kind {
+                    match kind {
                         ScanKind::Inclusive => {
-                            op.apply_carry(&mut vals, 0, &carry);
+                            chunkops::apply_carry(&mut vals, 0, &carry, op);
                             m.add_compute(vals.len() as u64);
-                            vals
                         }
-                        ScanKind::Exclusive => chunkops::exclusive_outputs(&vals, base, &carry, op),
-                    };
-                    out.store_block(m, base, &stored, AccessClass::Element);
+                        ScanKind::Exclusive => {
+                            chunkops::exclusive_rewrite(&mut vals, base, &carry, op)
+                        }
+                    }
+                    out.store_block(m, base, &vals, AccessClass::Element);
                 });
             }
         }
@@ -220,7 +218,7 @@ impl HierarchicalScan {
 mod tests {
     use super::*;
     use gpu_sim::DeviceSpec;
-    use sam_core::op::{Max, Sum};
+    use sam_core::op::{Max, Sum, Xor};
     use sam_core::serial;
 
     fn gpu() -> Gpu {
@@ -273,8 +271,11 @@ mod tests {
             HierarchicalScan::thrust(),
             HierarchicalScan::mgpu(),
         ] {
-            let got = cfg.scan(&gpu, &data, &Sum, &ScanSpec::exclusive()).unwrap();
-            assert_eq!(got, serial::scan(&data, &Sum, &ScanSpec::exclusive()));
+            let spec = ScanSpec::exclusive();
+            let got = cfg.scan(&gpu, &data, &Sum, &spec).unwrap();
+            assert_eq!(got, serial::scan(&data, &Sum, &spec), "{cfg:?} Sum");
+            let got = cfg.scan(&gpu, &data, &Xor, &spec).unwrap();
+            assert_eq!(got, serial::scan(&data, &Xor, &spec), "{cfg:?} Xor");
         }
     }
 

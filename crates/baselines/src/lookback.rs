@@ -26,7 +26,7 @@ use gpu_sim::{AccessClass, AtomicWordBuffer, GlobalBuffer, Gpu};
 use sam_core::chunkops;
 use sam_core::element::ScanElement;
 use sam_core::kernel::account_block_scan;
-use sam_core::chunk_kernel::ChunkKernel;
+use sam_core::op::ScanOp;
 use sam_core::{ScanKind, ScanSpec};
 
 /// Chunk descriptor states of the look-back protocol.
@@ -58,7 +58,7 @@ impl LookbackScan {
     pub fn scan<T, Op>(&self, gpu: &Gpu, input: &[T], op: &Op, spec: &ScanSpec) -> Vec<T>
     where
         T: ScanElement,
-        Op: ChunkKernel<T>,
+        Op: ScanOp<T>,
     {
         assert!(
             spec.is_first_order() && spec.tuple() == 1,
@@ -86,7 +86,7 @@ impl LookbackScan {
     ) -> Vec<T>
     where
         T: ScanElement,
-        Op: ChunkKernel<T>,
+        Op: ScanOp<T>,
     {
         assert!(s > 0, "tuple size must be positive");
         assert_eq!(
@@ -109,7 +109,7 @@ impl LookbackScan {
     ) -> Vec<T>
     where
         T: ScanElement,
-        Op: ChunkKernel<T>,
+        Op: ScanOp<T>,
     {
         let n = input.len();
         if n == 0 {
@@ -135,6 +135,7 @@ impl LookbackScan {
 
         gpu.launch_persistent_with(k, threads, |ctx| {
             let m = ctx.metrics();
+            let mut totals = vec![op.identity(); s];
             for c in ctx.owned_chunks(num_chunks) {
                 if ctx.is_cancelled() {
                     return;
@@ -163,7 +164,7 @@ impl LookbackScan {
                 }
 
                 // --- Local scan + aggregate ------------------------------
-                let totals = chunkops::local_scan_with_totals(&mut vals, base, s, op);
+                chunkops::scan_chunk(&mut vals, base, s, &mut totals, op);
                 account_block_scan(m, ctx, len, threads);
 
                 for (l, &t) in totals.iter().enumerate() {
@@ -201,24 +202,19 @@ impl LookbackScan {
                 status.store(m, c, PREFIX);
 
                 // --- Apply carry and store --------------------------------
-                let stored = match kind {
-                    ScanKind::Inclusive => {
-                        op.apply_carry(&mut vals, base, &carry);
-                        m.add_compute(len as u64);
-                        std::mem::take(&mut vals)
-                    }
+                match kind {
+                    ScanKind::Inclusive => chunkops::apply_carry(&mut vals, base, &carry, op),
                     ScanKind::Exclusive => {
-                        m.add_compute(len as u64);
-                        chunkops::exclusive_outputs(&vals, base, &carry, op)
+                        chunkops::exclusive_rewrite(&mut vals, base, &carry, op)
                     }
-                };
+                }
+                m.add_compute(len as u64);
                 if aos {
-                    let mut src = stored;
                     warp_aos_access(&out, m, base, len, s, self.items_per_thread, threads, |w, buf, m, idxs| {
                         w.warp_scatter(m, idxs, buf, AccessClass::Element)
-                    }, &mut src);
+                    }, &mut vals);
                 } else {
-                    out.store_block(m, base, &stored, AccessClass::Element);
+                    out.store_block(m, base, &vals, AccessClass::Element);
                 }
             }
         });
@@ -297,7 +293,7 @@ fn warp_aos_access<T: ScanElement>(
 mod tests {
     use super::*;
     use gpu_sim::DeviceSpec;
-    use sam_core::op::Sum;
+    use sam_core::op::{Sum, Xor};
     use sam_core::serial;
 
     fn gpu() -> Gpu {
@@ -320,8 +316,11 @@ mod tests {
     fn exclusive_matches_oracle() {
         let gpu = gpu();
         let data = input(77_777);
-        let got = LookbackScan::default().scan(&gpu, &data, &Sum, &ScanSpec::exclusive());
-        assert_eq!(got, serial::scan(&data, &Sum, &ScanSpec::exclusive()));
+        let spec = ScanSpec::exclusive();
+        let got = LookbackScan::default().scan(&gpu, &data, &Sum, &spec);
+        assert_eq!(got, serial::scan(&data, &Sum, &spec));
+        let got = LookbackScan::default().scan(&gpu, &data, &Xor, &spec);
+        assert_eq!(got, serial::scan(&data, &Xor, &spec));
     }
 
     #[test]
@@ -382,10 +381,13 @@ mod tests {
         let gpu = gpu();
         let s = 3;
         let data = input(30_000);
+        let spec = ScanSpec::exclusive().with_tuple(s).unwrap();
         let got =
             LookbackScan::default().scan_tuples(&gpu, &data, &Sum, ScanKind::Exclusive, s);
-        let spec = ScanSpec::exclusive().with_tuple(s).unwrap();
         assert_eq!(got, serial::scan(&data, &Sum, &spec));
+        let got =
+            LookbackScan::default().scan_tuples(&gpu, &data, &Xor, ScanKind::Exclusive, s);
+        assert_eq!(got, serial::scan(&data, &Xor, &spec));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::lookback::LookbackScan;
 use gpu_sim::{AccessClass, GlobalBuffer, Gpu};
 use sam_core::element::ScanElement;
-use sam_core::chunk_kernel::ChunkKernel;
+use sam_core::op::ScanOp;
 use sam_core::{ScanKind, ScanSpec};
 
 /// Tuple-based scan via reorder / scan-per-lane / reorder-back, using the
@@ -44,7 +44,7 @@ impl ReorderTupleScan {
     pub fn scan<T, Op>(&self, gpu: &Gpu, input: &[T], op: &Op, kind: ScanKind, s: usize) -> Vec<T>
     where
         T: ScanElement,
-        Op: ChunkKernel<T>,
+        Op: ScanOp<T>,
     {
         assert!(s > 0, "tuple size must be positive");
         let n = input.len();

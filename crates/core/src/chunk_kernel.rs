@@ -1,25 +1,24 @@
 //! Chunk-kernel specialization layer.
 //!
 //! Every engine in this workspace — the serial oracle, the multi-threaded
-//! CPU engine and the simulated GPU kernel — decomposes a scan into the
-//! same four chunk-level primitives: a (possibly fused) local strided scan
-//! with per-lane totals, a carry application, and an exclusive rewrite.
-//! [`ChunkKernel`] captures those primitives as a dispatch trait layered on
-//! top of [`ScanOp`]:
+//! CPU engine and the simulated GPU kernel — scans a chunk in one of two
+//! ways. Operators with the single-pass cascade (wrapping-integer [`Sum`],
+//! [`LinRec`]) run an order-`q` scan as one cascade sweep seeded by the
+//! carry algebra of [`crate::carry`]; every other operator runs `q` passes
+//! of a strided scan, each followed by a carry. Only the cascade is
+//! operator-specific, so [`ChunkKernel`] holds only it and its
+//! carry-weight hooks. The iterated loops are plain functions over
+//! [`ScanOp`], written once: whole-span in [`crate::serial`], per chunk in
+//! [`crate::chunkops`].
 //!
-//! * the trait's **default methods** implement every primitive generically
-//!   for any associative operator, using a rotating lane index instead of a
-//!   per-element `(base + j) % s` division (Section 2.3's lane bookkeeping
-//!   costs one add-and-compare per element instead of one `div`);
-//! * **specialized implementations** override the hot cases, all of them
-//!   `cascade_*` sweeps. One rule, [`ChunkKernel::supports_cascade`],
-//!   picks the kernel family on every engine and at every order: an
-//!   operator that supports the cascade runs it for order 1 too, and
-//!   the iterated primitives serve only the operators that do not.
-//!   [`Sum`]'s order-1 stride-1 cascade takes the explicit SIMD/SWAR
-//!   kernels of [`crate::simd`], falling back to an unrolled in-register
-//!   scan (a blocked Hillis–Steele over `BLOCK = 16` lanes with per-block
-//!   carry fixup) that LLVM auto-vectorizes for the integer element types.
+//! One rule, [`ChunkKernel::supports_cascade`], picks the kernel family on
+//! every engine and at every order: an operator that supports the cascade
+//! runs it for order 1 too, and the iterated loops serve only the
+//! operators that do not. [`Sum`]'s order-1 stride-1 cascade takes the
+//! explicit SIMD/SWAR kernels of [`crate::simd`], falling back to an
+//! unrolled in-register scan (a blocked Hillis–Steele over `BLOCK = 16`
+//! lanes with per-block carry fixup) that LLVM auto-vectorizes for the
+//! integer element types.
 //!
 //! # One sweep per shape
 //!
@@ -43,14 +42,12 @@
 //! | `Sum` | exact rings | other | rotating-lane cascade |
 //! | `LinRec` | exact rings | 1, order ≤ 8 | register-resident window; multi-chain totals sweep at orders 1–3 |
 //! | `LinRec` | exact rings | s > 1 or order > 8 | rotating-lane window |
-//! | any other (incl. float `Sum`) | any | 1 | iterated: fused sequential accumulator |
-//! | any other (incl. float `Sum`) | any | s > 1 | iterated: in-buffer recurrence, rotating lane index |
+//! | any other (incl. float `Sum`) | any | any | iterated loops of [`crate::serial`] / [`crate::chunkops`], `q` passes |
 //!
 //! The `cascade_*` methods are the **single-pass order-`q`** kernels (a
 //! length-`q` state vector per lane, advanced once per element — see
 //! [`crate::carry`]), gated on [`ChunkKernel::supports_cascade`]
-//! (wrapping-integer sums and recurrences); the iterated primitives run
-//! an order-`q` scan as `q` passes.
+//! (wrapping-integer sums and recurrences).
 //!
 //! Non-temporal stores live only in the explicit kernels of
 //! [`crate::simd`]; every loop in this file uses ordinary stores.
@@ -72,174 +69,17 @@ use crate::segmented::{Element32, Packed32, SegmentedOp};
 /// Number of elements the unrolled in-register kernel processes per block.
 const BLOCK: usize = 16;
 
-/// Chunk-level scan kernels with operator/element/stride specialization.
+/// The operator-specific half of a chunk scan: the single-pass cascade
+/// sweeps and the carry-weight hooks they need.
 ///
-/// All methods have exact-semantics default implementations; concrete
-/// operators override the cases they can accelerate. See the module docs
-/// for the dispatch table and the determinism contract.
+/// Every method has a default, so an operator without the cascade needs
+/// only an empty impl; its scans run the iterated loops of
+/// [`crate::serial`] and [`crate::chunkops`]. See the module docs for the
+/// dispatch table and the determinism contract.
 ///
 /// Lane membership of position `j` (global index `base + j`) is
 /// `(base + j) % s`; implementations maintain it with a rotating index.
 pub trait ChunkKernel<T: Copy>: ScanOp<T> {
-    /// Fused strided inclusive scan of `src` into `dst` (one read of `src`,
-    /// one write of `dst`): `dst[j] = src[j]` for `j < s`, otherwise
-    /// `dst[j] = op(dst[j - s], src[j])`.
-    ///
-    /// This is the serial engine's steady-state kernel: it replaces the
-    /// copy-then-scan-in-place pair with a single pass, with the identical
-    /// left-to-right association (no identity fold).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is zero or the slices differ in length.
-    fn inclusive_from(&self, src: &[T], dst: &mut [T], s: usize) {
-        check_fused(src.len(), dst.len(), s);
-        if s == 1 {
-            // A sequential running accumulator: the association of the
-            // reference loop below, kept in a register.
-            let Some((&first, rest)) = src.split_first() else {
-                return;
-            };
-            let mut acc = first;
-            dst[0] = acc;
-            for (d, &v) in dst[1..].iter_mut().zip(rest) {
-                acc = self.combine(acc, v);
-                *d = acc;
-            }
-            return;
-        }
-        let n = src.len();
-        let head = s.min(n);
-        dst[..head].copy_from_slice(&src[..head]);
-        for j in s..n {
-            dst[j] = self.combine(dst[j - s], src[j]);
-        }
-    }
-
-    /// In-place strided inclusive scan: `data[j] = op(data[j - s], data[j])`
-    /// for `j >= s`, the first `s` elements untouched — exactly the
-    /// reference recurrence of `serial::inclusive_strided_in_place`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is zero.
-    fn inclusive_in_place(&self, data: &mut [T], s: usize) {
-        assert!(s > 0, "stride must be positive");
-        if s == 1 {
-            let Some((&first, _)) = data.split_first() else {
-                return;
-            };
-            let mut acc = first;
-            for v in &mut data[1..] {
-                acc = self.combine(acc, *v);
-                *v = acc;
-            }
-            return;
-        }
-        for j in s..data.len() {
-            data[j] = self.combine(data[j - s], data[j]);
-        }
-    }
-
-    /// Fused strided exclusive scan of `src` into `dst`: the first element
-    /// of each lane receives the identity, every later one the combination
-    /// of all earlier same-lane elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is zero or the slices differ in length.
-    fn exclusive_from(&self, src: &[T], dst: &mut [T], s: usize) {
-        check_fused(src.len(), dst.len(), s);
-        let n = src.len();
-        for d in &mut dst[..s.min(n)] {
-            *d = self.identity();
-        }
-        // dst[j - s] already holds the exclusive prefix of the previous
-        // same-lane element; extending it by src[j - s] is the same left
-        // fold as the reference per-lane walk.
-        for j in s..n {
-            dst[j] = self.combine(dst[j - s], src[j - s]);
-        }
-    }
-
-    /// In-place strided exclusive scan, identical in association to
-    /// `serial::exclusive_strided_in_place`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is zero.
-    fn exclusive_in_place(&self, data: &mut [T], s: usize) {
-        assert!(s > 0, "stride must be positive");
-        let n = data.len();
-        for lane in 0..s.min(n) {
-            let mut acc = self.identity();
-            let mut i = lane;
-            while i < n {
-                let v = data[i];
-                data[i] = acc;
-                acc = self.combine(acc, v);
-                i += s;
-            }
-        }
-    }
-
-    /// Local strided inclusive scan of one chunk, in place, publishing the
-    /// per-lane totals into `totals` (length `s`; lanes with no element in
-    /// the chunk receive the identity). `base` is the chunk's global start
-    /// offset, which determines lane labeling only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is zero or `totals.len() != s`.
-    fn scan_chunk_in_place(&self, chunk: &mut [T], base: usize, s: usize, totals: &mut [T]) {
-        assert!(s > 0, "stride must be positive");
-        assert_eq!(totals.len(), s, "one total per lane");
-        self.inclusive_in_place(chunk, s);
-        collect_totals(self, chunk, base, s, totals);
-    }
-
-    /// Fused variant of [`ChunkKernel::scan_chunk_in_place`] reading the
-    /// raw chunk from `src` and writing the scanned chunk to `chunk` —
-    /// the multi-threaded engine's steady-state kernel (no staging copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is zero, the slices differ in length, or
-    /// `totals.len() != s`.
-    fn scan_chunk_from(&self, src: &[T], chunk: &mut [T], base: usize, s: usize, totals: &mut [T]) {
-        assert_eq!(totals.len(), s, "one total per lane");
-        self.inclusive_from(src, chunk, s);
-        collect_totals(self, chunk, base, s, totals);
-    }
-
-    /// Combines the accumulated per-lane carries into a scanned chunk:
-    /// `chunk[j] = op(carry[(base + j) % s], chunk[j])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `carry` is empty.
-    fn apply_carry(&self, chunk: &mut [T], base: usize, carry: &[T]) {
-        let s = carry.len();
-        assert!(s > 0, "carry must have one entry per lane");
-        if s == 1 {
-            let c = carry[0];
-            for v in chunk.iter_mut() {
-                *v = self.combine(c, *v);
-            }
-            return;
-        }
-        let mut lane = base % s;
-        for v in chunk.iter_mut() {
-            *v = self.combine(carry[lane], *v);
-            lane += 1;
-            if lane == s {
-                lane = 0;
-            }
-        }
-    }
-
-    // --- Single-pass higher-order cascade (the carry algebra) --------------
-
     /// Whether this operator supports the order-`q` *cascade* kernels and
     /// the binomial carry algebra of [`crate::carry`].
     ///
@@ -328,59 +168,12 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
         check_cascade_state(state.len(), s);
         cascade_generic(self, &mut Discard(src), base, s, state, false);
     }
-
-    /// Rewrites a *pre-carry* inclusively-scanned chunk into its exclusive
-    /// outputs, in place: position `j` receives
-    /// `op(carry[lane(j)], scanned[j - s])`, or the lane's carry alone for
-    /// the chunk's first `s` positions.
-    ///
-    /// Walks backwards so no staging buffer is needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `carry` is empty.
-    fn exclusive_rewrite(&self, chunk: &mut [T], base: usize, carry: &[T]) {
-        let s = carry.len();
-        assert!(s > 0, "carry must have one entry per lane");
-        let n = chunk.len();
-        if n == 0 {
-            return;
-        }
-        // Rotating lane index, walking down from position n - 1.
-        let mut lane = (base + n - 1) % s;
-        for j in (s..n).rev() {
-            chunk[j] = self.combine(carry[lane], chunk[j - s]);
-            lane = if lane == 0 { s - 1 } else { lane - 1 };
-        }
-        for j in (0..s.min(n)).rev() {
-            chunk[j] = carry[lane];
-            lane = if lane == 0 { s - 1 } else { lane - 1 };
-        }
-    }
 }
 
-/// Shared argument validation for the fused `*_from` kernels.
-fn check_fused(src_len: usize, dst_len: usize, s: usize) {
+/// Shared argument validation for the `*_from` kernels and loops.
+pub(crate) fn check_fused(src_len: usize, dst_len: usize, s: usize) {
     assert!(s > 0, "stride must be positive");
     assert_eq!(src_len, dst_len, "fused kernel buffers must match in length");
-}
-
-/// Publishes per-lane totals from a scanned chunk: the last element of each
-/// lane within the chunk, identity for absent lanes.
-fn collect_totals<T: Copy, Op: ScanOp<T> + ?Sized>(
-    op: &Op,
-    chunk: &[T],
-    base: usize,
-    s: usize,
-    totals: &mut [T],
-) {
-    for t in totals.iter_mut() {
-        *t = op.identity();
-    }
-    let n = chunk.len();
-    for j in n.saturating_sub(s)..n {
-        totals[(base + j) % s] = chunk[j];
-    }
 }
 
 /// Validates a cascade state buffer: a positive multiple of `s`.
@@ -1105,7 +898,7 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
     }
 }
 
-// --- Remaining standard operators: exact-semantics defaults ----------------
+// --- Remaining standard operators: no cascade, iterated loops --------------
 
 impl<T: ScanElement> ChunkKernel<T> for Prod {}
 impl<T: ScanElement> ChunkKernel<T> for Max {}
@@ -1132,7 +925,7 @@ where
 mod tests {
     use super::*;
     use crate::config::ScanSpec;
-    use crate::serial;
+    use crate::{chunkops, serial};
 
     fn pseudo_random(n: usize, seed: u64) -> Vec<i64> {
         let mut state = seed | 1;
@@ -1215,7 +1008,7 @@ mod tests {
         let mut expect = input.clone();
         reference_inclusive(&Sum, &mut expect, 1);
         let mut dst = vec![0.0f64; input.len()];
-        Sum.inclusive_from(&input, &mut dst, 1);
+        serial::inclusive_strided_from(&input, &mut dst, &Sum, 1);
         let expect_bits: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
         let got_bits: Vec<u64> = dst.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got_bits, expect_bits);
@@ -1237,20 +1030,17 @@ mod tests {
         for (n, s, base) in [(100usize, 3usize, 7usize), (40, 1, 0), (5, 8, 2), (0, 2, 9)] {
             let input = pseudo_random(n, 3 * n as u64 + s as u64 + base as u64);
             let mut expect_chunk = input.clone();
-            let expect_totals =
-                crate::chunkops::local_scan_with_totals(&mut expect_chunk, base, s, &Sum);
+            let mut expect_totals = vec![0i64; s];
+            chunkops::scan_chunk(&mut expect_chunk, base, s, &mut expect_totals, &Sum);
+            let mut reference = input.clone();
+            reference_inclusive(&Sum, &mut reference, s);
+            assert_eq!(expect_chunk, reference, "n={n} s={s} base={base}");
 
             let mut fused = vec![0i64; n];
             let mut totals = vec![0i64; s];
-            Sum.scan_chunk_from(&input, &mut fused, base, s, &mut totals);
+            chunkops::scan_chunk_from(&input, &mut fused, base, s, &mut totals, &Sum);
             assert_eq!(fused, expect_chunk, "n={n} s={s} base={base}");
             assert_eq!(totals, expect_totals, "n={n} s={s} base={base}");
-
-            let mut in_place = input.clone();
-            let mut totals2 = vec![0i64; s];
-            Sum.scan_chunk_in_place(&mut in_place, base, s, &mut totals2);
-            assert_eq!(in_place, expect_chunk);
-            assert_eq!(totals2, expect_totals);
         }
     }
 
@@ -1264,7 +1054,7 @@ mod tests {
                 *v = carry[(base + j) % s].wrapping_add(*v);
             }
             let mut got = input.clone();
-            Sum.apply_carry(&mut got, base, &carry);
+            chunkops::apply_carry(&mut got, base, &carry, &Sum);
             assert_eq!(got, expect, "n={n} s={s} base={base}");
         }
     }
@@ -1276,15 +1066,20 @@ mod tests {
             let mut scanned = input.clone();
             reference_inclusive(&Sum, &mut scanned, s);
             let carry: Vec<i64> = (0..s as i64).map(|l| 31 * (l + 2)).collect();
-            let expect = crate::chunkops::exclusive_outputs(&scanned, base, &carry, &Sum);
+            let expect: Vec<i64> = (0..n)
+                .map(|j| {
+                    let c = carry[(base + j) % s];
+                    if j < s { c } else { c.wrapping_add(scanned[j - s]) }
+                })
+                .collect();
             let mut got = scanned.clone();
-            Sum.exclusive_rewrite(&mut got, base, &carry);
+            chunkops::exclusive_rewrite(&mut got, base, &carry, &Sum);
             assert_eq!(got, expect, "n={n} s={s} base={base}");
         }
     }
 
     #[test]
-    fn non_commutative_operator_uses_default_kernels() {
+    fn non_commutative_operator_runs_iterated_loops() {
         // Affine-map composition (a, b) ∘ (c, d) = (a·c, b·c + d) packed in
         // u64 halves: associative, not commutative.
         let compose = FnOp::new(pack(1, 0), |x: u64, y: u64| {
@@ -1296,10 +1091,12 @@ mod tests {
             .map(|i| pack(i % 5 + 1, i.wrapping_mul(2654435761)))
             .collect();
         for s in [1usize, 3] {
+            let mut expect = input.clone();
+            reference_inclusive(&compose, &mut expect, s);
             let spec = ScanSpec::inclusive().with_tuple(s).unwrap();
-            let expect = serial::scan(&input, &compose, &spec);
+            assert_eq!(serial::scan(&input, &compose, &spec), expect, "s={s}");
             let mut dst = vec![0u64; input.len()];
-            compose.inclusive_from(&input, &mut dst, s);
+            serial::inclusive_strided_from(&input, &mut dst, &compose, s);
             assert_eq!(dst, expect, "s={s}");
         }
     }
@@ -1469,7 +1266,7 @@ mod tests {
         for q in [2usize, 8] {
             let mut expect = input.clone();
             for _ in 0..q {
-                Sum.inclusive_in_place(&mut expect, 1);
+                serial::inclusive_strided_in_place(&mut expect, &Sum, 1);
             }
             let mut dst = vec![0u8; input.len()];
             let mut state = vec![0u8; q];
@@ -1602,13 +1399,13 @@ mod tests {
     #[should_panic(expected = "buffers must match")]
     fn fused_length_mismatch_panics() {
         let mut dst = vec![0i64; 3];
-        Sum.inclusive_from(&[1i64, 2], &mut dst, 1);
+        serial::inclusive_strided_from(&[1i64, 2], &mut dst, &Sum, 1);
     }
 
     #[test]
     #[should_panic(expected = "stride must be positive")]
     fn zero_stride_panics() {
         let mut dst = vec![0i64; 2];
-        Sum.inclusive_from(&[1i64, 2], &mut dst, 0);
+        serial::inclusive_strided_from(&[1i64, 2], &mut dst, &Sum, 0);
     }
 }

@@ -39,15 +39,16 @@
 //!
 //! [`CpuScanner::scan_into`] performs **no per-chunk heap allocation**:
 //! each chunk is scanned directly in the caller's output buffer through the
-//! fused [`ChunkKernel`] kernels (no staging copy of the input), per-worker
-//! lane scratch is allocated once per scan, and the auxiliary sum/ready
-//! arrays live in the pool's grow-only arena — after the first scan of a
-//! given geometry by any scanner, repeated scans allocate only the
-//! per-worker scratch and create no thread. Like the pool's threads, the
-//! arena never shrinks: it holds `1 + q * s` 8-byte words per chunk of the
-//! largest scan so far, so with the default 32 Ki-element chunks of 8-byte
-//! elements its size is `(1 + q * s) / 32768` of that scan's output, 1/4096
-//! at `q * s = 7`.
+//! fused chunk kernels (the [`ChunkKernel`] cascade sweeps, or
+//! [`chunkops::scan_chunk_from`] for the iterated protocol; no staging copy
+//! of the input), per-worker lane scratch is allocated once per scan, and
+//! the auxiliary sum/ready arrays live in the pool's grow-only arena —
+//! after the first scan of a given geometry by any scanner, repeated scans
+//! allocate only the per-worker scratch and create no thread. Like the
+//! pool's threads, the arena never shrinks: it holds `1 + q * s` 8-byte
+//! words per chunk of the largest scan so far, so with the default
+//! 32 Ki-element chunks of 8-byte elements its size is `(1 + q * s) /
+//! 32768` of that scan's output, 1/4096 at `q * s = 7`.
 
 use crate::chunk_kernel::ChunkKernel;
 use crate::chunkops;
@@ -183,7 +184,7 @@ impl CpuScanner {
     /// Scans `input` into a caller-provided buffer of the same length.
     ///
     /// The steady state is allocation-free per chunk: chunks are scanned
-    /// directly in `out` via the fused [`ChunkKernel`] kernels, and the
+    /// directly in `out` via the fused chunk kernels, and the
     /// auxiliary arrays come from the worker pool's grow-only arena (see
     /// the module docs).
     ///
@@ -366,9 +367,10 @@ impl CpuScanner {
                     // writes the output chunk.
                     obs::timed(sink, b, c as u64, Phase::ChunkScan, || {
                         if iter == 0 {
-                            op.scan_chunk_from(&input[range.clone()], chunk, base, s, &mut totals);
+                            let src = &input[range.clone()];
+                            chunkops::scan_chunk_from(src, chunk, base, s, &mut totals, op);
                         } else {
-                            op.scan_chunk_in_place(chunk, base, s, &mut totals);
+                            chunkops::scan_chunk(chunk, base, s, &mut totals, op);
                         }
                     });
 
@@ -413,9 +415,9 @@ impl CpuScanner {
                         if iter + 1 == q && exclusive {
                             // The chunk holds its pre-carry local scan;
                             // rewrite it into exclusive outputs in place.
-                            op.exclusive_rewrite(chunk, base, &carry);
+                            chunkops::exclusive_rewrite(chunk, base, &carry, op);
                         } else {
-                            op.apply_carry(chunk, base, &carry);
+                            chunkops::apply_carry(chunk, base, &carry, op);
                         }
                     });
                 }
@@ -568,7 +570,7 @@ impl<'a, T> Iterator for Chunks<'a, T> {
         let range = chunkops::chunk_range(c, self.geom.chunk_elems, self.geom.n);
         // SAFETY: each chunk belongs to exactly one worker's iterator
         // (round-robin ownership) and is yielded once, the ranges are
-        // disjoint, and `out` outlives every worker (`run_blocks` returns
+        // disjoint, and `out` outlives every worker (`run_workers` returns
         // only after all of them have finished).
         let chunk =
             unsafe { std::slice::from_raw_parts_mut(self.out.0.add(range.start), range.len()) };

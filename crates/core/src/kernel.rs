@@ -368,6 +368,8 @@ where
         // published — the ingredients of Figure 2's incremental update.
         let mut prev_carry: Vec<Vec<T>> = vec![vec![op.identity(); s]; q];
         let mut prev_totals: Vec<Vec<T>> = vec![vec![op.identity(); s]; q];
+        // The current chunk's per-lane totals, refilled every iteration.
+        let mut totals: Vec<T> = vec![op.identity(); s];
         // The chunk under scan, one chunk long.
         let mut vals: Vec<T> = vec![op.identity(); chunk_elems.min(n)];
         let mut paced_until: i64 = -1;
@@ -399,7 +401,7 @@ where
                 // rounds, and a sibling can die between any two of them.
                 ctx.check_cancelled();
                 // --- Local strided scan + per-lane totals ----------------
-                let totals = chunkops::local_scan_with_totals(vals, base, s, op);
+                chunkops::scan_chunk(vals, base, s, &mut totals, op);
                 account_block_scan(m, ctx, len, threads);
 
                 let carry = match params.carry {
@@ -421,7 +423,7 @@ where
                         } else {
                             vec![op.identity(); s]
                         };
-                        let first_pred = c.saturating_sub(k - 1).max(if c >= k { c - k + 1 } else { 0 });
+                        let first_pred = c.saturating_sub(k - 1);
                         if first_pred < c {
                             wait_ready(&flags, m, first_pred..c, ring_len, |j| flag_target(j, iter));
                             for j in first_pred..c {
@@ -461,7 +463,7 @@ where
                     }
                 };
 
-                prev_totals[iter] = totals;
+                prev_totals[iter].copy_from_slice(&totals);
                 prev_carry[iter] = carry.clone();
 
                 let exclusive_last =
@@ -469,14 +471,14 @@ where
                 if exclusive_last {
                     exclusive_carry = Some(carry);
                 } else {
-                    op.apply_carry(vals, base, &carry);
+                    chunkops::apply_carry(vals, base, &carry, op);
                     m.add_compute(len as u64);
                 }
             }
 
             // --- Store the chunk once, fully coalesced -------------------
             if let Some(carry) = exclusive_carry.take() {
-                op.exclusive_rewrite(vals, base, &carry);
+                chunkops::exclusive_rewrite(vals, base, &carry, op);
                 m.add_compute(len as u64);
             }
             output_buf.store_block(m, base, vals, AccessClass::Element);

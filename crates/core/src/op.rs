@@ -295,24 +295,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn check_identity<T: ScanElement>(op: &impl ScanOp<T>, samples: &[T]) {
-        for &s in samples {
-            assert_eq!(op.combine(op.identity(), s), s);
-            assert_eq!(op.combine(s, op.identity()), s);
-        }
-    }
+    use crate::validate::check_identity;
 
     #[test]
     fn identities_hold() {
         let samples = [-3i32, 0, 1, 7, i32::MAX, i32::MIN];
-        check_identity(&Sum, &samples);
-        check_identity(&Prod, &samples);
-        check_identity(&Max, &samples);
-        check_identity(&Min, &samples);
-        check_identity(&Xor, &samples);
-        check_identity(&And, &samples);
-        check_identity(&Or, &samples);
+        check_identity(&Sum, &samples).expect("Sum");
+        check_identity(&Prod, &samples).expect("Prod");
+        check_identity(&Max, &samples).expect("Max");
+        check_identity(&Min, &samples).expect("Min");
+        check_identity(&Xor, &samples).expect("Xor");
+        check_identity(&And, &samples).expect("And");
+        check_identity(&Or, &samples).expect("Or");
     }
 
     #[test]
@@ -335,7 +329,7 @@ mod tests {
 
     #[test]
     fn float_sum_identity() {
-        check_identity::<f64>(&Sum, &[1.5, -2.25, 0.0]);
+        check_identity::<f64, _>(&Sum, &[1.5, -2.25, 0.0]).expect("float Sum");
     }
 
     #[test]

@@ -925,9 +925,10 @@ impl<T: Pod64, Op: ChunkKernel<T>> ScanSession<T, Op> {
 
     /// The serial engine's association: per lane, order-1..q accumulators
     /// advanced elementwise. Inclusive accumulators start from the lane's
-    /// first raw value (no identity fold, like `inclusive_from`); the
-    /// exclusive final order is an identity-seeded accumulator emitting its
-    /// pre-update value (like `exclusive_in_place`).
+    /// first raw value (no identity fold, like
+    /// `serial::inclusive_strided_from`); the exclusive final order is an
+    /// identity-seeded accumulator emitting its pre-update value (like
+    /// `serial::exclusive_strided_in_place`).
     fn feed_continuous(&mut self, batch: &[T]) {
         let s = self.s as u64;
         let inc_orders = if self.exclusive { self.q - 1 } else { self.q };
@@ -958,11 +959,11 @@ impl<T: Pod64, Op: ChunkKernel<T>> ScanSession<T, Op> {
 
     /// The chunked engines' association: within a chunk, per-order local
     /// accumulators start from the first raw value; outputs combine the
-    /// chunk carry with the local value (`apply_carry` / the last order's
-    /// `exclusive_rewrite`); at each chunk boundary every lane's carry
-    /// folds its local total (identity for lanes absent from the chunk),
-    /// in chunk order from the identity — exactly the multi-pass protocol
-    /// of the CPU and simulated engines.
+    /// chunk carry with the local value (`chunkops::apply_carry` / the
+    /// last order's `chunkops::exclusive_rewrite`); at each chunk boundary
+    /// every lane's carry folds its local total (identity for lanes absent
+    /// from the chunk), in chunk order from the identity — exactly the
+    /// multi-pass protocol of the CPU and simulated engines.
     fn feed_chunked(&mut self, batch: &[T], chunk_elems: usize) {
         let s = self.s;
         let q = self.q;

@@ -2,8 +2,7 @@
 //!
 //! These are the ground truth every parallel implementation in the
 //! workspace is validated against. They implement the full generalized
-//! specification — any [`ScanOp`](crate::op::ScanOp), any order, any
-//! tuple size, inclusive or
+//! specification — any [`ScanOp`], any order, any tuple size, inclusive or
 //! exclusive — with the obvious loops, mirroring the serial code in
 //! Section 1 of the paper:
 //!
@@ -17,23 +16,73 @@
 //! [`ChunkKernel::supports_cascade`] is true (wrapping-integer sums,
 //! recurrences) runs the single-pass cascade at every order, which is
 //! bit-identical to the iterated loops; every other operator runs them
-//! as written.
+//! as written. The strided loops below are the iterated protocol's
+//! whole-span loops, written once; its chunk-level loops are in
+//! [`crate::chunkops`].
 
-use crate::chunk_kernel::ChunkKernel;
+use crate::chunk_kernel::{check_fused, ChunkKernel};
 use crate::config::{ScanKind, ScanSpec};
+use crate::op::ScanOp;
 
 /// One pass of an inclusive scan with stride `s`, in place:
-/// `a[i] = op(a[i - s], a[i])` for `i >= s`.
+/// `a[i] = op(a[i - s], a[i])` for `i >= s`, the first `s` elements
+/// untouched.
 ///
 /// With `s = 1` this is the conventional inclusive scan; with `s > 1` it
 /// computes `s` interleaved scans (Section 2.3). This is the iterated
-/// primitive: [`scan`] takes it only for operators without the cascade.
+/// loop: [`scan`] takes it only for operators without the cascade.
 ///
 /// # Panics
 ///
-/// Panics if `stride` is zero.
-pub fn inclusive_strided_in_place<T: Copy>(data: &mut [T], op: &impl ChunkKernel<T>, stride: usize) {
-    op.inclusive_in_place(data, stride);
+/// Panics if `s` is zero.
+pub fn inclusive_strided_in_place<T: Copy>(data: &mut [T], op: &impl ScanOp<T>, s: usize) {
+    assert!(s > 0, "stride must be positive");
+    if s == 1 {
+        let Some((&first, _)) = data.split_first() else {
+            return;
+        };
+        let mut acc = first;
+        for v in &mut data[1..] {
+            acc = op.combine(acc, *v);
+            *v = acc;
+        }
+        return;
+    }
+    for j in s..data.len() {
+        data[j] = op.combine(data[j - s], data[j]);
+    }
+}
+
+/// [`inclusive_strided_in_place`] reading `src` and writing `dst` (one
+/// read of `src`, one write of `dst`): `dst[j] = src[j]` for `j < s`,
+/// otherwise `dst[j] = op(dst[j - s], src[j])`, with the identical
+/// left-to-right association (no identity fold).
+///
+/// # Panics
+///
+/// Panics if `s` is zero or the slices differ in length.
+pub fn inclusive_strided_from<T: Copy>(src: &[T], dst: &mut [T], op: &impl ScanOp<T>, s: usize) {
+    check_fused(src.len(), dst.len(), s);
+    if s == 1 {
+        // A sequential running accumulator: the association of the
+        // strided loop below, kept in a register.
+        let Some((&first, rest)) = src.split_first() else {
+            return;
+        };
+        let mut acc = first;
+        dst[0] = acc;
+        for (d, &v) in dst[1..].iter_mut().zip(rest) {
+            acc = op.combine(acc, v);
+            *d = acc;
+        }
+        return;
+    }
+    let n = src.len();
+    let head = s.min(n);
+    dst[..head].copy_from_slice(&src[..head]);
+    for j in s..n {
+        dst[j] = op.combine(dst[j - s], src[j]);
+    }
 }
 
 /// One pass of an exclusive scan with stride `s`, in place: position `i`
@@ -42,9 +91,40 @@ pub fn inclusive_strided_in_place<T: Copy>(data: &mut [T], op: &impl ChunkKernel
 ///
 /// # Panics
 ///
-/// Panics if `stride` is zero.
-pub fn exclusive_strided_in_place<T: Copy>(data: &mut [T], op: &impl ChunkKernel<T>, stride: usize) {
-    op.exclusive_in_place(data, stride);
+/// Panics if `s` is zero.
+pub fn exclusive_strided_in_place<T: Copy>(data: &mut [T], op: &impl ScanOp<T>, s: usize) {
+    assert!(s > 0, "stride must be positive");
+    let n = data.len();
+    for lane in 0..s.min(n) {
+        let mut acc = op.identity();
+        let mut i = lane;
+        while i < n {
+            let v = data[i];
+            data[i] = acc;
+            acc = op.combine(acc, v);
+            i += s;
+        }
+    }
+}
+
+/// [`exclusive_strided_in_place`] reading `src` and writing `dst`, with
+/// the same association.
+///
+/// # Panics
+///
+/// Panics if `s` is zero or the slices differ in length.
+pub fn exclusive_strided_from<T: Copy>(src: &[T], dst: &mut [T], op: &impl ScanOp<T>, s: usize) {
+    check_fused(src.len(), dst.len(), s);
+    let n = src.len();
+    for d in &mut dst[..s.min(n)] {
+        *d = op.identity();
+    }
+    // dst[j - s] already holds the exclusive prefix of the previous
+    // same-lane element; extending it by src[j - s] is the same left
+    // fold as the per-lane walk of `exclusive_strided_in_place`.
+    for j in s..n {
+        dst[j] = op.combine(dst[j - s], src[j - s]);
+    }
 }
 
 /// Computes the generalized scan described by `spec` over `input`.
@@ -97,15 +177,15 @@ pub fn scan_into<T: Copy>(input: &[T], out: &mut [T], op: &impl ChunkKernel<T>, 
     }
     // Iteration 0 reads the input directly; later iterations are in place.
     if q == 1 && spec.kind() == ScanKind::Exclusive {
-        op.exclusive_from(input, out, s);
+        exclusive_strided_from(input, out, op, s);
         return;
     }
-    op.inclusive_from(input, out, s);
+    inclusive_strided_from(input, out, op, s);
     for iter in 1..q {
         let last = iter + 1 == q;
         match (last, spec.kind()) {
-            (true, ScanKind::Exclusive) => op.exclusive_in_place(out, s),
-            _ => op.inclusive_in_place(out, s),
+            (true, ScanKind::Exclusive) => exclusive_strided_in_place(out, op, s),
+            _ => inclusive_strided_in_place(out, op, s),
         }
     }
 }

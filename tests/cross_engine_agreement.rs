@@ -8,7 +8,8 @@
 use gpu_sim::{DeviceSpec, Gpu};
 use sam_core::cpu::CpuScanner;
 use sam_core::kernel::{scan_on_gpu, AuxMode, CarryPropagation, SamParams};
-use sam_core::op::Sum;
+use sam_core::chunk_kernel::ChunkKernel;
+use sam_core::op::{Sum, Xor};
 use sam_core::{serial, ScanKind, ScanSpec};
 use sam_baselines::{iterate_scan, HierarchicalScan, LookbackScan};
 
@@ -26,45 +27,51 @@ fn spec(kind: ScanKind, order: u32, tuple: usize) -> ScanSpec {
     ScanSpec::new(kind, order, tuple).expect("valid spec")
 }
 
-#[test]
-fn all_engines_agree_on_the_full_spec_matrix() {
-    let gpu = Gpu::new(DeviceSpec::k40());
-    let n = 40_000;
-    let input = pseudo_random(n, 42);
-
+/// The CPU engine and the simulated GPU kernel against the serial oracle
+/// for `op`, over kind × order × tuple.
+fn engines_agree_for<Op: ChunkKernel<i64>>(gpu: &Gpu, input: &[i64], op: &Op, name: &str) {
     for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
         for order in [1u32, 2, 3] {
             for tuple in [1usize, 2, 5] {
                 let spec = spec(kind, order, tuple);
-                let oracle = serial::scan(&input, &Sum, &spec);
+                let oracle = serial::scan(input, op, &spec);
 
                 let cpu = CpuScanner::new(4)
                     .with_chunk_elems(1500)
-                    .scan(&input, &Sum, &spec);
-                assert_eq!(cpu, oracle, "cpu engine, {spec:?}");
+                    .scan(input, op, &spec);
+                assert_eq!(cpu, oracle, "cpu engine, {name}, {spec:?}");
 
                 let (sim, _) = scan_on_gpu(
-                    &gpu,
-                    &input,
-                    &Sum,
+                    gpu,
+                    input,
+                    op,
                     &spec,
                     &SamParams {
                         items_per_thread: 2,
                         ..SamParams::default()
                     },
                 );
-                assert_eq!(sim, oracle, "gpu kernel, {spec:?}");
+                assert_eq!(sim, oracle, "gpu kernel, {name}, {spec:?}");
             }
         }
     }
 }
 
+/// `Sum` takes the cascade sweeps; `Xor` has no cascade, so every engine
+/// runs it through the iterated loops of `serial` and `chunkops`.
 #[test]
-fn chained_and_ring_variants_agree_with_decoupled() {
+fn all_engines_agree_on_the_full_spec_matrix() {
     let gpu = Gpu::new(DeviceSpec::k40());
-    let input = pseudo_random(150_000, 7);
+    let input = pseudo_random(40_000, 42);
+    engines_agree_for(&gpu, &input, &Sum, "Sum");
+    engines_agree_for(&gpu, &input, &Xor, "Xor");
+}
+
+/// Chained carries and the ring-buffer aux mode against the serial oracle
+/// for `op`, at tuple 3.
+fn carry_variants_agree_for<Op: ChunkKernel<i64>>(gpu: &Gpu, input: &[i64], op: &Op, name: &str) {
     let spec = ScanSpec::inclusive().with_tuple(3).expect("valid spec");
-    let oracle = serial::scan(&input, &Sum, &spec);
+    let oracle = serial::scan(input, op, &spec);
 
     for (carry, aux) in [
         (CarryPropagation::Chained, AuxMode::PerChunk),
@@ -77,8 +84,8 @@ fn chained_and_ring_variants_agree_with_decoupled() {
             aux,
             ..SamParams::default()
         };
-        let (out, info) = scan_on_gpu(&gpu, &input, &Sum, &spec, &params);
-        assert_eq!(out, oracle, "carry={carry:?} aux={aux:?}");
+        let (out, info) = scan_on_gpu(gpu, input, op, &spec, &params);
+        assert_eq!(out, oracle, "{name} carry={carry:?} aux={aux:?}");
         if aux == AuxMode::Ring {
             assert!(
                 info.ring_len < info.chunks as usize,
@@ -88,6 +95,14 @@ fn chained_and_ring_variants_agree_with_decoupled() {
             );
         }
     }
+}
+
+#[test]
+fn chained_and_ring_variants_agree_with_decoupled() {
+    let gpu = Gpu::new(DeviceSpec::k40());
+    let input = pseudo_random(150_000, 7);
+    carry_variants_agree_for(&gpu, &input, &Sum, "Sum");
+    carry_variants_agree_for(&gpu, &input, &Xor, "Xor");
 }
 
 #[test]
