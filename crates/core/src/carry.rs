@@ -107,15 +107,48 @@ pub fn binomial_mod_2_64(m: u128, d: u32) -> u64 {
 /// `w[0] = 1` always (the matrix is unitriangular); `dist = 0` yields the
 /// identity (`w[d] = C(d - 1, d) = 0` for `d > 0`).
 pub fn advance_weights(dist: u64, q: usize) -> Vec<u64> {
-    (0..q)
-        .map(|d| {
-            if d == 0 {
-                1 // C(m, 0) = 1, covering dist = 0 without underflow.
-            } else {
-                binomial_mod_2_64(u128::from(dist) + d as u128 - 1, d as u32)
+    (0..q).map(|d| advance_weight(dist, d)).collect()
+}
+
+/// Entry `d` of [`advance_weights`]`(dist, _)`.
+fn advance_weight(dist: u64, d: usize) -> u64 {
+    if d == 0 {
+        1 // C(m, 0) = 1, covering dist = 0 without underflow.
+    } else {
+        binomial_mod_2_64(u128::from(dist) + d as u128 - 1, d as u32)
+    }
+}
+
+/// [`advance_weights`]`(dist, w.len())` as element values, written into
+/// `w` — the allocation-free form for callers that advance by one
+/// distance only (the lane segments of a chunk sweep).
+pub(crate) fn advance_weights_into<T: Copy, Op: ChunkKernel<T>>(op: &Op, dist: u64, w: &mut [T]) {
+    for (d, slot) in w.iter_mut().enumerate() {
+        *slot = op.carry_weight(advance_weight(dist, d));
+    }
+}
+
+/// `state <- M(w) * state` for the unitriangular Toeplitz matrix with
+/// weights `w` (`w[0] = 1`), per lane of the `q x s` `state`.
+///
+/// Rows run top-coefficient-down so the update is in place: row `i` reads
+/// only rows `i' <= i`, and the unit diagonal leaves the just-written rows
+/// out of later reads.
+pub(crate) fn toeplitz_advance<T: Copy, Op: ChunkKernel<T>>(
+    op: &Op,
+    w: &[T],
+    state: &mut [T],
+    s: usize,
+) {
+    for i in (0..state.len() / s).rev() {
+        for l in 0..s {
+            let mut acc = state[i * s + l]; // w[0] = 1
+            for i2 in 0..i {
+                acc = op.combine(acc, op.weight_apply(state[i2 * s + l], w[i - i2]));
             }
-        })
-        .collect()
+            state[i * s + l] = acc;
+        }
+    }
 }
 
 /// The family of whole-chunk carry-transfer matrices an operator's state
@@ -316,27 +349,16 @@ impl<T: Copy> CarryPlan<T> {
     /// `steps` full chunks of identity input: `state <- M_steps * state`,
     /// per lane.
     ///
-    /// The Toeplitz arm iterates rows top-coefficient-down so the update
-    /// runs in place: row `i` reads only rows `i' <= i`, and the
-    /// unitriangular diagonal (`w[0] = 1`) leaves the just-written rows
-    /// out of later reads. The dense companion arm snapshots the lane
-    /// into a stack scratch (`q <= MAX_Q`) instead.
+    /// The Toeplitz arm runs in place, rows top-coefficient-down; the dense
+    /// companion arm snapshots the lane into a stack scratch (`q <= MAX_Q`)
+    /// instead.
     pub fn advance<Op: ChunkKernel<T>>(&self, op: &Op, steps: usize, state: &mut [T], s: usize) {
         if steps == 0 {
             return;
         }
         match &self.semigroup {
             CarrySemigroup::BinomialToeplitz { weights } => {
-                let w = &weights[steps];
-                for i in (0..self.q).rev() {
-                    for l in 0..s {
-                        let mut acc = state[i * s + l]; // w[0] = 1
-                        for i2 in 0..i {
-                            acc = op.combine(acc, op.weight_apply(state[i2 * s + l], w[i - i2]));
-                        }
-                        state[i * s + l] = acc;
-                    }
-                }
+                toeplitz_advance(op, &weights[steps], state, s)
             }
             CarrySemigroup::Companion { mats } => {
                 let m = &mats[steps];

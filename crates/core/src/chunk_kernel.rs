@@ -37,7 +37,8 @@
 //! | operator | element | stride, order | kernel |
 //! |---|---|---|---|
 //! | `Sum` | exact rings | 1, order 1 | explicit SIMD/SWAR kernel, else blocked multi-accumulator; exclusive as the inclusive kernel shifted by one; register loop for totals |
-//! | `Sum` | exact rings | 1, order 2..=8 | const-generic register cascade |
+//! | `Sum` | 8-byte wrapping ints | 1, order 2..=8 | **lane segments**: totals sweep always, output sweep given a [`SegmentHandoff`] of its span — one segment per AVX-512 / AVX2 lane, joined by the carry algebra; head, tail and short spans on the register cascade |
+//! | `Sum` | exact rings | 1, order 2..=8 | const-generic register cascade (every other case: serial engine, plan feed, gpu-sim, single-chunk scans) |
 //! | `Sum` | exact rings | s > 1, base-aligned | **vertical lane-parallel**: `s` accumulators advance together in row form, no per-element lane rotation |
 //! | `Sum` | exact rings | other | rotating-lane cascade |
 //! | `LinRec` | exact rings | 1, order ≤ 8 | register-resident window; multi-chain totals sweep at orders 1–3 |
@@ -137,10 +138,20 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
     /// iterated `q`-pass scan, and the final `state` holds the per-order,
     /// per-lane local sums the single-pass protocol publishes.
     ///
+    /// `handoff` is what [`ChunkKernel::cascade_totals`] left for this
+    /// same span, if anything: an operator with a lane-segmented sweep
+    /// ([`SegmentHandoff`]) takes it only when the hand-off describes
+    /// `src`, and otherwise runs its one-sweep kernel. Every other
+    /// operator ignores it.
+    ///
     /// # Panics
     ///
     /// Panics if `s` is zero, the slices differ in length, or `state.len()`
     /// is not a positive multiple of `s`.
+    // The hand-off is the sweep's eighth argument: it rides on the
+    // existing method rather than a new one, so every engine keeps one
+    // call per sweep.
+    #[allow(clippy::too_many_arguments)]
     fn cascade_scan_from(
         &self,
         src: &[T],
@@ -149,6 +160,7 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
         s: usize,
         state: &mut [T],
         exclusive: bool,
+        _handoff: Option<&SegmentHandoff<T>>,
     ) {
         check_fused(src.len(), dst.len(), s);
         check_cascade_state(state.len(), s);
@@ -159,14 +171,87 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
     /// outputs — the single-pass protocol's first sweep, which publishes all
     /// `q x s` local sums from one read of the chunk.
     ///
+    /// When given a `handoff`, the sweep first clears it and then leaves in
+    /// it whatever the output sweep of the same span can reuse (see
+    /// [`SegmentHandoff`]); pass the same hand-off to that sweep.
+    ///
     /// # Panics
     ///
     /// Panics if `s` is zero or `state.len()` is not a positive multiple of
     /// `s`.
-    fn cascade_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T]) {
+    fn cascade_totals(
+        &self,
+        src: &[T],
+        base: usize,
+        s: usize,
+        state: &mut [T],
+        handoff: Option<&mut SegmentHandoff<T>>,
+    ) {
+        if let Some(h) = handoff {
+            h.clear();
+        }
         assert!(s > 0, "stride must be positive");
         check_cascade_state(state.len(), s);
         cascade_generic(self, &mut Discard(src), base, s, state, false);
+    }
+}
+
+/// What the totals sweep of a span leaves for the output sweep of the same
+/// span: the end states of the span's lane segments (DESIGN §8.6).
+///
+/// For wrapping 8-byte `Sum` at stride 1 and orders 2–8, the totals sweep
+/// splits its span into `L` segments, one per SIMD lane (`L` = 8 under
+/// AVX-512, 4 under AVX2), advances all of them at once from zero states,
+/// and folds their `q x L` end states into the span's total with the carry
+/// algebra of [`crate::carry`]. A hand-off keeps those end states. The
+/// output sweep of the same span then seeds every segment from the span's
+/// seed and the end states before it, and runs the same vertical pass
+/// writing outputs. Given no hand-off, or one that describes a different
+/// span (another address, length or order), the output sweep runs the
+/// one-lane register loop instead, so a stale hand-off costs speed, never
+/// exactness.
+///
+/// A hand-off names its span by address and length, so the caller must
+/// not change the span's contents between the two sweeps. Engines keep one
+/// per worker: its buffer is allocated on first use and reused for every
+/// chunk after that.
+#[derive(Debug)]
+pub struct SegmentHandoff<T> {
+    /// Segment end states, level-major: `ends[i * lanes + j]` is the
+    /// order-`(i+1)` total of segment `j` from a zero state.
+    ends: Vec<T>,
+    /// The span `ends` belongs to; `None` when the hand-off is empty.
+    span: Option<SegmentSpan>,
+}
+
+impl<T> Default for SegmentHandoff<T> {
+    /// An empty hand-off; its buffer is allocated on first use.
+    fn default() -> Self {
+        SegmentHandoff {
+            ends: Vec::new(),
+            span: None,
+        }
+    }
+}
+
+impl<T: Copy> SegmentHandoff<T> {
+    /// Whether this hand-off holds segment end states for `src`: the last
+    /// totals sweep it was passed to ran over `src` and split it into lane
+    /// segments.
+    pub fn describes(&self, src: &[T]) -> bool {
+        self.span.is_some_and(|span| span.is_over(src))
+    }
+
+    /// Empties the hand-off, keeping its buffer.
+    fn clear(&mut self) {
+        self.span = None;
+    }
+
+    /// Stores the end states `ends` of `span`'s segments.
+    fn record(&mut self, span: SegmentSpan, ends: &[T]) {
+        self.ends.clear();
+        self.ends.extend_from_slice(ends);
+        self.span = Some(span);
     }
 }
 
@@ -516,6 +601,224 @@ fn sum_cascade<T: ScanElement, S: Sink<T>>(
     }
 }
 
+// --- Sum: lane segments for stride-1 orders 2..=8 --------------------------
+//
+// The chunk is the paper's decoupled carry applied once more, inside one
+// chunk: `L` segments advance together in the `L` lanes of a vector
+// (`simd::segment_totals` / `simd::segment_from`), and the carry algebra
+// joins them. Segment `j`'s zero-seeded end state `e_j` and the Toeplitz
+// advance `M` over one segment length give every segment's seed,
+// `seed_{j+1} = M * seed_j + e_j`, and the span's end state is the same
+// recurrence one step further.
+
+/// Shortest span the segmented sweeps of [`SegmentHandoff`] split into
+/// lane segments; shorter spans run the one-lane register loop. The fold
+/// costs about `L * q^2 / 2` multiply-adds plus `q` binomials, which a
+/// span this long amortizes.
+pub const SEGMENT_MIN_ELEMS: usize = 256;
+
+/// Largest `q x L` segment state: order 8 in 8 lanes.
+const SEGMENT_MAX_WORDS: usize = 64;
+
+/// Where a span's lane segments lie. `head` elements run on the register
+/// loop first, up to the source's first vector boundary; then come `lanes`
+/// segments of `seg` elements each (a multiple of `lanes`, so every
+/// segment is whole `lanes x lanes` tiles); the remaining tail runs on the
+/// register loop last.
+#[derive(Clone, Copy, Debug)]
+struct SegmentSpan {
+    /// The source span's address and length: its identity.
+    src: usize,
+    len: usize,
+    /// The cascade order and lane count the segments were made for.
+    q: usize,
+    lanes: usize,
+    /// Elements before the first segment, and each segment's length.
+    head: usize,
+    seg: usize,
+}
+
+impl SegmentSpan {
+    /// The segment layout of `src` for an order-`q` sweep in `lanes`
+    /// lanes; `None` for spans under [`SEGMENT_MIN_ELEMS`].
+    fn of<T>(src: &[T], q: usize, lanes: usize) -> Option<Self> {
+        let (n, size) = (src.len(), std::mem::size_of::<T>());
+        if n < SEGMENT_MIN_ELEMS {
+            return None;
+        }
+        let line = lanes * size;
+        let addr = src.as_ptr() as usize;
+        let head = ((line - addr % line) % line / size).min(n);
+        let seg = (n - head) / (lanes * lanes) * lanes;
+        (seg > 0).then_some(SegmentSpan {
+            src: addr,
+            len: n,
+            q,
+            lanes,
+            head,
+            seg,
+        })
+    }
+
+    /// Whether this layout was made for `src`.
+    fn is_over<T>(&self, src: &[T]) -> bool {
+        self.src == src.as_ptr() as usize && self.len == src.len()
+    }
+
+    /// The positions the lane segments cover.
+    fn body(&self) -> std::ops::Range<usize> {
+        self.head..self.head + self.lanes * self.seg
+    }
+}
+
+/// Advances the order-`Q` `state` across the `lanes` segments of `span` in
+/// order, `state = M * state + e_j`, where `e_j` is column `j` of the
+/// level-major `ends` and `M` the Toeplitz advance over `span.seg` zero
+/// elements. With `seeds`, column `j` of it receives the state entering
+/// segment `j`.
+fn fold_segments<T: ScanElement, const Q: usize>(
+    span: &SegmentSpan,
+    ends: &[T],
+    state: &mut [T],
+    mut seeds: Option<&mut [T]>,
+) {
+    let lanes = span.lanes;
+    let mut w = [T::ZERO; Q];
+    crate::carry::advance_weights_into(&Sum, span.seg as u64, &mut w);
+    for j in 0..lanes {
+        if let Some(seeds) = seeds.as_deref_mut() {
+            for (i, &v) in state.iter().enumerate() {
+                seeds[i * lanes + j] = v;
+            }
+        }
+        crate::carry::toeplitz_advance(&Sum, &w, state, 1);
+        for (i, v) in state.iter_mut().enumerate() {
+            *v = v.add(ends[i * lanes + j]);
+        }
+    }
+}
+
+/// Segmented totals sweep of order `Q`: the head on the register loop,
+/// the segments on `isa`'s kernel folded into `state`, the tail on the
+/// register loop. Records the segment end states in `handoff`.
+fn segmented_totals_q<T: ScanElement, const Q: usize>(
+    isa: Isa,
+    span: SegmentSpan,
+    src: &[T],
+    state: &mut [T],
+    handoff: Option<&mut SegmentHandoff<T>>,
+) {
+    let body = span.body();
+    sum_register::<T, _, Q>(&mut Discard(&src[..body.start]), state, false);
+    let mut ends = [T::ZERO; SEGMENT_MAX_WORDS];
+    let ends = &mut ends[..Q * span.lanes];
+    crate::simd::segment_totals::<T, Q>(isa, &src[body.clone()], span.seg, ends);
+    fold_segments::<T, Q>(&span, ends, state, None);
+    sum_register::<T, _, Q>(&mut Discard(&src[body.end..]), state, false);
+    if let Some(h) = handoff {
+        h.record(span, ends);
+    }
+}
+
+/// Segmented output sweep of order `Q` over the span `handoff` describes:
+/// every segment seeded from `state` and the end states before it, the
+/// head and tail on the register loop.
+fn segmented_from_q<T: ScanElement, const Q: usize>(
+    isa: Isa,
+    span: SegmentSpan,
+    src: &[T],
+    dst: &mut [T],
+    state: &mut [T],
+    exclusive: bool,
+    ends: &[T],
+) {
+    let body = span.body();
+    let stream = crate::simd::streams(std::mem::size_of_val(dst));
+    let (head_src, head_dst) = (&src[..body.start], &mut dst[..body.start]);
+    sum_register::<T, _, Q>(
+        &mut Dst {
+            src: head_src,
+            dst: head_dst,
+        },
+        state,
+        exclusive,
+    );
+    let mut seeds = [T::ZERO; SEGMENT_MAX_WORDS];
+    let seeds = &mut seeds[..Q * span.lanes];
+    fold_segments::<T, Q>(&span, ends, state, Some(seeds));
+    let (mid_src, mid_dst) = (&src[body.clone()], &mut dst[body.clone()]);
+    crate::simd::segment_from::<T, Q>(isa, mid_src, mid_dst, span.seg, seeds, exclusive, stream);
+    let (tail_src, tail_dst) = (&src[body.end..], &mut dst[body.end..]);
+    sum_register::<T, _, Q>(
+        &mut Dst {
+            src: tail_src,
+            dst: tail_dst,
+        },
+        state,
+        exclusive,
+    );
+}
+
+/// The segmented totals sweep of `Sum` over `src` on `isa`, seeded by and
+/// advancing `state`; `false` (nothing done) when `isa` has no segment
+/// kernel for `T`, the order is outside 2..=8, or the span is too short.
+fn segmented_totals<T: ScanElement>(
+    isa: Isa,
+    src: &[T],
+    state: &mut [T],
+    handoff: Option<&mut SegmentHandoff<T>>,
+) -> bool {
+    let q = state.len();
+    if !(2..=8).contains(&q) {
+        return false;
+    }
+    let Some(span) =
+        crate::simd::segment_lanes::<T>(isa).and_then(|lanes| SegmentSpan::of(src, q, lanes))
+    else {
+        return false;
+    };
+    match q {
+        2 => segmented_totals_q::<T, 2>(isa, span, src, state, handoff),
+        3 => segmented_totals_q::<T, 3>(isa, span, src, state, handoff),
+        4 => segmented_totals_q::<T, 4>(isa, span, src, state, handoff),
+        5 => segmented_totals_q::<T, 5>(isa, span, src, state, handoff),
+        6 => segmented_totals_q::<T, 6>(isa, span, src, state, handoff),
+        7 => segmented_totals_q::<T, 7>(isa, span, src, state, handoff),
+        _ => segmented_totals_q::<T, 8>(isa, span, src, state, handoff),
+    }
+    true
+}
+
+/// The segmented output sweep of `Sum` from `src` into `dst` on `isa`;
+/// `false` (nothing done) unless `handoff` describes `src` at this order
+/// and in `isa`'s lane count.
+fn segmented_from<T: ScanElement>(
+    isa: Isa,
+    src: &[T],
+    dst: &mut [T],
+    state: &mut [T],
+    exclusive: bool,
+    handoff: &SegmentHandoff<T>,
+) -> bool {
+    let q = state.len();
+    let Some(span) = handoff.span.filter(|span| {
+        span.is_over(src) && span.q == q && Some(span.lanes) == crate::simd::segment_lanes::<T>(isa)
+    }) else {
+        return false;
+    };
+    let ends = &handoff.ends;
+    match q {
+        2 => segmented_from_q::<T, 2>(isa, span, src, dst, state, exclusive, ends),
+        3 => segmented_from_q::<T, 3>(isa, span, src, dst, state, exclusive, ends),
+        4 => segmented_from_q::<T, 4>(isa, span, src, dst, state, exclusive, ends),
+        5 => segmented_from_q::<T, 5>(isa, span, src, dst, state, exclusive, ends),
+        6 => segmented_from_q::<T, 6>(isa, span, src, dst, state, exclusive, ends),
+        7 => segmented_from_q::<T, 7>(isa, span, src, dst, state, exclusive, ends),
+        _ => segmented_from_q::<T, 8>(isa, span, src, dst, state, exclusive, ends),
+    }
+    true
+}
+
 impl<T: ScanElement> ChunkKernel<T> for Sum {
     fn supports_cascade(&self) -> bool {
         T::EXACT_RING
@@ -537,15 +840,34 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
         s: usize,
         state: &mut [T],
         exclusive: bool,
+        handoff: Option<&SegmentHandoff<T>>,
     ) {
         check_fused(src.len(), dst.len(), s);
         check_cascade_state(state.len(), s);
+        if let Some(h) = handoff.filter(|_| s == 1) {
+            if segmented_from(crate::isa::resolved(), src, dst, state, exclusive, h) {
+                return;
+            }
+        }
         sum_cascade(&mut Dst { src, dst }, base, s, state, exclusive);
     }
 
-    fn cascade_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T]) {
+    fn cascade_totals(
+        &self,
+        src: &[T],
+        base: usize,
+        s: usize,
+        state: &mut [T],
+        mut handoff: Option<&mut SegmentHandoff<T>>,
+    ) {
+        if let Some(h) = handoff.as_deref_mut() {
+            h.clear();
+        }
         assert!(s > 0, "stride must be positive");
         check_cascade_state(state.len(), s);
+        if s == 1 && segmented_totals(crate::isa::resolved(), src, state, handoff) {
+            return;
+        }
         sum_cascade(&mut Discard(src), base, s, state, false);
     }
 }
@@ -564,9 +886,12 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
 // (const-generic window, one multiply and one add on the loop-carried
 // chain); its totals-only form additionally splits long spans at orders
 // 1-3 into independent chains folded by a companion-matrix power. The
-// output sweep stays on one chain: splitting it would need a second pass
-// to seed every sub-block before it can emit. Every other shape keeps the
-// rotating-lane loop. Construction of [`LinRec`] is gated on
+// output sweep stays on one chain for now. Splitting it needs every
+// sub-block's seed before it can emit, and the totals sweep is the pass
+// that can provide them: `Sum` hands its lane segments' end states to the
+// output sweep through a `SegmentHandoff`, and the same hand-off could
+// carry these chains' windows (ROADMAP item 2(c)). Every other shape keeps
+// the rotating-lane loop. Construction of [`LinRec`] is gated on
 // `T::EXACT_RING`, so the reassociations below are bit-exact.
 
 /// Shortest sub-block the multi-chain totals sweep splits into. Shorter
@@ -885,13 +1210,24 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
         s: usize,
         state: &mut [T],
         exclusive: bool,
+        _handoff: Option<&SegmentHandoff<T>>,
     ) {
         check_fused(src.len(), dst.len(), s);
         check_recurrence_state(state.len(), s, self.coeffs().len());
         linrec_sweep(self.coeffs(), &mut Dst { src, dst }, base, s, state, exclusive);
     }
 
-    fn cascade_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T]) {
+    fn cascade_totals(
+        &self,
+        src: &[T],
+        base: usize,
+        s: usize,
+        state: &mut [T],
+        handoff: Option<&mut SegmentHandoff<T>>,
+    ) {
+        if let Some(h) = handoff {
+            h.clear();
+        }
         assert!(s > 0, "stride must be positive");
         check_recurrence_state(state.len(), s, self.coeffs().len());
         linrec_sweep_totals(self.coeffs(), src, base, s, state);
@@ -970,11 +1306,11 @@ mod tests {
 
                 let mut dst = vec![T::ZERO; input.len()];
                 let mut state = seed.clone();
-                Sum.cascade_scan_from(input, &mut dst, 0, s, &mut state, exclusive);
+                Sum.cascade_scan_from(input, &mut dst, 0, s, &mut state, exclusive, None);
                 assert_eq!((dst, &state), (want, &end), "from {tag}");
             }
             let mut state = seed.clone();
-            Sum.cascade_totals(input, 0, s, &mut state);
+            Sum.cascade_totals(input, 0, s, &mut state, None);
             assert_eq!(state, end, "totals {tag} seed={seed:?}");
         }
     }
@@ -1144,12 +1480,12 @@ mod tests {
 
                         let mut dst = vec![0i64; n];
                         let mut state = vec![0i64; q * s];
-                        Sum.cascade_scan_from(&input, &mut dst, 0, s, &mut state, exclusive);
+                        Sum.cascade_scan_from(&input, &mut dst, 0, s, &mut state, exclusive, None);
                         assert_eq!(dst, expect, "from n={n} q={q} s={s} exc={exclusive}");
 
                         // Totals-only sweep advances state identically.
                         let mut state3 = vec![0i64; q * s];
-                        Sum.cascade_totals(&input, 0, s, &mut state3);
+                        Sum.cascade_totals(&input, 0, s, &mut state3, None);
                         assert_eq!(state3, state, "totals n={n} q={q} s={s}");
                     }
                 }
@@ -1164,7 +1500,7 @@ mod tests {
         let input = pseudo_random(97, 5);
         let (q, s) = (4usize, 3usize);
         let mut state = vec![0i64; q * s];
-        Sum.cascade_totals(&input, 0, s, &mut state);
+        Sum.cascade_totals(&input, 0, s, &mut state, None);
         let mut data = input.clone();
         for i in 0..q {
             serial::inclusive_strided_in_place(&mut data, &Sum, s);
@@ -1223,8 +1559,8 @@ mod tests {
                         let tag = format!("q={q} s={s} split={split} zero_seed={zero_seed}");
                         let (lo, hi) = input.split_at(split);
                         let mut totals = seed.clone();
-                        Sum.cascade_totals(lo, 0, s, &mut totals);
-                        Sum.cascade_totals(hi, split, s, &mut totals);
+                        Sum.cascade_totals(lo, 0, s, &mut totals, None);
+                        Sum.cascade_totals(hi, split, s, &mut totals, None);
                         for exclusive in [false, true] {
                             let (expect, end) = seeded_cascade_oracle(&input, s, &seed, exclusive);
                             if zero_seed {
@@ -1234,8 +1570,8 @@ mod tests {
                             let mut dst = vec![T::ZERO; n];
                             let mut state = seed.clone();
                             let (dlo, dhi) = dst.split_at_mut(split);
-                            Sum.cascade_scan_from(lo, dlo, 0, s, &mut state, exclusive);
-                            Sum.cascade_scan_from(hi, dhi, split, s, &mut state, exclusive);
+                            Sum.cascade_scan_from(lo, dlo, 0, s, &mut state, exclusive, None);
+                            Sum.cascade_scan_from(hi, dhi, split, s, &mut state, exclusive, None);
                             assert_eq!(dst, expect, "from {tag} exc={exclusive}");
                             assert_eq!(state, end, "from state {tag} exc={exclusive}");
                             assert_eq!(totals, end, "totals {tag}");
@@ -1258,6 +1594,116 @@ mod tests {
         check_cascade_resumes::<u32>();
     }
 
+    /// Lengths for the segmented sweeps: every length to 300 (across
+    /// [`SEGMENT_MIN_ELEMS`] and the shortest segments), both sides of
+    /// each of the first 20 multiples of a 64-element tile group, and both
+    /// sides of the CPU engine's 32 Ki-element chunk.
+    fn segment_lengths() -> impl Iterator<Item = usize> {
+        (0..=300)
+            .chain((1..=20).flat_map(|k| [64 * k - 1, 64 * k + 1]))
+            .chain([(1 << 15) - 1, (1 << 15) + 1])
+    }
+
+    /// The segmented totals and output sweeps on `isa` against the
+    /// per-lane oracle, bit for bit: orders 2–8, inclusive and exclusive,
+    /// zero and non-zero seeds, streaming forced on and off. Sources start
+    /// `n % 8` elements into their buffer, so heads of every length occur.
+    /// Destinations are aligned like their sources within a 64-byte line
+    /// (where stores can stream) or one element off (where they must not).
+    /// A family without segment kernels must decline and leave the
+    /// hand-off empty.
+    fn check_segmented<T: ScanElement + std::fmt::Debug + PartialEq>(isa: Isa) {
+        let segmented = crate::simd::segment_lanes::<T>(isa).is_some();
+        for q in 2..=8usize {
+            let random: Vec<T> = pseudo_random(q, 90 + q as u64)
+                .into_iter()
+                .map(T::from_i64)
+                .collect();
+            for n in segment_lengths() {
+                let input: Vec<T> = pseudo_random(n + 8, (n * 13 + q) as u64)
+                    .into_iter()
+                    .map(T::from_i64)
+                    .collect();
+                let src = &input[n % 8..][..n];
+                for seed in [vec![T::ZERO; q], random.clone()] {
+                    let tag = format!("{isa} q={q} n={n} seed={seed:?}");
+                    let mut totals = seed.clone();
+                    let mut handoff = SegmentHandoff::default();
+                    let took = segmented_totals(isa, src, &mut totals, Some(&mut handoff));
+                    assert_eq!(took, segmented && n >= SEGMENT_MIN_ELEMS, "{tag}");
+                    assert_eq!(handoff.describes(src), took, "{tag}");
+                    for exclusive in [false, true] {
+                        let (want, end) = seeded_cascade_oracle(src, 1, &seed, exclusive);
+                        if took {
+                            assert_eq!(totals, end, "totals {tag}");
+                        }
+                        for (nt, skew) in [(1, 0), (1, 1), (usize::MAX, 0)] {
+                            let _nt = crate::simd::nt_store_override(nt);
+                            let mut out = vec![T::ZERO; n + 9];
+                            let gap =
+                                (src.as_ptr() as usize).wrapping_sub(out.as_ptr() as usize) % 64;
+                            let dst = &mut out[gap / 8 + skew..][..n];
+                            let mut state = seed.clone();
+                            let ran =
+                                segmented_from(isa, src, dst, &mut state, exclusive, &handoff);
+                            assert_eq!(ran, took, "{tag}");
+                            if ran {
+                                assert_eq!(
+                                    dst,
+                                    &want[..],
+                                    "from {tag} exc={exclusive} nt={nt} skew={skew}"
+                                );
+                                assert_eq!(
+                                    state, end,
+                                    "from state {tag} exc={exclusive} nt={nt} skew={skew}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segmented_sweeps_match_oracle_on_every_family() {
+        for isa in crate::isa::available() {
+            check_segmented::<i64>(isa);
+            check_segmented::<u64>(isa);
+        }
+    }
+
+    /// The output sweep takes the segments only from a hand-off of its own
+    /// span: given none, one for another span (shifted by an element, or
+    /// one element shorter), or one made at another order, it runs the
+    /// register loop and is still exact.
+    #[test]
+    fn output_sweep_without_a_matching_handoff_is_exact() {
+        let n = 4096 + 37;
+        let input = pseudo_random(n + 1, 71);
+        let seed: Vec<i64> = vec![5, -7, 11];
+        for exclusive in [false, true] {
+            let src = &input[1..];
+            let (want, end) = seeded_cascade_oracle(src, 1, &seed, exclusive);
+            let mut other = SegmentHandoff::default();
+            let mut order2 = SegmentHandoff::default();
+            let mut shorter = SegmentHandoff::default();
+            Sum.cascade_totals(&input[..n], 0, 1, &mut [0i64; 3], Some(&mut other));
+            Sum.cascade_totals(src, 0, 1, &mut [0i64; 2], Some(&mut order2));
+            Sum.cascade_totals(&src[..n - 1], 0, 1, &mut [0i64; 3], Some(&mut shorter));
+            for handoff in [None, Some(&other), Some(&order2), Some(&shorter)] {
+                let mut dst = vec![0i64; n];
+                let mut state = seed.clone();
+                Sum.cascade_scan_from(src, &mut dst, 0, 1, &mut state, exclusive, handoff);
+                assert_eq!(
+                    (&dst, &state),
+                    (&want, &end),
+                    "exc={exclusive} handoff={handoff:?}"
+                );
+            }
+        }
+    }
+
     /// Vertical lane-parallel kernels and the cascade agree with the oracle
     /// for narrow widths where wrapping is constant.
     #[test]
@@ -1270,7 +1716,7 @@ mod tests {
             }
             let mut dst = vec![0u8; input.len()];
             let mut state = vec![0u8; q];
-            Sum.cascade_scan_from(&input, &mut dst, 0, 1, &mut state, false);
+            Sum.cascade_scan_from(&input, &mut dst, 0, 1, &mut state, false, None);
             assert_eq!(dst, expect, "q={q}");
         }
     }
@@ -1346,12 +1792,12 @@ mod tests {
                     let tag = format!("q={q} s={s} n={n}");
 
                     let mut totals = seed.clone();
-                    op.cascade_totals(&input, 0, s, &mut totals);
+                    op.cascade_totals(&input, 0, s, &mut totals, None);
                     for exclusive in [false, true] {
                         let (expect, end) = recurrence_oracle(&coeffs, &input, s, &seed, exclusive);
                         let mut dst = vec![T::ZERO; n];
                         let mut state = seed.clone();
-                        op.cascade_scan_from(&input, &mut dst, 0, s, &mut state, exclusive);
+                        op.cascade_scan_from(&input, &mut dst, 0, s, &mut state, exclusive, None);
                         assert_eq!(dst, expect, "from {tag} exc={exclusive}");
                         assert_eq!(state, end, "from state {tag} exc={exclusive}");
                         assert_eq!(totals, end, "totals {tag}");
@@ -1392,7 +1838,7 @@ mod tests {
     fn cascade_state_shape_is_checked() {
         let mut dst = vec![0i64; 4];
         let mut state = vec![0i64; 5]; // not a multiple of s = 2
-        Sum.cascade_scan_from(&[1i64, 2, 3, 4], &mut dst, 0, 2, &mut state, false);
+        Sum.cascade_scan_from(&[1i64, 2, 3, 4], &mut dst, 0, 2, &mut state, false, None);
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! 32 Ki-element chunks of 8-byte elements its size is `(1 + q * s) /
 //! 32768` of that scan's output, 1/4096 at `q * s = 7`.
 
-use crate::chunk_kernel::ChunkKernel;
+use crate::chunk_kernel::{ChunkKernel, SegmentHandoff};
 use crate::chunkops;
 use crate::config::{ScanKind, ScanSpec};
 use crate::obs::{self, Phase, TraceSink};
@@ -468,11 +468,13 @@ impl CpuScanner {
             let plan = crate::carry::CarryPlan::new(op, q, lane_elems, k);
             // Working seed state, this worker's previous chunk's end state,
             // the publish-sweep totals, and a predecessor-read scratch row —
-            // all q x s, allocated once per scan.
+            // all q x s, allocated once per scan — and what each chunk's
+            // first sweep hands to its second.
             let mut state: Vec<T> = vec![op.identity(); qs];
             let mut own_end: Vec<T> = vec![op.identity(); qs];
             let mut totals: Vec<T> = vec![op.identity(); qs];
             let mut pred: Vec<T> = vec![op.identity(); qs];
+            let mut handoff = SegmentHandoff::default();
 
             for (c, range, chunk) in chunks {
                 let base = range.start;
@@ -483,7 +485,7 @@ impl CpuScanner {
                     for t in totals.iter_mut() {
                         *t = op.identity();
                     }
-                    op.cascade_totals(src, base, s, &mut totals);
+                    op.cascade_totals(src, base, s, &mut totals, Some(&mut handoff));
                 });
                 obs::timed(sink, b, c as u64, Phase::CarryPublish, || {
                     let sum_base = c * qs;
@@ -519,7 +521,15 @@ impl CpuScanner {
                 // Sweep 2: seeded cascade re-reads the (L2-resident) input
                 // and writes the final outputs.
                 obs::timed(sink, b, c as u64, Phase::CarryApply, || {
-                    op.cascade_scan_from(src, chunk, base, s, &mut state, exclusive);
+                    op.cascade_scan_from(
+                        src,
+                        chunk,
+                        base,
+                        s,
+                        &mut state,
+                        exclusive,
+                        Some(&handoff),
+                    );
                 });
                 own_end.copy_from_slice(&state);
             }
@@ -994,10 +1004,11 @@ mod tests {
             s: usize,
             state: &mut [i64],
             exclusive: bool,
+            handoff: Option<&SegmentHandoff<i64>>,
         ) {
             let stream = crate::simd::streams(std::mem::size_of_val(dst));
             self.0.lock().unwrap().push((std::thread::current().id(), stream));
-            Sum.cascade_scan_from(src, dst, base, s, state, exclusive);
+            Sum.cascade_scan_from(src, dst, base, s, state, exclusive, handoff);
         }
     }
 

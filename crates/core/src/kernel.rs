@@ -273,6 +273,8 @@ where
             let mut state: Vec<T> = vec![op.identity(); qs];
             let mut own_end: Vec<T> = vec![op.identity(); qs];
             let mut totals: Vec<T> = vec![op.identity(); qs];
+            // One predecessor's published q x s row.
+            let mut pred: Vec<T> = vec![op.identity(); qs];
             // The loaded chunk and sweep 2's output, one chunk long each:
             // the sweep reads `vals` and writes `out`, and the chunk is
             // stored from `out`.
@@ -303,7 +305,7 @@ where
                 for t in totals.iter_mut() {
                     *t = op.identity();
                 }
-                op.cascade_totals(vals, base, s, &mut totals);
+                op.cascade_totals(vals, base, s, &mut totals, None);
                 account_block_scan(m, ctx, len, threads);
                 m.add_compute((len * (q - 1)) as u64);
 
@@ -329,8 +331,7 @@ where
                 if first_pred < c {
                     wait_ready(&flags, m, first_pred..c, ring_len, sp_flag_target);
                     for j in first_pred..c {
-                        let pred: Vec<T> =
-                            sums.load_many(m, (j % ring_len) * qs..(j % ring_len) * qs + qs);
+                        sums.load_many_into(m, (j % ring_len) * qs, &mut pred);
                         plan.fold(op, c - 1 - j, &pred, &mut state, s);
                     }
                     // Triangular weight fold: ~q(q+1)/2 multiply-adds per
@@ -342,7 +343,7 @@ where
 
                 // --- Sweep 2: seeded cascade yields final outputs --------
                 let out = &mut out[..len];
-                op.cascade_scan_from(vals, out, base, s, &mut state, exclusive);
+                op.cascade_scan_from(vals, out, base, s, &mut state, exclusive, None);
                 account_block_scan(m, ctx, len, threads);
                 m.add_compute((len * (q - 1)) as u64);
                 own_end.copy_from_slice(&state);
@@ -364,12 +365,17 @@ where
         let m = ctx.metrics();
         let b = ctx.block;
         // Carry state from this block's previous chunk (chunk c - k), per
-        // iteration and lane: the accumulated carry and the local sums it
-        // published — the ingredients of Figure 2's incremental update.
-        let mut prev_carry: Vec<Vec<T>> = vec![vec![op.identity(); s]; q];
-        let mut prev_totals: Vec<Vec<T>> = vec![vec![op.identity(); s]; q];
-        // The current chunk's per-lane totals, refilled every iteration.
+        // iteration and lane (flattened `q * s`): the accumulated carry and
+        // the local sums it published — the ingredients of Figure 2's
+        // incremental update.
+        let mut prev_carry: Vec<T> = vec![op.identity(); q * s];
+        let mut prev_totals: Vec<T> = vec![op.identity(); q * s];
+        // The current chunk's per-lane totals and carry, refilled every
+        // iteration, and one predecessor's published row (the chained
+        // variant's running total).
         let mut totals: Vec<T> = vec![op.identity(); s];
+        let mut carry: Vec<T> = vec![op.identity(); s];
+        let mut row: Vec<T> = vec![op.identity(); s];
         // The chunk under scan, one chunk long.
         let mut vals: Vec<T> = vec![op.identity(); chunk_elems.min(n)];
         let mut paced_until: i64 = -1;
@@ -391,11 +397,6 @@ where
             let vals = &mut vals[..len];
             input_buf.load_block(m, base, vals, AccessClass::Element);
 
-            // Set on the last iteration of an exclusive scan: the chunk is
-            // left holding its pre-carry local scan and rewritten in place
-            // just before the store.
-            let mut exclusive_carry: Option<Vec<T>> = None;
-
             for iter in 0..q {
                 // Mid-chunk cancellation point: a chunk runs q carry
                 // rounds, and a sibling can die between any two of them.
@@ -404,7 +405,8 @@ where
                 chunkops::scan_chunk(vals, base, s, &mut totals, op);
                 account_block_scan(m, ctx, len, threads);
 
-                let carry = match params.carry {
+                let lanes = iter * s..iter * s + s;
+                match params.carry {
                     CarryPropagation::Decoupled => {
                         // Publish local sums immediately so successors can
                         // proceed, *then* gather predecessors.
@@ -416,68 +418,64 @@ where
                         ctx.emit(c as u64, EventKind::SumPublished { iter: iter as u32 });
 
                         // Figure 2: carry(c) = carry(c-k) ⊕ S(c-k) ⊕ ... ⊕ S(c-1).
-                        let mut carry: Vec<T> = if c >= k {
-                            (0..s)
-                                .map(|l| op.combine(prev_carry[iter][l], prev_totals[iter][l]))
-                                .collect()
-                        } else {
-                            vec![op.identity(); s]
-                        };
+                        for (l, slot) in carry.iter_mut().enumerate() {
+                            *slot = if c >= k {
+                                op.combine(prev_carry[iter * s + l], prev_totals[iter * s + l])
+                            } else {
+                                op.identity()
+                            };
+                        }
                         let first_pred = c.saturating_sub(k - 1);
                         if first_pred < c {
                             wait_ready(&flags, m, first_pred..c, ring_len, |j| flag_target(j, iter));
                             for j in first_pred..c {
-                                let lane_sums: Vec<T> =
-                                    sums.load_many(m, sum_idx(j, iter, 0)..sum_idx(j, iter, 0) + s);
-                                for l in 0..s {
-                                    carry[l] = op.combine(carry[l], lane_sums[l]);
+                                sums.load_many_into(m, sum_idx(j, iter, 0), &mut row);
+                                for (slot, &v) in carry.iter_mut().zip(&row) {
+                                    *slot = op.combine(*slot, v);
                                 }
                             }
                             m.add_compute(((c - first_pred) * s) as u64);
                             m.add_shuffles(32 * (usize::BITS - k.leading_zeros()) as u64);
                         }
                         ctx.emit(c as u64, EventKind::CarryReady { iter: iter as u32 });
-                        carry
                     }
                     CarryPropagation::Chained => {
                         // Read the predecessor's *total* carry (serial
                         // read-modify-write chain), publish our total.
-                        let carry: Vec<T> = if c == 0 {
-                            vec![op.identity(); s]
+                        if c == 0 {
+                            carry.fill(op.identity());
                         } else {
                             wait_ready(&flags, m, c - 1..c, ring_len, |j| flag_target(j, iter));
-                            sums.load_many(m, sum_idx(c - 1, iter, 0)..sum_idx(c - 1, iter, 0) + s)
-                        };
-                        let running: Vec<T> = (0..s)
-                            .map(|l| op.combine(carry[l], totals[l]))
-                            .collect();
+                            sums.load_many_into(m, sum_idx(c - 1, iter, 0), &mut carry);
+                        }
+                        for ((running, &cv), &t) in row.iter_mut().zip(&carry).zip(&totals) {
+                            *running = op.combine(cv, t);
+                        }
                         m.add_compute(s as u64);
-                        for (lane, &t) in running.iter().enumerate() {
+                        for (lane, &t) in row.iter().enumerate() {
                             sums.store(m, sum_idx(c, iter, lane), t);
                         }
                         ctx.threadfence();
                         flags.store(m, c % ring_len, flag_target(c, iter));
                         ctx.emit(c as u64, EventKind::SumPublished { iter: iter as u32 });
                         ctx.emit(c as u64, EventKind::CarryReady { iter: iter as u32 });
-                        carry
                     }
-                };
+                }
 
-                prev_totals[iter].copy_from_slice(&totals);
-                prev_carry[iter] = carry.clone();
+                prev_totals[lanes.clone()].copy_from_slice(&totals);
+                prev_carry[lanes].copy_from_slice(&carry);
 
-                let exclusive_last =
-                    iter + 1 == q && spec.kind() == ScanKind::Exclusive;
-                if exclusive_last {
-                    exclusive_carry = Some(carry);
-                } else {
+                // The last iteration of an exclusive scan leaves the chunk
+                // holding its pre-carry local scan; it is rewritten in
+                // place just before the store, from `carry` as it stands.
+                if iter + 1 < q || spec.kind() != ScanKind::Exclusive {
                     chunkops::apply_carry(vals, base, &carry, op);
                     m.add_compute(len as u64);
                 }
             }
 
             // --- Store the chunk once, fully coalesced -------------------
-            if let Some(carry) = exclusive_carry.take() {
+            if spec.kind() == ScanKind::Exclusive {
                 chunkops::exclusive_rewrite(vals, base, &carry, op);
                 m.add_compute(len as u64);
             }

@@ -58,7 +58,7 @@ pub mod simd;
 pub mod validate;
 
 pub use adapt::{Cost, DriverPhase, Geometry, TuningStore};
-pub use chunk_kernel::ChunkKernel;
+pub use chunk_kernel::{ChunkKernel, SegmentHandoff};
 pub use config::{ScanKind, ScanSpec, SpecError};
 pub use element::{IntElement, ScanElement};
 pub use isa::Isa;

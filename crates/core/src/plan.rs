@@ -906,6 +906,7 @@ impl<T: Pod64, Op: ChunkKernel<T>> ScanSession<T, Op> {
                     self.s,
                     &mut self.state,
                     self.exclusive,
+                    None,
                 );
                 self.elements_seen += n as u64;
             }

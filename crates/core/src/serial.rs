@@ -172,7 +172,7 @@ pub fn scan_into<T: Copy>(input: &[T], out: &mut [T], op: &impl ChunkKernel<T>, 
             heap.resize(qs, op.identity());
             &mut heap[..]
         };
-        op.cascade_scan_from(input, out, 0, s, state, exclusive);
+        op.cascade_scan_from(input, out, 0, s, state, exclusive, None);
         return;
     }
     // Iteration 0 reads the input directly; later iterations are in place.

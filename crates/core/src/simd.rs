@@ -12,6 +12,7 @@
 //! |---|---|---|---|---|
 //! | 1–2 byte elements, stride 1 | packed `u64` word | packed `u64` word | packed `u64` word | packed `u64` word |
 //! | 4/8 byte elements, stride 1 | — | 128-bit in-register scan | 256-bit in-register scan | 512-bit in-register scan |
+//! | 8 byte elements, stride 1, order 2–8, chunk sweep pairs | — | — | 4 lane segments, 4×4 tiles | 8 lane segments, 8×8 tiles |
 //! | tuple rows of 8–64 bytes, a multiple of 8 | `u64` words in registers | `u64` words in registers | `u64` words in registers | `u64` words in registers |
 //! | other tuple rows ≥ 16 bytes | 8-byte word strips | 16-byte strips | 32-byte strips | 64-byte strips |
 //! | other tuple rows of 8–15 bytes | 8-byte word strips | 8-byte word strips | 8-byte word strips | 8-byte word strips |
@@ -47,6 +48,22 @@
 //! element-wise row add, in vector-width strips with a scalar per-row
 //! tail, so any `s` works; sub-vector rows (8–15 bytes) use one SWAR word
 //! per strip instead.
+//!
+//! # Lane segments
+//!
+//! The stride-1 kernels above scan inside each vector, which pays off at
+//! order 1 only: an order-`q` cascade would need the ladder `q` times. For
+//! orders 2–8 of 8-byte integers, [`segment_lanes`] names a second layout
+//! (the vertical, partitioned layout of Zhang, Wang & Ross): a span is
+//! split into one segment per lane, `lanes x lanes` tiles are loaded
+//! and transposed in registers so that each vector holds one position of
+//! every segment, and one vertical add per level advances all segments
+//! at once. The totals sweep leaves each segment's zero-seeded end state;
+//! the output sweep takes a seed per segment, transposes its outputs back
+//! and writes full vectors (streaming, when the scan streams and the
+//! destination is aligned to the vector width). The kernel is written once
+//! over the lane width; [`crate::chunk_kernel::SegmentHandoff`] describes
+//! how the carry algebra joins the segments.
 //!
 //! # One direction per sweep
 //!
@@ -342,6 +359,135 @@ pub fn vertical_totals<T: ScanElement>(
         tail_lane(state, s, l, x, false);
     }
     true
+}
+
+/// Lane count of `isa`'s segmented stride-1 sum sweeps for `T`, or `None`
+/// when the family has none (or the running CPU cannot execute it): 8
+/// under AVX-512 and 4 under AVX2, for 8-byte wrapping integers only.
+///
+/// These sweeps split a span into one segment per lane and advance every
+/// segment's order-`q` state at once: `lanes x lanes` tiles are loaded,
+/// transposed in registers so that each vector holds one position of
+/// every segment, and advanced with vertical adds.
+/// [`crate::chunk_kernel::SegmentHandoff`] describes how the chunk
+/// kernels join the segments.
+pub fn segment_lanes<T: ScanElement>(isa: Isa) -> Option<usize> {
+    if !T::IS_WRAPPING_INT || std::mem::size_of::<T>() != 8 || !isa.is_available() {
+        return None;
+    }
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => Some(8),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => Some(4),
+        _ => None,
+    }
+}
+
+/// Checks the shape of an order-`Q` segmented sweep: `src` is `lanes`
+/// segments of `seg` elements, `seg` a multiple of `lanes`, and `state` a
+/// `Q x lanes` matrix with `Q` in 2..=8. Returns `lanes`.
+fn check_segments<T: ScanElement, const Q: usize>(
+    isa: Isa,
+    src_len: usize,
+    seg: usize,
+    state_len: usize,
+) -> usize {
+    let lanes = segment_lanes::<T>(isa).expect("the family has segment kernels for this type");
+    assert!(
+        seg.is_multiple_of(lanes) && src_len == lanes * seg,
+        "segments must be whole tiles ({src_len} elements in {lanes} segments of {seg})"
+    );
+    assert!(
+        (2..=8).contains(&Q) && state_len == Q * lanes,
+        "segment state must be {Q} x {lanes} with {Q} in 2..=8 ({state_len})"
+    );
+    lanes
+}
+
+/// Zero-seeded order-`Q` end states of the `lanes` consecutive segments
+/// of `seg` elements that make up `src`, written level-major into `ends`
+/// (`ends[i * lanes + j]` is segment `j`'s order-`(i+1)` total).
+///
+/// # Panics
+///
+/// Panics unless [`segment_lanes`]`(isa)` is `Some(lanes)`, `src` is
+/// `lanes` segments of `seg` elements with `seg` a multiple of `lanes`,
+/// and `ends` holds `Q x lanes` words with `Q` in 2..=8.
+pub(crate) fn segment_totals<T: ScanElement, const Q: usize>(
+    isa: Isa,
+    src: &[T],
+    seg: usize,
+    ends: &mut [T],
+) {
+    check_segments::<T, Q>(isa, src.len(), seg, ends.len());
+    let (src, ends) = (src.as_ptr().cast::<u64>(), ends.as_mut_ptr().cast::<u64>());
+    // SAFETY: the shapes were checked above and the family is available
+    // (`segment_lanes`).
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        match isa {
+            Isa::Avx512 => x86::segment_totals_avx512::<Q>(src, seg, ends),
+            _ => x86::segment_totals_avx2::<Q>(src, seg, ends),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("no segment kernels on this target ({src:?}, {ends:?})");
+}
+
+/// Order-`Q` outputs of the `lanes` segments of `seg` elements that make
+/// up `src`, written to `dst`. `state` (`Q x lanes`, level-major) holds
+/// each segment's seed and receives its end state. With `stream`, and a
+/// `dst` aligned to the vector width, full vectors go out as non-temporal
+/// stores.
+///
+/// # Panics
+///
+/// As [`segment_totals`], and if the slices differ in length.
+pub(crate) fn segment_from<T: ScanElement, const Q: usize>(
+    isa: Isa,
+    src: &[T],
+    dst: &mut [T],
+    seg: usize,
+    state: &mut [T],
+    exclusive: bool,
+    stream: bool,
+) {
+    assert_eq!(src.len(), dst.len(), "segment kernel buffers must match");
+    let lanes = check_segments::<T, Q>(isa, src.len(), seg, state.len());
+    let nt = stream && (dst.as_ptr() as usize).is_multiple_of(lanes * 8);
+    let src = src.as_ptr().cast::<u64>();
+    let (dst, state) = (
+        dst.as_mut_ptr().cast::<u64>(),
+        state.as_mut_ptr().cast::<u64>(),
+    );
+    // SAFETY: as in `segment_totals`; `dst` holds as many elements as
+    // `src` and, with `nt`, is aligned to the vector width.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        match (isa, exclusive, nt) {
+            (Isa::Avx512, false, false) => {
+                x86::segment_from_avx512::<Q, false, false>(src, dst, seg, state)
+            }
+            (Isa::Avx512, false, true) => {
+                x86::segment_from_avx512::<Q, false, true>(src, dst, seg, state)
+            }
+            (Isa::Avx512, true, false) => {
+                x86::segment_from_avx512::<Q, true, false>(src, dst, seg, state)
+            }
+            (Isa::Avx512, true, true) => {
+                x86::segment_from_avx512::<Q, true, true>(src, dst, seg, state)
+            }
+            (_, false, false) => x86::segment_from_avx2::<Q, false, false>(src, dst, seg, state),
+            (_, false, true) => x86::segment_from_avx2::<Q, false, true>(src, dst, seg, state),
+            (_, true, false) => x86::segment_from_avx2::<Q, true, false>(src, dst, seg, state),
+            (_, true, true) => x86::segment_from_avx2::<Q, true, true>(src, dst, seg, state),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!(
+        "no segment kernels on this target ({src:?}, {dst:?}, {state:?}, {exclusive}, {nt})"
+    );
 }
 
 fn check_vertical(s: usize, state_len: usize) {
@@ -1240,6 +1386,299 @@ mod x86 {
             i += 1;
         }
         c
+    }
+
+    /// Vector operations of the segmented sweeps, `L` 8-byte lanes per
+    /// vector. Every method is `#[inline(always)]`, so the
+    /// `#[target_feature]` entries compile them with their family's
+    /// features.
+    trait SegLanes<const L: usize> {
+        type V: Copy;
+        unsafe fn zero() -> Self::V;
+        /// Loads `L` words from `p` (any alignment).
+        unsafe fn load(p: *const u64) -> Self::V;
+        /// Stores `L` words to `p` (any alignment).
+        unsafe fn store(p: *mut u64, v: Self::V);
+        /// Non-temporal store of `L` words to `p`, aligned to `8 * L`.
+        unsafe fn stream(p: *mut u64, v: Self::V);
+        unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+        /// Transposes an `L x L` tile: word `i` of row `j` becomes word
+        /// `j` of row `i`.
+        unsafe fn transpose(rows: [Self::V; L]) -> [Self::V; L];
+    }
+
+    /// Eight `u64` lanes in a 512-bit vector.
+    struct Avx512Seg;
+
+    impl SegLanes<8> for Avx512Seg {
+        type V = __m512i;
+        #[inline(always)]
+        unsafe fn zero() -> __m512i {
+            _mm512_setzero_si512()
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const u64) -> __m512i {
+            _mm512_loadu_si512(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut u64, v: __m512i) {
+            _mm512_storeu_si512(p.cast(), v)
+        }
+        #[inline(always)]
+        unsafe fn stream(p: *mut u64, v: __m512i) {
+            _mm512_stream_si512(p.cast(), v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m512i, b: __m512i) -> __m512i {
+            _mm512_add_epi64(a, b)
+        }
+        /// Three shuffle stages: pairs of rows interleave words, then
+        /// pairs of those 128-bit blocks, then 256-bit halves.
+        #[inline(always)]
+        unsafe fn transpose(r: [__m512i; 8]) -> [__m512i; 8] {
+            let t: [__m512i; 8] = [
+                _mm512_unpacklo_epi64(r[0], r[1]),
+                _mm512_unpackhi_epi64(r[0], r[1]),
+                _mm512_unpacklo_epi64(r[2], r[3]),
+                _mm512_unpackhi_epi64(r[2], r[3]),
+                _mm512_unpacklo_epi64(r[4], r[5]),
+                _mm512_unpackhi_epi64(r[4], r[5]),
+                _mm512_unpacklo_epi64(r[6], r[7]),
+                _mm512_unpackhi_epi64(r[6], r[7]),
+            ];
+            let lo = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
+            let hi = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
+            let u: [__m512i; 8] = [
+                _mm512_permutex2var_epi64(t[0], lo, t[2]),
+                _mm512_permutex2var_epi64(t[1], lo, t[3]),
+                _mm512_permutex2var_epi64(t[0], hi, t[2]),
+                _mm512_permutex2var_epi64(t[1], hi, t[3]),
+                _mm512_permutex2var_epi64(t[4], lo, t[6]),
+                _mm512_permutex2var_epi64(t[5], lo, t[7]),
+                _mm512_permutex2var_epi64(t[4], hi, t[6]),
+                _mm512_permutex2var_epi64(t[5], hi, t[7]),
+            ];
+            [
+                _mm512_shuffle_i64x2::<0x44>(u[0], u[4]),
+                _mm512_shuffle_i64x2::<0x44>(u[1], u[5]),
+                _mm512_shuffle_i64x2::<0x44>(u[2], u[6]),
+                _mm512_shuffle_i64x2::<0x44>(u[3], u[7]),
+                _mm512_shuffle_i64x2::<0xEE>(u[0], u[4]),
+                _mm512_shuffle_i64x2::<0xEE>(u[1], u[5]),
+                _mm512_shuffle_i64x2::<0xEE>(u[2], u[6]),
+                _mm512_shuffle_i64x2::<0xEE>(u[3], u[7]),
+            ]
+        }
+    }
+
+    /// Four `u64` lanes in a 256-bit vector.
+    struct Avx2Seg;
+
+    impl SegLanes<4> for Avx2Seg {
+        type V = __m256i;
+        #[inline(always)]
+        unsafe fn zero() -> __m256i {
+            _mm256_setzero_si256()
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const u64) -> __m256i {
+            _mm256_loadu_si256(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut u64, v: __m256i) {
+            _mm256_storeu_si256(p.cast(), v)
+        }
+        #[inline(always)]
+        unsafe fn stream(p: *mut u64, v: __m256i) {
+            _mm256_stream_si256(p.cast(), v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_add_epi64(a, b)
+        }
+        /// Pairs of rows interleave words, then 128-bit halves swap.
+        #[inline(always)]
+        unsafe fn transpose(r: [__m256i; 4]) -> [__m256i; 4] {
+            let t0 = _mm256_unpacklo_epi64(r[0], r[1]);
+            let t1 = _mm256_unpackhi_epi64(r[0], r[1]);
+            let t2 = _mm256_unpacklo_epi64(r[2], r[3]);
+            let t3 = _mm256_unpackhi_epi64(r[2], r[3]);
+            [
+                _mm256_permute2x128_si256::<0x20>(t0, t2),
+                _mm256_permute2x128_si256::<0x20>(t1, t3),
+                _mm256_permute2x128_si256::<0x31>(t0, t2),
+                _mm256_permute2x128_si256::<0x31>(t1, t3),
+            ]
+        }
+    }
+
+    /// Advances the order-`Q` segment states `st` by one transposed tile:
+    /// vector `i` of `cols` holds position `i` of every segment. Each
+    /// vector of `cols` is replaced by the matching outputs, the top level
+    /// before (`EXCLUSIVE`) or after the update.
+    #[inline(always)]
+    unsafe fn segment_tile<
+        F: SegLanes<L>,
+        const L: usize,
+        const Q: usize,
+        const EXCLUSIVE: bool,
+    >(
+        st: &mut [F::V; Q],
+        cols: &mut [F::V; L],
+    ) {
+        for x in cols.iter_mut() {
+            let prev = st[Q - 1];
+            st[0] = F::add(st[0], *x);
+            for k in 1..Q {
+                st[k] = F::add(st[k], st[k - 1]);
+            }
+            *x = if EXCLUSIVE { prev } else { st[Q - 1] };
+        }
+    }
+
+    /// Loads tile `t` (positions `t..t + L` of every segment) and
+    /// transposes it.
+    #[inline(always)]
+    unsafe fn segment_load<F: SegLanes<L>, const L: usize>(
+        src: *const u64,
+        seg: usize,
+        t: usize,
+    ) -> [F::V; L] {
+        let mut rows = [F::zero(); L];
+        for (j, row) in rows.iter_mut().enumerate() {
+            *row = F::load(src.add(j * seg + t));
+        }
+        F::transpose(rows)
+    }
+
+    /// The segmented totals sweep, written once over the lane width: the
+    /// zero-seeded end states of `L` segments of `seg` words at `src`,
+    /// level-major into `ends`.
+    #[inline(always)]
+    unsafe fn segment_totals_body<F: SegLanes<L>, const L: usize, const Q: usize>(
+        src: *const u64,
+        seg: usize,
+        ends: *mut u64,
+    ) {
+        let mut st = [F::zero(); Q];
+        for t in (0..seg).step_by(L) {
+            let mut cols = segment_load::<F, L>(src, seg, t);
+            segment_tile::<F, L, Q, false>(&mut st, &mut cols);
+        }
+        for (k, &v) in st.iter().enumerate() {
+            F::store(ends.add(k * L), v);
+        }
+    }
+
+    /// The segmented output sweep, written once over the lane width:
+    /// seeds `state` (level-major `Q x L`), outputs to `dst` through the
+    /// inverse transpose, end states back to `state`.
+    #[inline(always)]
+    unsafe fn segment_from_body<
+        F: SegLanes<L>,
+        const L: usize,
+        const Q: usize,
+        const EXCLUSIVE: bool,
+        const NT: bool,
+    >(
+        src: *const u64,
+        dst: *mut u64,
+        seg: usize,
+        state: *mut u64,
+    ) {
+        let mut st = [F::zero(); Q];
+        for (k, v) in st.iter_mut().enumerate() {
+            *v = F::load(state.add(k * L));
+        }
+        for t in (0..seg).step_by(L) {
+            let mut cols = segment_load::<F, L>(src, seg, t);
+            segment_tile::<F, L, Q, EXCLUSIVE>(&mut st, &mut cols);
+            for (j, row) in F::transpose(cols).into_iter().enumerate() {
+                let p = dst.add(j * seg + t);
+                if NT {
+                    F::stream(p, row);
+                } else {
+                    F::store(p, row);
+                }
+            }
+        }
+        if NT {
+            _mm_sfence();
+        }
+        for (k, &v) in st.iter().enumerate() {
+            F::store(state.add(k * L), v);
+        }
+    }
+
+    /// AVX-512 entry of [`segment_totals_body`].
+    ///
+    /// # Safety
+    ///
+    /// `src` valid for `8 * seg` words, `ends` for `8 * Q`; AVX-512F
+    /// available.
+    #[target_feature(enable = "avx512f,avx2")]
+    pub(super) unsafe fn segment_totals_avx512<const Q: usize>(
+        src: *const u64,
+        seg: usize,
+        ends: *mut u64,
+    ) {
+        segment_totals_body::<Avx512Seg, 8, Q>(src, seg, ends)
+    }
+
+    /// AVX2 entry of [`segment_totals_body`].
+    ///
+    /// # Safety
+    ///
+    /// `src` valid for `4 * seg` words, `ends` for `4 * Q`; AVX2
+    /// available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn segment_totals_avx2<const Q: usize>(
+        src: *const u64,
+        seg: usize,
+        ends: *mut u64,
+    ) {
+        segment_totals_body::<Avx2Seg, 4, Q>(src, seg, ends)
+    }
+
+    /// AVX-512 entry of [`segment_from_body`].
+    ///
+    /// # Safety
+    ///
+    /// `src` and `dst` valid for `8 * seg` words and non-overlapping,
+    /// `state` for `8 * Q`; with `NT`, `dst` 64-byte aligned; AVX-512F
+    /// available.
+    #[target_feature(enable = "avx512f,avx2")]
+    pub(super) unsafe fn segment_from_avx512<
+        const Q: usize,
+        const EXCLUSIVE: bool,
+        const NT: bool,
+    >(
+        src: *const u64,
+        dst: *mut u64,
+        seg: usize,
+        state: *mut u64,
+    ) {
+        segment_from_body::<Avx512Seg, 8, Q, EXCLUSIVE, NT>(src, dst, seg, state)
+    }
+
+    /// AVX2 entry of [`segment_from_body`].
+    ///
+    /// # Safety
+    ///
+    /// As [`segment_from_avx512`] with 4 lanes, 32-byte alignment and
+    /// AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn segment_from_avx2<
+        const Q: usize,
+        const EXCLUSIVE: bool,
+        const NT: bool,
+    >(
+        src: *const u64,
+        dst: *mut u64,
+        seg: usize,
+        state: *mut u64,
+    ) {
+        segment_from_body::<Avx2Seg, 4, Q, EXCLUSIVE, NT>(src, dst, seg, state)
     }
 
     // Keep the scalar-lane helpers referenced so per-width dead-code

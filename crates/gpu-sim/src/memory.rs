@@ -465,14 +465,22 @@ impl AtomicWordBuffer {
     /// sums read in parallel by SAM). Counted as the number of 128-byte
     /// segments the word range spans.
     pub fn load_many<T: Pod64>(&self, m: &Metrics, range: std::ops::Range<usize>) -> Vec<T> {
-        let out: Vec<T> = sched::with_hook(HookPoint::FlagLoad { idx: range.start }, || {
-            range
-                .clone()
-                .map(|i| T::from_bits(self.words[i].load(Ordering::Acquire)))
-                .collect()
+        let mut out = vec![T::from_bits(0); range.len()];
+        self.load_many_into(m, range.start, &mut out);
+        out
+    }
+
+    /// [`AtomicWordBuffer::load_many`] of the `out.len()` words from
+    /// `start` into `out`, with the same hook and the same charge: the
+    /// allocation-free form for callers that reuse a buffer.
+    pub fn load_many_into<T: Pod64>(&self, m: &Metrics, start: usize, out: &mut [T]) {
+        let words = &self.words[start..start + out.len()];
+        sched::with_hook(HookPoint::FlagLoad { idx: start }, || {
+            for (slot, word) in out.iter_mut().zip(words) {
+                *slot = T::from_bits(word.load(Ordering::Acquire));
+            }
         });
         m.add_read(AccessClass::Aux, contiguous_transactions(out.len(), 8), out.len() as u64);
-        out
     }
 }
 

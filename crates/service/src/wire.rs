@@ -64,7 +64,9 @@ pub enum Request {
 pub enum WireError {
     /// The payload ended before a declared field.
     Truncated,
-    /// The declared payload length exceeds [`MAX_FRAME`].
+    /// A declared length exceeds [`MAX_FRAME`]: a frame, a checkpoint, or
+    /// a value count. The length is in bytes; a value count is reported
+    /// as the bytes its values take (4 each).
     Oversized(usize),
     /// Unknown request opcode.
     BadOpcode(u8),
@@ -98,7 +100,9 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Truncated => write!(f, "frame truncated"),
-            WireError::Oversized(n) => write!(f, "frame of {n} bytes exceeds MAX_FRAME"),
+            WireError::Oversized(n) => {
+                write!(f, "a declared length of {n} bytes exceeds MAX_FRAME")
+            }
             WireError::BadOpcode(op) => write!(f, "unknown opcode {op}"),
             WireError::BadKind(k) => write!(f, "unknown scan kind {k}"),
             WireError::BadStreamFlags(b) => write!(f, "undefined stream-flag bits in {b:#04x}"),
@@ -156,7 +160,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             // n is bounded by the frame cap the caller already enforced;
             // still guard the multiply so a lying header cannot wrap.
             if n > MAX_FRAME / 4 {
-                return Err(WireError::Oversized(n));
+                return Err(WireError::Oversized(n.saturating_mul(4)));
             }
             let raw = take(&mut rest, n * 4)?;
             let values = raw
@@ -392,7 +396,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Result<ScanOutput, String>, Wir
         0 | 2 => {
             let n = take_u32(&mut rest)? as usize;
             if n > MAX_FRAME / 4 {
-                return Err(WireError::Oversized(n));
+                return Err(WireError::Oversized(n.saturating_mul(4)));
             }
             let raw = take(&mut rest, n * 4)?;
             let values = raw
@@ -717,6 +721,40 @@ mod tests {
             decode_request(&lying),
             Err(WireError::Oversized(_))
         ));
+    }
+
+    /// The value-count guard of both decoders at its bound: one value past
+    /// what a frame can carry is `Oversized` (in bytes), however short the
+    /// payload; a count at the bound passes the guard and the missing
+    /// values are `Truncated`.
+    #[test]
+    fn value_count_past_the_frame_cap_is_oversized() {
+        for (n, oversized) in [(MAX_FRAME / 4 + 1, true), (MAX_FRAME / 4, false)] {
+            let count = u32::try_from(n).unwrap().to_le_bytes();
+            // Opcode, kind, an empty tenant, then the count.
+            let mut request = vec![OP_SCAN, 0, 0, 0];
+            request.extend_from_slice(&count);
+            // Status, then the count.
+            let mut response = vec![0];
+            response.extend_from_slice(&count);
+            let want = if oversized {
+                WireError::Oversized(4 * n)
+            } else {
+                WireError::Truncated
+            };
+            assert_eq!(decode_request(&request), Err(want), "n={n}");
+            assert!(
+                matches!(decode_response(&response), Err(e) if e == want),
+                "n={n}"
+            );
+        }
+        assert_eq!(
+            WireError::Oversized(MAX_FRAME + 4).to_string(),
+            format!(
+                "a declared length of {} bytes exceeds MAX_FRAME",
+                MAX_FRAME + 4
+            )
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ mod common;
 use common::{isolated, thread_count};
 use sam_core::cpu::CpuScanner;
 use sam_core::op::Sum;
-use sam_core::{serial, ChunkKernel, ScanOp, ScanSpec};
+use sam_core::{serial, ChunkKernel, ScanOp, ScanSpec, SegmentHandoff};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -85,9 +85,16 @@ impl<F: Fn(usize) + Send + Sync> ChunkKernel<i64> for Probe<F> {
     fn weight_apply(&self, v: i64, w: i64) -> i64 {
         ChunkKernel::<i64>::weight_apply(&Sum, v, w)
     }
-    fn cascade_totals(&self, src: &[i64], base: usize, s: usize, state: &mut [i64]) {
+    fn cascade_totals(
+        &self,
+        src: &[i64],
+        base: usize,
+        s: usize,
+        state: &mut [i64],
+        handoff: Option<&mut SegmentHandoff<i64>>,
+    ) {
         (self.0)(base / CHUNK);
-        Sum.cascade_totals(src, base, s, state);
+        Sum.cascade_totals(src, base, s, state, handoff);
     }
     fn cascade_scan_from(
         &self,
@@ -97,8 +104,9 @@ impl<F: Fn(usize) + Send + Sync> ChunkKernel<i64> for Probe<F> {
         s: usize,
         state: &mut [i64],
         exclusive: bool,
+        handoff: Option<&SegmentHandoff<i64>>,
     ) {
-        Sum.cascade_scan_from(src, dst, base, s, state, exclusive);
+        Sum.cascade_scan_from(src, dst, base, s, state, exclusive, handoff);
     }
 }
 

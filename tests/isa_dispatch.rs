@@ -28,7 +28,8 @@ use sam_core::op::{LinRec, Sum};
 use sam_core::plan::{PlanHint, ScanPlan};
 use sam_core::Engine;
 use sam_core::simd;
-use sam_core::{serial, ChunkKernel, ScanElement, ScanSpec};
+use sam_core::chunk_kernel::SEGMENT_MIN_ELEMS;
+use sam_core::{serial, ChunkKernel, ScanElement, ScanKind, ScanSpec, SegmentHandoff};
 
 /// Lengths chosen to straddle every kernel's internal boundaries: SWAR
 /// words (8/16 lanes), AVX2 vectors (4/8/16/32 lanes), AVX-512 vectors
@@ -92,6 +93,17 @@ fn vertical_oracle<T: ScanElement>(
             }
         })
         .collect()
+}
+
+/// `n` elements of `buf` that start `skew` elements past the position
+/// sharing `like`'s offset within a 64-byte line; `buf` needs
+/// `n + skew + 64 / size_of::<T>()` elements. With `skew == 0` the slice is
+/// aligned like `like`, which is what lets a sweep from `like` into it use
+/// whole-line streaming stores.
+fn aligned_like<'a, T>(buf: &'a mut [T], like: &[T], n: usize, skew: usize) -> &'a mut [T] {
+    let gap = (like.as_ptr() as usize).wrapping_sub(buf.as_ptr() as usize) % 64;
+    let start = gap / std::mem::size_of::<T>() + skew;
+    &mut buf[start..start + n]
 }
 
 fn seeded_state<T: ScanElement>(q: usize, s: usize) -> Vec<T> {
@@ -364,11 +376,14 @@ fn nt_threshold_matches_oracle() {
 /// scan's output (about 3 MiB of i64, 1.5 MiB of i32) crosses it while
 /// each default 32 Ki-element chunk stays below it, so every chunk sweep
 /// with a streaming path takes it: the stride-1 kernels at order 1, tuple
-/// 1, and the small-row vertical kernel at tuples 2 and 5. Each output
-/// starts one element into its buffer: 8-aligned but not line-aligned for
-/// i64 (the stride-1 kernels' aligning prologue), only 4-aligned for i32
-/// (the small-row kernel's decline path). The serial oracle runs before
-/// the threshold is installed, so it stays on cacheable stores.
+/// 1, the lane-segmented sweeps at orders 2 and 8, tuple 1, and the
+/// small-row vertical kernel at tuples 2 and 5. One output starts one
+/// element into its buffer: 8-aligned but not line-aligned for i64 (the
+/// stride-1 kernels' aligning prologue; the segmented sweeps decline to
+/// stream into a destination aligned unlike its source), only 4-aligned
+/// for i32 (the small-row kernel's decline path). The other is aligned
+/// like the input, so the segmented sweeps stream. The serial oracle runs
+/// before the threshold is installed, so it stays on cacheable stores.
 #[test]
 fn cpu_engine_streams_past_the_scan_threshold() {
     fn check<T, Op>(input: &[T], op: &Op, spec: &ScanSpec, tag: &str)
@@ -381,6 +396,10 @@ fn cpu_engine_streams_past_the_scan_threshold() {
         let mut out = vec![T::ZERO; input.len() + 1];
         CpuScanner::new(2).scan_into(input, &mut out[1..], op, spec);
         assert!(out[1..] == want[..], "{tag} {spec:?}");
+        let mut buf = vec![T::ZERO; input.len() + 64];
+        let out = aligned_like(&mut buf, input, input.len(), 0);
+        CpuScanner::new(2).scan_into(input, out, op, spec);
+        assert!(out[..] == want[..], "{tag} {spec:?} aligned like the input");
     }
     let n = 3 * (1 << 17) + 37;
     let (src64, src32) = (pattern::<i64>(n, 0x6003), pattern::<i32>(n, 0x6004));
@@ -402,6 +421,145 @@ fn cpu_engine_streams_past_the_scan_threshold() {
     let spec = ScanSpec::inclusive();
     check(&src64, &LinRec::first_order(3i64).unwrap(), &spec, "i64 rec1");
     check(&src32, &LinRec::first_order(3i32).unwrap(), &spec, "i32 rec1");
+}
+
+// --- Lane-segmented sweeps --------------------------------------------------
+
+/// Whether `isa` must provide segmented stride-1 sum sweeps for elements
+/// of `width` bytes, and in how many lanes: the table of
+/// `sam_core::simd::segment_lanes`, restated.
+fn expect_segment_lanes(isa: Isa, width: usize) -> Option<usize> {
+    match (isa, width) {
+        (Isa::Avx512, 8) if cfg!(target_arch = "x86_64") => Some(8),
+        (Isa::Avx2, 8) if cfg!(target_arch = "x86_64") => Some(4),
+        _ => None,
+    }
+}
+
+#[test]
+fn segment_support_contract() {
+    for isa in isa::available() {
+        assert_eq!(
+            simd::segment_lanes::<i64>(isa),
+            expect_segment_lanes(isa, 8),
+            "{isa} i64"
+        );
+        assert_eq!(
+            simd::segment_lanes::<u64>(isa),
+            expect_segment_lanes(isa, 8),
+            "{isa} u64"
+        );
+        assert_eq!(simd::segment_lanes::<i32>(isa), None, "{isa} i32");
+        assert_eq!(simd::segment_lanes::<f64>(isa), None, "{isa} f64");
+    }
+}
+
+/// Set in the child processes that
+/// [`segmented_sweeps_match_serial_under_each_forced_family`] starts.
+const FORCED_CHILD_ENV: &str = "SAM_ISA_DISPATCH_FORCED_CHILD";
+
+/// Elements before the span whose end state seeds the non-zero-seed case;
+/// fewer than [`SEGMENT_MIN_ELEMS`], so the register loop computes it.
+const SEED_PREFIX: usize = 37;
+
+/// The CPU engine's two sweeps per chunk, through the public trait: a
+/// totals sweep that fills a hand-off, then an output sweep given it,
+/// against `serial::scan` bit for bit (`EXACT_RING` types). Orders 2–8,
+/// every length to 300, both sides of the first eight 64-element tile
+/// groups and of the 32 Ki-element chunk, inclusive and exclusive, from a
+/// zero seed and from the end state of a prefix, with streaming stores
+/// forced on and off, into a destination aligned like the source (where
+/// stores can stream) and one element off it (where they must not). Each
+/// output sweep's end state must equal the totals sweep's and the register
+/// loop's (an output sweep given no hand-off).
+fn segmented_grid<T: ScanElement + std::fmt::Debug + PartialEq>(seed: u64) {
+    assert!(T::EXACT_RING);
+    let segmented = simd::segment_lanes::<T>(isa::resolved()).is_some();
+    let lengths = (0..=300usize)
+        .chain((1..=8).flat_map(|k| [64 * k - 1, 64 * k + 1]))
+        .chain([(1 << 15) - 1, (1 << 15) + 1]);
+    for n in lengths {
+        let full = pattern::<T>(SEED_PREFIX + n, seed ^ n as u64);
+        let src = &full[SEED_PREFIX..];
+        for q in 2..=8u32 {
+            for prefix in [0, SEED_PREFIX] {
+                let tag = format!("{} q={q} n={n} prefix={prefix}", isa::resolved());
+                let mut start = vec![T::ZERO; q as usize];
+                Sum.cascade_totals(
+                    &full[SEED_PREFIX - prefix..SEED_PREFIX],
+                    0,
+                    1,
+                    &mut start,
+                    None,
+                );
+                let mut totals = start.clone();
+                let mut handoff = SegmentHandoff::default();
+                Sum.cascade_totals(src, 0, 1, &mut totals, Some(&mut handoff));
+                assert_eq!(
+                    handoff.describes(src),
+                    segmented && n >= SEGMENT_MIN_ELEMS,
+                    "{tag}"
+                );
+                for kind in [ScanSpec::inclusive(), ScanSpec::exclusive()] {
+                    let spec = kind.with_order(q).unwrap();
+                    let exclusive = spec.kind() == ScanKind::Exclusive;
+                    let want = &serial::scan(&full[SEED_PREFIX - prefix..], &Sum, &spec)[prefix..];
+                    let mut plain = vec![T::ZERO; n];
+                    let mut end = start.clone();
+                    Sum.cascade_scan_from(src, &mut plain, 0, 1, &mut end, exclusive, None);
+                    assert_eq!(plain, want, "register loop {tag} {spec:?}");
+                    assert_eq!(totals, end, "totals {tag}");
+                    for (nt, skew) in [(1, 0), (1, 1), (usize::MAX, 0)] {
+                        let _nt = simd::nt_store_override(nt);
+                        let mut buf = vec![T::ZERO; n + 9];
+                        let dst = aligned_like(&mut buf, src, n, skew);
+                        let mut state = start.clone();
+                        Sum.cascade_scan_from(
+                            src,
+                            dst,
+                            0,
+                            1,
+                            &mut state,
+                            exclusive,
+                            Some(&handoff),
+                        );
+                        assert_eq!(dst, want, "{tag} {spec:?} nt={nt} skew={skew}");
+                        assert_eq!(state, end, "end state {tag} {spec:?} nt={nt} skew={skew}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`segmented_grid`] under every kernel family this host can execute,
+/// each in a child process of this binary with `SAM_FORCE_KERNEL` set to
+/// it: the family is resolved once per process, and the trait's sweeps
+/// take the resolved one.
+#[test]
+fn segmented_sweeps_match_serial_under_each_forced_family() {
+    let name = "segmented_sweeps_match_serial_under_each_forced_family";
+    if std::env::var_os(FORCED_CHILD_ENV).is_some() {
+        segmented_grid::<i64>(0x7101);
+        segmented_grid::<u64>(0x7102);
+        return;
+    }
+    for family in isa::available() {
+        let exe = std::env::current_exe().expect("path of the test binary");
+        let out = std::process::Command::new(exe)
+            .args([name, "--exact", "--test-threads=1"])
+            .env(FORCED_CHILD_ENV, "1")
+            .env("SAM_FORCE_KERNEL", family.name())
+            .output()
+            .expect("start the forced-family run");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("test result: ok. 1 passed"),
+            "run under SAM_FORCE_KERNEL={family} failed ({}):\n{stdout}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 // --- Engine-level equivalence ----------------------------------------------
