@@ -135,7 +135,11 @@ impl LookbackScan {
 
         gpu.launch_persistent_with(k, threads, |ctx| {
             let m = ctx.metrics();
+            // Per-block buffers, reused by every chunk the block owns.
             let mut totals = vec![op.identity(); s];
+            let mut carry = vec![op.identity(); s];
+            let mut lane_vals = vec![op.identity(); s];
+            let mut vals = Vec::new();
             for c in ctx.owned_chunks(num_chunks) {
                 if ctx.is_cancelled() {
                     return;
@@ -145,7 +149,8 @@ impl LookbackScan {
                 let len = range.len();
 
                 // --- Load ------------------------------------------------
-                let mut vals = vec![op.identity(); len];
+                vals.clear();
+                vals.resize(len, op.identity());
                 if aos {
                     warp_aos_access(&data, m, base, len, s, self.items_per_thread, threads, |w, buf, m, idxs| {
                         w.warp_gather(m, idxs, buf, AccessClass::Element)
@@ -174,13 +179,13 @@ impl LookbackScan {
                 status.store(m, c, AGGREGATE);
 
                 // --- Decoupled look-back ----------------------------------
-                let mut carry = vec![op.identity(); s];
+                carry.fill(op.identity());
                 if c > 0 {
                     let mut j = c - 1;
                     loop {
                         let st = status.poll(m, j, |v| v != INVALID);
                         let buf = if st == PREFIX { &prefixes } else { &aggregates };
-                        let lane_vals: Vec<T> = buf.load_many(m, j * s..(j + 1) * s);
+                        buf.load_many_into(m, j * s, &mut lane_vals);
                         // Prepend: carry = value(j) ⊕ carry.
                         for l in 0..s {
                             carry[l] = op.combine(lane_vals[l], carry[l]);

@@ -41,7 +41,8 @@
 //! | `Sum` | exact rings | 1, order 2..=8 | const-generic register cascade (every other case: serial engine, plan feed, gpu-sim, single-chunk scans) |
 //! | `Sum` | exact rings | s > 1, base-aligned | **vertical lane-parallel**: `s` accumulators advance together in row form, no per-element lane rotation |
 //! | `Sum` | exact rings | other | rotating-lane cascade |
-//! | `LinRec` | exact rings | 1, order ≤ 8 | register-resident window; multi-chain totals sweep at orders 1–3 |
+//! | `LinRec` | 8-byte wrapping ints | 1, order 1..=8 | **lane segments**: totals sweep always, output sweep given a [`SegmentHandoff`] its recurrence made of its span — `G` interleaved groups of AVX-512 / AVX2 lanes, joined by companion-matrix powers; head, tail and short spans on the register window |
+//! | `LinRec` | exact rings | 1, order ≤ 8 | register-resident window (every other case: serial engine, plan feed, gpu-sim, single-chunk scans) |
 //! | `LinRec` | exact rings | s > 1 or order > 8 | rotating-lane window |
 //! | any other (incl. float `Sum`) | any | any | iterated loops of [`crate::serial`] / [`crate::chunkops`], `q` passes |
 //!
@@ -203,33 +204,47 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
 /// splits its span into `L` segments, one per SIMD lane (`L` = 8 under
 /// AVX-512, 4 under AVX2), advances all of them at once from zero states,
 /// and folds their `q x L` end states into the span's total with the carry
-/// algebra of [`crate::carry`]. A hand-off keeps those end states. The
-/// output sweep of the same span then seeds every segment from the span's
-/// seed and the end states before it, and runs the same vertical pass
-/// writing outputs. Given no hand-off, or one that describes a different
-/// span (another address, length or order), the output sweep runs the
-/// one-lane register loop instead, so a stale hand-off costs speed, never
-/// exactness.
+/// algebra of [`crate::carry`]. [`LinRec`] at stride 1 and orders 1–8
+/// does the same in `G` groups of `L` segments, folding the end windows
+/// with the companion-matrix power over one segment length. A
+/// hand-off keeps those end states (and, for a recurrence, the power).
+/// The output sweep of the same span then seeds every segment from the
+/// span's seed and the end states before it, and runs the same vertical
+/// pass writing outputs. Given no hand-off, or one that describes a
+/// different span (another address, length or order) or was made by
+/// another operator (`Sum`, or a recurrence with other coefficients), the
+/// output sweep runs the one-lane register loop instead, so a stale
+/// hand-off costs speed, never exactness.
 ///
 /// A hand-off names its span by address and length, so the caller must
 /// not change the span's contents between the two sweeps. Engines keep one
-/// per worker: its buffer is allocated on first use and reused for every
+/// per worker: its buffers are allocated on first use and reused for every
 /// chunk after that.
 #[derive(Debug)]
 pub struct SegmentHandoff<T> {
-    /// Segment end states, level-major: `ends[i * lanes + j]` is the
-    /// order-`(i+1)` total of segment `j` from a zero state.
+    /// Segment end states, level-major: `ends[i * segments + j]` is
+    /// segment `j`'s order-`(i+1)` total (`Sum`) or window row `i`
+    /// (`LinRec`) from a zero state.
     ends: Vec<T>,
     /// The span `ends` belongs to; `None` when the hand-off is empty.
     span: Option<SegmentSpan>,
+    /// The recurrence `power` was made for: its coefficients, and the
+    /// segment length `m` of `power = A^m` (0 when there is none).
+    coeffs: Vec<T>,
+    power_seg: usize,
+    /// `A^m`, row-major `q x q`, for the companion matrix `A` of `coeffs`.
+    power: Vec<T>,
 }
 
 impl<T> Default for SegmentHandoff<T> {
-    /// An empty hand-off; its buffer is allocated on first use.
+    /// An empty hand-off; its buffers are allocated on first use.
     fn default() -> Self {
         SegmentHandoff {
             ends: Vec::new(),
             span: None,
+            coeffs: Vec::new(),
+            power_seg: 0,
+            power: Vec::new(),
         }
     }
 }
@@ -242,7 +257,7 @@ impl<T: Copy> SegmentHandoff<T> {
         self.span.is_some_and(|span| span.is_over(src))
     }
 
-    /// Empties the hand-off, keeping its buffer.
+    /// Empties the hand-off, keeping its buffers.
     fn clear(&mut self) {
         self.span = None;
     }
@@ -252,6 +267,21 @@ impl<T: Copy> SegmentHandoff<T> {
         self.ends.clear();
         self.ends.extend_from_slice(ends);
         self.span = Some(span);
+    }
+}
+
+impl<T: ScanElement> SegmentHandoff<T> {
+    /// The companion power of `c` over `seg` elements, computed unless the
+    /// hand-off already holds it.
+    fn power_for<const Q: usize>(&mut self, c: &[T; Q], seg: usize) -> &[T] {
+        if self.power_seg != seg || self.coeffs != c {
+            self.power.clear();
+            self.power.extend(companion_pow(c, seg).iter().flatten());
+            self.coeffs.clear();
+            self.coeffs.extend_from_slice(c);
+            self.power_seg = seg;
+        }
+        &self.power
     }
 }
 
@@ -620,41 +650,62 @@ pub const SEGMENT_MIN_ELEMS: usize = 256;
 /// Largest `q x L` segment state: order 8 in 8 lanes.
 const SEGMENT_MAX_WORDS: usize = 64;
 
+/// The operator a span's segments were made under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SegmentOp {
+    Sum,
+    /// A recurrence; its coefficients are the hand-off's `coeffs`.
+    LinRec,
+}
+
 /// Where a span's lane segments lie. `head` elements run on the register
-/// loop first, up to the source's first vector boundary; then come `lanes`
-/// segments of `seg` elements each (a multiple of `lanes`, so every
-/// segment is whole `lanes x lanes` tiles); the remaining tail runs on the
-/// register loop last.
+/// loop first, up to the source's first vector boundary; then come
+/// `groups x lanes` segments of `seg` elements each (a multiple of
+/// `lanes`, so every segment is whole `lanes x lanes` tiles); the
+/// remaining tail runs on the register loop last.
 #[derive(Clone, Copy, Debug)]
 struct SegmentSpan {
     /// The source span's address and length: its identity.
     src: usize,
     len: usize,
-    /// The cascade order and lane count the segments were made for.
+    /// The operator, cascade order, lane count and lane groups the
+    /// segments were made for.
+    op: SegmentOp,
     q: usize,
     lanes: usize,
+    groups: usize,
     /// Elements before the first segment, and each segment's length.
     head: usize,
     seg: usize,
 }
 
 impl SegmentSpan {
-    /// The segment layout of `src` for an order-`q` sweep in `lanes`
-    /// lanes; `None` for spans under [`SEGMENT_MIN_ELEMS`].
-    fn of<T>(src: &[T], q: usize, lanes: usize) -> Option<Self> {
+    /// The segment layout of `src` for an order-`q` sweep of `op` in
+    /// `groups` groups of `lanes` lanes; `None` for spans shorter than
+    /// `min` or without a whole tile per segment.
+    fn of<T>(
+        src: &[T],
+        min: usize,
+        op: SegmentOp,
+        q: usize,
+        lanes: usize,
+        groups: usize,
+    ) -> Option<Self> {
         let (n, size) = (src.len(), std::mem::size_of::<T>());
-        if n < SEGMENT_MIN_ELEMS {
+        if n < min {
             return None;
         }
         let line = lanes * size;
         let addr = src.as_ptr() as usize;
         let head = ((line - addr % line) % line / size).min(n);
-        let seg = (n - head) / (lanes * lanes) * lanes;
+        let seg = (n - head) / (groups * lanes * lanes) * lanes;
         (seg > 0).then_some(SegmentSpan {
             src: addr,
             len: n,
+            op,
             q,
             lanes,
+            groups,
             head,
             seg,
         })
@@ -665,37 +716,50 @@ impl SegmentSpan {
         self.src == src.as_ptr() as usize && self.len == src.len()
     }
 
+    /// The number of segments.
+    fn segments(&self) -> usize {
+        self.groups * self.lanes
+    }
+
     /// The positions the lane segments cover.
     fn body(&self) -> std::ops::Range<usize> {
-        self.head..self.head + self.lanes * self.seg
+        self.head..self.head + self.segments() * self.seg
     }
 }
 
-/// Advances the order-`Q` `state` across the `lanes` segments of `span` in
-/// order, `state = M * state + e_j`, where `e_j` is column `j` of the
-/// level-major `ends` and `M` the Toeplitz advance over `span.seg` zero
-/// elements. With `seeds`, column `j` of it receives the state entering
-/// segment `j`.
-fn fold_segments<T: ScanElement, const Q: usize>(
+/// Advances `state` across the segments of `span` in order, `state = M
+/// * state + e_j`, where `e_j` is column `j` of the level-major `ends`
+/// and `advance` applies `M`, the carry over one segment of zero input:
+/// the Toeplitz advance for `Sum` ([`sum_advance`]), the companion power
+/// for `LinRec` ([`linrec_advance`]). With `seeds`, column `j` of it
+/// receives the state entering segment `j`.
+fn fold_segments<T: ScanElement>(
     span: &SegmentSpan,
     ends: &[T],
     state: &mut [T],
     mut seeds: Option<&mut [T]>,
+    advance: impl Fn(&mut [T]),
 ) {
-    let lanes = span.lanes;
-    let mut w = [T::ZERO; Q];
-    crate::carry::advance_weights_into(&Sum, span.seg as u64, &mut w);
-    for j in 0..lanes {
+    let segments = span.segments();
+    for j in 0..segments {
         if let Some(seeds) = seeds.as_deref_mut() {
             for (i, &v) in state.iter().enumerate() {
-                seeds[i * lanes + j] = v;
+                seeds[i * segments + j] = v;
             }
         }
-        crate::carry::toeplitz_advance(&Sum, &w, state, 1);
+        advance(state);
         for (i, v) in state.iter_mut().enumerate() {
-            *v = v.add(ends[i * lanes + j]);
+            *v = v.add(ends[i * segments + j]);
         }
     }
+}
+
+/// The Toeplitz advance of an order-`Q` `Sum` state over one segment of
+/// `span`.
+fn sum_advance<T: ScanElement, const Q: usize>(span: &SegmentSpan) -> impl Fn(&mut [T]) {
+    let mut w = [T::ZERO; Q];
+    crate::carry::advance_weights_into(&Sum, span.seg as u64, &mut w);
+    move |state| crate::carry::toeplitz_advance(&Sum, &w, state, 1)
 }
 
 /// Segmented totals sweep of order `Q`: the head on the register loop,
@@ -713,7 +777,7 @@ fn segmented_totals_q<T: ScanElement, const Q: usize>(
     let mut ends = [T::ZERO; SEGMENT_MAX_WORDS];
     let ends = &mut ends[..Q * span.lanes];
     crate::simd::segment_totals::<T, Q>(isa, &src[body.clone()], span.seg, ends);
-    fold_segments::<T, Q>(&span, ends, state, None);
+    fold_segments(&span, ends, state, None, sum_advance::<T, Q>(&span));
     sum_register::<T, _, Q>(&mut Discard(&src[body.end..]), state, false);
     if let Some(h) = handoff {
         h.record(span, ends);
@@ -745,7 +809,7 @@ fn segmented_from_q<T: ScanElement, const Q: usize>(
     );
     let mut seeds = [T::ZERO; SEGMENT_MAX_WORDS];
     let seeds = &mut seeds[..Q * span.lanes];
-    fold_segments::<T, Q>(&span, ends, state, Some(seeds));
+    fold_segments(&span, ends, state, Some(seeds), sum_advance::<T, Q>(&span));
     let (mid_src, mid_dst) = (&src[body.clone()], &mut dst[body.clone()]);
     crate::simd::segment_from::<T, Q>(isa, mid_src, mid_dst, span.seg, seeds, exclusive, stream);
     let (tail_src, tail_dst) = (&src[body.end..], &mut dst[body.end..]);
@@ -772,8 +836,8 @@ fn segmented_totals<T: ScanElement>(
     if !(2..=8).contains(&q) {
         return false;
     }
-    let Some(span) =
-        crate::simd::segment_lanes::<T>(isa).and_then(|lanes| SegmentSpan::of(src, q, lanes))
+    let Some(span) = crate::simd::segment_lanes::<T>(isa)
+        .and_then(|lanes| SegmentSpan::of(src, SEGMENT_MIN_ELEMS, SegmentOp::Sum, q, lanes, 1))
     else {
         return false;
     };
@@ -790,8 +854,8 @@ fn segmented_totals<T: ScanElement>(
 }
 
 /// The segmented output sweep of `Sum` from `src` into `dst` on `isa`;
-/// `false` (nothing done) unless `handoff` describes `src` at this order
-/// and in `isa`'s lane count.
+/// `false` (nothing done) unless `handoff` was made by `Sum` over `src` at
+/// this order and in `isa`'s lane count.
 fn segmented_from<T: ScanElement>(
     isa: Isa,
     src: &[T],
@@ -802,7 +866,10 @@ fn segmented_from<T: ScanElement>(
 ) -> bool {
     let q = state.len();
     let Some(span) = handoff.span.filter(|span| {
-        span.is_over(src) && span.q == q && Some(span.lanes) == crate::simd::segment_lanes::<T>(isa)
+        span.op == SegmentOp::Sum
+            && span.is_over(src)
+            && span.q == q
+            && Some(span.lanes) == crate::simd::segment_lanes::<T>(isa)
     }) else {
         return false;
     };
@@ -882,22 +949,21 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
 // of the sum cascade's pre-update top row, which reduces to the exclusive
 // prefix sum for `coeffs == [1]`.
 //
-// Dispatch: stride 1 with order `Q <= 8` runs the register-resident sweep
+// Dispatch: for 8-byte integers at stride 1 and order `Q <= 8`, where the
+// kernel family has recurrence segments (`simd::recurrence_segment_lanes`:
+// AVX-512, AVX2), the totals sweep always splits a span of at least
+// `RECURRENCE_SEGMENT_MIN_ELEMS` into `G x L` lane segments, and the output
+// sweep does so when handed a `SegmentHandoff` its own recurrence made over
+// the same span. This is the paper's decoupled carry inside one chunk:
+// segment `j`'s zero-seeded end window `e_j` and the companion power `A^m`
+// over one segment length give every segment's seed, `w_{j+1} = A^m w_j +
+// e_j`. Every other stride-1 sweep of order `Q <= 8` (no hand-off: the
+// serial engine, plan feed, gpu-sim, single-chunk scans; other element
+// types; short spans; heads and tails) runs the register-resident loop
 // (const-generic window, one multiply and one add on the loop-carried
-// chain); its totals-only form additionally splits long spans at orders
-// 1-3 into independent chains folded by a companion-matrix power. The
-// output sweep stays on one chain for now. Splitting it needs every
-// sub-block's seed before it can emit, and the totals sweep is the pass
-// that can provide them: `Sum` hands its lane segments' end states to the
-// output sweep through a `SegmentHandoff`, and the same hand-off could
-// carry these chains' windows (ROADMAP item 2(c)). Every other shape keeps
-// the rotating-lane loop. Construction of [`LinRec`] is gated on
-// `T::EXACT_RING`, so the reassociations below are bit-exact.
-
-/// Shortest sub-block the multi-chain totals sweep splits into. Shorter
-/// spans run on one chain: there the companion power (`log2 m` matrix
-/// squarings) and the fold are no longer small next to the sweep.
-const LINREC_MIN_SUB_BLOCK: usize = 512;
+// chain). Every other shape keeps the rotating-lane loop. Construction of
+// [`LinRec`] is gated on `T::EXACT_RING`, so the reassociations below are
+// bit-exact.
 
 /// One recurrence chain held in registers: the window (row 0 most recent)
 /// and `pre`, the next input plus the older taps `c[j] * x_{i-1-j}` for
@@ -1005,52 +1071,128 @@ fn companion_pow<T: ScanElement, const Q: usize>(c: &[T; Q], m: usize) -> [[T; Q
     r
 }
 
-/// Multi-chain totals sweep: advances `w` over `src` without outputs.
-///
-/// The span splits into `K` equal sub-blocks of length `m`. Sub-block 0
-/// starts from `w`, the rest from zero, and all `K` advance interleaved in
-/// one loop, so their chains overlap in the pipeline. The end states fold
-/// left to right, `w = A^m w + local` (the paper's local scan plus carry),
-/// and the `src.len() % K` tail runs on the single chain. Spans whose
-/// sub-blocks would be shorter than [`LINREC_MIN_SUB_BLOCK`] run on one
-/// chain throughout.
-#[inline]
-fn linrec_chains<T: ScanElement, const Q: usize, const K: usize>(
+/// Shortest span the segmented `LinRec` sweeps of [`SegmentHandoff`]
+/// split into lane segments; shorter spans run the one-lane register
+/// loop. A span this long holds a whole tile for each of up to 32
+/// segments past any head, and amortizes the companion power (`log2 m`
+/// squarings of a `q x q` matrix) and the fold (`q^2` multiply-adds per
+/// segment).
+pub const RECURRENCE_SEGMENT_MIN_ELEMS: usize = 512;
+
+/// Largest `q x segments` recurrence segment state: order 7 in two
+/// groups of 8 lanes.
+const RECURRENCE_SEGMENT_MAX_WORDS: usize = 112;
+
+/// The advance of an order-`Q` window over one segment: `w = power * w`,
+/// with `power` the row-major companion power over the segment length.
+fn linrec_advance<T: ScanElement, const Q: usize>(power: &[T]) -> impl Fn(&mut [T]) + '_ {
+    move |w| {
+        let prev: [T; Q] = (*w).try_into().expect("the window holds Q values");
+        for (v, row) in w.iter_mut().zip(power.chunks_exact(Q)) {
+            *v = row
+                .iter()
+                .zip(&prev)
+                .fold(T::ZERO, |acc, (&a, &x)| acc.add(a.mul(x)));
+        }
+    }
+}
+
+/// Segmented `LinRec` totals sweep of order `Q` in `G` groups of `lanes`
+/// lanes on `isa`, seeded by and advancing `w`: the head on the register
+/// loop, the segments on `isa`'s kernel folded into `w`, the tail on the
+/// register loop. Records the end windows and the companion power in
+/// `handoff`, reusing the power it already holds for these coefficients
+/// and segment length. `false` (nothing done) when the span is too short.
+fn linrec_segmented_totals_q<T: ScanElement, const Q: usize, const G: usize>(
+    isa: Isa,
+    lanes: usize,
     c: &[T; Q],
     src: &[T],
     w: &mut [T; Q],
-) {
-    let m = src.len() / K;
-    if K == 1 || m < LINREC_MIN_SUB_BLOCK {
-        linrec_register::<T, _, Q, false>(c, &mut Discard(src), w);
-        return;
-    }
-    let blocks: [&[T]; K] = std::array::from_fn(|k| &src[k * m..(k + 1) * m]);
-    let mut chains: [Chain<T, Q>; K] = std::array::from_fn(|k| {
-        let win = if k == 0 { *w } else { [T::ZERO; Q] };
-        Chain::new(c, win, blocks[k][0])
-    });
-    for t in 1..m {
-        for (chain, block) in chains.iter_mut().zip(&blocks) {
-            chain.advance(c, block[t]);
+    handoff: Option<&mut SegmentHandoff<T>>,
+) -> bool {
+    let min = RECURRENCE_SEGMENT_MIN_ELEMS;
+    let Some(span) = SegmentSpan::of(src, min, SegmentOp::LinRec, Q, lanes, G) else {
+        return false;
+    };
+    let body = span.body();
+    linrec_register::<T, _, Q, false>(c, &mut Discard(&src[..body.start]), w);
+    let mut ends = [T::ZERO; RECURRENCE_SEGMENT_MAX_WORDS];
+    let ends = &mut ends[..Q * span.segments()];
+    crate::simd::recurrence_segment_totals::<T, Q, G>(isa, c, &src[body.clone()], span.seg, ends);
+    let a_m;
+    let power = match handoff {
+        Some(h) => {
+            h.record(span, ends);
+            h.power_for(c, span.seg)
         }
-    }
-    for chain in &mut chains {
-        chain.advance(c, T::ZERO);
-    }
-    let a_m = companion_pow(c, m);
-    let mut acc = chains[0].win;
-    for local in chains[1..].iter().map(|chain| &chain.win) {
-        let mut next = *local;
-        for (n, row) in next.iter_mut().zip(&a_m) {
-            for (&a, &v) in row.iter().zip(&acc) {
-                *n = n.add(a.mul(v));
-            }
+        None => {
+            a_m = companion_pow(c, span.seg);
+            a_m.as_flattened()
         }
-        acc = next;
-    }
-    linrec_register::<T, _, Q, false>(c, &mut Discard(&src[K * m..]), &mut acc);
-    *w = acc;
+    };
+    fold_segments(&span, ends, w, None, linrec_advance::<T, Q>(power));
+    linrec_register::<T, _, Q, false>(c, &mut Discard(&src[body.end..]), w);
+    true
+}
+
+/// Segmented `LinRec` output sweep of order `Q` in `G` groups of `lanes`
+/// lanes on `isa` over `io`: every segment seeded from `w` and the end
+/// windows before it, the head and tail on the register loop. `false`
+/// (nothing done) unless `handoff` was made by this recurrence over the
+/// same source at this order, in `lanes` lanes and `G` groups.
+fn linrec_segmented_from_q<
+    T: ScanElement,
+    const Q: usize,
+    const G: usize,
+    const EXCLUSIVE: bool,
+>(
+    isa: Isa,
+    lanes: usize,
+    c: &[T; Q],
+    io: Dst<'_, T>,
+    w: &mut [T; Q],
+    handoff: &SegmentHandoff<T>,
+) -> bool {
+    let Dst { src, dst } = io;
+    let Some(span) = handoff.span.filter(|span| {
+        span.op == SegmentOp::LinRec
+            && span.is_over(src)
+            && (span.q, span.lanes, span.groups) == (Q, lanes, G)
+            && handoff.power_seg == span.seg
+            && handoff.coeffs == c
+    }) else {
+        return false;
+    };
+    let body = span.body();
+    let stream = crate::simd::streams(std::mem::size_of_val(dst));
+    let (head_src, head_dst) = (&src[..body.start], &mut dst[..body.start]);
+    linrec_register::<T, _, Q, EXCLUSIVE>(
+        c,
+        &mut Dst {
+            src: head_src,
+            dst: head_dst,
+        },
+        w,
+    );
+    let mut seeds = [T::ZERO; RECURRENCE_SEGMENT_MAX_WORDS];
+    let seeds = &mut seeds[..Q * span.segments()];
+    let advance = linrec_advance::<T, Q>(&handoff.power);
+    fold_segments(&span, &handoff.ends, w, Some(seeds), advance);
+    let (mid_src, mid_dst) = (&src[body.clone()], &mut dst[body.clone()]);
+    crate::simd::recurrence_segment_from::<T, Q, G>(
+        isa, c, mid_src, mid_dst, span.seg, seeds, EXCLUSIVE, stream,
+    );
+    let (tail_src, tail_dst) = (&src[body.end..], &mut dst[body.end..]);
+    linrec_register::<T, _, Q, EXCLUSIVE>(
+        c,
+        &mut Dst {
+            src: tail_src,
+            dst: tail_dst,
+        },
+        w,
+    );
+    true
 }
 
 /// Rotating-lane sweep for every shape without a register kernel (`s > 1`
@@ -1087,14 +1229,14 @@ fn linrec_strided<T: ScanElement, S: Sink<T>>(
 /// Runs `f` with the coefficients and stride-1 window as `Q`-arrays, the
 /// window copied back afterwards. `state.len()` must equal `coeffs.len()`.
 #[inline(always)]
-fn with_window<T: ScanElement, const Q: usize>(
+fn with_window<T: ScanElement, const Q: usize, R>(
     coeffs: &[T],
     state: &mut [T],
-    f: impl FnOnce(&[T; Q], &mut [T; Q]),
-) {
+    f: impl FnOnce(&[T; Q], &mut [T; Q]) -> R,
+) -> R {
     let c: &[T; Q] = coeffs.try_into().expect("order matches the const window");
     let w: &mut [T; Q] = state.try_into().expect("order matches the const window");
-    f(c, w);
+    f(c, w)
 }
 
 /// Output sweep: the register sweep for stride 1 and order <= 8, the
@@ -1113,7 +1255,7 @@ fn linrec_sweep<T: ScanElement, S: Sink<T>>(
         state: &mut [T],
         exclusive: bool,
     ) {
-        with_window::<T, Q>(coeffs, state, |c, w| {
+        with_window::<T, Q, _>(coeffs, state, |c, w| {
             if exclusive {
                 linrec_register::<T, S, Q, true>(c, io, w)
             } else {
@@ -1134,42 +1276,111 @@ fn linrec_sweep<T: ScanElement, S: Sink<T>>(
     }
 }
 
-/// Totals sweep: the register sweep for stride 1 and order <= 8, split
-/// into independent chains where that pays; the rotating-lane loop
-/// otherwise.
-///
-/// Chain counts per order: a step costs one multiply-add of latency (about
-/// 4 cycles) and `Q` multiplies on x86-64's single 64-bit multiply port, so
-/// extra chains help only while `Q` multiplies issue faster than that
-/// latency. Measured with i64 on a 2-vCPU AVX-512 x86-64 host (32 Ki
-/// chunks): 4 chains ran 3-4x one chain at order 1, 3 chains 1.9x at order
-/// 2, 2 chains 1.6x at order 3; from order 4 up every split was flat or
-/// slower (4 chains at order 8: 0.45x), so those orders keep one chain.
-fn linrec_sweep_totals<T: ScanElement>(
+/// Runs `$run::<T, Q, G>($args)` for the order `$q` in 1..=8 in a family
+/// of `$lanes` lanes, and gives `false` for any other shape: the group
+/// table of the segmented `LinRec` sweeps. `G` is the number of
+/// interleaved groups of lane segments. One group's step is bound by the
+/// latency of a 64-bit multiply and an add; more groups overlap those
+/// chains while the multiplies (`q x G` per step) still issue in time and
+/// the groups' tiles still fit in registers (32 under AVX-512, 16 under
+/// AVX2, whose multiply is emulated). Measured with i64 on a 2-vCPU
+/// AVX-512 x86-64 host, one thread, 32 Ki-element chunks in L2, `G` from
+/// 1 to 4 at every order (DESIGN §8.6).
+macro_rules! linrec_by_order {
+    ($lanes:expr, $q:expr, $run:ident($($arg:expr),*)) => {
+        match ($lanes, $q) {
+            (8, 1) => $run::<T, 1, 4>($($arg),*),
+            (8, 2) => $run::<T, 2, 4>($($arg),*),
+            (8, 3) => $run::<T, 3, 4>($($arg),*),
+            (8, 4) => $run::<T, 4, 2>($($arg),*),
+            (8, 5) => $run::<T, 5, 2>($($arg),*),
+            (8, 6) => $run::<T, 6, 2>($($arg),*),
+            (8, 7) => $run::<T, 7, 2>($($arg),*),
+            (8, 8) => $run::<T, 8, 1>($($arg),*),
+            (4, 1) => $run::<T, 1, 3>($($arg),*),
+            (4, 2) => $run::<T, 2, 3>($($arg),*),
+            (4, 3) => $run::<T, 3, 2>($($arg),*),
+            (4, 4) => $run::<T, 4, 2>($($arg),*),
+            (4, 5) => $run::<T, 5, 2>($($arg),*),
+            (4, 6) => $run::<T, 6, 2>($($arg),*),
+            (4, 7) => $run::<T, 7, 2>($($arg),*),
+            (4, 8) => $run::<T, 8, 2>($($arg),*),
+            _ => false,
+        }
+    };
+}
+
+/// The segmented totals sweep of `LinRec` over `src` on `isa` (stride 1),
+/// seeded by and advancing `state`; `false` (nothing done) when `isa` has
+/// no recurrence segments for `T`, the order is above 8, or the span is
+/// too short.
+fn linrec_segmented_totals<T: ScanElement>(
+    isa: Isa,
     coeffs: &[T],
     src: &[T],
-    base: usize,
-    s: usize,
     state: &mut [T],
-) {
-    fn run<T: ScanElement, const Q: usize, const K: usize>(
+    handoff: Option<&mut SegmentHandoff<T>>,
+) -> bool {
+    fn run<T: ScanElement, const Q: usize, const G: usize>(
+        isa: Isa,
+        lanes: usize,
         coeffs: &[T],
         src: &[T],
         state: &mut [T],
-    ) {
-        with_window::<T, Q>(coeffs, state, |c, w| linrec_chains::<T, Q, K>(c, src, w));
+        handoff: Option<&mut SegmentHandoff<T>>,
+    ) -> bool {
+        with_window::<T, Q, _>(coeffs, state, |c, w| {
+            linrec_segmented_totals_q::<T, Q, G>(isa, lanes, c, src, w, handoff)
+        })
     }
-    match (s, coeffs.len()) {
-        (1, 1) => run::<T, 1, 4>(coeffs, src, state),
-        (1, 2) => run::<T, 2, 3>(coeffs, src, state),
-        (1, 3) => run::<T, 3, 2>(coeffs, src, state),
-        (1, 4) => run::<T, 4, 1>(coeffs, src, state),
-        (1, 5) => run::<T, 5, 1>(coeffs, src, state),
-        (1, 6) => run::<T, 6, 1>(coeffs, src, state),
-        (1, 7) => run::<T, 7, 1>(coeffs, src, state),
-        (1, 8) => run::<T, 8, 1>(coeffs, src, state),
-        _ => linrec_strided(coeffs, &mut Discard(src), base, s, state, false),
+    let Some(lanes) = crate::simd::recurrence_segment_lanes::<T>(isa) else {
+        return false;
+    };
+    linrec_by_order!(
+        lanes,
+        coeffs.len(),
+        run(isa, lanes, coeffs, src, state, handoff)
+    )
+}
+
+/// The segmented output sweep of `LinRec` from `src` into `dst` on `isa`
+/// (stride 1); `false` (nothing done) unless `handoff` was made by this
+/// recurrence over `src`.
+fn linrec_segmented_from<T: ScanElement>(
+    isa: Isa,
+    coeffs: &[T],
+    src: &[T],
+    dst: &mut [T],
+    state: &mut [T],
+    exclusive: bool,
+    handoff: &SegmentHandoff<T>,
+) -> bool {
+    fn run<T: ScanElement, const Q: usize, const G: usize>(
+        (isa, lanes, exclusive): (Isa, usize, bool),
+        coeffs: &[T],
+        src: &[T],
+        dst: &mut [T],
+        state: &mut [T],
+        handoff: &SegmentHandoff<T>,
+    ) -> bool {
+        with_window::<T, Q, _>(coeffs, state, |c, w| {
+            let (io, h) = (Dst { src, dst }, handoff);
+            if exclusive {
+                linrec_segmented_from_q::<T, Q, G, true>(isa, lanes, c, io, w, h)
+            } else {
+                linrec_segmented_from_q::<T, Q, G, false>(isa, lanes, c, io, w, h)
+            }
+        })
     }
+    let Some(lanes) = crate::simd::recurrence_segment_lanes::<T>(isa) else {
+        return false;
+    };
+    let args = (isa, lanes, exclusive);
+    linrec_by_order!(
+        lanes,
+        coeffs.len(),
+        run(args, coeffs, src, dst, state, handoff)
+    )
 }
 
 /// Validates a recurrence state buffer against the coefficient order: the
@@ -1210,10 +1421,16 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
         s: usize,
         state: &mut [T],
         exclusive: bool,
-        _handoff: Option<&SegmentHandoff<T>>,
+        handoff: Option<&SegmentHandoff<T>>,
     ) {
         check_fused(src.len(), dst.len(), s);
         check_recurrence_state(state.len(), s, self.coeffs().len());
+        if let Some(h) = handoff.filter(|_| s == 1) {
+            let isa = crate::isa::resolved();
+            if linrec_segmented_from(isa, self.coeffs(), src, dst, state, exclusive, h) {
+                return;
+            }
+        }
         linrec_sweep(self.coeffs(), &mut Dst { src, dst }, base, s, state, exclusive);
     }
 
@@ -1223,14 +1440,18 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
         base: usize,
         s: usize,
         state: &mut [T],
-        handoff: Option<&mut SegmentHandoff<T>>,
+        mut handoff: Option<&mut SegmentHandoff<T>>,
     ) {
-        if let Some(h) = handoff {
+        if let Some(h) = handoff.as_deref_mut() {
             h.clear();
         }
         assert!(s > 0, "stride must be positive");
         check_recurrence_state(state.len(), s, self.coeffs().len());
-        linrec_sweep_totals(self.coeffs(), src, base, s, state);
+        let isa = crate::isa::resolved();
+        if s == 1 && linrec_segmented_totals(isa, self.coeffs(), src, state, handoff) {
+            return;
+        }
+        linrec_sweep(self.coeffs(), &mut Discard(src), base, s, state, false);
     }
 }
 
@@ -1762,13 +1983,14 @@ mod tests {
 
     /// Every `LinRec` sweep shape against the oracle, from a non-zero seed:
     /// orders 1..=9 (9 is past the register kernels), strides 1 and 3,
-    /// lengths on both sides of every multi-chain split point (chain counts
-    /// 2, 3 and 4) and lengths that no chain count divides. The totals
-    /// sweep must end in the output sweep's state, for both kinds.
+    /// lengths on both sides of the shortest span the totals sweep splits
+    /// into lane segments and of a few multiples of it, and lengths that
+    /// no small count divides. The totals sweep must end in the output
+    /// sweep's state, for both kinds.
     fn check_recurrence_sweeps<T: ScanElement + std::fmt::Debug + PartialEq>(
         coeff_of: impl Fn(u64) -> T,
     ) {
-        let min = LINREC_MIN_SUB_BLOCK;
+        let min = RECURRENCE_SEGMENT_MIN_ELEMS;
         let mut lens = vec![0usize, 1, 2, 7, min - 1, min, 9 * min + 5];
         for k in 2..=4 {
             lens.extend([k * min - 1, k * min, k * min + 1, k * min + k - 1]);
@@ -1816,6 +2038,120 @@ mod tests {
     #[test]
     fn recurrence_sweeps_match_oracle_wrapping_u32() {
         check_recurrence_sweeps::<u32>(|v| (v as u32).wrapping_mul(0x9e37_79b9) | 1);
+    }
+
+    /// The bench's order-8 recurrence (`bulk_linrec` rec8).
+    const TAPS8: [i64; 8] = [3, -1, 2, 0, 1, -2, 1, 1];
+
+    /// The segmented `LinRec` sweeps on `isa` against the per-lane oracle,
+    /// bit for bit: every order 1–8 with wide random coefficients, and
+    /// [`TAPS8`]; inclusive and exclusive, zero and non-zero seeds,
+    /// streaming forced on and off. Sources start `n % 8` elements into
+    /// their buffer, so heads of every length occur; destinations are
+    /// aligned like their sources within a 64-byte line or one element
+    /// off. A family without recurrence segments must decline and leave
+    /// the hand-off empty.
+    fn check_linrec_segmented<T: ScanElement + std::fmt::Debug + PartialEq>(isa: Isa) {
+        let segmented = crate::simd::recurrence_segment_lanes::<T>(isa).is_some();
+        let coeff_sets = (1..=8u64)
+            .map(|q| pseudo_random(q as usize, 500 + q))
+            .chain([TAPS8.to_vec()]);
+        for coeffs in coeff_sets {
+            let coeffs: Vec<T> = coeffs.into_iter().map(T::from_i64).collect();
+            let q = coeffs.len();
+            let op = LinRec::new(coeffs.clone()).expect("exact ring");
+            let random: Vec<T> = pseudo_random(q, 90 + q as u64)
+                .into_iter()
+                .map(T::from_i64)
+                .collect();
+            for n in segment_lengths() {
+                let input: Vec<T> = pseudo_random(n + 8, (n * 13 + q) as u64)
+                    .into_iter()
+                    .map(T::from_i64)
+                    .collect();
+                let src = &input[n % 8..][..n];
+                for seed in [vec![T::ZERO; q], random.clone()] {
+                    let tag = format!("{isa} coeffs={coeffs:?} n={n} seed={seed:?}");
+                    let mut totals = seed.clone();
+                    let mut handoff = SegmentHandoff::default();
+                    let took =
+                        linrec_segmented_totals(isa, &coeffs, src, &mut totals, Some(&mut handoff));
+                    let expect_took = segmented && n >= RECURRENCE_SEGMENT_MIN_ELEMS;
+                    assert_eq!(took, expect_took, "{tag}");
+                    assert_eq!(handoff.describes(src), took, "{tag}");
+                    if !took {
+                        continue;
+                    }
+                    for exclusive in [false, true] {
+                        let (want, end) = recurrence_oracle(&coeffs, src, 1, &seed, exclusive);
+                        assert_eq!(totals, end, "totals {tag}");
+                        for (nt, skew) in [(1, 0), (1, 1), (usize::MAX, 0)] {
+                            let _nt = crate::simd::nt_store_override(nt);
+                            let mut out = vec![T::ZERO; n + 9];
+                            let gap =
+                                (src.as_ptr() as usize).wrapping_sub(out.as_ptr() as usize) % 64;
+                            let dst = &mut out[gap / 8 + skew..][..n];
+                            let mut state = seed.clone();
+                            let ran = linrec_segmented_from(
+                                isa,
+                                op.coeffs(),
+                                src,
+                                dst,
+                                &mut state,
+                                exclusive,
+                                &handoff,
+                            );
+                            let tag = format!("{tag} exc={exclusive} nt={nt} skew={skew}");
+                            assert!(ran, "{tag}");
+                            assert_eq!(dst, &want[..], "from {tag}");
+                            assert_eq!(state, end, "from state {tag}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linrec_segmented_sweeps_match_oracle_on_every_family() {
+        for isa in crate::isa::available() {
+            check_linrec_segmented::<i64>(isa);
+            check_linrec_segmented::<u64>(isa);
+        }
+    }
+
+    /// A `LinRec` output sweep takes the segments only from a hand-off its
+    /// own recurrence made over its span: given one made by `Sum`, or by a
+    /// recurrence with other coefficients of the same order, over the
+    /// same span, it runs the register loop and is still exact. So does
+    /// `Sum` given a recurrence's hand-off.
+    #[test]
+    fn output_sweeps_refuse_a_foreign_operators_handoff() {
+        let n = 4096 + 37;
+        let input = pseudo_random(n, 73);
+        let op = LinRec::new(vec![2i64, -1]).unwrap();
+        let other = LinRec::new(vec![2i64, 1]).unwrap();
+        let mut by_sum = SegmentHandoff::default();
+        let mut by_other = SegmentHandoff::default();
+        let mut by_op = SegmentHandoff::default();
+        Sum.cascade_totals(&input, 0, 1, &mut [0i64; 2], Some(&mut by_sum));
+        other.cascade_totals(&input, 0, 1, &mut [0i64; 2], Some(&mut by_other));
+        op.cascade_totals(&input, 0, 1, &mut [0i64; 2], Some(&mut by_op));
+        let seed = vec![5i64, -7];
+        for exclusive in [false, true] {
+            let (want, end) = recurrence_oracle(op.coeffs(), &input, 1, &seed, exclusive);
+            for handoff in [Some(&by_sum), Some(&by_other), None] {
+                let mut dst = vec![0i64; n];
+                let mut state = seed.clone();
+                op.cascade_scan_from(&input, &mut dst, 0, 1, &mut state, exclusive, handoff);
+                assert_eq!((&dst, &state), (&want, &end), "exc={exclusive} {handoff:?}");
+            }
+            let (want, end) = seeded_cascade_oracle(&input, 1, &seed, exclusive);
+            let mut dst = vec![0i64; n];
+            let mut state = seed.clone();
+            Sum.cascade_scan_from(&input, &mut dst, 0, 1, &mut state, exclusive, Some(&by_op));
+            assert_eq!((&dst, &state), (&want, &end), "Sum exc={exclusive}");
+        }
     }
 
     /// The companion power against repeated single steps, for powers with

@@ -1,11 +1,12 @@
-//! Explicit SIMD and SWAR kernels behind the [`Sum`] chunk-kernel
-//! dispatch.
+//! Explicit SIMD and SWAR kernels behind the [`Sum`] and [`LinRec`]
+//! chunk-kernel dispatch.
 //!
 //! [`crate::chunk_kernel`]'s scalar fast paths (the blocked Hillis–Steele
 //! stride-1 kernel and the vertical lane-parallel tuple kernels) are
 //! written to auto-vectorize, but the paper's bandwidth-roof claim should
 //! not depend on the optimizer's mood. This module provides hand-written
-//! `std::arch` kernels for the wrapping-integer `Sum` cases, selected by
+//! `std::arch` kernels for the wrapping-integer `Sum` cases (and the
+//! recurrence lane segments), selected by
 //! the process-wide [`Isa`] resolved in [`crate::isa`]:
 //!
 //! | lanes | `Isa::Swar` | `Isa::Neon` | `Isa::Avx2` | `Isa::Avx512` |
@@ -13,6 +14,7 @@
 //! | 1–2 byte elements, stride 1 | packed `u64` word | packed `u64` word | packed `u64` word | packed `u64` word |
 //! | 4/8 byte elements, stride 1 | — | 128-bit in-register scan | 256-bit in-register scan | 512-bit in-register scan |
 //! | 8 byte elements, stride 1, order 2–8, chunk sweep pairs | — | — | 4 lane segments, 4×4 tiles | 8 lane segments, 8×8 tiles |
+//! | 8 byte elements, `LinRec` stride 1, order 1–8, chunk sweep pairs | — | — | 2–3 groups of 4 lane segments, emulated 64-bit multiply | 1–4 groups of 8 lane segments, `vpmullq` |
 //! | tuple rows of 8–64 bytes, a multiple of 8 | `u64` words in registers | `u64` words in registers | `u64` words in registers | `u64` words in registers |
 //! | other tuple rows ≥ 16 bytes | 8-byte word strips | 16-byte strips | 32-byte strips | 64-byte strips |
 //! | other tuple rows of 8–15 bytes | 8-byte word strips | 8-byte word strips | 8-byte word strips | 8-byte word strips |
@@ -65,6 +67,12 @@
 //! over the lane width; [`crate::chunk_kernel::SegmentHandoff`] describes
 //! how the carry algebra joins the segments.
 //!
+//! A linear recurrence splits the same way ([`recurrence_segment_lanes`]):
+//! each segment carries its window of the last `q` outputs, one step costs
+//! a vector multiply and a vector add per coefficient, and `G` groups of
+//! segments advance interleaved so that the multiplies' latencies overlap.
+//! The companion-matrix power over one segment joins them.
+//!
 //! # One direction per sweep
 //!
 //! Every output sweep reads `src` and writes a separate `dst`
@@ -79,6 +87,8 @@
 //! gated on [`ScanElement::IS_WRAPPING_INT`]: two's-complement wrapping
 //! addition is exactly associative and sign-agnostic, which is what makes
 //! both the reassociation and the signed/unsigned kernel sharing exact.
+//! The same holds for the low 64 bits of a product, so the recurrence
+//! segments' multiplies (`vpmullq`, or its AVX2 emulation) are exact too.
 //! Floats and custom element types never enter (they keep the serial
 //! association of [`crate::chunk_kernel`]).
 //!
@@ -94,6 +104,7 @@
 //! cover everything with rows of at least 8 bytes.
 //!
 //! [`Sum`]: crate::op::Sum
+//! [`LinRec`]: crate::op::LinRec
 
 use crate::element::ScanElement;
 use crate::isa::Isa;
@@ -384,23 +395,25 @@ pub fn segment_lanes<T: ScanElement>(isa: Isa) -> Option<usize> {
     }
 }
 
-/// Checks the shape of an order-`Q` segmented sweep: `src` is `lanes`
-/// segments of `seg` elements, `seg` a multiple of `lanes`, and `state` a
-/// `Q x lanes` matrix with `Q` in 2..=8. Returns `lanes`.
-fn check_segments<T: ScanElement, const Q: usize>(
-    isa: Isa,
+/// Checks the shape of an order-`Q` segmented sweep in `G` groups of
+/// `lanes` lanes (`None`: the family has no such kernels): `src` is `G x
+/// lanes` segments of `seg` elements, `seg` a multiple of `lanes`, and
+/// `state` a `Q x (G x lanes)` matrix with `Q` in 1..=8. Returns `lanes`.
+fn check_segments<const Q: usize, const G: usize>(
+    lanes: Option<usize>,
     src_len: usize,
     seg: usize,
     state_len: usize,
 ) -> usize {
-    let lanes = segment_lanes::<T>(isa).expect("the family has segment kernels for this type");
+    let lanes = lanes.expect("the family has segment kernels for this type");
+    let segments = G * lanes;
     assert!(
-        seg.is_multiple_of(lanes) && src_len == lanes * seg,
-        "segments must be whole tiles ({src_len} elements in {lanes} segments of {seg})"
+        seg.is_multiple_of(lanes) && src_len == segments * seg,
+        "segments must be whole tiles ({src_len} elements in {segments} segments of {seg})"
     );
     assert!(
-        (2..=8).contains(&Q) && state_len == Q * lanes,
-        "segment state must be {Q} x {lanes} with {Q} in 2..=8 ({state_len})"
+        (1..=8).contains(&Q) && state_len == Q * segments,
+        "segment state must be {Q} x {segments} with {Q} in 1..=8 ({state_len})"
     );
     lanes
 }
@@ -413,14 +426,14 @@ fn check_segments<T: ScanElement, const Q: usize>(
 ///
 /// Panics unless [`segment_lanes`]`(isa)` is `Some(lanes)`, `src` is
 /// `lanes` segments of `seg` elements with `seg` a multiple of `lanes`,
-/// and `ends` holds `Q x lanes` words with `Q` in 2..=8.
+/// and `ends` holds `Q x lanes` words with `Q` in 1..=8.
 pub(crate) fn segment_totals<T: ScanElement, const Q: usize>(
     isa: Isa,
     src: &[T],
     seg: usize,
     ends: &mut [T],
 ) {
-    check_segments::<T, Q>(isa, src.len(), seg, ends.len());
+    check_segments::<Q, 1>(segment_lanes::<T>(isa), src.len(), seg, ends.len());
     let (src, ends) = (src.as_ptr().cast::<u64>(), ends.as_mut_ptr().cast::<u64>());
     // SAFETY: the shapes were checked above and the family is available
     // (`segment_lanes`).
@@ -454,7 +467,7 @@ pub(crate) fn segment_from<T: ScanElement, const Q: usize>(
     stream: bool,
 ) {
     assert_eq!(src.len(), dst.len(), "segment kernel buffers must match");
-    let lanes = check_segments::<T, Q>(isa, src.len(), seg, state.len());
+    let lanes = check_segments::<Q, 1>(segment_lanes::<T>(isa), src.len(), seg, state.len());
     let nt = stream && (dst.as_ptr() as usize).is_multiple_of(lanes * 8);
     let src = src.as_ptr().cast::<u64>();
     let (dst, state) = (
@@ -487,6 +500,115 @@ pub(crate) fn segment_from<T: ScanElement, const Q: usize>(
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!(
         "no segment kernels on this target ({src:?}, {dst:?}, {state:?}, {exclusive}, {nt})"
+    );
+}
+
+/// Lane count of `isa`'s segmented stride-1 recurrence sweeps for `T`, or
+/// `None` when the family has none (or the running CPU cannot execute
+/// it): 8 under AVX-512 with its 64-bit multiply (`avx512dq`) and 4 under
+/// AVX2, which forms the low 64 bits of a product from three 32-bit
+/// multiplies; 8-byte wrapping integers only.
+///
+/// These are the segments of [`segment_lanes`] for a linear recurrence:
+/// each step of every segment's window costs one vector multiply and one
+/// vector add per coefficient, and `G` groups of `lanes` segments advance
+/// interleaved so that their multiply latencies overlap.
+pub fn recurrence_segment_lanes<T: ScanElement>(isa: Isa) -> Option<usize> {
+    if !T::IS_WRAPPING_INT || std::mem::size_of::<T>() != 8 || !isa.is_available() {
+        return None;
+    }
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 if std::arch::is_x86_feature_detected!("avx512dq") => Some(8),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => Some(4),
+        _ => None,
+    }
+}
+
+/// Zero-seeded end windows of the `G x lanes` consecutive segments of
+/// `seg` elements that make up `src`, under the recurrence with
+/// coefficients `coeffs`, written level-major into `ends`
+/// (`ends[i * segments + j]` is `x_{end-1-i}` of segment `j`).
+///
+/// # Panics
+///
+/// Panics unless [`recurrence_segment_lanes`]`(isa)` is `Some(lanes)`,
+/// `src` is `G x lanes` segments of `seg` elements with `seg` a multiple
+/// of `lanes`, and `ends` holds `Q x G x lanes` words.
+pub(crate) fn recurrence_segment_totals<T: ScanElement, const Q: usize, const G: usize>(
+    isa: Isa,
+    coeffs: &[T; Q],
+    src: &[T],
+    seg: usize,
+    ends: &mut [T],
+) {
+    let lanes = recurrence_segment_lanes::<T>(isa);
+    check_segments::<Q, G>(lanes, src.len(), seg, ends.len());
+    let c = coeffs.map(lane_bits_of);
+    let (src, ends) = (src.as_ptr().cast::<u64>(), ends.as_mut_ptr().cast::<u64>());
+    // SAFETY: the shapes were checked above and the family is available
+    // (`recurrence_segment_lanes`).
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        match isa {
+            Isa::Avx512 => x86::rec_totals_avx512::<Q, G>(&c, src, seg, ends),
+            _ => x86::rec_totals_avx2::<Q, G>(&c, src, seg, ends),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("no recurrence segments on this target ({c:?}, {src:?}, {ends:?})");
+}
+
+/// Recurrence outputs of the `G x lanes` segments of `seg` elements that
+/// make up `src`, written to `dst`. `state` (`Q x G x lanes`,
+/// level-major) holds each segment's seed window and receives its end
+/// window. With `stream`, and a `dst` aligned to the vector width, full
+/// vectors go out as non-temporal stores.
+///
+/// # Panics
+///
+/// As [`recurrence_segment_totals`], and if the slices differ in length.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn recurrence_segment_from<T: ScanElement, const Q: usize, const G: usize>(
+    isa: Isa,
+    coeffs: &[T; Q],
+    src: &[T],
+    dst: &mut [T],
+    seg: usize,
+    state: &mut [T],
+    exclusive: bool,
+    stream: bool,
+) {
+    assert_eq!(src.len(), dst.len(), "segment kernel buffers must match");
+    let lanes = recurrence_segment_lanes::<T>(isa);
+    let lanes = check_segments::<Q, G>(lanes, src.len(), seg, state.len());
+    let nt = stream && (dst.as_ptr() as usize).is_multiple_of(lanes * 8);
+    let c = coeffs.map(lane_bits_of);
+    let src = src.as_ptr().cast::<u64>();
+    let (dst, state) = (
+        dst.as_mut_ptr().cast::<u64>(),
+        state.as_mut_ptr().cast::<u64>(),
+    );
+    // SAFETY: as in `recurrence_segment_totals`; `dst` holds as many
+    // elements as `src` and, with `nt`, is aligned to the vector width.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        use x86::{rec_from_avx2 as avx2, rec_from_avx512 as avx512};
+        match (isa, exclusive, nt) {
+            (Isa::Avx512, false, false) => avx512::<Q, G, false, false>(&c, src, dst, seg, state),
+            (Isa::Avx512, false, true) => avx512::<Q, G, false, true>(&c, src, dst, seg, state),
+            (Isa::Avx512, true, false) => avx512::<Q, G, true, false>(&c, src, dst, seg, state),
+            (Isa::Avx512, true, true) => avx512::<Q, G, true, true>(&c, src, dst, seg, state),
+            (_, false, false) => avx2::<Q, G, false, false>(&c, src, dst, seg, state),
+            (_, false, true) => avx2::<Q, G, false, true>(&c, src, dst, seg, state),
+            (_, true, false) => avx2::<Q, G, true, false>(&c, src, dst, seg, state),
+            (_, true, true) => avx2::<Q, G, true, true>(&c, src, dst, seg, state),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!(
+        "no recurrence segments on this target ({c:?}, {src:?}, {dst:?}, {state:?}, {exclusive}, {nt})"
     );
 }
 
@@ -1512,27 +1634,114 @@ mod x86 {
         }
     }
 
-    /// Advances the order-`Q` segment states `st` by one transposed tile:
-    /// vector `i` of `cols` holds position `i` of every segment. Each
-    /// vector of `cols` is replaced by the matching outputs, the top level
-    /// before (`EXCLUSIVE`) or after the update.
-    #[inline(always)]
-    unsafe fn segment_tile<
-        F: SegLanes<L>,
-        const L: usize,
-        const Q: usize,
-        const EXCLUSIVE: bool,
-    >(
-        st: &mut [F::V; Q],
-        cols: &mut [F::V; L],
-    ) {
-        for x in cols.iter_mut() {
+    /// The recurrence segments' lane operations beyond [`SegLanes`]: a
+    /// broadcast, a subtract and the low 64 bits of a product.
+    trait RecLanes<const L: usize>: SegLanes<L> {
+        unsafe fn splat(v: u64) -> Self::V;
+        unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+    }
+
+    impl RecLanes<8> for Avx512Seg {
+        #[inline(always)]
+        unsafe fn splat(v: u64) -> __m512i {
+            _mm512_set1_epi64(v as i64)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m512i, b: __m512i) -> __m512i {
+            _mm512_sub_epi64(a, b)
+        }
+        /// `vpmullq` (`avx512dq`).
+        #[inline(always)]
+        unsafe fn mul(a: __m512i, b: __m512i) -> __m512i {
+            _mm512_mullo_epi64(a, b)
+        }
+    }
+
+    impl RecLanes<4> for Avx2Seg {
+        #[inline(always)]
+        unsafe fn splat(v: u64) -> __m256i {
+            _mm256_set1_epi64x(v as i64)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_sub_epi64(a, b)
+        }
+        /// AVX2 has no 64-bit `mullo`: `lo(a) * lo(b) + ((hi(a) * lo(b) +
+        /// lo(a) * hi(b)) << 32)`, three `vpmuludq`.
+        #[inline(always)]
+        unsafe fn mul(a: __m256i, b: __m256i) -> __m256i {
+            let lo = _mm256_mul_epu32(a, b);
+            let t1 = _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), b);
+            let t2 = _mm256_mul_epu32(a, _mm256_srli_epi64::<32>(b));
+            _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(_mm256_add_epi64(t1, t2)))
+        }
+    }
+
+    /// What a segmented sweep does per input vector: advance one group's
+    /// order-`Q` state (one vector per level, one lane per segment) by
+    /// `x`, and return the output vector.
+    trait SegStep<F: SegLanes<L>, const L: usize, const Q: usize> {
+        unsafe fn step(&self, st: &mut [F::V; Q], x: F::V) -> F::V;
+    }
+
+    /// The order-`Q` sum cascade: `x` enters level 0 and each level adds
+    /// the one below. The output is the top level before (`EXCLUSIVE`) or
+    /// after the update.
+    struct SumStep<const EXCLUSIVE: bool>;
+
+    impl<F: SegLanes<L>, const L: usize, const Q: usize, const EXCLUSIVE: bool> SegStep<F, L, Q>
+        for SumStep<EXCLUSIVE>
+    {
+        #[inline(always)]
+        unsafe fn step(&self, st: &mut [F::V; Q], x: F::V) -> F::V {
             let prev = st[Q - 1];
-            st[0] = F::add(st[0], *x);
+            st[0] = F::add(st[0], x);
             for k in 1..Q {
                 st[k] = F::add(st[k], st[k - 1]);
             }
-            *x = if EXCLUSIVE { prev } else { st[Q - 1] };
+            if EXCLUSIVE {
+                prev
+            } else {
+                st[Q - 1]
+            }
+        }
+    }
+
+    /// The order-`Q` recurrence with these coefficient vectors: `y = x +
+    /// c_0 * w_0 + ... + c_{Q-1} * w_{Q-1}`, then `y` enters the window
+    /// `w` (row 0 most recent). The newest tap is added last, so the
+    /// chain from one output to the next is one multiply and one add. The
+    /// output is `y`, or `y - x` when `EXCLUSIVE`.
+    struct RecStep<V, const Q: usize, const EXCLUSIVE: bool>([V; Q]);
+
+    impl<F: RecLanes<L>, const L: usize, const Q: usize, const EXCLUSIVE: bool> SegStep<F, L, Q>
+        for RecStep<F::V, Q, EXCLUSIVE>
+    {
+        #[inline(always)]
+        unsafe fn step(&self, w: &mut [F::V; Q], x: F::V) -> F::V {
+            let c = &self.0;
+            let mut y = x;
+            for j in (0..Q).rev() {
+                y = F::add(y, F::mul(c[j], w[j]));
+            }
+            for j in (1..Q).rev() {
+                w[j] = w[j - 1];
+            }
+            w[0] = y;
+            if EXCLUSIVE {
+                F::sub(y, x)
+            } else {
+                y
+            }
+        }
+    }
+
+    impl<V: Copy, const Q: usize, const EXCLUSIVE: bool> RecStep<V, Q, EXCLUSIVE> {
+        /// The step for `coeffs`, broadcast into `F`'s vectors.
+        #[inline(always)]
+        unsafe fn new<F: RecLanes<L, V = V>, const L: usize>(coeffs: &[u64; Q]) -> Self {
+            RecStep(coeffs.map(|v| F::splat(v)))
         }
     }
 
@@ -1551,66 +1760,114 @@ mod x86 {
         F::transpose(rows)
     }
 
-    /// The segmented totals sweep, written once over the lane width: the
-    /// zero-seeded end states of `L` segments of `seg` words at `src`,
-    /// level-major into `ends`.
+    /// Advances the states `w` of `G` groups of `L` segments over tile
+    /// `t` with `step`, one transposed input vector (position `i` of the
+    /// group's segments) at a time. The groups' steps interleave, so that
+    /// their dependency chains overlap. With `EMIT` the outputs go to
+    /// `dst` through the inverse transpose.
     #[inline(always)]
-    unsafe fn segment_totals_body<F: SegLanes<L>, const L: usize, const Q: usize>(
+    unsafe fn segment_tile<
+        F: SegLanes<L>,
+        const L: usize,
+        const Q: usize,
+        const G: usize,
+        const EMIT: bool,
+        const NT: bool,
+    >(
+        step: &impl SegStep<F, L, Q>,
+        w: &mut [[F::V; Q]; G],
+        src: *const u64,
+        dst: *mut u64,
+        seg: usize,
+        t: usize,
+    ) {
+        let mut cols = [[F::zero(); L]; G];
+        for (g, col) in cols.iter_mut().enumerate() {
+            *col = segment_load::<F, L>(src.add(g * L * seg), seg, t);
+        }
+        for i in 0..L {
+            for (col, st) in cols.iter_mut().zip(w.iter_mut()) {
+                col[i] = step.step(st, col[i]);
+            }
+        }
+        if EMIT {
+            for (g, col) in cols.into_iter().enumerate() {
+                for (j, row) in F::transpose(col).into_iter().enumerate() {
+                    let p = dst.add((g * L + j) * seg + t);
+                    if NT {
+                        F::stream(p, row);
+                    } else {
+                        F::store(p, row);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The segmented totals sweep, written once over the lane width and
+    /// the step: the zero-seeded end states of `G x L` segments of `seg`
+    /// words at `src`, level-major into `ends`.
+    #[inline(always)]
+    unsafe fn segment_totals_body<
+        F: SegLanes<L>,
+        const L: usize,
+        const Q: usize,
+        const G: usize,
+    >(
+        step: impl SegStep<F, L, Q>,
         src: *const u64,
         seg: usize,
         ends: *mut u64,
     ) {
-        let mut st = [F::zero(); Q];
+        let mut w = [[F::zero(); Q]; G];
+        let dst = std::ptr::null_mut();
         for t in (0..seg).step_by(L) {
-            let mut cols = segment_load::<F, L>(src, seg, t);
-            segment_tile::<F, L, Q, false>(&mut st, &mut cols);
+            segment_tile::<F, L, Q, G, false, false>(&step, &mut w, src, dst, seg, t);
         }
-        for (k, &v) in st.iter().enumerate() {
-            F::store(ends.add(k * L), v);
+        for (g, st) in w.iter().enumerate() {
+            for (k, &v) in st.iter().enumerate() {
+                F::store(ends.add(k * G * L + g * L), v);
+            }
         }
     }
 
-    /// The segmented output sweep, written once over the lane width:
-    /// seeds `state` (level-major `Q x L`), outputs to `dst` through the
-    /// inverse transpose, end states back to `state`.
+    /// The segmented output sweep, written once over the lane width and
+    /// the step: seeds from `state` (level-major `Q x G x L`), outputs to
+    /// `dst` through the inverse transpose, end states back to `state`.
     #[inline(always)]
     unsafe fn segment_from_body<
         F: SegLanes<L>,
         const L: usize,
         const Q: usize,
-        const EXCLUSIVE: bool,
+        const G: usize,
         const NT: bool,
     >(
+        step: impl SegStep<F, L, Q>,
         src: *const u64,
         dst: *mut u64,
         seg: usize,
         state: *mut u64,
     ) {
-        let mut st = [F::zero(); Q];
-        for (k, v) in st.iter_mut().enumerate() {
-            *v = F::load(state.add(k * L));
+        let mut w = [[F::zero(); Q]; G];
+        for (g, st) in w.iter_mut().enumerate() {
+            for (k, v) in st.iter_mut().enumerate() {
+                *v = F::load(state.add(k * G * L + g * L));
+            }
         }
         for t in (0..seg).step_by(L) {
-            let mut cols = segment_load::<F, L>(src, seg, t);
-            segment_tile::<F, L, Q, EXCLUSIVE>(&mut st, &mut cols);
-            for (j, row) in F::transpose(cols).into_iter().enumerate() {
-                let p = dst.add(j * seg + t);
-                if NT {
-                    F::stream(p, row);
-                } else {
-                    F::store(p, row);
-                }
-            }
+            segment_tile::<F, L, Q, G, true, NT>(&step, &mut w, src, dst, seg, t);
         }
         if NT {
             _mm_sfence();
         }
-        for (k, &v) in st.iter().enumerate() {
-            F::store(state.add(k * L), v);
+        for (g, st) in w.iter().enumerate() {
+            for (k, &v) in st.iter().enumerate() {
+                F::store(state.add(k * G * L + g * L), v);
+            }
         }
     }
 
-    /// AVX-512 entry of [`segment_totals_body`].
+    /// AVX-512 entry of [`segment_totals_body`] for the sum cascade.
     ///
     /// # Safety
     ///
@@ -1622,10 +1879,10 @@ mod x86 {
         seg: usize,
         ends: *mut u64,
     ) {
-        segment_totals_body::<Avx512Seg, 8, Q>(src, seg, ends)
+        segment_totals_body::<Avx512Seg, 8, Q, 1>(SumStep::<false>, src, seg, ends)
     }
 
-    /// AVX2 entry of [`segment_totals_body`].
+    /// AVX2 entry of [`segment_totals_body`] for the sum cascade.
     ///
     /// # Safety
     ///
@@ -1637,10 +1894,10 @@ mod x86 {
         seg: usize,
         ends: *mut u64,
     ) {
-        segment_totals_body::<Avx2Seg, 4, Q>(src, seg, ends)
+        segment_totals_body::<Avx2Seg, 4, Q, 1>(SumStep::<false>, src, seg, ends)
     }
 
-    /// AVX-512 entry of [`segment_from_body`].
+    /// AVX-512 entry of [`segment_from_body`] for the sum cascade.
     ///
     /// # Safety
     ///
@@ -1658,10 +1915,10 @@ mod x86 {
         seg: usize,
         state: *mut u64,
     ) {
-        segment_from_body::<Avx512Seg, 8, Q, EXCLUSIVE, NT>(src, dst, seg, state)
+        segment_from_body::<Avx512Seg, 8, Q, 1, NT>(SumStep::<EXCLUSIVE>, src, dst, seg, state)
     }
 
-    /// AVX2 entry of [`segment_from_body`].
+    /// AVX2 entry of [`segment_from_body`] for the sum cascade.
     ///
     /// # Safety
     ///
@@ -1678,7 +1935,89 @@ mod x86 {
         seg: usize,
         state: *mut u64,
     ) {
-        segment_from_body::<Avx2Seg, 4, Q, EXCLUSIVE, NT>(src, dst, seg, state)
+        segment_from_body::<Avx2Seg, 4, Q, 1, NT>(SumStep::<EXCLUSIVE>, src, dst, seg, state)
+    }
+
+    /// AVX-512 entry of [`segment_totals_body`] for the recurrence with
+    /// coefficients `coeffs`, in `G` groups.
+    ///
+    /// # Safety
+    ///
+    /// `src` valid for `8 * G * seg` words, `ends` for `8 * G * Q`;
+    /// AVX-512F and AVX-512DQ available.
+    #[target_feature(enable = "avx512f,avx512dq,avx2")]
+    pub(super) unsafe fn rec_totals_avx512<const Q: usize, const G: usize>(
+        coeffs: &[u64; Q],
+        src: *const u64,
+        seg: usize,
+        ends: *mut u64,
+    ) {
+        let step = RecStep::<_, Q, false>::new::<Avx512Seg, 8>(coeffs);
+        segment_totals_body::<Avx512Seg, 8, Q, G>(step, src, seg, ends)
+    }
+
+    /// AVX-512 entry of [`segment_from_body`] for the recurrence with
+    /// coefficients `coeffs`, in `G` groups.
+    ///
+    /// # Safety
+    ///
+    /// `src` and `dst` valid for `8 * G * seg` words and non-overlapping,
+    /// `state` for `8 * G * Q`; with `NT`, `dst` 64-byte aligned; AVX-512F
+    /// and AVX-512DQ available.
+    #[target_feature(enable = "avx512f,avx512dq,avx2")]
+    pub(super) unsafe fn rec_from_avx512<
+        const Q: usize,
+        const G: usize,
+        const EXCLUSIVE: bool,
+        const NT: bool,
+    >(
+        coeffs: &[u64; Q],
+        src: *const u64,
+        dst: *mut u64,
+        seg: usize,
+        state: *mut u64,
+    ) {
+        let step = RecStep::<_, Q, EXCLUSIVE>::new::<Avx512Seg, 8>(coeffs);
+        segment_from_body::<Avx512Seg, 8, Q, G, NT>(step, src, dst, seg, state)
+    }
+
+    /// AVX2 entry of [`segment_totals_body`] for the recurrence.
+    ///
+    /// # Safety
+    ///
+    /// `src` valid for `4 * G * seg` words, `ends` for `4 * G * Q`; AVX2
+    /// available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rec_totals_avx2<const Q: usize, const G: usize>(
+        coeffs: &[u64; Q],
+        src: *const u64,
+        seg: usize,
+        ends: *mut u64,
+    ) {
+        let step = RecStep::<_, Q, false>::new::<Avx2Seg, 4>(coeffs);
+        segment_totals_body::<Avx2Seg, 4, Q, G>(step, src, seg, ends)
+    }
+
+    /// AVX2 entry of [`segment_from_body`] for the recurrence.
+    ///
+    /// # Safety
+    ///
+    /// As [`rec_from_avx512`] with 4 lanes, 32-byte alignment and AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rec_from_avx2<
+        const Q: usize,
+        const G: usize,
+        const EXCLUSIVE: bool,
+        const NT: bool,
+    >(
+        coeffs: &[u64; Q],
+        src: *const u64,
+        dst: *mut u64,
+        seg: usize,
+        state: *mut u64,
+    ) {
+        let step = RecStep::<_, Q, EXCLUSIVE>::new::<Avx2Seg, 4>(coeffs);
+        segment_from_body::<Avx2Seg, 4, Q, G, NT>(step, src, dst, seg, state)
     }
 
     // Keep the scalar-lane helpers referenced so per-width dead-code

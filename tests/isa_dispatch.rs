@@ -28,7 +28,7 @@ use sam_core::op::{LinRec, Sum};
 use sam_core::plan::{PlanHint, ScanPlan};
 use sam_core::Engine;
 use sam_core::simd;
-use sam_core::chunk_kernel::SEGMENT_MIN_ELEMS;
+use sam_core::chunk_kernel::{RECURRENCE_SEGMENT_MIN_ELEMS, SEGMENT_MIN_ELEMS};
 use sam_core::{serial, ChunkKernel, ScanElement, ScanKind, ScanSpec, SegmentHandoff};
 
 /// Lengths chosen to straddle every kernel's internal boundaries: SWAR
@@ -451,6 +451,23 @@ fn segment_support_contract() {
         );
         assert_eq!(simd::segment_lanes::<i32>(isa), None, "{isa} i32");
         assert_eq!(simd::segment_lanes::<f64>(isa), None, "{isa} f64");
+        // Recurrence segments need a 64-bit multiply: `vpmullq` under
+        // AVX-512, an emulated one under AVX2; the same lane counts.
+        assert_eq!(
+            simd::recurrence_segment_lanes::<i64>(isa),
+            expect_segment_lanes(isa, 8),
+            "{isa} i64 recurrence"
+        );
+        assert_eq!(
+            simd::recurrence_segment_lanes::<u64>(isa),
+            expect_segment_lanes(isa, 8),
+            "{isa} u64 recurrence"
+        );
+        assert_eq!(
+            simd::recurrence_segment_lanes::<i32>(isa),
+            None,
+            "{isa} i32 recurrence"
+        );
     }
 }
 
@@ -532,6 +549,76 @@ fn segmented_grid<T: ScanElement + std::fmt::Debug + PartialEq>(seed: u64) {
     }
 }
 
+/// The bench's order-8 recurrence (`bulk_linrec` rec8).
+const TAPS8: [i64; 8] = [3, -1, 2, 0, 1, -2, 1, 1];
+
+/// [`segmented_grid`] for `LinRec`: orders 1–8 with wide pseudo-random
+/// coefficients, and [`TAPS8`]. Recurrence spans split only from
+/// [`RECURRENCE_SEGMENT_MIN_ELEMS`], so the lengths are a few short ones
+/// and both sides of that threshold and of the 64-element tile groups up
+/// to 20 (the unit tests of `chunk_kernel` run the full grid, 32
+/// Ki-element chunks included, on every family).
+fn linrec_segmented_grid<T: ScanElement + std::fmt::Debug + PartialEq>(seed: u64) {
+    assert!(T::EXACT_RING);
+    let segmented = simd::recurrence_segment_lanes::<T>(isa::resolved()).is_some();
+    let lengths = (0..=4usize)
+        .chain([300])
+        .chain((8..=20).flat_map(|k| [64 * k - 1, 64 * k + 1]));
+    let coeff_sets: Vec<Vec<T>> = (1..=8)
+        .map(|q| pattern::<T>(q, seed ^ (q as u64) << 8))
+        .chain([TAPS8.iter().map(|&c| T::from_i64(c)).collect()])
+        .collect();
+    for n in lengths {
+        let full = pattern::<T>(SEED_PREFIX + n, seed ^ n as u64);
+        let src = &full[SEED_PREFIX..];
+        for coeffs in &coeff_sets {
+            let op = LinRec::new(coeffs.clone()).expect("exact ring");
+            let q = coeffs.len();
+            for prefix in [0, SEED_PREFIX] {
+                let tag = format!(
+                    "{} coeffs={coeffs:?} n={n} prefix={prefix}",
+                    isa::resolved()
+                );
+                let mut start = vec![T::ZERO; q];
+                op.cascade_totals(
+                    &full[SEED_PREFIX - prefix..SEED_PREFIX],
+                    0,
+                    1,
+                    &mut start,
+                    None,
+                );
+                let mut totals = start.clone();
+                let mut handoff = SegmentHandoff::default();
+                op.cascade_totals(src, 0, 1, &mut totals, Some(&mut handoff));
+                assert_eq!(
+                    handoff.describes(src),
+                    segmented && n >= RECURRENCE_SEGMENT_MIN_ELEMS,
+                    "{tag}"
+                );
+                for kind in [ScanSpec::inclusive(), ScanSpec::exclusive()] {
+                    let spec = kind.with_order(q as u32).unwrap();
+                    let exclusive = spec.kind() == ScanKind::Exclusive;
+                    let want = &serial::scan(&full[SEED_PREFIX - prefix..], &op, &spec)[prefix..];
+                    let mut plain = vec![T::ZERO; n];
+                    let mut end = start.clone();
+                    op.cascade_scan_from(src, &mut plain, 0, 1, &mut end, exclusive, None);
+                    assert_eq!(plain, want, "register loop {tag} {spec:?}");
+                    assert_eq!(totals, end, "totals {tag}");
+                    for (nt, skew) in [(1, 0), (1, 1), (usize::MAX, 0)] {
+                        let _nt = simd::nt_store_override(nt);
+                        let mut buf = vec![T::ZERO; n + 9];
+                        let dst = aligned_like(&mut buf, src, n, skew);
+                        let mut state = start.clone();
+                        op.cascade_scan_from(src, dst, 0, 1, &mut state, exclusive, Some(&handoff));
+                        assert_eq!(dst, want, "{tag} {spec:?} nt={nt} skew={skew}");
+                        assert_eq!(state, end, "end state {tag} {spec:?} nt={nt} skew={skew}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// [`segmented_grid`] under every kernel family this host can execute,
 /// each in a child process of this binary with `SAM_FORCE_KERNEL` set to
 /// it: the family is resolved once per process, and the trait's sweeps
@@ -542,6 +629,8 @@ fn segmented_sweeps_match_serial_under_each_forced_family() {
     if std::env::var_os(FORCED_CHILD_ENV).is_some() {
         segmented_grid::<i64>(0x7101);
         segmented_grid::<u64>(0x7102);
+        linrec_segmented_grid::<i64>(0x7103);
+        linrec_segmented_grid::<u64>(0x7104);
         return;
     }
     for family in isa::available() {
