@@ -69,8 +69,8 @@ pub fn opening_balances(
     scanner: &CpuScanner,
 ) -> Vec<u64> {
     let op = LinRec::first_order(factor).expect("u64 is an exact wrapping ring");
-    let spec = ScanSpec::new(ScanKind::Exclusive, 1, accounts)
-        .expect("account count within tuple bounds");
+    let spec =
+        ScanSpec::new(ScanKind::Exclusive, 1, accounts).expect("account count within tuple bounds");
     scanner.scan(deposits, &op, &spec)
 }
 

@@ -93,8 +93,10 @@ impl Dfa {
     /// Panics if any entry maps outside `0..MAX_STATES` or `start` does.
     pub fn new(table: &[[u8; MAX_STATES]; 256], start: u8) -> Self {
         assert!((start as usize) < MAX_STATES);
-        let transitions: Vec<Transition> =
-            table.iter().map(|row| Transition::from_table(row)).collect();
+        let transitions: Vec<Transition> = table
+            .iter()
+            .map(|row| Transition::from_table(row))
+            .collect();
         Dfa {
             transitions: transitions.try_into().expect("256 rows"),
             start,
@@ -126,7 +128,9 @@ impl Dfa {
             .map(|&b| self.transitions[b as usize].to_bits())
             .collect();
         let compose = FnOp::new(Transition::identity().to_bits(), |a: u64, b: u64| {
-            Transition::from_bits(a).then(Transition::from_bits(b)).to_bits()
+            Transition::from_bits(a)
+                .then(Transition::from_bits(b))
+                .to_bits()
         });
         let composed = scanner.scan(&funcs, &compose, &ScanSpec::inclusive());
         composed

@@ -49,7 +49,7 @@ pub use histogram::histogram;
 pub use ledger::{opening_balances, roll_forward, roll_forward_accounts};
 pub use lexer::{tokenize, Dfa, Token, TokenKind};
 pub use quicksort::quicksort_scan;
-pub use sat::Sat;
-pub use spmv::CsrMatrix;
 pub use rle::Run;
+pub use sat::Sat;
 pub use sort::{radix_sort, radix_sort_by_key, split, split_sort, RadixKey};
+pub use spmv::CsrMatrix;

@@ -64,7 +64,10 @@ mod tests {
     #[test]
     fn powers_table() {
         let p = powers(2.0, 10, &scanner());
-        assert_eq!(p, vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]);
+        assert_eq!(
+            p,
+            vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
+        );
     }
 
     #[test]

@@ -59,7 +59,11 @@ pub fn encode<T: Copy + PartialEq>(input: &[T], scanner: &CpuScanner) -> Vec<Run
         }
     }
     for r in 0..num_runs {
-        let end = if r + 1 < num_runs { head_pos[r + 1] } else { input.len() };
+        let end = if r + 1 < num_runs {
+            head_pos[r + 1]
+        } else {
+            input.len()
+        };
         runs[r].len = (end - head_pos[r]) as u64;
     }
     runs
@@ -112,10 +116,22 @@ mod tests {
         assert_eq!(
             runs,
             vec![
-                Run { value: b'a', len: 3 },
-                Run { value: b'b', len: 1 },
-                Run { value: b'c', len: 2 },
-                Run { value: b'd', len: 3 },
+                Run {
+                    value: b'a',
+                    len: 3
+                },
+                Run {
+                    value: b'b',
+                    len: 1
+                },
+                Run {
+                    value: b'c',
+                    len: 2
+                },
+                Run {
+                    value: b'd',
+                    len: 3
+                },
             ]
         );
     }
@@ -123,7 +139,10 @@ mod tests {
     #[test]
     fn decode_basic() {
         let runs = [
-            Run { value: 7i32, len: 2 },
+            Run {
+                value: 7i32,
+                len: 2,
+            },
             Run { value: -1, len: 3 },
             Run { value: 0, len: 1 },
         ];
@@ -158,7 +177,13 @@ mod tests {
 
         let equal = vec![9u8; 1000];
         let runs = encode(&equal, &scanner());
-        assert_eq!(runs, vec![Run { value: 9, len: 1000 }]);
+        assert_eq!(
+            runs,
+            vec![Run {
+                value: 9,
+                len: 1000
+            }]
+        );
         assert_eq!(decode(&runs, &scanner()), equal);
     }
 

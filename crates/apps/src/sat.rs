@@ -78,7 +78,10 @@ impl Sat {
     ///
     /// Panics if out of bounds.
     pub fn at(&self, row: usize, col: usize) -> i64 {
-        assert!(row < self.height && col < self.width, "({row},{col}) out of bounds");
+        assert!(
+            row < self.height && col < self.width,
+            "({row},{col}) out of bounds"
+        );
         self.table[row * self.width + col]
     }
 
@@ -93,7 +96,11 @@ impl Sat {
         let d = self.at(r1, c1);
         let b = if r0 > 0 { self.at(r0 - 1, c1) } else { 0 };
         let c = if c0 > 0 { self.at(r1, c0 - 1) } else { 0 };
-        let a = if r0 > 0 && c0 > 0 { self.at(r0 - 1, c0 - 1) } else { 0 };
+        let a = if r0 > 0 && c0 > 0 {
+            self.at(r0 - 1, c0 - 1)
+        } else {
+            0
+        };
         d - b - c + a
     }
 }

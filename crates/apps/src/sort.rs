@@ -17,9 +17,9 @@
 
 use sam_core::cpu::CpuScanner;
 use sam_core::op::Sum;
-use sam_core::ScanElement;
 use sam_core::plan::{PlanHint, ScanPlan, ScanSession};
 use sam_core::Engine;
+use sam_core::ScanElement;
 use sam_core::ScanSpec;
 
 /// Keys sortable by their bits: the transform must be monotone — comparing
@@ -66,7 +66,11 @@ impl RadixKey for f32 {
         // IEEE trick: flip all bits of negatives, the sign bit of
         // non-negatives; total order matches numeric order (NaNs sort high).
         let b = self.to_bits();
-        let mask = if b >> 31 == 1 { 0xffff_ffff } else { 0x8000_0000 };
+        let mask = if b >> 31 == 1 {
+            0xffff_ffff
+        } else {
+            0x8000_0000
+        };
         u64::from(b ^ mask)
     }
 }
@@ -249,7 +253,9 @@ mod tests {
         let mut s = seed | 1;
         (0..n)
             .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (s >> 32) as u32
             })
             .collect()

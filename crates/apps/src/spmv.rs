@@ -145,11 +145,8 @@ mod tests {
     fn small_dense_example() {
         // [1 2]   [5]   [17]
         // [3 4] x [6] = [39]
-        let a = CsrMatrix::from_triplets(
-            2,
-            2,
-            [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 4.0)],
-        );
+        let a =
+            CsrMatrix::from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 4.0)]);
         assert_eq!(a.spmv(&[5.0, 6.0], &scanner()), vec![17.0, 39.0]);
     }
 

@@ -250,7 +250,9 @@ mod tests {
         // The 2^25 cap refuses outsized inputs without touching memory.
         let mut cfg = HierarchicalScan::cudpp();
         cfg.max_elements = Some(10);
-        assert!(cfg.scan(&gpu, &data, &Sum, &ScanSpec::inclusive()).is_none());
+        assert!(cfg
+            .scan(&gpu, &data, &Sum, &ScanSpec::inclusive())
+            .is_none());
     }
 
     #[test]
@@ -267,10 +269,7 @@ mod tests {
     fn exclusive_scans_match_oracle() {
         let gpu = gpu();
         let data = input(70_001);
-        for cfg in [
-            HierarchicalScan::thrust(),
-            HierarchicalScan::mgpu(),
-        ] {
+        for cfg in [HierarchicalScan::thrust(), HierarchicalScan::mgpu()] {
             let spec = ScanSpec::exclusive();
             let got = cfg.scan(&gpu, &data, &Sum, &spec).unwrap();
             assert_eq!(got, serial::scan(&data, &Sum, &spec), "{cfg:?} Sum");

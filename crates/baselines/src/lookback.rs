@@ -43,7 +43,9 @@ pub struct LookbackScan {
 
 impl Default for LookbackScan {
     fn default() -> Self {
-        LookbackScan { items_per_thread: 12 }
+        LookbackScan {
+            items_per_thread: 12,
+        }
     }
 }
 
@@ -152,9 +154,17 @@ impl LookbackScan {
                 vals.clear();
                 vals.resize(len, op.identity());
                 if aos {
-                    warp_aos_access(&data, m, base, len, s, self.items_per_thread, threads, |w, buf, m, idxs| {
-                        w.warp_gather(m, idxs, buf, AccessClass::Element)
-                    }, &mut vals);
+                    warp_aos_access(
+                        &data,
+                        m,
+                        base,
+                        len,
+                        s,
+                        self.items_per_thread,
+                        threads,
+                        |w, buf, m, idxs| w.warp_gather(m, idxs, buf, AccessClass::Element),
+                        &mut vals,
+                    );
                 } else {
                     data.load_block(m, base, &mut vals, AccessClass::Element);
                 }
@@ -209,15 +219,21 @@ impl LookbackScan {
                 // --- Apply carry and store --------------------------------
                 match kind {
                     ScanKind::Inclusive => chunkops::apply_carry(&mut vals, base, &carry, op),
-                    ScanKind::Exclusive => {
-                        chunkops::exclusive_rewrite(&mut vals, base, &carry, op)
-                    }
+                    ScanKind::Exclusive => chunkops::exclusive_rewrite(&mut vals, base, &carry, op),
                 }
                 m.add_compute(len as u64);
                 if aos {
-                    warp_aos_access(&out, m, base, len, s, self.items_per_thread, threads, |w, buf, m, idxs| {
-                        w.warp_scatter(m, idxs, buf, AccessClass::Element)
-                    }, &mut vals);
+                    warp_aos_access(
+                        &out,
+                        m,
+                        base,
+                        len,
+                        s,
+                        self.items_per_thread,
+                        threads,
+                        |w, buf, m, idxs| w.warp_scatter(m, idxs, buf, AccessClass::Element),
+                        &mut vals,
+                    );
                 } else {
                     out.store_block(m, base, &vals, AccessClass::Element);
                 }
@@ -343,8 +359,10 @@ mod tests {
         let gpu = gpu();
         let s = 5;
         let data = input(50_000); // multiple of 5
-        let got =
-            LookbackScan { items_per_thread: 4 }.scan_tuples(&gpu, &data, &Sum, ScanKind::Inclusive, s);
+        let got = LookbackScan {
+            items_per_thread: 4,
+        }
+        .scan_tuples(&gpu, &data, &Sum, ScanKind::Inclusive, s);
         let spec = ScanSpec::inclusive().with_tuple(s).unwrap();
         assert_eq!(got, serial::scan(&data, &Sum, &spec));
     }
@@ -356,11 +374,17 @@ mod tests {
         let data = vec![1i32; n];
 
         let gpu1 = gpu();
-        LookbackScan { items_per_thread: 2 }.scan(&gpu1, &data, &Sum, &ScanSpec::inclusive());
+        LookbackScan {
+            items_per_thread: 2,
+        }
+        .scan(&gpu1, &data, &Sum, &ScanSpec::inclusive());
         let coalesced = gpu1.metrics().snapshot().elem_transactions();
 
         let gpu8 = gpu();
-        LookbackScan { items_per_thread: 2 }.scan_tuples(&gpu8, &data, &Sum, ScanKind::Inclusive, s);
+        LookbackScan {
+            items_per_thread: 2,
+        }
+        .scan_tuples(&gpu8, &data, &Sum, ScanKind::Inclusive, s);
         let aos = gpu8.metrics().snapshot().elem_transactions();
         assert!(
             aos > 3 * coalesced,
@@ -373,11 +397,17 @@ mod tests {
         let n = 1 << 14;
         let data = vec![1i64; n];
         let gpu8 = gpu();
-        LookbackScan { items_per_thread: 8 }.scan_tuples(&gpu8, &data, &Sum, ScanKind::Inclusive, 8);
+        LookbackScan {
+            items_per_thread: 8,
+        }
+        .scan_tuples(&gpu8, &data, &Sum, ScanKind::Inclusive, 8);
         assert!(gpu8.metrics().snapshot().spill_transactions > 0);
 
         let gpu1 = gpu();
-        LookbackScan { items_per_thread: 8 }.scan(&gpu1, &data, &Sum, &ScanSpec::inclusive());
+        LookbackScan {
+            items_per_thread: 8,
+        }
+        .scan(&gpu1, &data, &Sum, &ScanSpec::inclusive());
         assert_eq!(gpu1.metrics().snapshot().spill_transactions, 0);
     }
 
@@ -387,11 +417,9 @@ mod tests {
         let s = 3;
         let data = input(30_000);
         let spec = ScanSpec::exclusive().with_tuple(s).unwrap();
-        let got =
-            LookbackScan::default().scan_tuples(&gpu, &data, &Sum, ScanKind::Exclusive, s);
+        let got = LookbackScan::default().scan_tuples(&gpu, &data, &Sum, ScanKind::Exclusive, s);
         assert_eq!(got, serial::scan(&data, &Sum, &spec));
-        let got =
-            LookbackScan::default().scan_tuples(&gpu, &data, &Xor, ScanKind::Exclusive, s);
+        let got = LookbackScan::default().scan_tuples(&gpu, &data, &Xor, ScanKind::Exclusive, s);
         assert_eq!(got, serial::scan(&data, &Xor, &spec));
     }
 

@@ -41,7 +41,9 @@ fn main() {
                 out_dir = Some(v.into());
             }
             "--help" | "-h" => {
-                println!("usage: figures [--fig N] [--csv] [--cap POW2] [--out DIR] [--extensions]");
+                println!(
+                    "usage: figures [--fig N] [--csv] [--cap POW2] [--out DIR] [--extensions]"
+                );
                 return;
             }
             other => {
@@ -80,7 +82,8 @@ fn main() {
             let ext = if csv { "csv" } else { "txt" };
             let path = dir.join(format!("figure{id:02}.{ext}"));
             let mut f = std::fs::File::create(&path).expect("cannot create figure file");
-            f.write_all(text.as_bytes()).expect("cannot write figure file");
+            f.write_all(text.as_bytes())
+                .expect("cannot write figure file");
         }
     }
 }

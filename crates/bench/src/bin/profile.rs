@@ -182,7 +182,10 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"scan_profile\",\n");
-    let _ = writeln!(json, "  \"elem\": \"i64\", \"op\": \"sum\", \"kind\": \"inclusive\",");
+    let _ = writeln!(
+        json,
+        "  \"elem\": \"i64\", \"op\": \"sum\", \"kind\": \"inclusive\","
+    );
     json.push_str("  \"series\": [\n");
     for (i, r) in records.iter().enumerate() {
         let m = &r.report.metrics;

@@ -131,10 +131,19 @@ fn run_op(
 }
 
 /// Runs `cfg` under a watchdog; a hang counts as a failure.
-fn run_guarded(cfg: &RunCfg, input: Vec<i64>, record: bool, timeout: Duration) -> Result<(), String> {
+fn run_guarded(
+    cfg: &RunCfg,
+    input: Vec<i64>,
+    record: bool,
+    timeout: Duration,
+) -> Result<(), String> {
     let sched = {
         let policy = make_policy(&cfg.policy, cfg.seed);
-        Arc::new(Scheduler::new(if record { policy.with_record() } else { policy }))
+        Arc::new(Scheduler::new(if record {
+            policy.with_record()
+        } else {
+            policy
+        }))
     };
     let (tx, rx) = mpsc::channel();
     let cfg_inner = RunCfg {
@@ -192,7 +201,9 @@ fn main() {
                 seeds = a..b;
             }
             "--n" => {
-                n = value("--n").parse().unwrap_or_else(|_| usage_error("bad --n"));
+                n = value("--n")
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("bad --n"));
             }
             "--engines" => {
                 engines = value("--engines")
@@ -211,8 +222,9 @@ fn main() {
                 }
             }
             "--timeout" => {
-                let secs: u64 =
-                    value("--timeout").parse().unwrap_or_else(|_| usage_error("bad --timeout"));
+                let secs: u64 = value("--timeout")
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("bad --timeout"));
                 timeout = Duration::from_secs(secs);
             }
             "--help" | "-h" => {

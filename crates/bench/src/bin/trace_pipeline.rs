@@ -24,10 +24,18 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--chunks" => {
-                chunks = it.next().expect("--chunks needs a value").parse().expect("number");
+                chunks = it
+                    .next()
+                    .expect("--chunks needs a value")
+                    .parse()
+                    .expect("number");
             }
             "--order" => {
-                order = it.next().expect("--order needs a value").parse().expect("number");
+                order = it
+                    .next()
+                    .expect("--order needs a value")
+                    .parse()
+                    .expect("number");
             }
             "--lanes" => lanes = true,
             "--help" | "-h" => {
@@ -45,7 +53,9 @@ fn main() {
     let threads = gpu.spec().threads_per_block as usize;
     let n = chunks * threads; // items_per_thread = 1
     let input: Vec<i32> = (0..n as i32).map(|i| i % 5 - 2).collect();
-    let spec = ScanSpec::inclusive().with_order(order).expect("valid order");
+    let spec = ScanSpec::inclusive()
+        .with_order(order)
+        .expect("valid order");
     let (out, info) = scan_on_gpu(
         &gpu,
         &input,
@@ -60,7 +70,10 @@ fn main() {
 
     println!(
         "SAM pipeline trace: {} chunks x order {} on {} (k = {})\n",
-        info.chunks, order, gpu.spec().name, info.k
+        info.chunks,
+        order,
+        gpu.spec().name,
+        info.k
     );
     let log = gpu.trace().expect("tracing enabled");
     if lanes {

@@ -47,20 +47,90 @@ pub fn figure(id: u8) -> FigureDef {
     let carries = vec![(Algo::Sam, 1, 1), (Algo::SamChained, 1, 1)];
 
     let (device, width, lineup, what) = match id {
-        3 => (DeviceSpec::titan_x(), ElemWidth::I32, conventional, "Prefix-sum throughput"),
-        4 => (DeviceSpec::titan_x(), ElemWidth::I64, conventional, "Prefix-sum throughput"),
-        5 => (DeviceSpec::k40(), ElemWidth::I32, conventional, "Prefix-sum throughput"),
-        6 => (DeviceSpec::k40(), ElemWidth::I64, conventional, "Prefix-sum throughput"),
-        7 => (DeviceSpec::titan_x(), ElemWidth::I32, orders([2, 5, 8]), "Higher-order prefix-sum throughput"),
-        8 => (DeviceSpec::titan_x(), ElemWidth::I64, orders([2, 5, 8]), "Higher-order prefix-sum throughput"),
-        9 => (DeviceSpec::k40(), ElemWidth::I32, orders([2, 5, 8]), "Higher-order prefix-sum throughput"),
-        10 => (DeviceSpec::k40(), ElemWidth::I64, orders([2, 5, 8]), "Higher-order prefix-sum throughput"),
-        11 => (DeviceSpec::titan_x(), ElemWidth::I32, tuples([2, 5, 8]), "Tuple-based prefix-sum throughput"),
-        12 => (DeviceSpec::titan_x(), ElemWidth::I64, tuples([2, 5, 8]), "Tuple-based prefix-sum throughput"),
-        13 => (DeviceSpec::k40(), ElemWidth::I32, tuples([2, 5, 8]), "Tuple-based prefix-sum throughput"),
-        14 => (DeviceSpec::k40(), ElemWidth::I64, tuples([2, 5, 8]), "Tuple-based prefix-sum throughput"),
-        15 => (DeviceSpec::titan_x(), ElemWidth::I32, carries, "Prefix-sum throughput for two carry-propagation schemes"),
-        16 => (DeviceSpec::k40(), ElemWidth::I32, carries, "Prefix-sum throughput for two carry-propagation schemes"),
+        3 => (
+            DeviceSpec::titan_x(),
+            ElemWidth::I32,
+            conventional,
+            "Prefix-sum throughput",
+        ),
+        4 => (
+            DeviceSpec::titan_x(),
+            ElemWidth::I64,
+            conventional,
+            "Prefix-sum throughput",
+        ),
+        5 => (
+            DeviceSpec::k40(),
+            ElemWidth::I32,
+            conventional,
+            "Prefix-sum throughput",
+        ),
+        6 => (
+            DeviceSpec::k40(),
+            ElemWidth::I64,
+            conventional,
+            "Prefix-sum throughput",
+        ),
+        7 => (
+            DeviceSpec::titan_x(),
+            ElemWidth::I32,
+            orders([2, 5, 8]),
+            "Higher-order prefix-sum throughput",
+        ),
+        8 => (
+            DeviceSpec::titan_x(),
+            ElemWidth::I64,
+            orders([2, 5, 8]),
+            "Higher-order prefix-sum throughput",
+        ),
+        9 => (
+            DeviceSpec::k40(),
+            ElemWidth::I32,
+            orders([2, 5, 8]),
+            "Higher-order prefix-sum throughput",
+        ),
+        10 => (
+            DeviceSpec::k40(),
+            ElemWidth::I64,
+            orders([2, 5, 8]),
+            "Higher-order prefix-sum throughput",
+        ),
+        11 => (
+            DeviceSpec::titan_x(),
+            ElemWidth::I32,
+            tuples([2, 5, 8]),
+            "Tuple-based prefix-sum throughput",
+        ),
+        12 => (
+            DeviceSpec::titan_x(),
+            ElemWidth::I64,
+            tuples([2, 5, 8]),
+            "Tuple-based prefix-sum throughput",
+        ),
+        13 => (
+            DeviceSpec::k40(),
+            ElemWidth::I32,
+            tuples([2, 5, 8]),
+            "Tuple-based prefix-sum throughput",
+        ),
+        14 => (
+            DeviceSpec::k40(),
+            ElemWidth::I64,
+            tuples([2, 5, 8]),
+            "Tuple-based prefix-sum throughput",
+        ),
+        15 => (
+            DeviceSpec::titan_x(),
+            ElemWidth::I32,
+            carries,
+            "Prefix-sum throughput for two carry-propagation schemes",
+        ),
+        16 => (
+            DeviceSpec::k40(),
+            ElemWidth::I32,
+            carries,
+            "Prefix-sum throughput for two carry-propagation schemes",
+        ),
         // --- Extensions beyond the paper (its Section 6 future work) ----
         // E17: the combined higher-order tuple-based case.
         17 => (
@@ -165,8 +235,7 @@ impl FigureDef {
     /// Renders series as CSV
     /// (`n,label,throughput_items_per_s,nj_per_item,measured`).
     pub fn to_csv(&self, series: &[Series]) -> String {
-        let mut out =
-            String::from("figure,n,series,throughput_items_per_s,nj_per_item,measured\n");
+        let mut out = String::from("figure,n,series,throughput_items_per_s,nj_per_item,measured\n");
         for s in series {
             for p in &s.points {
                 out.push_str(&format!(

@@ -19,12 +19,12 @@ use crate::tunings::{tuning_for, Algo};
 use crate::workload;
 use gpu_sim::perf::EnergyEstimate;
 use gpu_sim::{CarryScheme, DeviceSpec, Gpu, MetricsSnapshot, PerfEstimate, PerfModel, RunProfile};
+use sam_baselines::{iterate_scan, memcpy_roof, HierarchicalScan, LookbackScan};
 use sam_core::autotune::TuningTable;
 use sam_core::element::ScanElement;
 use sam_core::kernel::{scan_on_gpu, CarryPropagation, SamParams};
 use sam_core::op::Sum;
 use sam_core::{ScanKind, ScanSpec};
-use sam_baselines::{iterate_scan, memcpy_roof, HierarchicalScan, LookbackScan};
 
 /// Element width of a measurement (the paper evaluates both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,9 +153,7 @@ impl Harness {
         // geometry or the per-chunk overheads would be mis-scaled. Probes
         // are cached per geometry.
         let table = match cfg.algo {
-            Algo::Sam | Algo::SamChained => {
-                Some(TuningTable::tune(&cfg.device, cfg.width.bytes()))
-            }
+            Algo::Sam | Algo::SamChained => Some(TuningTable::tune(&cfg.device, cfg.width.bytes())),
             _ => None,
         };
         let ipt_for = |n: u64| table.as_ref().map(|t| t.items_per_thread(n));
@@ -191,8 +189,16 @@ impl Harness {
                     };
                     let p1 = p2 - delta;
                     [
-                        (p1, self.measure(cfg, &gpu, p1, ipt).expect("probe sizes are supported")),
-                        (p2, self.measure(cfg, &gpu, p2, ipt).expect("probe sizes are supported")),
+                        (
+                            p1,
+                            self.measure(cfg, &gpu, p1, ipt)
+                                .expect("probe sizes are supported"),
+                        ),
+                        (
+                            p2,
+                            self.measure(cfg, &gpu, p2, ipt)
+                                .expect("probe sizes are supported"),
+                        ),
                     ]
                 });
                 if supports(cfg, n) {
@@ -386,7 +392,9 @@ fn extrapolate(lo: &(u64, Measurement), hi: &(u64, Measurement), n: u64) -> Meas
     let a = &m1.metrics;
     let b = &m2.metrics;
     let metrics = MetricsSnapshot {
-        kernel_launches: b.kernel_launches.max(scale(a.kernel_launches, b.kernel_launches)),
+        kernel_launches: b
+            .kernel_launches
+            .max(scale(a.kernel_launches, b.kernel_launches)),
         elem_read_transactions: scale(a.elem_read_transactions, b.elem_read_transactions),
         elem_write_transactions: scale(a.elem_write_transactions, b.elem_write_transactions),
         elem_read_words: scale(a.elem_read_words, b.elem_read_words),
@@ -489,7 +497,12 @@ mod tests {
         let direct = h_direct.series(&cfg, &[n]).points[0].estimate;
         let extra = h_extra.series(&cfg, &[n]).points[0].estimate;
         let rel = (direct.seconds - extra.seconds).abs() / direct.seconds;
-        assert!(rel < 0.02, "direct {} vs extrapolated {}", direct.seconds, extra.seconds);
+        assert!(
+            rel < 0.02,
+            "direct {} vs extrapolated {}",
+            direct.seconds,
+            extra.seconds
+        );
     }
 
     #[test]

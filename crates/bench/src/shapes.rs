@@ -29,7 +29,14 @@ impl ShapeCheck {
     }
 }
 
-fn throughput(h: &Harness, algo: Algo, device: DeviceSpec, order: u32, tuple: usize, n: u64) -> f64 {
+fn throughput(
+    h: &Harness,
+    algo: Algo,
+    device: DeviceSpec,
+    order: u32,
+    tuple: usize,
+    n: u64,
+) -> f64 {
     let cfg = Config {
         device,
         algo,

@@ -55,7 +55,13 @@ impl Algo {
 
     /// All algorithms in the conventional-scan comparison (Figures 3–6).
     pub fn conventional_lineup() -> [Algo; 5] {
-        [Algo::Thrust, Algo::Cudpp, Algo::Cub, Algo::Sam, Algo::Memcpy]
+        [
+            Algo::Thrust,
+            Algo::Cudpp,
+            Algo::Cub,
+            Algo::Sam,
+            Algo::Memcpy,
+        ]
     }
 }
 

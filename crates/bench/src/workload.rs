@@ -32,13 +32,17 @@ impl SplitMix64 {
 /// readable in failure output).
 pub fn uniform_i32(n: usize, seed: u64) -> Vec<i32> {
     let mut rng = SplitMix64::new(seed);
-    (0..n).map(|_| (rng.next_u64() % 2001) as i32 - 1000).collect()
+    (0..n)
+        .map(|_| (rng.next_u64() % 2001) as i32 - 1000)
+        .collect()
 }
 
 /// `n` uniform 64-bit integers.
 pub fn uniform_i64(n: usize, seed: u64) -> Vec<i64> {
     let mut rng = SplitMix64::new(seed);
-    (0..n).map(|_| (rng.next_u64() % 2_000_001) as i64 - 1_000_000).collect()
+    (0..n)
+        .map(|_| (rng.next_u64() % 2_000_001) as i64 - 1_000_000)
+        .collect()
 }
 
 /// The problem sizes of Figures 3–16: powers of two from 2^10 to
@@ -70,7 +74,9 @@ mod tests {
 
     #[test]
     fn uniform_values_bounded() {
-        assert!(uniform_i32(10_000, 1).iter().all(|v| (-1000..=1000).contains(v)));
+        assert!(uniform_i32(10_000, 1)
+            .iter()
+            .all(|v| (-1000..=1000).contains(v)));
     }
 
     #[test]

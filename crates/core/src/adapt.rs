@@ -817,7 +817,11 @@ mod tests {
     /// chunk 8 Ki, NT off, and falls away smoothly.
     fn surface(g: &Geometry) -> Cost {
         let chunk_penalty = ((g.chunk_elems as f64).log2() - 13.0).abs();
-        let nt_bonus = if g.nt_min_bytes == usize::MAX { 1.1 } else { 1.0 };
+        let nt_bonus = if g.nt_min_bytes == usize::MAX {
+            1.1
+        } else {
+            1.0
+        };
         let worker_bonus = g.workers as f64 / (1.0 + 0.1 * (g.workers as f64 - 3.0).abs());
         Cost {
             elems_per_sec: 1e9 * nt_bonus * worker_bonus / (1.0 + 0.25 * chunk_penalty),
@@ -886,7 +890,11 @@ mod tests {
         }
         assert!(d.converged());
         assert!(probed, "the climb must probe the noisy geometry");
-        assert_ne!(d.best().workers, 3, "sub-hysteresis improvements must not be adopted");
+        assert_ne!(
+            d.best().workers,
+            3,
+            "sub-hysteresis improvements must not be adopted"
+        );
     }
 
     #[test]
@@ -996,9 +1004,18 @@ mod tests {
         });
         assert!(parse_tuning(&good).is_some());
         // Each single-field corruption reads as absent.
-        assert_eq!(parse_tuning(&good.replace("workers = 4", "workers = zero")), None);
-        assert_eq!(parse_tuning(&good.replace("workers = 4", "workers = 0")), None);
-        assert_eq!(parse_tuning(&good.replace("score = 1000000000", "score = NaN")), None);
+        assert_eq!(
+            parse_tuning(&good.replace("workers = 4", "workers = zero")),
+            None
+        );
+        assert_eq!(
+            parse_tuning(&good.replace("workers = 4", "workers = 0")),
+            None
+        );
+        assert_eq!(
+            parse_tuning(&good.replace("score = 1000000000", "score = NaN")),
+            None
+        );
         let truncated = &good[..good.len() / 2];
         assert_eq!(parse_tuning(truncated), None);
         // Unknown keys are forward-compatible, not corruption.

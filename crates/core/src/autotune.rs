@@ -136,8 +136,7 @@ fn predicted_seconds(
     // Register pressure: spills once items exceed the element registers.
     let budget = device.element_registers() as usize;
     if items_per_thread > budget {
-        m.spill_transactions = 2 * n * (items_per_thread - budget) as u64
-            / items_per_thread as u64;
+        m.spill_transactions = 2 * n * (items_per_thread - budget) as u64 / items_per_thread as u64;
     }
 
     // Under-occupancy on small inputs: fewer chunks than blocks leaves SMs

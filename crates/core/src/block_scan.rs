@@ -40,7 +40,10 @@ where
 {
     let m: &Metrics = ctx.metrics();
     let warp_width = ctx.warp_width();
-    assert!(threads > 0 && threads.is_multiple_of(warp_width), "threads must fill warps");
+    assert!(
+        threads > 0 && threads.is_multiple_of(warp_width),
+        "threads must fill warps"
+    );
     assert!(
         !values.is_empty() && values.len().is_multiple_of(threads),
         "values must fill {threads} threads evenly, got {}",

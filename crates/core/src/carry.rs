@@ -663,6 +663,10 @@ mod tests {
         let c = recurrence_fingerprint(&[4u64]);
         assert_ne!(a, b, "length is part of the fingerprint");
         assert_ne!(a, c, "values are part of the fingerprint");
-        assert_eq!(a, recurrence_fingerprint(&[3i64]), "bit patterns, not types");
+        assert_eq!(
+            a,
+            recurrence_fingerprint(&[3i64]),
+            "bit patterns, not types"
+        );
     }
 }

@@ -288,7 +288,10 @@ impl<T: ScanElement> SegmentHandoff<T> {
 /// Shared argument validation for the `*_from` kernels and loops.
 pub(crate) fn check_fused(src_len: usize, dst_len: usize, s: usize) {
     assert!(s > 0, "stride must be positive");
-    assert_eq!(src_len, dst_len, "fused kernel buffers must match in length");
+    assert_eq!(
+        src_len, dst_len,
+        "fused kernel buffers must match in length"
+    );
 }
 
 /// Validates a cascade state buffer: a positive multiple of `s`.
@@ -372,7 +375,10 @@ impl<T: Copy> Sink<T> for Dst<'_, T> {
     fn shift_by_one(&mut self, seed: T) -> Option<Dst<'_, T>> {
         let (first, rest) = self.dst.split_first_mut()?;
         *first = seed;
-        Some(Dst { src: &self.src[..rest.len()], dst: rest })
+        Some(Dst {
+            src: &self.src[..rest.len()],
+            dst: rest,
+        })
     }
     fn sum_vertical_simd(&mut self, isa: Isa, s: usize, state: &mut [T], exclusive: bool) -> bool
     where
@@ -426,7 +432,14 @@ fn cascade_generic<T: Copy, Op: ScanOp<T> + ?Sized, S: Sink<T>>(
         for i in 1..q {
             state[i * s + lane] = op.combine(state[i * s + lane], state[(i - 1) * s + lane]);
         }
-        io.emit(j, if exclusive { prev_top } else { state[(q - 1) * s + lane] });
+        io.emit(
+            j,
+            if exclusive {
+                prev_top
+            } else {
+                state[(q - 1) * s + lane]
+            },
+        );
         lane += 1;
         if lane == s {
             lane = 0;
@@ -1431,7 +1444,14 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
                 return;
             }
         }
-        linrec_sweep(self.coeffs(), &mut Dst { src, dst }, base, s, state, exclusive);
+        linrec_sweep(
+            self.coeffs(),
+            &mut Dst { src, dst },
+            base,
+            s,
+            state,
+            exclusive,
+        );
     }
 
     fn cascade_totals(
@@ -1488,7 +1508,9 @@ mod tests {
         let mut state = seed | 1;
         (0..n)
             .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 ((state >> 33) as i64) - (1 << 30)
             })
             .collect()
@@ -1506,7 +1528,11 @@ mod tests {
     /// zero and from a non-zero seed. The oracle is the zero-seed
     /// reference loop plus the seed's lane entry at every output; the end
     /// state is the seed plus each lane's total.
-    fn check_order1<T: ScanElement + std::fmt::Debug + PartialEq>(input: &[T], s: usize, tag: &str) {
+    fn check_order1<T: ScanElement + std::fmt::Debug + PartialEq>(
+        input: &[T],
+        s: usize,
+        tag: &str,
+    ) {
         let nonzero = (0..s).map(|l| T::from_i64(1000 * l as i64 - 77)).collect();
         for seed in [vec![T::ZERO; s], nonzero] {
             let mut end = seed.clone();
@@ -1540,7 +1566,11 @@ mod tests {
     fn fused_inclusive_matches_reference_all_strides() {
         for n in [0usize, 1, 2, 15, 16, 17, 64, 1000, 1023] {
             for s in [1usize, 2, 3, 7, 16, 40] {
-                check_order1(&pseudo_random(n, 7 + n as u64 + s as u64), s, &format!("n={n}"));
+                check_order1(
+                    &pseudo_random(n, 7 + n as u64 + s as u64),
+                    s,
+                    &format!("n={n}"),
+                );
             }
         }
     }
@@ -1549,7 +1579,11 @@ mod tests {
     fn fused_exclusive_matches_serial_oracle() {
         for n in [0usize, 1, 5, 16, 33, 1000] {
             for s in [1usize, 3, 8] {
-                check_order1(&pseudo_random(n, 11 + n as u64 * 3 + s as u64), s, &format!("n={n}"));
+                check_order1(
+                    &pseudo_random(n, 11 + n as u64 * 3 + s as u64),
+                    s,
+                    &format!("n={n}"),
+                );
             }
         }
     }
@@ -1626,7 +1660,11 @@ mod tests {
             let expect: Vec<i64> = (0..n)
                 .map(|j| {
                     let c = carry[(base + j) % s];
-                    if j < s { c } else { c.wrapping_add(scanned[j - s]) }
+                    if j < s {
+                        c
+                    } else {
+                        c.wrapping_add(scanned[j - s])
+                    }
                 })
                 .collect();
             let mut got = scanned.clone();
@@ -1754,7 +1792,11 @@ mod tests {
                     acc = state[i * s + l].add(acc);
                     state[i * s + l] = acc;
                 }
-                if exclusive { prev_top } else { acc }
+                if exclusive {
+                    prev_top
+                } else {
+                    acc
+                }
             })
             .collect();
         (out, state)
@@ -1785,7 +1827,11 @@ mod tests {
                         for exclusive in [false, true] {
                             let (expect, end) = seeded_cascade_oracle(&input, s, &seed, exclusive);
                             if zero_seed {
-                                assert_eq!(expect, iterated_oracle(&input, q, s, exclusive), "{tag}");
+                                assert_eq!(
+                                    expect,
+                                    iterated_oracle(&input, q, s, exclusive),
+                                    "{tag}"
+                                );
                             }
 
                             let mut dst = vec![T::ZERO; n];
@@ -1960,8 +2006,9 @@ mod tests {
         exclusive: bool,
     ) -> (Vec<T>, Vec<T>) {
         let q = coeffs.len();
-        let mut wins: Vec<Vec<T>> =
-            (0..s).map(|l| (0..q).map(|j| seed[j * s + l]).collect()).collect();
+        let mut wins: Vec<Vec<T>> = (0..s)
+            .map(|l| (0..q).map(|j| seed[j * s + l]).collect())
+            .collect();
         let out = input
             .iter()
             .enumerate()
@@ -1974,7 +2021,11 @@ mod tests {
                 let y = x.add(pred);
                 win.rotate_right(1);
                 win[0] = y;
-                if exclusive { pred } else { y }
+                if exclusive {
+                    pred
+                } else {
+                    y
+                }
             })
             .collect();
         let end = (0..q * s).map(|k| wins[k % s][k / s]).collect();

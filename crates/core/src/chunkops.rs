@@ -225,7 +225,12 @@ mod tests {
 
     #[test]
     fn chunked_inclusive_matches_oracle_for_awkward_sizes() {
-        for (n, s, chunk_elems) in [(17usize, 3usize, 5usize), (64, 4, 16), (10, 7, 3), (1, 2, 4)] {
+        for (n, s, chunk_elems) in [
+            (17usize, 3usize, 5usize),
+            (64, 4, 16),
+            (10, 7, 3),
+            (1, 2, 4),
+        ] {
             let input: Vec<i32> = (0..n as i32).map(|i| i * i - 3 * i).collect();
             let op = Sum;
             let spec = ScanSpec::inclusive().with_tuple(s).unwrap();

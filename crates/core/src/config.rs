@@ -10,7 +10,6 @@
 //!
 //! The conventional prefix sum is `order = 1`, `tuple = 1`.
 
-
 /// Whether position `i` of the result includes the input value at `i`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScanKind {
@@ -243,5 +242,8 @@ mod tests {
     }
 }
 
-serde::impl_serialize_unit_enum!(ScanKind { Inclusive, Exclusive });
+serde::impl_serialize_unit_enum!(ScanKind {
+    Inclusive,
+    Exclusive
+});
 serde::impl_serialize_struct!(ScanSpec { kind, order, tuple });

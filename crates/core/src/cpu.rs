@@ -244,7 +244,11 @@ impl CpuScanner {
         let (q, s) = (spec.order() as usize, spec.tuple());
         // The cascade's carry plan needs lane-aligned chunks (see
         // `scan_into_cascade`).
-        let chunk_elems = if cascade { chunk_elems.div_ceil(s) * s } else { chunk_elems };
+        let chunk_elems = if cascade {
+            chunk_elems.div_ceil(s) * s
+        } else {
+            chunk_elems
+        };
         let num_chunks = chunkops::num_chunks(n, chunk_elems);
         let k = workers.min(num_chunks);
         if k == 1 {
@@ -259,7 +263,14 @@ impl CpuScanner {
         // size — a chunk's span is L2-sized even when the scan is DRAM-sized
         // — under whatever scoped threshold the calling plan installed.
         let stream = std::mem::size_of_val(out) >= crate::simd::nt_store_min_bytes();
-        let geom = Geometry { k, num_chunks, chunk_elems, n, qs: q * s, stream };
+        let geom = Geometry {
+            k,
+            num_chunks,
+            chunk_elems,
+            n,
+            qs: q * s,
+            stream,
+        };
         if cascade {
             // Single-pass protocol: all q*s local sums published from one
             // sweep, one ready round per chunk, binomial-weighted carries.
@@ -832,7 +843,9 @@ mod tests {
         let mut state = 0x243f6a8885a308d3u64;
         (0..n)
             .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 ((state >> 33) as i64) - (1 << 30)
             })
             .collect()
@@ -844,7 +857,10 @@ mod tests {
         let scanner = CpuScanner::new(workers).with_chunk_elems(chunk);
         let got = scanner.scan(&input, op, spec);
         let expect = crate::serial::scan(&input, op, spec);
-        assert_eq!(got, expect, "n={n} workers={workers} chunk={chunk} spec={spec:?}");
+        assert_eq!(
+            got, expect,
+            "n={n} workers={workers} chunk={chunk} spec={spec:?}"
+        );
     }
 
     #[test]
@@ -945,10 +961,16 @@ mod tests {
     fn scan_into_reuses_buffer() {
         let input = pseudo_random(10_000);
         let mut out = vec![0i64; input.len()];
-        CpuScanner::new(2)
-            .with_chunk_elems(512)
-            .scan_into(&input, &mut out, &Sum, &ScanSpec::inclusive());
-        assert_eq!(out, crate::serial::scan(&input, &Sum, &ScanSpec::inclusive()));
+        CpuScanner::new(2).with_chunk_elems(512).scan_into(
+            &input,
+            &mut out,
+            &Sum,
+            &ScanSpec::inclusive(),
+        );
+        assert_eq!(
+            out,
+            crate::serial::scan(&input, &Sum, &ScanSpec::inclusive())
+        );
     }
 
     #[test]
@@ -1007,7 +1029,10 @@ mod tests {
             handoff: Option<&SegmentHandoff<i64>>,
         ) {
             let stream = crate::simd::streams(std::mem::size_of_val(dst));
-            self.0.lock().unwrap().push((std::thread::current().id(), stream));
+            self.0
+                .lock()
+                .unwrap()
+                .push((std::thread::current().id(), stream));
             Sum.cascade_scan_from(src, dst, base, s, state, exclusive, handoff);
         }
     }

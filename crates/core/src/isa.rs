@@ -126,7 +126,10 @@ pub fn detect() -> Isa {
 /// Every family the running CPU can execute, in capability order — the
 /// iteration domain of the forced-path equivalence tests.
 pub fn available() -> Vec<Isa> {
-    Isa::ALL.into_iter().filter(|isa| isa.is_available()).collect()
+    Isa::ALL
+        .into_iter()
+        .filter(|isa| isa.is_available())
+        .collect()
 }
 
 /// The process-wide resolved kernel family: `SAM_FORCE_KERNEL` if set,

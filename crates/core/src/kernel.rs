@@ -48,8 +48,7 @@ use crate::config::{ScanKind, ScanSpec};
 use gpu_sim::sched;
 use gpu_sim::Pod64;
 use gpu_sim::{
-    AccessClass, AtomicWordBuffer, BlockContext, CarryScheme, EventKind, GlobalBuffer, Gpu,
-    Metrics,
+    AccessClass, AtomicWordBuffer, BlockContext, CarryScheme, EventKind, GlobalBuffer, Gpu, Metrics,
 };
 
 /// How carries travel between dependent chunks.
@@ -186,7 +185,10 @@ where
     T: Pod64,
     Op: ChunkKernel<T>,
 {
-    assert!(params.items_per_thread > 0, "items_per_thread must be positive");
+    assert!(
+        params.items_per_thread > 0,
+        "items_per_thread must be positive"
+    );
     let threads = gpu.spec().threads_per_block as usize;
     let q = spec.order() as usize;
     let s = spec.tuple();
@@ -241,7 +243,9 @@ where
 
     let ring_len = match params.aux {
         AuxMode::PerChunk => num_chunks,
-        AuxMode::Ring => (4 * k).next_power_of_two().min(num_chunks.next_power_of_two()),
+        AuxMode::Ring => (4 * k)
+            .next_power_of_two()
+            .min(num_chunks.next_power_of_two()),
     };
 
     let input_buf = GlobalBuffer::from_vec(input.to_vec());
@@ -427,7 +431,9 @@ where
                         }
                         let first_pred = c.saturating_sub(k - 1);
                         if first_pred < c {
-                            wait_ready(&flags, m, first_pred..c, ring_len, |j| flag_target(j, iter));
+                            wait_ready(&flags, m, first_pred..c, ring_len, |j| {
+                                flag_target(j, iter)
+                            });
                             for j in first_pred..c {
                                 sums.load_many_into(m, sum_idx(j, iter, 0), &mut row);
                                 for (slot, &v) in carry.iter_mut().zip(&row) {
@@ -544,7 +550,9 @@ fn wait_ready(
         pred_range.start + offset
     };
     if lo_slot <= hi_slot {
-        flags.poll_many(m, lo_slot..hi_slot + 1, |slot, v| v >= target(chunk_of(slot)));
+        flags.poll_many(m, lo_slot..hi_slot + 1, |slot, v| {
+            v >= target(chunk_of(slot))
+        });
     } else {
         flags.poll_many(m, lo_slot..ring_len, |slot, v| v >= target(chunk_of(slot)));
         flags.poll_many(m, 0..hi_slot + 1, |slot, v| v >= target(chunk_of(slot)));
@@ -639,7 +647,10 @@ mod tests {
         let spec = ScanSpec::inclusive();
         let expect = crate::serial::scan(&input, &Sum, &spec);
         let (got, info) = scan_on_gpu(&gpu, &input, &Sum, &spec, &p);
-        assert!(info.ring_len < info.chunks as usize, "test must exercise reuse");
+        assert!(
+            info.ring_len < info.chunks as usize,
+            "test must exercise reuse"
+        );
         assert_eq!(got, expect);
     }
 
@@ -648,7 +659,10 @@ mod tests {
         let gpu = small_gpu();
         let input: Vec<i32> = (0..30_000).map(|i| (i * 37 % 1000) - 500).collect();
         let (got, _) = scan_on_gpu(&gpu, &input, &Max, &ScanSpec::inclusive(), &params(1));
-        assert_eq!(got, crate::serial::scan(&input, &Max, &ScanSpec::inclusive()));
+        assert_eq!(
+            got,
+            crate::serial::scan(&input, &Max, &ScanSpec::inclusive())
+        );
     }
 
     #[test]
@@ -666,7 +680,8 @@ mod tests {
     #[test]
     fn empty_input() {
         let gpu = small_gpu();
-        let (got, info) = scan_on_gpu::<i32, _>(&gpu, &[], &Sum, &ScanSpec::inclusive(), &params(1));
+        let (got, info) =
+            scan_on_gpu::<i32, _>(&gpu, &[], &Sum, &ScanSpec::inclusive(), &params(1));
         assert!(got.is_empty());
         assert_eq!(info.chunks, 1);
     }
@@ -691,7 +706,9 @@ mod tests {
         // Pseudo-associative operator: repeated runs give bit-identical
         // results because the carry accumulation order is fixed.
         let gpu = small_gpu();
-        let input: Vec<f64> = (0..50_000).map(|i| ((i * 7919) % 1000) as f64 * 0.1 - 40.0).collect();
+        let input: Vec<f64> = (0..50_000)
+            .map(|i| ((i * 7919) % 1000) as f64 * 0.1 - 40.0)
+            .collect();
         let (a, _) = scan_on_gpu(&gpu, &input, &Sum, &ScanSpec::inclusive(), &params(1));
         let (b, _) = scan_on_gpu(&gpu, &input, &Sum, &ScanSpec::inclusive(), &params(1));
         assert_eq!(a, b);

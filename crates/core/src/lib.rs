@@ -58,13 +58,13 @@ pub mod simd;
 pub mod validate;
 
 pub use adapt::{Cost, DriverPhase, Geometry, TuningStore};
+pub use carry::CarrySemigroup;
 pub use chunk_kernel::{ChunkKernel, SegmentHandoff};
 pub use config::{ScanKind, ScanSpec, SpecError};
 pub use element::{IntElement, ScanElement};
 pub use isa::Isa;
 pub use kernel::{AuxMode, CarryPropagation, SamParams, SamRunInfo};
 pub use obs::{Phase, ScanReport, Span, TraceSink, WaitHistogram};
-pub use carry::CarrySemigroup;
 pub use op::{LinRec, LinRecError, ScanOp};
 pub use plan::{CarryState, CarryStateError, Engine, PlanHint, ScanPlan, ScanSession};
 

@@ -139,10 +139,13 @@ impl WaitHistogram {
     /// Inclusive upper bound (microseconds) of the highest non-empty
     /// bucket, or `None` for an empty histogram.
     pub fn max_bound_us(&self) -> Option<u64> {
-        self.buckets
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| if i >= 63 { u64::MAX } else { (1u64 << i) - 1 })
+        self.buckets.iter().rposition(|&c| c > 0).map(|i| {
+            if i >= 63 {
+                u64::MAX
+            } else {
+                (1u64 << i) - 1
+            }
+        })
     }
 }
 
@@ -551,7 +554,11 @@ mod tests {
         assert_eq!(spans[0].worker, 1);
         assert_eq!(spans[0].chunk, 7);
         assert_eq!(spans[0].phase, Phase::CarryWait);
-        assert_eq!(sink.drain_wait_hist().total(), 1, "wait spans feed the histogram");
+        assert_eq!(
+            sink.drain_wait_hist().total(),
+            1,
+            "wait spans feed the histogram"
+        );
         assert!(sink.drain_spans().is_empty(), "drain empties the sink");
     }
 

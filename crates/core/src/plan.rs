@@ -179,10 +179,7 @@ impl PlanHint {
 enum PlanExec {
     Serial,
     Cpu(CpuScanner),
-    Gpu {
-        gpu: Arc<Gpu>,
-        params: SamParams,
-    },
+    Gpu { gpu: Arc<Gpu>, params: SamParams },
 }
 
 impl std::fmt::Debug for PlanExec {
@@ -875,7 +872,8 @@ impl<T: Pod64, Op: ChunkKernel<T>> ScanSession<T, Op> {
                     dur_us: wall_us,
                 });
                 let delta = self.plan.metrics_snapshot(&sink).since(&before);
-                self.plan.finish_report(&sink, engine, n, t0, wall_us, delta);
+                self.plan
+                    .finish_report(&sink, engine, n, t0, wall_us, delta);
             }
         }
         &self.out_buf[..n]
@@ -1208,7 +1206,9 @@ impl CarryState {
             Ok(head)
         }
         fn take_arr<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], CarryStateError> {
-            take(bytes, N)?.try_into().map_err(|_| CarryStateError::Truncated)
+            take(bytes, N)?
+                .try_into()
+                .map_err(|_| CarryStateError::Truncated)
         }
         fn take_u64(bytes: &mut &[u8]) -> Result<u64, CarryStateError> {
             Ok(u64::from_le_bytes(take_arr::<8>(bytes)?))
@@ -1238,11 +1238,10 @@ impl CarryState {
             expected: 0,
             got: usize::MAX,
         })?;
-        let spec = ScanSpec::new(kind, order, tuple)
-            .map_err(|_| CarryStateError::BadLength {
-                expected: 0,
-                got: (order as usize).saturating_mul(tuple),
-            })?;
+        let spec = ScanSpec::new(kind, order, tuple).map_err(|_| CarryStateError::BadLength {
+            expected: 0,
+            got: (order as usize).saturating_mul(tuple),
+        })?;
         let elements_seen = take_u64(&mut rest)?;
         let op_fingerprint = take_u64(&mut rest)?;
         // A combine-family checkpoint carries no coefficients, so its
@@ -1386,7 +1385,9 @@ mod tests {
     }
 
     fn floats(n: usize) -> Vec<f64> {
-        (0..n).map(|i| ((i * 73 % 41) as f64) * 0.125 - 2.0).collect()
+        (0..n)
+            .map(|i| ((i * 73 % 41) as f64) * 0.125 - 2.0)
+            .collect()
     }
 
     fn engines() -> Vec<Engine> {
@@ -1442,7 +1443,11 @@ mod tests {
         let input = ints(10_000);
         for spec in [
             ScanSpec::inclusive(),
-            ScanSpec::exclusive().with_order(3).unwrap().with_tuple(4).unwrap(),
+            ScanSpec::exclusive()
+                .with_order(3)
+                .unwrap()
+                .with_tuple(4)
+                .unwrap(),
         ] {
             for engine in engines() {
                 let plan = ScanPlan::new(spec, engine, PlanHint::default());
@@ -1502,7 +1507,11 @@ mod tests {
 
     #[test]
     fn carry_state_roundtrips_through_bytes() {
-        let spec = ScanSpec::exclusive().with_order(2).unwrap().with_tuple(3).unwrap();
+        let spec = ScanSpec::exclusive()
+            .with_order(2)
+            .unwrap()
+            .with_tuple(3)
+            .unwrap();
         let plan = ScanPlan::new(spec, Engine::Serial, PlanHint::default());
         let mut session = plan.session::<i64, _>(Sum);
         session.feed(&ints(100));
@@ -1516,7 +1525,10 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_malformed_input() {
-        assert_eq!(CarryState::from_bytes(b"SAM"), Err(CarryStateError::Truncated));
+        assert_eq!(
+            CarryState::from_bytes(b"SAM"),
+            Err(CarryStateError::Truncated)
+        );
         assert_eq!(
             CarryState::from_bytes(b"XXXX\x01\x00more"),
             Err(CarryStateError::BadMagic)
@@ -1542,7 +1554,11 @@ mod tests {
     #[test]
     fn resume_continues_bit_exactly_on_every_engine() {
         let input = ints(8_000);
-        let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(2).unwrap();
+        let spec = ScanSpec::inclusive()
+            .with_order(2)
+            .unwrap()
+            .with_tuple(2)
+            .unwrap();
         for engine in engines() {
             let plan = ScanPlan::new(spec, engine, PlanHint::default());
             let expect = plan.scan(&input, &Sum);
@@ -1609,11 +1625,14 @@ mod tests {
             let op = crate::op::LinRec::new(coeffs.clone()).unwrap();
             for tuple in [1usize, 3] {
                 let spec = ScanSpec::new(kind, coeffs.len() as u32, tuple).unwrap();
-                let expect =
-                    recurrence_oracle(&input, &coeffs, tuple, kind == ScanKind::Exclusive);
+                let expect = recurrence_oracle(&input, &coeffs, tuple, kind == ScanKind::Exclusive);
                 for engine in engines() {
                     let plan = ScanPlan::new(spec, engine, PlanHint::default());
-                    assert_eq!(plan.scan(&input, &op), expect, "{coeffs:?} s={tuple} {plan:?}");
+                    assert_eq!(
+                        plan.scan(&input, &op),
+                        expect,
+                        "{coeffs:?} s={tuple} {plan:?}"
+                    );
                 }
             }
         }
@@ -1623,7 +1642,11 @@ mod tests {
     fn recurrence_sessions_stream_and_resume_on_every_engine() {
         let input = ints(9_000);
         let op = crate::op::LinRec::new(vec![2i64, 7]).unwrap();
-        let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(3).unwrap();
+        let spec = ScanSpec::inclusive()
+            .with_order(2)
+            .unwrap()
+            .with_tuple(3)
+            .unwrap();
         let expect = recurrence_oracle(&input, &[2, 7], 3, false);
         for engine in engines() {
             let plan = ScanPlan::new(spec, engine, PlanHint::default());

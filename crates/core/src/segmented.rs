@@ -371,12 +371,7 @@ where
     if !(spec.is_first_order() && spec.tuple() == 1 && spec.kind() == ScanKind::Inclusive) {
         return Err(SegmentedError::UnsupportedSpec(spec));
     }
-    scratch.extend(
-        values
-            .iter()
-            .zip(heads)
-            .map(|(&v, &h)| Packed32::new(h, v)),
-    );
+    scratch.extend(values.iter().zip(heads).map(|(&v, &h)| Packed32::new(h, v)));
     out.extend(session.feed(scratch).iter().map(Packed32::value));
     Ok(())
 }
@@ -507,7 +502,11 @@ mod tests {
             // Irregular batch sizes, so segments straddle batch boundaries.
             for batch in [7usize, 613, 1, 999, 2380] {
                 let end = (i + batch).min(n);
-                got.extend(feed_segmented(&mut session, &values[i..end], &heads[i..end]));
+                got.extend(feed_segmented(
+                    &mut session,
+                    &values[i..end],
+                    &heads[i..end],
+                ));
                 i = end;
             }
             assert_eq!(i, n);
@@ -558,9 +557,16 @@ mod tests {
             let mut got = Vec::new();
             for start in (0..n).step_by(period) {
                 let end = start + period;
-                got.extend(feed_segmented(&mut session, &values[start..end], &heads[start..end]));
+                got.extend(feed_segmented(
+                    &mut session,
+                    &values[start..end],
+                    &heads[start..end],
+                ));
             }
-            assert_eq!(got, expect, "head-aligned batches must not absorb stale carry");
+            assert_eq!(
+                got, expect,
+                "head-aligned batches must not absorb stale carry"
+            );
         }
     }
 
@@ -591,7 +597,11 @@ mod tests {
             let mut i = 0;
             for batch in [129usize, 1, 770, 64, 2036] {
                 let end = (i + batch).min(n);
-                got.extend(feed_segmented(&mut session, &values[i..end], &heads[i..end]));
+                got.extend(feed_segmented(
+                    &mut session,
+                    &values[i..end],
+                    &heads[i..end],
+                ));
                 i = end;
             }
             assert_eq!(i, n);
@@ -632,7 +642,10 @@ mod tests {
         let (mut scratch, mut out) = (Vec::new(), Vec::new());
         assert_eq!(
             try_feed_segmented_into(&mut session, &[1i32, 2], &[true], &mut scratch, &mut out),
-            Err(SegmentedError::LengthMismatch { values: 2, heads: 1 })
+            Err(SegmentedError::LengthMismatch {
+                values: 2,
+                heads: 1
+            })
         );
 
         let spec = crate::ScanSpec::inclusive().with_order(2).unwrap();
@@ -653,13 +666,18 @@ mod tests {
         );
         let mut session = plan.session(SegmentedOp::new(Sum));
         let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        try_feed_segmented_into(&mut session, &[10i32, 20], &[true, false], &mut scratch, &mut out)
-            .unwrap();
+        try_feed_segmented_into(
+            &mut session,
+            &[10i32, 20],
+            &[true, false],
+            &mut scratch,
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(out, vec![10, 30]);
         // A rejected request feeds nothing: the open segment's carry
         // still applies to the next well-formed batch.
-        let err =
-            try_feed_segmented_into(&mut session, &[99i32], &[], &mut scratch, &mut out);
+        let err = try_feed_segmented_into(&mut session, &[99i32], &[], &mut scratch, &mut out);
         assert!(err.is_err());
         assert!(out.is_empty(), "failed request leaves no partial output");
         try_feed_segmented_into(&mut session, &[5i32], &[false], &mut scratch, &mut out).unwrap();

@@ -252,16 +252,8 @@ mod tests {
     #[test]
     fn higher_order_exclusive_is_shift_of_inclusive() {
         let input = [5i64, -1, 2, 7, 0, 3, 3, -2];
-        let inc = scan(
-            &input,
-            &Sum,
-            &ScanSpec::inclusive().with_order(3).unwrap(),
-        );
-        let exc = scan(
-            &input,
-            &Sum,
-            &ScanSpec::exclusive().with_order(3).unwrap(),
-        );
+        let inc = scan(&input, &Sum, &ScanSpec::inclusive().with_order(3).unwrap());
+        let exc = scan(&input, &Sum, &ScanSpec::exclusive().with_order(3).unwrap());
         // Exclusive = inclusive of the previous element of the same lane;
         // for tuple 1 that is a shift with identity at the front, applied
         // to the order-2 intermediate... easiest check: recombine.

@@ -351,12 +351,7 @@ pub fn vertical_from<T: ScanElement>(
 ///
 /// Panics if `s` is zero or `state.len()` is not a positive multiple of
 /// `s`.
-pub fn vertical_totals<T: ScanElement>(
-    isa: Isa,
-    src: &[T],
-    s: usize,
-    state: &mut [T],
-) -> bool {
+pub fn vertical_totals<T: ScanElement>(isa: Isa, src: &[T], s: usize, state: &mut [T]) -> bool {
     check_vertical(s, state.len());
     let (rows, q) = (src.len() / s, state.len() / s);
     let op = VertOp::Totals {
@@ -811,7 +806,11 @@ fn swar_word_add<const W: usize>(a: u64, b: u64) -> u64 {
 unsafe fn swar_scan<const W: usize>(src: *const u8, dst: *mut u8, n: usize, carry0: u64) -> u64 {
     debug_assert!(W == 1 || W == 2);
     let lanes = 8 / W;
-    let bcast: u64 = if W == 1 { 0x0101_0101_0101_0101 } else { 0x0001_0001_0001_0001 };
+    let bcast: u64 = if W == 1 {
+        0x0101_0101_0101_0101
+    } else {
+        0x0001_0001_0001_0001
+    };
     let top_shift = (64 - 8 * W) as u32;
     let mut cb = carry0.wrapping_mul(bcast);
     let words = n / lanes;
@@ -1057,7 +1056,13 @@ trait RowOps {
 
 /// Scalar remainder shared by every family's strip loops.
 #[inline(always)]
-unsafe fn scalar_add2<const W: usize>(dst: *mut u8, a: *const u8, b: *const u8, mut off: usize, bytes: usize) {
+unsafe fn scalar_add2<const W: usize>(
+    dst: *mut u8,
+    a: *const u8,
+    b: *const u8,
+    mut off: usize,
+    bytes: usize,
+) {
     while off < bytes {
         let v = lane_add::<W>(lane_load::<W>(a.add(off)), lane_load::<W>(b.add(off)));
         lane_store::<W>(dst.add(off), v);
@@ -1076,7 +1081,9 @@ impl RowOps for SwarRows {
         while off + 8 <= bytes {
             let va = a.add(off).cast::<u64>().read_unaligned();
             let vb = b.add(off).cast::<u64>().read_unaligned();
-            dst.add(off).cast::<u64>().write_unaligned(swar_word_add::<W>(va, vb));
+            dst.add(off)
+                .cast::<u64>()
+                .write_unaligned(swar_word_add::<W>(va, vb));
             off += 8;
         }
         scalar_add2::<W>(dst, a, b, off, bytes);
@@ -1108,7 +1115,12 @@ unsafe fn vertical_from_rows<F: RowOps, const W: usize>(
         if exclusive {
             std::ptr::copy_nonoverlapping(state.cast_const(), dst, b);
             for r in 1..rows {
-                F::add2::<W>(dst.add(r * b), dst.add((r - 1) * b), src.add((r - 1) * b), b);
+                F::add2::<W>(
+                    dst.add(r * b),
+                    dst.add((r - 1) * b),
+                    src.add((r - 1) * b),
+                    b,
+                );
             }
             F::add2::<W>(state, dst.add((rows - 1) * b), src.add((rows - 1) * b), b);
         } else {
@@ -1128,7 +1140,12 @@ unsafe fn vertical_from_rows<F: RowOps, const W: usize>(
         }
         F::add2::<W>(state, state.cast_const(), srow, b);
         for i in 1..q {
-            F::add2::<W>(state.add(i * b), state.add(i * b).cast_const(), state.add((i - 1) * b).cast_const(), b);
+            F::add2::<W>(
+                state.add(i * b),
+                state.add(i * b).cast_const(),
+                state.add((i - 1) * b).cast_const(),
+                b,
+            );
         }
         if !exclusive {
             std::ptr::copy_nonoverlapping(top.cast_const(), drow, b);
@@ -1148,7 +1165,12 @@ unsafe fn vertical_totals_rows<F: RowOps, const W: usize>(
     for r in 0..rows {
         F::add2::<W>(state, state.cast_const(), src.add(r * b), b);
         for i in 1..q {
-            F::add2::<W>(state.add(i * b), state.add(i * b).cast_const(), state.add((i - 1) * b).cast_const(), b);
+            F::add2::<W>(
+                state.add(i * b),
+                state.add(i * b).cast_const(),
+                state.add((i - 1) * b).cast_const(),
+                b,
+            );
         }
     }
 }
@@ -1172,7 +1194,11 @@ macro_rules! vertical_runner {
 
 vertical_runner!(run_vert_swar, SwarRows);
 #[cfg(target_arch = "x86_64")]
-vertical_runner!(#[target_feature(enable = "avx2")] run_vert_avx2, x86::Avx2Rows);
+vertical_runner!(
+    #[target_feature(enable = "avx2")]
+    run_vert_avx2,
+    x86::Avx2Rows
+);
 #[cfg(target_arch = "x86_64")]
 vertical_runner!(
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
@@ -2127,7 +2153,9 @@ mod tests {
         let mut s = seed | 1;
         (0..n)
             .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (s >> 33) as u8
             })
             .collect()
@@ -2143,7 +2171,10 @@ mod tests {
             let mut dst = vec![0i64; 100];
             assert_eq!(stride1_from(isa, &src, &mut dst, 0), None, "{isa}");
             let mut state = vec![0i64; 4];
-            assert!(!vertical_from(isa, &src, &mut dst, 4, &mut state, false), "{isa}");
+            assert!(
+                !vertical_from(isa, &src, &mut dst, 4, &mut state, false),
+                "{isa}"
+            );
             assert!(!vertical_totals(isa, &src, 4, &mut state), "{isa}");
         }
     }
@@ -2155,15 +2186,21 @@ mod tests {
         for &a in &vals {
             for &b in &vals {
                 for lane in 0..8 {
-                    let wa = (a as u64) << (8 * lane) | 0x2323_2323_2323_2323 & !(0xffu64 << (8 * lane));
-                    let wb = (b as u64) << (8 * lane) | 0x4545_4545_4545_4545 & !(0xffu64 << (8 * lane));
+                    let wa =
+                        (a as u64) << (8 * lane) | 0x2323_2323_2323_2323 & !(0xffu64 << (8 * lane));
+                    let wb =
+                        (b as u64) << (8 * lane) | 0x4545_4545_4545_4545 & !(0xffu64 << (8 * lane));
                     let got = swar_word_add::<1>(wa, wb);
                     let lane_got = (got >> (8 * lane)) as u8;
                     assert_eq!(lane_got, a.wrapping_add(b), "a={a:#x} b={b:#x} lane={lane}");
                     // Unrelated lanes untouched by carries.
                     for other in (0..8).filter(|&o| o != lane) {
                         let g = (got >> (8 * other)) as u8;
-                        assert_eq!(g, 0x23u8.wrapping_add(0x45), "carry leaked into lane {other}");
+                        assert_eq!(
+                            g,
+                            0x23u8.wrapping_add(0x45),
+                            "carry leaked into lane {other}"
+                        );
                     }
                 }
             }
@@ -2190,11 +2227,13 @@ mod tests {
         }
         for n in [0usize, 1, 3, 4, 5, 8, 9, 500] {
             let raw = bytes(n * 2, 99);
-            let data: Vec<u16> = raw.chunks(2).map(|c| u16::from_le_bytes([c[0], c[1]])).collect();
+            let data: Vec<u16> = raw
+                .chunks(2)
+                .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                .collect();
             let mut dst = vec![0u16; n];
-            let got = unsafe {
-                swar_scan::<2>(data.as_ptr().cast(), dst.as_mut_ptr().cast(), n, 0x1234)
-            };
+            let got =
+                unsafe { swar_scan::<2>(data.as_ptr().cast(), dst.as_mut_ptr().cast(), n, 0x1234) };
             let mut c = 0x1234u16;
             let expect: Vec<u16> = data
                 .iter()
@@ -2214,7 +2253,14 @@ mod tests {
         let mut dst = [0i64; 3];
         assert_eq!(stride1_from(Isa::Scalar, &src, &mut dst, 0), None);
         let mut state = [0i64; 2];
-        assert!(!vertical_from(Isa::Scalar, &src[..2], &mut dst[..2], 2, &mut state, false));
+        assert!(!vertical_from(
+            Isa::Scalar,
+            &src[..2],
+            &mut dst[..2],
+            2,
+            &mut state,
+            false
+        ));
         assert!(!vertical_totals(Isa::Scalar, &src[..2], 2, &mut state));
     }
 

@@ -36,7 +36,11 @@ pub enum Law {
 
 impl<T: std::fmt::Debug> std::fmt::Display for Violation<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:?} violated by witnesses {:?}", self.law, self.witnesses)
+        write!(
+            f,
+            "{:?} violated by witnesses {:?}",
+            self.law, self.witnesses
+        )
     }
 }
 

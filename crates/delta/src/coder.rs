@@ -235,7 +235,12 @@ mod tests {
         let values: Vec<i64> = (0..4000).map(|i| i * i / 7 + 3 * i).collect();
         let c1 = DeltaCodec::new(1, 1).unwrap().compress(&values);
         let c3 = DeltaCodec::new(3, 1).unwrap().compress(&values);
-        assert!(c3.len() < c1.len(), "order 3 {} vs order 1 {}", c3.len(), c1.len());
+        assert!(
+            c3.len() < c1.len(),
+            "order 3 {} vs order 1 {}",
+            c3.len(),
+            c1.len()
+        );
     }
 
     #[test]

@@ -134,7 +134,11 @@ mod tests {
     use crate::encode::{encode_direct, encode_iterated};
 
     fn spec(q: u32, s: usize) -> ScanSpec {
-        ScanSpec::inclusive().with_order(q).unwrap().with_tuple(s).unwrap()
+        ScanSpec::inclusive()
+            .with_order(q)
+            .unwrap()
+            .with_tuple(s)
+            .unwrap()
     }
 
     fn waveform(n: usize) -> Vec<i64> {

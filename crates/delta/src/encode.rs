@@ -52,7 +52,9 @@ pub fn encode_direct<T: ScanElement>(input: &[T], spec: &ScanSpec) -> Vec<T> {
         .map(|(k, &v)| {
             let mut acc = v; // j = 0 term: C(q,0) = 1.
             for (j, &c) in coeff.iter().enumerate().skip(1) {
-                let Some(idx) = k.checked_sub(j * s) else { break };
+                let Some(idx) = k.checked_sub(j * s) else {
+                    break;
+                };
                 let mut term = T::ZERO;
                 for _ in 0..c {
                     term = term.add(input[idx]);
@@ -87,7 +89,11 @@ mod tests {
     use super::*;
 
     fn spec(q: u32, s: usize) -> ScanSpec {
-        ScanSpec::inclusive().with_order(q).unwrap().with_tuple(s).unwrap()
+        ScanSpec::inclusive()
+            .with_order(q)
+            .unwrap()
+            .with_tuple(s)
+            .unwrap()
     }
 
     /// The worked example of Section 1.

@@ -154,7 +154,10 @@ mod tests {
         let img = vertical_gradient(128, 64);
         let (bytes, predictor) = ImageCodec.compress(&img).expect("compresses");
         assert_eq!(predictor, Predictor::Left);
-        assert_eq!(ImageCodec.decompress(&bytes, 128, 64).expect("decodes"), img);
+        assert_eq!(
+            ImageCodec.decompress(&bytes, 128, 64).expect("decodes"),
+            img
+        );
     }
 
     #[test]

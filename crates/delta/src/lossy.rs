@@ -137,10 +137,7 @@ mod tests {
                 .unwrap();
             // Feedback quantization keeps the error within one step
             // (no drift), unlike open-loop differential coding.
-            assert!(
-                max_err <= step as i32,
-                "step {step}: max error {max_err}"
-            );
+            assert!(max_err <= step as i32, "step {step}: max error {max_err}");
         }
     }
 
@@ -149,7 +146,10 @@ mod tests {
         let samples = tone(8000);
         let coarse = LossyCodec::new(256).snr_db(&samples);
         let fine = LossyCodec::new(16).snr_db(&samples);
-        assert!(fine > coarse + 10.0, "fine {fine:.1} dB vs coarse {coarse:.1} dB");
+        assert!(
+            fine > coarse + 10.0,
+            "fine {fine:.1} dB vs coarse {coarse:.1} dB"
+        );
     }
 
     #[test]
@@ -162,7 +162,10 @@ mod tests {
             .collect();
         let small = LossyCodec::new(512).compressed_size(&samples);
         let large = LossyCodec::new(8).compressed_size(&samples);
-        assert!(small < large, "coarser steps give smaller streams: {small} vs {large}");
+        assert!(
+            small < large,
+            "coarser steps give smaller streams: {small} vs {large}"
+        );
     }
 
     #[test]

@@ -164,7 +164,9 @@ mod tests {
     #[test]
     fn chooses_tuple_models_for_interleaved_data() {
         // Two interleaved channels with very different levels.
-        let data: Vec<i64> = (0..3000).flat_map(|i| [1_000_000 + i, -1_000_000 - i]).collect();
+        let data: Vec<i64> = (0..3000)
+            .flat_map(|i| [1_000_000 + i, -1_000_000 - i])
+            .collect();
         let best = choose_model(&data, 3, &[1, 2, 3]).unwrap();
         assert_eq!(best.tuple, 2, "chose {best:?}");
     }

@@ -12,7 +12,6 @@
 //! paper, and the two evaluation devices (K40, Titan X) additionally carry
 //! the parameters quoted in Section 4 (Experimental Methodology).
 
-
 /// NVIDIA GPU architecture generations covered by Table 1 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Generation {
@@ -311,7 +310,12 @@ mod tests {
     }
 }
 
-serde::impl_serialize_unit_enum!(Generation { Tesla, Fermi, Kepler, Maxwell });
+serde::impl_serialize_unit_enum!(Generation {
+    Tesla,
+    Fermi,
+    Kepler,
+    Maxwell
+});
 serde::impl_serialize_struct!(DeviceSpec {
     name,
     generation,

@@ -193,8 +193,7 @@ impl Gpu {
                     // raises the cancellation flag if this block panics, so
                     // sibling blocks stuck polling a flag this block will
                     // never publish unwind instead of spinning forever.
-                    let _guard =
-                        sched::enter_block(b, blocks, sched, Arc::clone(cancelled));
+                    let _guard = sched::enter_block(b, blocks, sched, Arc::clone(cancelled));
                     let mut ctx = BlockContext::new(
                         b,
                         blocks,

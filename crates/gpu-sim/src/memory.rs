@@ -174,7 +174,9 @@ impl<T: DeviceCopy> GlobalBuffer<T> {
     /// Copies the whole buffer back to the host. Not instrumented.
     pub fn to_vec(&self) -> Vec<T> {
         // SAFETY: called after kernels complete (launches join all blocks).
-        (0..self.len()).map(|i| unsafe { *self.data[i].get() }).collect()
+        (0..self.len())
+            .map(|i| unsafe { *self.data[i].get() })
+            .collect()
     }
 
     /// Uninstrumented single-element read (host-side or debugging use).
@@ -458,7 +460,11 @@ impl AtomicWordBuffer {
                 self.words[start + j].store(v.to_bits(), Ordering::Release);
             }
         });
-        m.add_write(AccessClass::Aux, contiguous_transactions(vals.len(), 8), vals.len() as u64);
+        m.add_write(
+            AccessClass::Aux,
+            contiguous_transactions(vals.len(), 8),
+            vals.len() as u64,
+        );
     }
 
     /// Coalesced read of several words at once (e.g. the up-to-`k-1` local
@@ -480,7 +486,11 @@ impl AtomicWordBuffer {
                 *slot = T::from_bits(word.load(Ordering::Acquire));
             }
         });
-        m.add_read(AccessClass::Aux, contiguous_transactions(out.len(), 8), out.len() as u64);
+        m.add_read(
+            AccessClass::Aux,
+            contiguous_transactions(out.len(), 8),
+            out.len() as u64,
+        );
     }
 }
 

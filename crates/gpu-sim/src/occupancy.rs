@@ -72,7 +72,10 @@ impl DeviceSpec {
     /// Panics if `res.threads_per_block` is zero or exceeds the device
     /// limit.
     pub fn occupancy(&self, res: &KernelResources) -> Occupancy {
-        assert!(res.threads_per_block > 0, "threads_per_block must be positive");
+        assert!(
+            res.threads_per_block > 0,
+            "threads_per_block must be positive"
+        );
         assert!(
             res.threads_per_block <= self.threads_per_block,
             "threads_per_block {} exceeds device limit {}",
@@ -128,11 +131,7 @@ mod tests {
                 threads_per_block: spec.threads_per_block,
             };
             let occ = spec.occupancy(&res);
-            assert_eq!(
-                occ.blocks_per_sm, spec.min_blocks_per_sm,
-                "{}",
-                spec.name
-            );
+            assert_eq!(occ.blocks_per_sm, spec.min_blocks_per_sm, "{}", spec.name);
             assert!((occ.fraction - 1.0).abs() < 1e-9, "{}", spec.name);
         }
     }
@@ -190,7 +189,12 @@ mod tests {
     }
 }
 
-serde::impl_serialize_unit_enum!(Limiter { Registers, SharedMemory, ThreadSlots, BlockSlots });
+serde::impl_serialize_unit_enum!(Limiter {
+    Registers,
+    SharedMemory,
+    ThreadSlots,
+    BlockSlots
+});
 serde::impl_serialize_struct!(KernelResources {
     registers_per_thread,
     shared_bytes_per_block,

@@ -365,8 +365,8 @@ impl PerfModel {
     pub fn estimate_energy(&self, profile: &RunProfile, perf: &PerfEstimate) -> EnergyEstimate {
         let m = &profile.metrics;
         let static_joules = self.spec.tdp_watts * STATIC_POWER_FRACTION * perf.seconds;
-        let bytes = (m.elem_transactions() + m.aux_transactions() + m.spill_transactions) as f64
-            * 32.0; // sector-level DRAM/L2 traffic
+        let bytes =
+            (m.elem_transactions() + m.aux_transactions() + m.spill_transactions) as f64 * 32.0; // sector-level DRAM/L2 traffic
         let dram_joules = bytes * DRAM_PJ_PER_BYTE * 1e-12;
         let ops = m.compute_ops as f64 + m.shuffles as f64 + m.shared_accesses as f64;
         let compute_joules = ops * CORE_PJ_PER_OP * 1e-12;
@@ -466,7 +466,11 @@ mod tests {
             n,
             2,
             1,
-            CarryScheme::SamDecoupled { k: 48, chunks, orders: 1 },
+            CarryScheme::SamDecoupled {
+                k: 48,
+                chunks,
+                orders: 1,
+            },
         ));
         let chained = model.estimate(&profile(n, 2, 1, CarryScheme::Chained { k: 48, chunks }));
         assert!(chained.seconds > sam.seconds);
@@ -486,9 +490,18 @@ mod tests {
             n,
             2,
             1,
-            CarryScheme::SamDecoupled { k: 48, chunks: 4, orders: 1 },
+            CarryScheme::SamDecoupled {
+                k: 48,
+                chunks: 4,
+                orders: 1,
+            },
         ));
-        let cub = model.estimate(&profile(n, 2, 1, CarryScheme::Lookback { k: 48, chunks: 4 }));
+        let cub = model.estimate(&profile(
+            n,
+            2,
+            1,
+            CarryScheme::Lookback { k: 48, chunks: 4 },
+        ));
         assert!(cub.fill_seconds < sam.fill_seconds);
         assert!(cub.seconds < sam.seconds);
     }
@@ -497,7 +510,16 @@ mod tests {
     fn higher_order_compute_shifts_bound() {
         let model = PerfModel::new(DeviceSpec::titan_x());
         let n = 1u64 << 26;
-        let mut p = profile(n, 2, 1, CarryScheme::SamDecoupled { k: 48, chunks: n / 16384, orders: 8 });
+        let mut p = profile(
+            n,
+            2,
+            1,
+            CarryScheme::SamDecoupled {
+                k: 48,
+                chunks: n / 16384,
+                orders: 8,
+            },
+        );
         // Eight iterations of compute, one round of memory.
         p.metrics.compute_ops = n * 8 * 8;
         let est = model.estimate(&p);
@@ -506,7 +528,11 @@ mod tests {
             n,
             2,
             1,
-            CarryScheme::SamDecoupled { k: 48, chunks: n / 16384, orders: 1 },
+            CarryScheme::SamDecoupled {
+                k: 48,
+                chunks: n / 16384,
+                orders: 1,
+            },
         ));
         assert!(est.seconds > order1.seconds);
         // But far less than 8x slower: memory was touched only once.
@@ -546,7 +572,12 @@ mod tests {
     }
 }
 
-serde::impl_serialize_unit_enum!(Bound { Memory, Compute, Overhead, SerialChain });
+serde::impl_serialize_unit_enum!(Bound {
+    Memory,
+    Compute,
+    Overhead,
+    SerialChain
+});
 serde::impl_serialize_struct!(AlgoTuning {
     mem_efficiency,
     ramp_n_half,
@@ -604,7 +635,8 @@ impl serde::Serialize for CarryScheme {
                 sv.end()
             }
             CarryScheme::Lookback { k, chunks } => {
-                let mut sv = serializer.serialize_struct_variant("CarryScheme", 3, "Lookback", 2)?;
+                let mut sv =
+                    serializer.serialize_struct_variant("CarryScheme", 3, "Lookback", 2)?;
                 sv.serialize_field("k", k)?;
                 sv.serialize_field("chunks", chunks)?;
                 sv.end()

@@ -123,7 +123,10 @@ impl Recording {
             ));
         }
         if self.dropped > 0 {
-            out.push_str(&format!("  ... {} operations beyond the recording cap\n", self.dropped));
+            out.push_str(&format!(
+                "  ... {} operations beyond the recording cap\n",
+                self.dropped
+            ));
         }
         out
     }
@@ -292,10 +295,7 @@ impl Replay {
                 std::panic::panic_any(Cancelled);
             }
             let tick = Duration::from_millis(50);
-            let (next, timeout) = self
-                .turn
-                .wait_timeout(cur, tick)
-                .expect("replay cursor");
+            let (next, timeout) = self.turn.wait_timeout(cur, tick).expect("replay cursor");
             cur = next;
             if timeout.timed_out() {
                 waited += tick;
@@ -604,7 +604,13 @@ pub fn with_hook<R>(point: HookPoint, op: impl FnOnce() -> R) -> R {
             let block_seq = s.local_seq;
             s.local_seq += 1;
             s.rng = xorshift64(s.rng);
-            (s.block, block_seq, s.rng, s.sched.clone(), Arc::clone(&s.cancel))
+            (
+                s.block,
+                block_seq,
+                s.rng,
+                s.sched.clone(),
+                Arc::clone(&s.cancel),
+            )
         })
     });
     let Some((block, block_seq, rand, sched, cancel)) = ctx else {

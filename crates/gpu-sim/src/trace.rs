@@ -12,8 +12,8 @@
 //! [`Gpu::with_trace`](crate::Gpu::with_trace); the disabled path is a
 //! single `Option` check per emission site.
 
-use std::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// What happened.
@@ -225,10 +225,7 @@ mod tests {
         let log = EventLog::new();
         log.emit(0, 5, EventKind::ChunkStart);
         log.emit(0, 5, EventKind::ChunkDone);
-        assert_eq!(
-            log.first_seq(|e| e.kind == EventKind::ChunkDone),
-            Some(1)
-        );
+        assert_eq!(log.first_seq(|e| e.kind == EventKind::ChunkDone), Some(1));
         assert_eq!(log.first_seq(|e| e.chunk == 99), None);
     }
 

@@ -213,7 +213,9 @@ impl Lane {
             self.combine(shared, queue);
             return lock(&self.queue);
         }
-        self.idle.wait(queue).unwrap_or_else(PoisonError::into_inner)
+        self.idle
+            .wait(queue)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Claims the combining role (the caller checked
@@ -533,9 +535,7 @@ fn run_single<Op: ChunkKernel<i32>>(
         None => session.reset(),
     }
     let values = session.feed(&request.values).to_vec();
-    let checkpoint = request
-        .streaming
-        .then(|| session.carry_state().to_bytes());
+    let checkpoint = request.streaming.then(|| session.carry_state().to_bytes());
     Ok(ScanOutput { values, checkpoint })
 }
 
@@ -761,7 +761,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, RequestError::TooLarge { elems: 9, max: 8 });
         // The service still works after rejections.
-        assert_eq!(service.scan(ScanRequest::inclusive("t", vec![7])).unwrap(), vec![7]);
+        assert_eq!(
+            service.scan(ScanRequest::inclusive("t", vec![7])).unwrap(),
+            vec![7]
+        );
         service.shutdown();
     }
 
@@ -800,7 +803,11 @@ mod tests {
                             .with_recurrence(coeffs.clone()),
                     )
                     .unwrap();
-                assert_eq!(got, serial_linrec(&values, &coeffs, kind), "{coeffs:?} {kind:?}");
+                assert_eq!(
+                    got,
+                    serial_linrec(&values, &coeffs, kind),
+                    "{coeffs:?} {kind:?}"
+                );
             }
         }
         // One lane per coefficient vector, plus none for Sum (never used).
@@ -808,7 +815,10 @@ mod tests {
         let metrics = service.metrics();
         assert_eq!(metrics.lanes["rec[2,-1]"].requests, 2);
         // Plain requests still work, on their own lane.
-        assert_eq!(service.scan(ScanRequest::inclusive("t", vec![7])).unwrap(), vec![7]);
+        assert_eq!(
+            service.scan(ScanRequest::inclusive("t", vec![7])).unwrap(),
+            vec![7]
+        );
         assert_eq!(service.lanes_active(), 5);
         service.shutdown();
     }
@@ -925,7 +935,10 @@ mod tests {
     #[test]
     fn lane_population_is_bounded() {
         let service = ScanService::start(ServiceConfig::default().with_max_lanes(2));
-        assert_eq!(service.scan(ScanRequest::inclusive("t", vec![1])).unwrap(), vec![1]);
+        assert_eq!(
+            service.scan(ScanRequest::inclusive("t", vec![1])).unwrap(),
+            vec![1]
+        );
         service
             .scan(ScanRequest::inclusive("t", vec![1]).with_recurrence(vec![2]))
             .unwrap();
@@ -943,7 +956,10 @@ mod tests {
     #[test]
     fn empty_request_yields_empty_output() {
         let service = ScanService::start(ServiceConfig::default());
-        assert_eq!(service.scan(ScanRequest::inclusive("t", vec![])).unwrap(), vec![]);
+        assert_eq!(
+            service.scan(ScanRequest::inclusive("t", vec![])).unwrap(),
+            vec![]
+        );
         service.shutdown();
     }
 
@@ -993,7 +1009,10 @@ mod tests {
         }
         let metrics = service.metrics();
         assert_eq!(metrics.batches, before + 1, "the members shared one launch");
-        assert_eq!(metrics.lanes["sum"].max_batch_requests, requests.len() as u64);
+        assert_eq!(
+            metrics.lanes["sum"].max_batch_requests,
+            requests.len() as u64
+        );
         // Both plain kinds and the inclusive stream run on one plan.
         assert_eq!(service.plans_cached(), 1);
         service.shutdown();
@@ -1022,16 +1041,22 @@ mod tests {
     fn submit_after_shutdown_is_rejected() {
         let service = ScanService::start(ServiceConfig::default());
         service.shutdown();
-        let err = service.scan(ScanRequest::inclusive("t", vec![1])).unwrap_err();
+        let err = service
+            .scan(ScanRequest::inclusive("t", vec![1]))
+            .unwrap_err();
         assert_eq!(err, RequestError::ShuttingDown);
     }
 
     #[test]
     fn metrics_attribute_per_tenant_and_per_lane() {
         let service = ScanService::start(ServiceConfig::default());
-        service.scan(ScanRequest::inclusive("a", vec![1, 2, 3])).unwrap();
+        service
+            .scan(ScanRequest::inclusive("a", vec![1, 2, 3]))
+            .unwrap();
         service.scan(ScanRequest::inclusive("b", vec![4])).unwrap();
-        service.scan(ScanRequest::inclusive("a", vec![5, 6])).unwrap();
+        service
+            .scan(ScanRequest::inclusive("a", vec![5, 6]))
+            .unwrap();
         service
             .scan(ScanRequest::inclusive("a", vec![1, 1]).with_recurrence(vec![3]))
             .unwrap();

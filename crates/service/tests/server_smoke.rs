@@ -33,9 +33,7 @@ fn connect_with_retry(socket: &std::path::Path) -> Client {
     loop {
         match Client::connect(socket) {
             Ok(client) => return client,
-            Err(_) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20))
-            }
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
             Err(e) => panic!("server never came up on {}: {e}", socket.display()),
         }
     }
@@ -162,11 +160,7 @@ fn concurrent_clients_get_correct_results_and_clean_shutdown() {
                         .scan(&request)
                         .expect("io")
                         .expect("server-side success");
-                    assert_eq!(
-                        got,
-                        oracle(&values, &heads, kind),
-                        "client {c} request {r}"
-                    );
+                    assert_eq!(got, oracle(&values, &heads, kind), "client {c} request {r}");
                 }
             });
         }
@@ -178,7 +172,10 @@ fn concurrent_clients_get_correct_results_and_clean_shutdown() {
     let mut client = connect_with_retry(&socket);
     let bad = ScanRequest::inclusive("bad", vec![1, 2, 3]).with_heads(vec![true]);
     let response = client.scan(&bad).expect("io");
-    assert!(response.is_err(), "undecodable frame must answer with an error");
+    assert!(
+        response.is_err(),
+        "undecodable frame must answer with an error"
+    );
 
     // A well-formed frame the *service* rejects (over the element cap) is
     // a per-request error and the connection keeps serving.
@@ -186,8 +183,13 @@ fn concurrent_clients_get_correct_results_and_clean_shutdown() {
     let response = client
         .scan(&ScanRequest::inclusive("big", vec![0; 5000]))
         .expect("io");
-    assert!(response.is_err(), "oversized request must be an error response");
-    let good = client.scan(&ScanRequest::inclusive("big", vec![1, 2, 3])).expect("io");
+    assert!(
+        response.is_err(),
+        "oversized request must be an error response"
+    );
+    let good = client
+        .scan(&ScanRequest::inclusive("big", vec![1, 2, 3]))
+        .expect("io");
     assert_eq!(good.unwrap(), vec![1, 3, 6]);
 
     // Graceful shutdown: acknowledged, exits 0, socket removed.
@@ -196,9 +198,7 @@ fn concurrent_clients_get_correct_results_and_clean_shutdown() {
     let status = loop {
         match server.try_wait().expect("wait") {
             Some(status) => break status,
-            None if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20))
-            }
+            None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
             None => {
                 let _ = server.kill();
                 panic!("server did not exit after shutdown request");
@@ -250,9 +250,11 @@ fn tcp_mode_serves_mixed_specs_streaming_and_field_bounds() {
     // bouncing with "unsupported spec".
     let values = vec![1, 1, 2, -3, 5, 8];
     let coeffs = vec![1, 1];
-    let request =
-        ScanRequest::inclusive("tcp-fib", values.clone()).with_recurrence(coeffs.clone());
-    let got = client.scan(&request).expect("io").expect("recurrence served");
+    let request = ScanRequest::inclusive("tcp-fib", values.clone()).with_recurrence(coeffs.clone());
+    let got = client
+        .scan(&request)
+        .expect("io")
+        .expect("recurrence served");
     assert_eq!(got, linrec_oracle(&values, &coeffs));
 
     // Streaming: three frames chained by wire checkpoints reproduce the
@@ -291,9 +293,15 @@ fn tcp_mode_serves_mixed_specs_streaming_and_field_bounds() {
     // round trip — no truncated alias ever reaches the server — and the
     // connection stays usable because nothing was written.
     let oversized = ScanRequest::inclusive("t".repeat(70_000), vec![1, 2, 3]);
-    let err = client.send_scan(&oversized).expect_err("oversized tenant must fail");
+    let err = client
+        .send_scan(&oversized)
+        .expect_err("oversized tenant must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert_eq!(client.in_flight(), 0, "refused request left no frame in flight");
+    assert_eq!(
+        client.in_flight(),
+        0,
+        "refused request left no frame in flight"
+    );
 
     // Pipelining: several requests on the wire at once, responses FIFO.
     let depth = 16;
@@ -371,7 +379,11 @@ fn engine_flag_selects_the_scan_engine() {
             let request =
                 ScanRequest::new("engine", kind, values.clone()).with_heads(heads.clone());
             let got = client.scan(&request).expect("io").expect("scan served");
-            assert_eq!(got, oracle(&values, &heads, kind), "--engine {engine} {kind:?}");
+            assert_eq!(
+                got,
+                oracle(&values, &heads, kind),
+                "--engine {engine} {kind:?}"
+            );
         }
         assert!(client.shutdown_server().expect("io").is_ok());
         await_clean_exit(&mut server, engine);

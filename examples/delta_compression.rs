@@ -28,9 +28,9 @@ fn telemetry(frames: usize) -> Vec<i64> {
         .flat_map(|f| {
             let t = f as i64;
             [
-                20_000 + 7 * t,           // channel 0: linear drift
-                -5_000 + t * t / 1000,    // channel 1: slow quadratic
-                1_000 + (rng() % 9) - 4,  // channel 2: nearly constant + jitter
+                20_000 + 7 * t,          // channel 0: linear drift
+                -5_000 + t * t / 1000,   // channel 1: slow quadratic
+                1_000 + (rng() % 9) - 4, // channel 2: nearly constant + jitter
             ]
         })
         .collect()
@@ -41,7 +41,9 @@ fn noise(n: usize) -> Vec<i64> {
     let mut state = 0xabcdef123u64;
     (0..n)
         .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 20) as i64 - (1 << 43)
         })
         .collect()
@@ -49,7 +51,11 @@ fn noise(n: usize) -> Vec<i64> {
 
 fn report(name: &str, data: &[i64], codecs: &[(&str, DeltaCodec)]) {
     let raw_bytes = data.len() * 8;
-    println!("\n{name} ({} values, {} KiB raw)", data.len(), raw_bytes / 1024);
+    println!(
+        "\n{name} ({} values, {} KiB raw)",
+        data.len(),
+        raw_bytes / 1024
+    );
     for (label, codec) in codecs {
         let start = std::time::Instant::now();
         let packed = codec.compress(data);

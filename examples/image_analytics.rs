@@ -29,7 +29,9 @@ fn synthesize() -> GrayImage {
                 amp * (-d2 * 80.0).exp()
             };
             let noise = ((r * 7 + c * 13) % 5) as f64;
-            pixels.push((vignette + blob(-0.2, -0.1, 700.0) + blob(0.25, 0.15, 500.0) + noise) as i32);
+            pixels.push(
+                (vignette + blob(-0.2, -0.1, 700.0) + blob(0.25, 0.15, 500.0) + noise) as i32,
+            );
         }
     }
     GrayImage::new(W, H, pixels)

@@ -57,7 +57,9 @@ fn main() {
     println!(
         "CPU engine  : {} elements with {} workers in {:.1} ms (last = {})",
         big.len(),
-        plan.cpu().expect("adaptive plan owns a CPU engine").workers(),
+        plan.cpu()
+            .expect("adaptive plan owns a CPU engine")
+            .workers(),
         start.elapsed().as_secs_f64() * 1e3,
         scanned.last().expect("non-empty")
     );

@@ -97,5 +97,7 @@ fn main() {
         pcm.len(),
         dt.as_secs_f64() * 1e3
     );
-    println!("decoding = byte-decode + order-2, 2-tuple prefix sum (the paper's Section 1 pipeline)");
+    println!(
+        "decoding = byte-decode + order-2, 2-tuple prefix sum (the paper's Section 1 pipeline)"
+    );
 }

@@ -27,7 +27,9 @@ fn generate(n: usize) -> Vec<Event> {
     let mut state = 0x1234_5678_9abc_def0u64;
     (0..n)
         .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             Event {
                 sensor: ((state >> 48) % 64) as u16,
                 value: ((state >> 16) % 10_000) as i32 - 5_000,
@@ -51,7 +53,13 @@ fn compact(events: &[Event], keep: impl Fn(&Event) -> bool + Sync) -> Vec<Event>
         (Some(&s), Some(&f)) => (s + f) as usize,
         _ => 0,
     };
-    let mut out = vec![Event { sensor: 0, value: 0 }; total];
+    let mut out = vec![
+        Event {
+            sensor: 0,
+            value: 0
+        };
+        total
+    ];
     for (i, e) in events.iter().enumerate() {
         if flags[i] == 1 {
             out[slots[i] as usize] = *e;

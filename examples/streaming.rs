@@ -61,7 +61,9 @@ fn main() {
     // a restart, on another machine, ...) and finish the stream.
     let restored = CarryState::from_bytes(&bytes).expect("well-formed checkpoint");
     let mut second_process = plan.session::<i64, _>(Sum);
-    second_process.resume(&restored).expect("checkpoint matches the plan's spec");
+    second_process
+        .resume(&restored)
+        .expect("checkpoint matches the plan's spec");
     let mut tail = Vec::new();
     for batch in input[split..].chunks(9999) {
         tail.extend_from_slice(second_process.feed(batch));

@@ -28,7 +28,9 @@ fn pattern_i64(n: usize, seed: u64) -> Vec<i64> {
     let mut state = seed | 1;
     (0..n)
         .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 17) as i64
         })
         .collect()
@@ -256,11 +258,7 @@ fn corrupt_store_entry_is_ignored_by_plan_construction() {
 fn no_store_configured_means_no_persistence() {
     let _guard = EnvGuard::unset(TuningStore::ENV_DIR);
     assert!(TuningStore::from_env().is_none());
-    let plan = ScanPlan::new(
-        ScanSpec::inclusive(),
-        Engine::cpu(2),
-        PlanHint::adaptive(),
-    );
+    let plan = ScanPlan::new(ScanSpec::inclusive(), Engine::cpu(2), PlanHint::adaptive());
     assert!(!plan.adaptive_snapshot().unwrap().seeded);
 }
 
@@ -268,7 +266,11 @@ fn no_store_configured_means_no_persistence() {
 /// bit-identical to sessions on a frozen plan, one-shot and streaming.
 #[test]
 fn adaptive_sessions_match_frozen_sessions() {
-    let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(3).unwrap();
+    let spec = ScanSpec::inclusive()
+        .with_order(2)
+        .unwrap()
+        .with_tuple(3)
+        .unwrap();
     let frozen = ScanPlan::new(spec, Engine::cpu(2), PlanHint::default());
     let adaptive = ScanPlan::new(spec, Engine::cpu(2), PlanHint::adaptive());
     let input = pattern_i64(30_000, 17);
@@ -299,11 +301,7 @@ fn adaptive_sessions_match_frozen_sessions() {
 #[test]
 fn traced_adaptive_episodes_are_observed_once() {
     let spec = ScanSpec::inclusive().with_order(2).unwrap();
-    let plan = ScanPlan::new(
-        spec,
-        Engine::cpu(2),
-        PlanHint::adaptive().with_trace(),
-    );
+    let plan = ScanPlan::new(spec, Engine::cpu(2), PlanHint::adaptive().with_trace());
     let input = pattern_i64(20_000, 23);
     let frozen = ScanPlan::new(spec, Engine::cpu(2), PlanHint::default());
     let expected = frozen.scan(&input, &Sum);
@@ -349,7 +347,11 @@ fn conflicting_per_plan_nt_thresholds_are_both_honored() {
         store
             .save(
                 &tuning_key(spec),
-                &StoredTuning { geometry, score: 1.0, episodes: 64 },
+                &StoredTuning {
+                    geometry,
+                    score: 1.0,
+                    episodes: 64,
+                },
             )
             .expect("seed tuning");
     };
@@ -362,12 +364,17 @@ fn conflicting_per_plan_nt_thresholds_are_both_honored() {
     for (plan, nt) in [(&plan_lo, nt_lo), (&plan_hi, nt_hi)] {
         let snap = plan.adaptive_snapshot().unwrap();
         assert!(snap.seeded, "plans start from the stored tunings");
-        assert_eq!(snap.geometry.nt_min_bytes, nt, "each plan keeps its own optimum");
+        assert_eq!(
+            snap.geometry.nt_min_bytes, nt,
+            "each plan keeps its own optimum"
+        );
     }
 
     let input = pattern_i64(64 * 1024, 41);
-    let expected_lo = ScanPlan::new(spec_lo, Engine::cpu(2), PlanHint::default()).scan(&input, &Sum);
-    let expected_hi = ScanPlan::new(spec_hi, Engine::cpu(2), PlanHint::default()).scan(&input, &Sum);
+    let expected_lo =
+        ScanPlan::new(spec_lo, Engine::cpu(2), PlanHint::default()).scan(&input, &Sum);
+    let expected_hi =
+        ScanPlan::new(spec_hi, Engine::cpu(2), PlanHint::default()).scan(&input, &Sum);
 
     // Interleave the two plans from concurrent threads; both must stay
     // bit-identical, and neither may leak its threshold to this thread.

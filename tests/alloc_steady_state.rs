@@ -89,7 +89,11 @@ fn scan_into_does_not_allocate_per_chunk() {
     if !isolated("scan_into_does_not_allocate_per_chunk") {
         return;
     }
-    let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(3).unwrap();
+    let spec = ScanSpec::inclusive()
+        .with_order(2)
+        .unwrap()
+        .with_tuple(3)
+        .unwrap();
     let input: Vec<i64> = (0..65_536).map(|i| (i % 977) - 400).collect();
     let mut out = vec![0i64; input.len()];
     let expect = sam_core::serial::scan(&input, &Sum, &spec);
@@ -103,7 +107,10 @@ fn scan_into_does_not_allocate_per_chunk() {
             serial_scanner.scan_into(&input, &mut out, &Sum, &spec);
         }
     });
-    assert_eq!(single, 0, "single-worker steady state must be allocation-free");
+    assert_eq!(
+        single, 0,
+        "single-worker steady state must be allocation-free"
+    );
     assert_eq!(out, expect);
 
     // Multi-worker path: compare a few-chunks geometry against a
@@ -142,7 +149,9 @@ fn scan_into_does_not_allocate_per_chunk() {
     let input: Vec<i64> = (0..196_608).map(|i| (i % 977) - 400).collect();
     let mut out = vec![0i64; input.len()];
     for coeffs in [vec![2i64, -1], vec![1, -2, 0, 1]] {
-        let spec = ScanSpec::inclusive().with_order(coeffs.len() as u32).unwrap();
+        let spec = ScanSpec::inclusive()
+            .with_order(coeffs.len() as u32)
+            .unwrap();
         let op = LinRec::new(coeffs).unwrap();
         let expect = sam_core::serial::scan(&input, &op, &spec);
         let few = CpuScanner::new(3).with_chunk_elems(98_304); // 2 chunks
@@ -197,7 +206,11 @@ fn session_steady_state_is_allocation_free() {
     if !isolated("session_steady_state_is_allocation_free") {
         return;
     }
-    let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(3).unwrap();
+    let spec = ScanSpec::inclusive()
+        .with_order(2)
+        .unwrap()
+        .with_tuple(3)
+        .unwrap();
     let input: Vec<i64> = (0..32_768).map(|i| (i % 613) - 300).collect();
 
     // Cascade mode (integer sums, serial engine). The hint pre-sizes the
@@ -215,7 +228,10 @@ fn session_steady_state_is_allocation_free() {
             let _ = cascade.feed(&input[10_000..]);
         }
     });
-    assert_eq!(steady, 0, "cascade-mode feed steady state must be allocation-free");
+    assert_eq!(
+        steady, 0,
+        "cascade-mode feed steady state must be allocation-free"
+    );
 
     // Continuous and chunked modes (Max has no cascade weights). The
     // chunked fold runs in the session, not on the workers, so it is
@@ -250,7 +266,10 @@ fn session_steady_state_is_allocation_free() {
             session.scan_into(&input, &mut out);
         }
     });
-    assert_eq!(one_shot, 0, "session scan_into steady state must be allocation-free");
+    assert_eq!(
+        one_shot, 0,
+        "session scan_into steady state must be allocation-free"
+    );
     assert_eq!(out, sam_core::serial::scan(&input, &Sum, &spec));
 }
 

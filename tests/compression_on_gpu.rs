@@ -58,7 +58,10 @@ fn full_codec_with_kernel_decode_stage() {
     let pcm = stereo_signal(10_000);
     let codec = sam_delta::DeltaCodec::new(2, 2).expect("valid codec");
     let packed = codec.compress(&pcm);
-    assert!(packed.len() < pcm.len() * 8 / 2, "smooth stereo compresses >2x");
+    assert!(
+        packed.len() < pcm.len() * 8 / 2,
+        "smooth stereo compresses >2x"
+    );
 
     // The shipped decompressor uses the CPU engine; its result must match
     // a decode whose scan stage ran on the GPU kernel instead.

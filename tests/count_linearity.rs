@@ -4,10 +4,10 @@
 //! curve. (`EXPERIMENTS.md` § methodology.)
 
 use gpu_sim::{DeviceSpec, Gpu, MetricsSnapshot};
+use sam_baselines::{HierarchicalScan, LookbackScan};
 use sam_core::kernel::{scan_on_gpu, SamParams};
 use sam_core::op::Sum;
 use sam_core::ScanSpec;
-use sam_baselines::{HierarchicalScan, LookbackScan};
 
 fn run(algo: &str, n: usize) -> MetricsSnapshot {
     let gpu = Gpu::new(DeviceSpec::titan_x());
@@ -21,7 +21,10 @@ fn run(algo: &str, n: usize) -> MetricsSnapshot {
             scan_on_gpu(&gpu, &input, &Sum, &ScanSpec::inclusive(), &params);
         }
         "cub" => {
-            LookbackScan { items_per_thread: 2 }.scan(&gpu, &input, &Sum, &ScanSpec::inclusive());
+            LookbackScan {
+                items_per_thread: 2,
+            }
+            .scan(&gpu, &input, &Sum, &ScanSpec::inclusive());
         }
         "thrust" => {
             HierarchicalScan::thrust()
@@ -59,15 +62,45 @@ fn assert_affine(algo: &str) {
             "{algo}/{name}: {c1} {c2} {c3} (predicted {predicted})"
         );
     };
-    check("elem_read_tx", m1.elem_read_transactions, m2.elem_read_transactions, m3.elem_read_transactions);
-    check("elem_write_tx", m1.elem_write_transactions, m2.elem_write_transactions, m3.elem_write_transactions);
-    check("elem_words", m1.elem_words(), m2.elem_words(), m3.elem_words());
-    check("aux_read_tx", m1.aux_read_transactions, m2.aux_read_transactions, m3.aux_read_transactions);
-    check("aux_write_tx", m1.aux_write_transactions, m2.aux_write_transactions, m3.aux_write_transactions);
+    check(
+        "elem_read_tx",
+        m1.elem_read_transactions,
+        m2.elem_read_transactions,
+        m3.elem_read_transactions,
+    );
+    check(
+        "elem_write_tx",
+        m1.elem_write_transactions,
+        m2.elem_write_transactions,
+        m3.elem_write_transactions,
+    );
+    check(
+        "elem_words",
+        m1.elem_words(),
+        m2.elem_words(),
+        m3.elem_words(),
+    );
+    check(
+        "aux_read_tx",
+        m1.aux_read_transactions,
+        m2.aux_read_transactions,
+        m3.aux_read_transactions,
+    );
+    check(
+        "aux_write_tx",
+        m1.aux_write_transactions,
+        m2.aux_write_transactions,
+        m3.aux_write_transactions,
+    );
     check("compute", m1.compute_ops, m2.compute_ops, m3.compute_ops);
     check("shuffles", m1.shuffles, m2.shuffles, m3.shuffles);
     check("barriers", m1.barriers, m2.barriers, m3.barriers);
-    check("launches", m1.kernel_launches, m2.kernel_launches, m3.kernel_launches);
+    check(
+        "launches",
+        m1.kernel_launches,
+        m2.kernel_launches,
+        m3.kernel_launches,
+    );
 }
 
 #[test]
@@ -91,7 +124,9 @@ fn sam_element_traffic_is_exactly_2n_for_any_order() {
         let gpu = Gpu::new(DeviceSpec::titan_x());
         let n = 100_000;
         let input = vec![1i32; n];
-        let spec = ScanSpec::inclusive().with_order(order).expect("valid order");
+        let spec = ScanSpec::inclusive()
+            .with_order(order)
+            .expect("valid order");
         scan_on_gpu(&gpu, &input, &Sum, &spec, &SamParams::default());
         assert_eq!(
             gpu.metrics().snapshot().elem_words(),
@@ -112,5 +147,9 @@ fn iterated_baseline_traffic_scales_with_order() {
         lookback.scan(&gpu, d, &Sum, &ScanSpec::inclusive())
     });
     let words = gpu.metrics().snapshot().elem_words();
-    assert_eq!(words, 2 * (q as u64) * n as u64, "2qn for the iterated scan");
+    assert_eq!(
+        words,
+        2 * (q as u64) * n as u64,
+        "2qn for the iterated scan"
+    );
 }

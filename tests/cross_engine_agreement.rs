@@ -6,18 +6,20 @@
 //! non-power-of-two sizes and wrapping arithmetic.
 
 use gpu_sim::{DeviceSpec, Gpu};
+use sam_baselines::{iterate_scan, HierarchicalScan, LookbackScan};
+use sam_core::chunk_kernel::ChunkKernel;
 use sam_core::cpu::CpuScanner;
 use sam_core::kernel::{scan_on_gpu, AuxMode, CarryPropagation, SamParams};
-use sam_core::chunk_kernel::ChunkKernel;
 use sam_core::op::{Sum, Xor};
 use sam_core::{serial, ScanKind, ScanSpec};
-use sam_baselines::{iterate_scan, HierarchicalScan, LookbackScan};
 
 fn pseudo_random(n: usize, seed: u64) -> Vec<i64> {
     let mut state = seed | 1;
     (0..n)
         .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 33) as i64) - (1 << 30)
         })
         .collect()
@@ -142,8 +144,10 @@ fn tuple_engines_agree_including_ragged_tails() {
     let spec = ScanSpec::inclusive().with_tuple(s).expect("valid spec");
     let oracle = serial::scan(&input, &Sum, &spec);
 
-    let lookback = LookbackScan { items_per_thread: 3 }
-        .scan_tuples(&gpu, &input, &Sum, ScanKind::Inclusive, s);
+    let lookback = LookbackScan {
+        items_per_thread: 3,
+    }
+    .scan_tuples(&gpu, &input, &Sum, ScanKind::Inclusive, s);
     assert_eq!(lookback, oracle);
 }
 
@@ -158,5 +162,9 @@ fn float_results_are_bitwise_reproducible_per_engine() {
     let a = scanner.scan(&input, &Sum, &spec);
     let b = scanner.scan(&input, &Sum, &spec);
     let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&a), bits(&b), "SAM's fixed carry order is deterministic");
+    assert_eq!(
+        bits(&a),
+        bits(&b),
+        "SAM's fixed carry order is deterministic"
+    );
 }

@@ -34,8 +34,14 @@ fn titan_x_sam_matches_memcpy() {
     let titan = DeviceSpec::titan_x;
     let sam = throughput(Algo::Sam, titan(), 1, 1, BIG);
     let roof = throughput(Algo::Memcpy, titan(), 1, 1, BIG);
-    assert!(sam <= roof * 1.001, "nothing beats memcpy: {sam:.3e} vs {roof:.3e}");
-    assert!(sam > roof * 0.93, "SAM must track the roof: {sam:.3e} vs {roof:.3e}");
+    assert!(
+        sam <= roof * 1.001,
+        "nothing beats memcpy: {sam:.3e} vs {roof:.3e}"
+    );
+    assert!(
+        sam > roof * 0.93,
+        "SAM must track the roof: {sam:.3e} vs {roof:.3e}"
+    );
     // ~33 billion 32-bit items per second (Section 5.1).
     assert!((29e9..35e9).contains(&sam), "plateau {sam:.3e}");
 }
@@ -57,8 +63,7 @@ fn titan_x_cub_leads_midrange_only() {
     let titan = DeviceSpec::titan_x;
     let mid = 1u64 << 22;
     assert!(
-        throughput(Algo::Cub, titan(), 1, 1, mid)
-            > throughput(Algo::Sam, titan(), 1, 1, mid),
+        throughput(Algo::Cub, titan(), 1, 1, mid) > throughput(Algo::Sam, titan(), 1, 1, mid),
         "CUB leads at 2^22"
     );
     let sam_big = throughput(Algo::Sam, titan(), 1, 1, 1 << 30);
@@ -83,9 +88,8 @@ fn k40_cub_beats_sam_at_order_1() {
 fn titan_x_higher_order_advantage_grows() {
     let titan = DeviceSpec::titan_x;
     let n = 1u64 << 27;
-    let ratio = |q: u32| {
-        throughput(Algo::Sam, titan(), q, 1, n) / throughput(Algo::Cub, titan(), q, 1, n)
-    };
+    let ratio =
+        |q: u32| throughput(Algo::Sam, titan(), q, 1, n) / throughput(Algo::Cub, titan(), q, 1, n);
     let r2 = ratio(2);
     let r5 = ratio(5);
     let r8 = ratio(8);
@@ -101,9 +105,7 @@ fn titan_x_order8_peak_factor() {
     let titan = DeviceSpec::titan_x;
     let best = [1u64 << 20, 1 << 22, 1 << 24, 1 << 27]
         .iter()
-        .map(|&n| {
-            throughput(Algo::Sam, titan(), 8, 1, n) / throughput(Algo::Cub, titan(), 8, 1, n)
-        })
+        .map(|&n| throughput(Algo::Sam, titan(), 8, 1, n) / throughput(Algo::Cub, titan(), 8, 1, n))
         .fold(0.0f64, f64::max);
     assert!((1.8..3.2).contains(&best), "peak order-8 factor {best:.2}");
 }
@@ -116,7 +118,10 @@ fn k40_order_crossover_near_eight() {
     let r2 = throughput(Algo::Sam, k40(), 2, 1, n) / throughput(Algo::Cub, k40(), 2, 1, n);
     let r8 = throughput(Algo::Sam, k40(), 8, 1, n) / throughput(Algo::Cub, k40(), 8, 1, n);
     assert!(r2 < 0.95, "CUB clearly ahead at order 2: {r2:.2}");
-    assert!((0.9..1.25).contains(&r8), "tied-or-better at order 8: {r8:.2}");
+    assert!(
+        (0.9..1.25).contains(&r8),
+        "tied-or-better at order 8: {r8:.2}"
+    );
 }
 
 /// Figure 11: crossover around five words per tuple on the Titan X
@@ -134,7 +139,10 @@ fn titan_x_tuple_crossover_near_five() {
     let r8 = ratio(8);
     assert!(r2 < 1.0, "CUB ahead on 2-tuples: {r2:.2}");
     assert!(r5 > 1.0, "SAM ahead on 5-tuples: {r5:.2}");
-    assert!(r8 > r5, "advantage grows with tuple size: {r5:.2} -> {r8:.2}");
+    assert!(
+        r8 > r5,
+        "advantage grows with tuple size: {r5:.2} -> {r8:.2}"
+    );
     assert!(r8 < 2.6, "but stays bounded: {r8:.2}");
 }
 
@@ -144,11 +152,20 @@ fn titan_x_tuple_crossover_near_five() {
 fn carry_scheme_ablation() {
     let titan_ratio = throughput(Algo::Sam, DeviceSpec::titan_x(), 1, 1, BIG)
         / throughput(Algo::SamChained, DeviceSpec::titan_x(), 1, 1, BIG);
-    assert!((1.35..1.95).contains(&titan_ratio), "Titan X ratio {titan_ratio:.2}");
+    assert!(
+        (1.35..1.95).contains(&titan_ratio),
+        "Titan X ratio {titan_ratio:.2}"
+    );
     let k40_ratio = throughput(Algo::Sam, DeviceSpec::k40(), 1, 1, BIG)
         / throughput(Algo::SamChained, DeviceSpec::k40(), 1, 1, BIG);
-    assert!((1.15..1.65).contains(&k40_ratio), "K40 ratio {k40_ratio:.2}");
-    assert!(titan_ratio > k40_ratio, "the trade-off helps more on the Titan X");
+    assert!(
+        (1.15..1.65).contains(&k40_ratio),
+        "K40 ratio {k40_ratio:.2}"
+    );
+    assert!(
+        titan_ratio > k40_ratio,
+        "the trade-off helps more on the Titan X"
+    );
 }
 
 /// 64-bit throughputs are about half the 32-bit ones (Figures 4/6).

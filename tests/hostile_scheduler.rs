@@ -48,7 +48,9 @@ fn pseudo_random(n: usize, seed: u64) -> Vec<i64> {
     let mut state = seed | 1;
     (0..n)
         .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 33) as i64) - (1 << 30)
         })
         .collect()
@@ -65,11 +67,19 @@ struct PanicAfter {
 
 impl PanicAfter {
     fn at(at: u64) -> Self {
-        PanicAfter { combines: AtomicU64::new(0), at, cascade: false }
+        PanicAfter {
+            combines: AtomicU64::new(0),
+            at,
+            cascade: false,
+        }
     }
 
     fn at_cascade(at: u64) -> Self {
-        PanicAfter { combines: AtomicU64::new(0), at, cascade: true }
+        PanicAfter {
+            combines: AtomicU64::new(0),
+            at,
+            cascade: true,
+        }
     }
 }
 
@@ -164,7 +174,11 @@ fn cpu_scan_correct_under_adversarial_schedules() {
         let input = pseudo_random(20_000, 4);
         let specs = [
             ScanSpec::inclusive(),
-            ScanSpec::exclusive().with_order(2).unwrap().with_tuple(3).unwrap(),
+            ScanSpec::exclusive()
+                .with_order(2)
+                .unwrap()
+                .with_tuple(3)
+                .unwrap(),
             ScanSpec::inclusive().with_order(3).unwrap(),
         ];
         let policies = [
@@ -183,12 +197,18 @@ fn cpu_scan_correct_under_adversarial_schedules() {
             let scanner = CpuScanner::new(4)
                 .with_chunk_elems(64)
                 .with_scheduler(sched);
-            assert_eq!(scanner.scan(input, op, spec), expect, "spec={spec:?} policy={policy:?}");
+            assert_eq!(
+                scanner.scan(input, op, spec),
+                expect,
+                "spec={spec:?} policy={policy:?}"
+            );
         }
         // The `Sum` oracle is computed here, before the streaming threshold
         // below is installed, so it stays on cacheable stores.
-        let sum_expect: Vec<Vec<i64>> =
-            specs.iter().map(|spec| serial::scan(&input, &Sum, spec)).collect();
+        let sum_expect: Vec<Vec<i64>> = specs
+            .iter()
+            .map(|spec| serial::scan(&input, &Sum, spec))
+            .collect();
         for (spec, expect) in specs.iter().zip(&sum_expect) {
             let xor_expect = serial::scan(&input, &Xor, spec);
             for policy in &policies {

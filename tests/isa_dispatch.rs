@@ -22,13 +22,13 @@
 //! use, so it needs no lock.
 
 use gpu_sim::Pod64;
+use sam_core::chunk_kernel::{RECURRENCE_SEGMENT_MIN_ELEMS, SEGMENT_MIN_ELEMS};
 use sam_core::cpu::CpuScanner;
 use sam_core::isa::{self, Isa};
 use sam_core::op::{LinRec, Sum};
 use sam_core::plan::{PlanHint, ScanPlan};
-use sam_core::Engine;
 use sam_core::simd;
-use sam_core::chunk_kernel::{RECURRENCE_SEGMENT_MIN_ELEMS, SEGMENT_MIN_ELEMS};
+use sam_core::Engine;
 use sam_core::{serial, ChunkKernel, ScanElement, ScanKind, ScanSpec, SegmentHandoff};
 
 /// Lengths chosen to straddle every kernel's internal boundaries: SWAR
@@ -43,7 +43,9 @@ fn pattern<T: ScanElement>(n: usize, seed: u64) -> Vec<T> {
     let mut state = seed | 1;
     (0..n)
         .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             T::from_i64((state >> 17) as i64)
         })
         .collect()
@@ -138,10 +140,22 @@ fn expect_vertical(isa: Isa, row_bytes: usize) -> bool {
 fn stride1_support_contract() {
     for isa in isa::available() {
         for (width, taken) in [
-            (1, simd::stride1_from(isa, &[1u8; 40], &mut [0u8; 40], 0).is_some()),
-            (2, simd::stride1_from(isa, &[1u16; 40], &mut [0u16; 40], 0).is_some()),
-            (4, simd::stride1_from(isa, &[1i32; 40], &mut [0i32; 40], 0).is_some()),
-            (8, simd::stride1_from(isa, &[1i64; 40], &mut [0i64; 40], 0).is_some()),
+            (
+                1,
+                simd::stride1_from(isa, &[1u8; 40], &mut [0u8; 40], 0).is_some(),
+            ),
+            (
+                2,
+                simd::stride1_from(isa, &[1u16; 40], &mut [0u16; 40], 0).is_some(),
+            ),
+            (
+                4,
+                simd::stride1_from(isa, &[1i32; 40], &mut [0i32; 40], 0).is_some(),
+            ),
+            (
+                8,
+                simd::stride1_from(isa, &[1i64; 40], &mut [0i64; 40], 0).is_some(),
+            ),
         ] {
             assert_eq!(
                 taken,
@@ -191,8 +205,20 @@ fn vertical_support_contract() {
 fn scalar_family_always_declines() {
     assert!(simd::stride1_from(Isa::Scalar, &[1i64; 8], &mut [0i64; 8], 0).is_none());
     let mut state = seeded_state::<i64>(2, 8);
-    assert!(!simd::vertical_from(Isa::Scalar, &[1i64; 32], &mut [0i64; 32], 8, &mut state, false));
-    assert!(!simd::vertical_totals(Isa::Scalar, &[1i64; 32], 8, &mut state));
+    assert!(!simd::vertical_from(
+        Isa::Scalar,
+        &[1i64; 32],
+        &mut [0i64; 32],
+        8,
+        &mut state,
+        false
+    ));
+    assert!(!simd::vertical_totals(
+        Isa::Scalar,
+        &[1i64; 32],
+        8,
+        &mut state
+    ));
 }
 
 // --- Stride-1 equivalence matrix -------------------------------------------
@@ -355,8 +381,13 @@ fn nt_threshold_matches_oracle() {
             let want = vertical_oracle(&src, 2, &mut oracle_state, false);
             let mut state = seeded_state::<i64>(q, 2);
             let mut dst = vec![0i64; n];
-            assert!(simd::vertical_from(isa, &src, &mut dst, 2, &mut state, false));
-            assert_eq!(dst, want, "{isa} q={q} small-row vertical above the NT threshold");
+            assert!(simd::vertical_from(
+                isa, &src, &mut dst, 2, &mut state, false
+            ));
+            assert_eq!(
+                dst, want,
+                "{isa} q={q} small-row vertical above the NT threshold"
+            );
             assert_eq!(state, oracle_state, "{isa} q={q} small-row NT state");
         }
         // A 4-byte-aligned-only destination must decline streaming stores
@@ -366,7 +397,14 @@ fn nt_threshold_matches_oracle() {
         let want = vertical_oracle(&src32[1..], 2, &mut oracle_state, true);
         let mut state = seeded_state::<i32>(1, 2);
         let mut dst = vec![0i32; n + 1];
-        assert!(simd::vertical_from(isa, &src32[1..], &mut dst[1..], 2, &mut state, true));
+        assert!(simd::vertical_from(
+            isa,
+            &src32[1..],
+            &mut dst[1..],
+            2,
+            &mut state,
+            true
+        ));
         assert_eq!(dst[1..], want[..], "{isa} unaligned small-row NT decline");
         assert_eq!(state, oracle_state, "{isa} unaligned small-row state");
     }
@@ -413,14 +451,28 @@ fn cpu_engine_streams_past_the_scan_threshold() {
         (2, 2, false),
         (5, 5, false),
     ] {
-        let kind = if exclusive { ScanSpec::exclusive() } else { ScanSpec::inclusive() };
+        let kind = if exclusive {
+            ScanSpec::exclusive()
+        } else {
+            ScanSpec::inclusive()
+        };
         let spec = kind.with_order(q).unwrap().with_tuple(s).unwrap();
         check(&src64, &Sum, &spec, "i64");
         check(&src32, &Sum, &spec, "i32");
     }
     let spec = ScanSpec::inclusive();
-    check(&src64, &LinRec::first_order(3i64).unwrap(), &spec, "i64 rec1");
-    check(&src32, &LinRec::first_order(3i32).unwrap(), &spec, "i32 rec1");
+    check(
+        &src64,
+        &LinRec::first_order(3i64).unwrap(),
+        &spec,
+        "i64 rec1",
+    );
+    check(
+        &src32,
+        &LinRec::first_order(3i32).unwrap(),
+        &spec,
+        "i32 rec1",
+    );
 }
 
 // --- Lane-segmented sweeps --------------------------------------------------
@@ -663,10 +715,7 @@ fn engine_grid<T: ScanElement>(seed: u64) {
         let input = pattern::<T>(n, seed);
         for order in [1u32, 2, 5] {
             for tuple in [1usize, 2, 5, 8] {
-                for spec in [
-                    ScanSpec::inclusive(),
-                    ScanSpec::exclusive(),
-                ] {
+                for spec in [ScanSpec::inclusive(), ScanSpec::exclusive()] {
                     let spec = spec
                         .with_order(order)
                         .expect("valid order")
@@ -676,8 +725,12 @@ fn engine_grid<T: ScanElement>(seed: u64) {
                     // serial::scan is itself routed through the dispatch
                     // under test, so anchor it to the oracle first.
                     let mut state = vec![T::ZERO; order as usize * tuple];
-                    let oracle =
-                        vertical_oracle(&input, tuple, &mut state, spec.kind() == sam_core::ScanKind::Exclusive);
+                    let oracle = vertical_oracle(
+                        &input,
+                        tuple,
+                        &mut state,
+                        spec.kind() == sam_core::ScanKind::Exclusive,
+                    );
                     assert_eq!(want, oracle, "serial vs oracle q={order} s={tuple} n={n}");
                     let got = cpu.scan(&input, &Sum, &spec);
                     assert_eq!(want, got, "cpu vs serial q={order} s={tuple} n={n}");
@@ -705,19 +758,32 @@ fn engines_agree_on_wide_types() {
 #[test]
 fn plan_and_report_record_resolved_family() {
     let resolved = isa::resolved();
-    assert!(resolved.is_available(), "resolved family must be executable");
+    assert!(
+        resolved.is_available(),
+        "resolved family must be executable"
+    );
     let plan = ScanPlan::new(
         ScanSpec::inclusive(),
         Engine::Cpu(CpuScanner::new(2)),
         PlanHint::expected_len(256).with_trace(),
     );
-    assert_eq!(plan.isa(), resolved, "plan snapshots the process-wide family");
+    assert_eq!(
+        plan.isa(),
+        resolved,
+        "plan snapshots the process-wide family"
+    );
     let session = plan.session::<i64, _>(Sum);
     let input = pattern::<i64>(256, 0x8001);
     let mut out = vec![0i64; 256];
     session.scan_into(&input, &mut out);
-    let report = session.last_report().expect("traced plan produces a report");
-    assert_eq!(report.isa, resolved.name(), "report carries the family name");
+    let report = session
+        .last_report()
+        .expect("traced plan produces a report");
+    assert_eq!(
+        report.isa,
+        resolved.name(),
+        "report carries the family name"
+    );
     assert!(
         report.summary().contains(resolved.name()),
         "summary names the kernel family: {}",
@@ -728,7 +794,11 @@ fn plan_and_report_record_resolved_family() {
 #[test]
 fn family_names_round_trip() {
     for isa in Isa::ALL {
-        assert_eq!(Isa::from_name(isa.name()), Some(isa), "{isa} name round-trip");
+        assert_eq!(
+            Isa::from_name(isa.name()),
+            Some(isa),
+            "{isa} name round-trip"
+        );
     }
     assert_eq!(Isa::from_name("sse9"), None);
     // The detection floor: SWAR needs no CPU features, so it is always

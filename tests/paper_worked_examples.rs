@@ -81,7 +81,7 @@ fn section25_carry_count_formula() {
     let k = u64::from(info.k);
     assert_eq!(e, 1024 * 4);
     assert_eq!(k, 30); // k = m * b = 15 * 2 on the K40
-    // total carries = k per chunk, chunks = n / e
+                       // total carries = k per chunk, chunks = n / e
     let carries = k * (n as u64) / e;
     assert_eq!(info.chunks * k, carries);
 }

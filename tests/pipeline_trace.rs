@@ -12,7 +12,9 @@ fn traced_run_with(order: u32, iterated_orders: bool) -> (Vec<gpu_sim::Event>, u
     let gpu = Gpu::with_trace(DeviceSpec::k40());
     let n = 100_000;
     let input: Vec<i32> = (0..n).map(|i| i % 9 - 4).collect();
-    let spec = ScanSpec::inclusive().with_order(order).expect("valid order");
+    let spec = ScanSpec::inclusive()
+        .with_order(order)
+        .expect("valid order");
     let (out, info) = scan_on_gpu(
         &gpu,
         &input,
@@ -157,6 +159,12 @@ fn chunks_are_owned_round_robin() {
 fn tracing_is_opt_in() {
     let gpu = Gpu::new(DeviceSpec::k40());
     let input = vec![1i32; 10_000];
-    scan_on_gpu(&gpu, &input, &Sum, &ScanSpec::inclusive(), &SamParams::default());
+    scan_on_gpu(
+        &gpu,
+        &input,
+        &Sum,
+        &ScanSpec::inclusive(),
+        &SamParams::default(),
+    );
     assert!(gpu.trace().is_none());
 }

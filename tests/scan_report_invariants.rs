@@ -24,18 +24,26 @@ fn pseudo_random(n: usize) -> Vec<i64> {
     let mut state = 0x5851f42d4c957f2du64;
     (0..n)
         .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 33) as i64) - (1 << 30)
         })
         .collect()
 }
 
 fn traced_report(engine: Engine, spec: ScanSpec, input: &[i64]) -> ScanReport {
-    let plan = ScanPlan::new(spec, engine, PlanHint::expected_len(input.len()).with_trace());
+    let plan = ScanPlan::new(
+        spec,
+        engine,
+        PlanHint::expected_len(input.len()).with_trace(),
+    );
     let session = plan.session::<i64, _>(Sum);
     let mut out = vec![0i64; input.len()];
     session.scan_into(input, &mut out);
-    session.last_report().expect("traced plan produces a report")
+    session
+        .last_report()
+        .expect("traced plan produces a report")
 }
 
 /// Asserts the 1R + 1W invariant and order-independence over the grid for
@@ -64,7 +72,10 @@ fn gate(engine_name: &str, make_engine: &dyn Fn() -> Engine, n: usize) {
             );
             assert_eq!(m.elem_words(), 2 * n as u64);
             let tx = (m.elem_read_transactions, m.elem_write_transactions);
-            assert!(tx.0 > 0 && tx.1 > 0, "{engine_name}: transactions are counted");
+            assert!(
+                tx.0 > 0 && tx.1 > 0,
+                "{engine_name}: transactions are counted"
+            );
             match tx_by_tuple.get(&tuple) {
                 None => {
                     tx_by_tuple.insert(tuple, tx);
@@ -135,7 +146,10 @@ fn traced_cpu_scan_reports_spans_and_waits() {
         .count();
     // Cascade path: one publish sweep + one output sweep per chunk would
     // be ChunkScan + CarryApply; at minimum one ChunkScan span per chunk.
-    assert!(scan_spans >= 16, "one kernel span per chunk, got {scan_spans}");
+    assert!(
+        scan_spans >= 16,
+        "one kernel span per chunk, got {scan_spans}"
+    );
     assert!(report.max_chunks_in_flight() >= 1);
     let json = report.chrome_trace_json();
     assert!(json.contains("chunk-scan"));

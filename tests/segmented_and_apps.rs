@@ -13,7 +13,9 @@ fn pseudo(n: usize, seed: u64) -> Vec<i32> {
     let mut s = seed | 1;
     (0..n)
         .map(|_| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((s >> 40) as i32) - (1 << 22)
         })
         .collect()
@@ -58,7 +60,10 @@ fn sort_then_rle_pipeline() {
     // Sort a stream with heavy duplication, then RLE it: the run count
     // must equal the number of distinct values.
     let scanner = CpuScanner::new(4).with_chunk_elems(512);
-    let mut values: Vec<u32> = pseudo(30_000, 9).iter().map(|&v| (v & 0x3f) as u32).collect();
+    let mut values: Vec<u32> = pseudo(30_000, 9)
+        .iter()
+        .map(|&v| (v & 0x3f) as u32)
+        .collect();
     sam_apps::radix_sort(&mut values);
     assert!(values.windows(2).all(|w| w[0] <= w[1]));
 
@@ -92,7 +97,10 @@ fn lexer_token_lengths_via_segmented_scan() {
 
 #[test]
 fn split_sort_agrees_with_radix_sort() {
-    let mut a: Vec<u32> = pseudo(4000, 13).iter().map(|&v| v as u32 & 0xffff).collect();
+    let mut a: Vec<u32> = pseudo(4000, 13)
+        .iter()
+        .map(|&v| v as u32 & 0xffff)
+        .collect();
     let mut b = a.clone();
     sam_apps::split_sort(&mut a);
     sam_apps::radix_sort(&mut b);

@@ -103,7 +103,9 @@ mod tree {
             Ok(Value::Str(v.to_string()))
         }
         fn serialize_bytes(self, v: &[u8]) -> Result<Value, Error> {
-            Ok(Value::Seq(v.iter().map(|&b| Value::U64(b.into())).collect()))
+            Ok(Value::Seq(
+                v.iter().map(|&b| Value::U64(b.into())).collect(),
+            ))
         }
         fn serialize_none(self) -> Result<Value, Error> {
             Ok(Value::Unit)
@@ -290,7 +292,10 @@ fn device_spec_serializes_stably_with_expected_fields() {
         panic!("device spec should serialize as a map");
     };
     assert_eq!(m.get("sms"), Some(&tree::Value::U64(24)));
-    assert_eq!(m.get("generation"), Some(&tree::Value::Str("Maxwell".into())));
+    assert_eq!(
+        m.get("generation"),
+        Some(&tree::Value::Str("Maxwell".into()))
+    );
     assert!(m.contains_key("peak_bandwidth_gbs"));
 }
 
@@ -316,7 +321,11 @@ fn carry_state_serializes_checkpoint_fields() {
     use sam_core::plan::{PlanHint, ScanPlan};
     use sam_core::Engine;
 
-    let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(2).unwrap();
+    let spec = ScanSpec::inclusive()
+        .with_order(2)
+        .unwrap()
+        .with_tuple(2)
+        .unwrap();
     let plan = ScanPlan::new(spec, Engine::Serial, PlanHint::default());
     let mut session = plan.session::<i64, _>(Sum);
     session.feed(&[1, 2, 3, 4, 5]);
@@ -339,7 +348,11 @@ fn carry_state_serializes_checkpoint_fields() {
 
 #[test]
 fn scan_spec_serializes_kind_order_tuple() {
-    let spec = ScanSpec::exclusive().with_order(3).unwrap().with_tuple(5).unwrap();
+    let spec = ScanSpec::exclusive()
+        .with_order(3)
+        .unwrap()
+        .with_tuple(5)
+        .unwrap();
     assert_stable(&spec);
     let tree::Value::Map(m) = tree::to_value(&spec).expect("serializes") else {
         panic!("scan spec should serialize as a map");

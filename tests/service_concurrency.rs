@@ -147,14 +147,12 @@ fn mixed_request_strategy() -> impl Strategy<Value = ScanRequest> {
         Just(Some(vec![1i32, 1])),
         Just(Some(vec![1i32, 0, 1])),
     ];
-    (request_strategy(), maybe_coeffs).prop_map(|(request, coeffs)| {
-        match coeffs {
-            None => request,
-            Some(coeffs) => {
-                let mut request = request.with_recurrence(coeffs);
-                request.heads = Vec::new();
-                request
-            }
+    (request_strategy(), maybe_coeffs).prop_map(|(request, coeffs)| match coeffs {
+        None => request,
+        Some(coeffs) => {
+            let mut request = request.with_recurrence(coeffs);
+            request.heads = Vec::new();
+            request
         }
     })
 }
@@ -440,7 +438,9 @@ fn chaos_traffic_never_corrupts_other_tenants() {
     });
     // Still alive and correct afterwards.
     assert_eq!(
-        service.scan(ScanRequest::inclusive("good", vec![7, 7])).unwrap(),
+        service
+            .scan(ScanRequest::inclusive("good", vec![7, 7]))
+            .unwrap(),
         vec![7, 14]
     );
     service.shutdown();
@@ -468,8 +468,7 @@ fn bounded_queue_sheds_load_instead_of_growing() {
                     let mut accepted = Vec::new();
                     let mut admitted = Vec::new();
                     for r in 0..50 {
-                        let request =
-                            ScanRequest::inclusive(format!("t{t}"), vec![t, r]);
+                        let request = ScanRequest::inclusive(format!("t{t}"), vec![t, r]);
                         let expect = oracle(&request);
                         match service.try_submit(request) {
                             Ok(handle) => admitted.push((handle, expect)),
@@ -598,7 +597,10 @@ fn blocking_submit_past_capacity_runs_the_lane_from_one_thread() {
             .map(|i| {
                 let request = seeded_request("solo", i);
                 let expect = oracle(&request);
-                (service.submit(request).expect("submit blocks, then admits"), expect)
+                (
+                    service.submit(request).expect("submit blocks, then admits"),
+                    expect,
+                )
             })
             .collect();
         for (handle, expect) in handles {

@@ -117,7 +117,11 @@ fn check_recurrence_engines<T: ScanElement>(
     // Chunks long enough for the multi-chain totals sweep (four chains of
     // at least 512 elements at order 1), with a short last chunk.
     let cpu = CpuScanner::new(3).with_chunk_elems(2_560);
-    assert_eq!(cpu.scan(input, &op, spec), expect, "cpu long chunks {label}");
+    assert_eq!(
+        cpu.scan(input, &op, spec),
+        expect,
+        "cpu long chunks {label}"
+    );
 
     let gpu = Gpu::new(DeviceSpec::k40());
     let params = SamParams {
@@ -231,7 +235,13 @@ fn wrapping_overflow_matches_iterated_oracle_u32_i32() {
         .collect();
     let as_i32: Vec<i32> = raw
         .iter()
-        .map(|&v| if v & 1 == 0 { i32::MAX - (v % 1000) as i32 } else { i32::MIN + (v % 1000) as i32 })
+        .map(|&v| {
+            if v & 1 == 0 {
+                i32::MAX - (v % 1000) as i32
+            } else {
+                i32::MIN + (v % 1000) as i32
+            }
+        })
         .collect();
     for order in [2u32, 8] {
         for tuple in [1usize, 3] {
@@ -303,7 +313,9 @@ fn gpu_transactions_are_order_independent() {
     let mut baseline: Option<(u64, u64)> = None;
     for order in [1u32, 2, 4, 8] {
         let gpu = Gpu::new(DeviceSpec::k40());
-        let spec = ScanSpec::inclusive().with_order(order).expect("valid order");
+        let spec = ScanSpec::inclusive()
+            .with_order(order)
+            .expect("valid order");
         let (out, _) = scan_on_gpu(&gpu, &input, &Sum, &spec, &params);
         assert_eq!(out, iterated_oracle(&input, &spec), "order={order}");
         let snap = gpu.metrics().snapshot();

@@ -69,7 +69,10 @@ where
     let mut rest = input;
     let mut i = 0;
     while !rest.is_empty() {
-        let take = cuts.get(i % cuts.len().max(1)).copied().unwrap_or(rest.len());
+        let take = cuts
+            .get(i % cuts.len().max(1))
+            .copied()
+            .unwrap_or(rest.len());
         let take = take.clamp(1, rest.len());
         streamed.extend_from_slice(session.feed(&rest[..take]));
         rest = &rest[take..];
@@ -428,8 +431,20 @@ fn session_feed_keeps_one_read_one_write_element_traffic() {
     let feed = gpu.take_metrics();
 
     assert_eq!(streamed, out, "stream output equals the one-shot kernel");
-    assert_eq!(one_shot.elem_read_words, n as u64, "one-shot reads each element once");
-    assert_eq!(one_shot.elem_write_words, n as u64, "one-shot writes each element once");
-    assert_eq!(feed.elem_read_words, n as u64, "feed reads each element once");
-    assert_eq!(feed.elem_write_words, n as u64, "feed writes each element once");
+    assert_eq!(
+        one_shot.elem_read_words, n as u64,
+        "one-shot reads each element once"
+    );
+    assert_eq!(
+        one_shot.elem_write_words, n as u64,
+        "one-shot writes each element once"
+    );
+    assert_eq!(
+        feed.elem_read_words, n as u64,
+        "feed reads each element once"
+    );
+    assert_eq!(
+        feed.elem_write_words, n as u64,
+        "feed writes each element once"
+    );
 }
