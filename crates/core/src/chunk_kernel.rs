@@ -37,10 +37,10 @@
 //! | operator | element | stride, order | kernel |
 //! |---|---|---|---|
 //! | `Sum` | exact rings | 1, order 1 | explicit SIMD/SWAR kernel, else blocked multi-accumulator; exclusive as the inclusive kernel shifted by one; register loop for totals |
-//! | `Sum` | 8-byte wrapping ints | 1, order 2..=8 | **lane segments**: totals sweep always, output sweep given a [`SegmentHandoff`] of its span — one segment per AVX-512 / AVX2 lane, joined by the carry algebra; head, tail and short spans on the register cascade |
+//! | `Sum` | 8-byte wrapping ints | 1..=8, order 2..=8 | **lane segments**: totals sweep always, output sweep given a [`SegmentHandoff`] of its span at its stride — one segment per AVX-512 / AVX2 lane, each transposed vector one tuple lane of every segment, joined by the carry algebra at segment distance; head, tail and short spans on the row kernels below |
 //! | `Sum` | exact rings | 1, order 2..=8 | const-generic register cascade (every other case: serial engine, plan feed, gpu-sim, single-chunk scans) |
-//! | `Sum` | exact rings | s > 1, base-aligned | **vertical lane-parallel**: `s` accumulators advance together in row form, no per-element lane rotation |
-//! | `Sum` | exact rings | other | rotating-lane cascade |
+//! | `Sum` | exact rings | s > 1 | **vertical lane-parallel**: `s` accumulators advance together in row form, no per-element lane rotation, after the rotating-lane loop up to the first tuple-lane-0 position |
+//! | `Sum` | exact rings | other (order > 8 at stride 1) | rotating-lane cascade |
 //! | `LinRec` | 8-byte wrapping ints | 1, order 1..=8 | **lane segments**: totals sweep always, output sweep given a [`SegmentHandoff`] its recurrence made of its span — `G` interleaved groups of AVX-512 / AVX2 lanes, joined by companion-matrix powers; head, tail and short spans on the register window |
 //! | `LinRec` | exact rings | 1, order ≤ 8 | register-resident window (every other case: serial engine, plan feed, gpu-sim, single-chunk scans) |
 //! | `LinRec` | exact rings | s > 1 or order > 8 | rotating-lane window |
@@ -200,21 +200,21 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
 /// What the totals sweep of a span leaves for the output sweep of the same
 /// span: the end states of the span's lane segments (DESIGN §8.6).
 ///
-/// For wrapping 8-byte `Sum` at stride 1 and orders 2–8, the totals sweep
-/// splits its span into `L` segments, one per SIMD lane (`L` = 8 under
-/// AVX-512, 4 under AVX2), advances all of them at once from zero states,
-/// and folds their `q x L` end states into the span's total with the carry
-/// algebra of [`crate::carry`]. [`LinRec`] at stride 1 and orders 1–8
-/// does the same in `G` groups of `L` segments, folding the end windows
-/// with the companion-matrix power over one segment length. A
-/// hand-off keeps those end states (and, for a recurrence, the power).
-/// The output sweep of the same span then seeds every segment from the
-/// span's seed and the end states before it, and runs the same vertical
-/// pass writing outputs. Given no hand-off, or one that describes a
-/// different span (another address, length or order) or was made by
-/// another operator (`Sum`, or a recurrence with other coefficients), the
-/// output sweep runs the one-lane register loop instead, so a stale
-/// hand-off costs speed, never exactness.
+/// For wrapping 8-byte `Sum` at tuple sizes 1–8 and orders 2–8, the
+/// totals sweep splits its span into `L` segments, one per SIMD lane (`L`
+/// = 8 under AVX-512, 4 under AVX2), advances all of them at once from
+/// zero states, and folds their `q x s x L` end states into the span's
+/// total with the carry algebra of [`crate::carry`]. [`LinRec`] at stride
+/// 1 and orders 1–8 does the same in `G` groups of `L` segments, folding
+/// the end windows with the companion-matrix power over one segment
+/// length. A hand-off keeps those end states (and, for a recurrence, the
+/// power). The output sweep of the same span then seeds every segment
+/// from the span's seed and the end states before it, and runs the same
+/// vertical pass writing outputs. Given no hand-off, or one that describes
+/// a different span (another address, length, order, stride or tuple
+/// phase) or was made by another operator (`Sum`, or a recurrence with
+/// other coefficients), the output sweep runs the row kernel instead, so
+/// a stale hand-off costs speed, never exactness.
 ///
 /// A hand-off names its span by address and length, so the caller must
 /// not change the span's contents between the two sweeps. Engines keep one
@@ -222,9 +222,10 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
 /// chunk after that.
 #[derive(Debug)]
 pub struct SegmentHandoff<T> {
-    /// Segment end states, level-major: `ends[i * segments + j]` is
-    /// segment `j`'s order-`(i+1)` total (`Sum`) or window row `i`
-    /// (`LinRec`) from a zero state.
+    /// Segment end states, level-major: `ends[(i * s + l) * segments +
+    /// j]` is segment `j`'s order-`(i+1)` total of its `l`-th tuple lane,
+    /// counted from the segment's first element (`Sum`), or window row `i`
+    /// (`LinRec`, `s = 1`), from a zero state.
     ends: Vec<T>,
     /// The span `ends` belongs to; `None` when the hand-off is empty.
     span: Option<SegmentSpan>,
@@ -316,6 +317,12 @@ trait Sink<T: Copy> {
     /// Whether the sweep stores its outputs (`false` for the totals sweep).
     const EMITS: bool = true;
 
+    /// The sink over this one's positions `range`, renumbered from 0.
+    type Part<'b>: Sink<T>
+    where
+        Self: 'b;
+    fn part(&mut self, range: std::ops::Range<usize>) -> Self::Part<'_>;
+
     /// Runs `isa`'s explicit stride-1 inclusive sum kernel over this sink
     /// from `seed` and returns the running total; `None` when it declines
     /// (or the sink has none).
@@ -351,6 +358,16 @@ struct Dst<'a, T> {
 struct Discard<'a, T>(&'a [T]);
 
 impl<T: Copy> Sink<T> for Dst<'_, T> {
+    type Part<'b>
+        = Dst<'b, T>
+    where
+        Self: 'b;
+    fn part(&mut self, range: std::ops::Range<usize>) -> Dst<'_, T> {
+        Dst {
+            src: &self.src[range.clone()],
+            dst: &mut self.dst[range],
+        }
+    }
     /// Callers check that the buffers match; the `min` lets the compiler
     /// see that every position below it is in bounds of both, even where
     /// the sweep is not inlined into that check.
@@ -390,6 +407,13 @@ impl<T: Copy> Sink<T> for Dst<'_, T> {
 
 impl<T: Copy> Sink<T> for Discard<'_, T> {
     const EMITS: bool = false;
+    type Part<'b>
+        = Discard<'b, T>
+    where
+        Self: 'b;
+    fn part(&mut self, range: std::ops::Range<usize>) -> Discard<'_, T> {
+        Discard(&self.0[range])
+    }
     #[inline(always)]
     fn len(&self) -> usize {
         self.0.len()
@@ -617,9 +641,10 @@ fn sum_order1<T: ScanElement, S: Sink<T>>(io: &mut S, state: &mut [T], exclusive
 }
 
 /// Sum cascade sweep: the order-1 kernels above and the register kernel
-/// up to order 8 for stride 1, the vertical row form for base-aligned
-/// strides, the rotating-lane loop otherwise (and for every
-/// non-exactly-associative element type).
+/// up to order 8 for stride 1, the vertical row form for strides above 1
+/// (after the rotating-lane loop up to the first tuple-lane-0 position),
+/// the rotating-lane loop otherwise (and for every non-exactly-associative
+/// element type).
 fn sum_cascade<T: ScanElement, S: Sink<T>>(
     io: &mut S,
     base: usize,
@@ -639,12 +664,17 @@ fn sum_cascade<T: ScanElement, S: Sink<T>>(
         (1, 6) => sum_register::<T, S, 6>(io, state, exclusive),
         (1, 7) => sum_register::<T, S, 7>(io, state, exclusive),
         (1, 8) => sum_register::<T, S, 8>(io, state, exclusive),
-        _ if s > 1 && base.is_multiple_of(s) => sum_cascade_vertical(io, s, state, exclusive),
+        _ if s > 1 => {
+            let (n, skip) = (io.len(), (s - base % s) % s);
+            let skip = skip.min(n);
+            cascade_generic(&Sum, &mut io.part(0..skip), base, s, state, exclusive);
+            sum_cascade_vertical(&mut io.part(skip..n), s, state, exclusive)
+        }
         _ => cascade_generic(&Sum, io, base, s, state, exclusive),
     }
 }
 
-// --- Sum: lane segments for stride-1 orders 2..=8 --------------------------
+// --- Sum: lane segments for orders 2..=8 -----------------------------------
 //
 // The chunk is the paper's decoupled carry applied once more, inside one
 // chunk: `L` segments advance together in the `L` lanes of a vector
@@ -652,16 +682,20 @@ fn sum_cascade<T: ScanElement, S: Sink<T>>(
 // joins them. Segment `j`'s zero-seeded end state `e_j` and the Toeplitz
 // advance `M` over one segment length give every segment's seed,
 // `seed_{j+1} = M * seed_j + e_j`, and the span's end state is the same
-// recurrence one step further.
+// recurrence one step further. At tuple size `s` every segment is a whole
+// number of `L x s` positions, so all segments start at the same tuple
+// lane and each transposed vector holds one tuple lane of every segment;
+// `M` is the stride-`s` advance over the `seg / s` elements of each lane.
 
-/// Shortest span the segmented sweeps of [`SegmentHandoff`] split into
-/// lane segments; shorter spans run the one-lane register loop. The fold
-/// costs about `L * q^2 / 2` multiply-adds plus `q` binomials, which a
-/// span this long amortizes.
+/// Shortest span the segmented `Sum` sweeps of [`SegmentHandoff`] split
+/// into lane segments; shorter spans run the row kernels. The fold costs
+/// about `L * s * q^2 / 2` multiply-adds plus `q` binomials, which a span
+/// this long amortizes. At tuple size `s` a span also needs a whole
+/// `L x L x s` block past its head.
 pub const SEGMENT_MIN_ELEMS: usize = 256;
 
-/// Largest `q x L` segment state: order 8 in 8 lanes.
-const SEGMENT_MAX_WORDS: usize = 64;
+/// Largest `q x s x L` segment state: order 8 at tuple size 8 in 8 lanes.
+const SEGMENT_MAX_WORDS: usize = 512;
 
 /// The operator a span's segments were made under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -671,33 +705,41 @@ enum SegmentOp {
     LinRec,
 }
 
-/// Where a span's lane segments lie. `head` elements run on the register
-/// loop first, up to the source's first vector boundary; then come
-/// `groups x lanes` segments of `seg` elements each (a multiple of
-/// `lanes`, so every segment is whole `lanes x lanes` tiles); the
-/// remaining tail runs on the register loop last.
+/// Where a span's lane segments lie. `head` elements run on the row
+/// kernel first, up to the source's first vector boundary; then come
+/// `groups x lanes` segments of `seg` elements each (a multiple of `lanes
+/// x s`, so every segment is whole `lanes x lanes` tiles and starts at the
+/// same tuple lane, `lane0`); the remaining tail runs on the row kernel
+/// last.
 #[derive(Clone, Copy, Debug)]
 struct SegmentSpan {
     /// The source span's address and length: its identity.
     src: usize,
     len: usize,
-    /// The operator, cascade order, lane count and lane groups the
-    /// segments were made for.
+    /// The operator, cascade order, tuple size, lane count and lane groups
+    /// the segments were made for.
     op: SegmentOp,
     q: usize,
+    s: usize,
     lanes: usize,
     groups: usize,
     /// Elements before the first segment, and each segment's length.
     head: usize,
     seg: usize,
+    /// The tuple lane of every segment's first element.
+    lane0: usize,
 }
 
 impl SegmentSpan {
-    /// The segment layout of `src` for an order-`q` sweep of `op` in
+    /// The segment layout of `src`, whose first element has global index
+    /// `base`, for an order-`q` sweep of `op` at tuple size `s` in
     /// `groups` groups of `lanes` lanes; `None` for spans shorter than
     /// `min` or without a whole tile per segment.
+    #[allow(clippy::too_many_arguments)]
     fn of<T>(
         src: &[T],
+        base: usize,
+        s: usize,
         min: usize,
         op: SegmentOp,
         q: usize,
@@ -711,16 +753,18 @@ impl SegmentSpan {
         let line = lanes * size;
         let addr = src.as_ptr() as usize;
         let head = ((line - addr % line) % line / size).min(n);
-        let seg = (n - head) / (groups * lanes * lanes) * lanes;
+        let seg = (n - head) / (groups * lanes * lanes * s) * lanes * s;
         (seg > 0).then_some(SegmentSpan {
             src: addr,
             len: n,
             op,
             q,
+            s,
             lanes,
             groups,
             head,
             seg,
+            lane0: (base + head) % s,
         })
     }
 
@@ -737,6 +781,20 @@ impl SegmentSpan {
     /// The positions the lane segments cover.
     fn body(&self) -> std::ops::Range<usize> {
         self.head..self.head + self.segments() * self.seg
+    }
+
+    /// Moves each level of the `q x s` `state` between tuple lanes and
+    /// segment lanes: with `into`, entry `(i, k)` becomes that of tuple
+    /// lane `(lane0 + k) % s`, the lane of position `k` of every segment,
+    /// which is where the segment kernels keep it; without, back.
+    fn relabel<T>(&self, state: &mut [T], into: bool) {
+        for level in state.chunks_exact_mut(self.s) {
+            if into {
+                level.rotate_left(self.lane0);
+            } else {
+                level.rotate_right(self.lane0);
+            }
+        }
     }
 }
 
@@ -768,135 +826,162 @@ fn fold_segments<T: ScanElement>(
 }
 
 /// The Toeplitz advance of an order-`Q` `Sum` state over one segment of
-/// `span`.
+/// `span`: `seg / s` elements of each of its `s` tuple lanes.
 fn sum_advance<T: ScanElement, const Q: usize>(span: &SegmentSpan) -> impl Fn(&mut [T]) {
     let mut w = [T::ZERO; Q];
-    crate::carry::advance_weights_into(&Sum, span.seg as u64, &mut w);
-    move |state| crate::carry::toeplitz_advance(&Sum, &w, state, 1)
+    crate::carry::advance_weights_into(&Sum, (span.seg / span.s) as u64, &mut w);
+    let s = span.s;
+    move |state| crate::carry::toeplitz_advance(&Sum, &w, state, s)
 }
 
-/// Segmented totals sweep of order `Q`: the head on the register loop,
-/// the segments on `isa`'s kernel folded into `state`, the tail on the
-/// register loop. Records the segment end states in `handoff`.
-fn segmented_totals_q<T: ScanElement, const Q: usize>(
-    isa: Isa,
-    span: SegmentSpan,
+/// Segmented totals sweep of order `Q` at tuple size `S`: the head on the
+/// row kernel, the segments on `isa`'s kernel folded into `state`, the
+/// tail on the row kernel. Records the segment end states in `handoff`.
+fn segmented_totals_q<T: ScanElement, const Q: usize, const S: usize>(
+    (isa, span, base): (Isa, SegmentSpan, usize),
     src: &[T],
     state: &mut [T],
     handoff: Option<&mut SegmentHandoff<T>>,
 ) {
-    let body = span.body();
-    sum_register::<T, _, Q>(&mut Discard(&src[..body.start]), state, false);
+    let (n, body, mut io) = (src.len(), span.body(), Discard(src));
+    sum_cascade(&mut io.part(0..body.start), base, S, state, false);
     let mut ends = [T::ZERO; SEGMENT_MAX_WORDS];
-    let ends = &mut ends[..Q * span.lanes];
-    crate::simd::segment_totals::<T, Q>(isa, &src[body.clone()], span.seg, ends);
+    let ends = &mut ends[..Q * S * span.lanes];
+    crate::simd::segment_totals::<T, Q, S>(isa, &src[body.clone()], span.seg, ends);
+    span.relabel(state, true);
     fold_segments(&span, ends, state, None, sum_advance::<T, Q>(&span));
-    sum_register::<T, _, Q>(&mut Discard(&src[body.end..]), state, false);
+    span.relabel(state, false);
+    sum_cascade(&mut io.part(body.end..n), base + body.end, S, state, false);
     if let Some(h) = handoff {
         h.record(span, ends);
     }
 }
 
-/// Segmented output sweep of order `Q` over the span `handoff` describes:
-/// every segment seeded from `state` and the end states before it, the
-/// head and tail on the register loop.
-fn segmented_from_q<T: ScanElement, const Q: usize>(
-    isa: Isa,
-    span: SegmentSpan,
-    src: &[T],
-    dst: &mut [T],
+/// Segmented output sweep of order `Q` at tuple size `S` over the span
+/// `ends` belongs to: every segment seeded from `state` and the end
+/// states before it, the head and tail on the row kernel.
+fn segmented_from_q<T: ScanElement, const Q: usize, const S: usize>(
+    (isa, span, base): (Isa, SegmentSpan, usize),
+    io: &mut Dst<'_, T>,
     state: &mut [T],
     exclusive: bool,
     ends: &[T],
 ) {
-    let body = span.body();
-    let stream = crate::simd::streams(std::mem::size_of_val(dst));
-    let (head_src, head_dst) = (&src[..body.start], &mut dst[..body.start]);
-    sum_register::<T, _, Q>(
-        &mut Dst {
-            src: head_src,
-            dst: head_dst,
-        },
-        state,
-        exclusive,
-    );
+    let (n, body) = (io.len(), span.body());
+    let stream = crate::simd::streams(std::mem::size_of_val(io.dst));
+    sum_cascade(&mut io.part(0..body.start), base, S, state, exclusive);
     let mut seeds = [T::ZERO; SEGMENT_MAX_WORDS];
-    let seeds = &mut seeds[..Q * span.lanes];
+    let seeds = &mut seeds[..Q * S * span.lanes];
+    span.relabel(state, true);
     fold_segments(&span, ends, state, Some(seeds), sum_advance::<T, Q>(&span));
-    let (mid_src, mid_dst) = (&src[body.clone()], &mut dst[body.clone()]);
-    crate::simd::segment_from::<T, Q>(isa, mid_src, mid_dst, span.seg, seeds, exclusive, stream);
-    let (tail_src, tail_dst) = (&src[body.end..], &mut dst[body.end..]);
-    sum_register::<T, _, Q>(
-        &mut Dst {
-            src: tail_src,
-            dst: tail_dst,
-        },
-        state,
-        exclusive,
-    );
+    span.relabel(state, false);
+    let mid = io.part(body.clone());
+    crate::simd::segment_from::<T, Q, S>(isa, mid.src, mid.dst, span.seg, seeds, exclusive, stream);
+    let tail = body.end..n;
+    sum_cascade(&mut io.part(tail), base + body.end, S, state, exclusive);
 }
 
-/// The segmented totals sweep of `Sum` over `src` on `isa`, seeded by and
-/// advancing `state`; `false` (nothing done) when `isa` has no segment
-/// kernel for `T`, the order is outside 2..=8, or the span is too short.
+/// Runs `$run::<T, Q, S>($args)` for the order `$q` and tuple size `$s`
+/// when that shape has `Sum` lane segments, and gives `false` for any
+/// other shape: the shape table of the segmented `Sum` sweeps. It holds
+/// orders 2..=8 at tuple sizes 1..=8 on both families. Each tuple shape
+/// was probed against the small-row vertical kernel it replaces (one
+/// thread, i64, 32 Ki-element chunks in L2, totals then output sweep, on
+/// a 2-vCPU AVX-512 x86-64 host), and every one of them won under both
+/// AVX-512 and AVX2 (DESIGN §8.6). Order 1 stays on the small-row kernel,
+/// which already runs at copy speed.
+macro_rules! sum_by_shape {
+    ($q:expr, $s:expr, $run:ident $args:tt) => {
+        match $q {
+            2 => sum_by_shape!(@tuple 2, $s, $run $args),
+            3 => sum_by_shape!(@tuple 3, $s, $run $args),
+            4 => sum_by_shape!(@tuple 4, $s, $run $args),
+            5 => sum_by_shape!(@tuple 5, $s, $run $args),
+            6 => sum_by_shape!(@tuple 6, $s, $run $args),
+            7 => sum_by_shape!(@tuple 7, $s, $run $args),
+            8 => sum_by_shape!(@tuple 8, $s, $run $args),
+            _ => false,
+        }
+    };
+    (@tuple $q:literal, $s:expr, $run:ident ($($arg:expr),*)) => {
+        match $s {
+            1 => $run::<T, $q, 1>($($arg),*),
+            2 => $run::<T, $q, 2>($($arg),*),
+            3 => $run::<T, $q, 3>($($arg),*),
+            4 => $run::<T, $q, 4>($($arg),*),
+            5 => $run::<T, $q, 5>($($arg),*),
+            6 => $run::<T, $q, 6>($($arg),*),
+            7 => $run::<T, $q, 7>($($arg),*),
+            8 => $run::<T, $q, 8>($($arg),*),
+            _ => false,
+        }
+    };
+}
+
+/// The segmented totals sweep of `Sum` over `src` (global index `base`,
+/// tuple size `s`) on `isa`, seeded by and advancing `state`; `false`
+/// (nothing done) when `isa` has no segment kernel for `T` at this order
+/// and tuple size, or the span is too short.
 fn segmented_totals<T: ScanElement>(
     isa: Isa,
     src: &[T],
+    base: usize,
+    s: usize,
     state: &mut [T],
     handoff: Option<&mut SegmentHandoff<T>>,
 ) -> bool {
-    let q = state.len();
-    if !(2..=8).contains(&q) {
-        return false;
+    fn run<T: ScanElement, const Q: usize, const S: usize>(
+        (isa, lanes, base): (Isa, usize, usize),
+        src: &[T],
+        state: &mut [T],
+        handoff: Option<&mut SegmentHandoff<T>>,
+    ) -> bool {
+        let min = SEGMENT_MIN_ELEMS;
+        let Some(span) = SegmentSpan::of(src, base, S, min, SegmentOp::Sum, Q, lanes, 1) else {
+            return false;
+        };
+        segmented_totals_q::<T, Q, S>((isa, span, base), src, state, handoff);
+        true
     }
-    let Some(span) = crate::simd::segment_lanes::<T>(isa)
-        .and_then(|lanes| SegmentSpan::of(src, SEGMENT_MIN_ELEMS, SegmentOp::Sum, q, lanes, 1))
-    else {
+    let Some(lanes) = crate::simd::segment_lanes::<T>(isa) else {
         return false;
     };
-    match q {
-        2 => segmented_totals_q::<T, 2>(isa, span, src, state, handoff),
-        3 => segmented_totals_q::<T, 3>(isa, span, src, state, handoff),
-        4 => segmented_totals_q::<T, 4>(isa, span, src, state, handoff),
-        5 => segmented_totals_q::<T, 5>(isa, span, src, state, handoff),
-        6 => segmented_totals_q::<T, 6>(isa, span, src, state, handoff),
-        7 => segmented_totals_q::<T, 7>(isa, span, src, state, handoff),
-        _ => segmented_totals_q::<T, 8>(isa, span, src, state, handoff),
-    }
-    true
+    let args = (isa, lanes, base);
+    sum_by_shape!(state.len() / s, s, run(args, src, state, handoff))
 }
 
 /// The segmented output sweep of `Sum` from `src` into `dst` on `isa`;
-/// `false` (nothing done) unless `handoff` was made by `Sum` over `src` at
-/// this order and in `isa`'s lane count.
+/// `false` (nothing done) unless `handoff` was made by `Sum` over `src`
+/// at this global index, order and tuple size, and in `isa`'s lane count.
 fn segmented_from<T: ScanElement>(
     isa: Isa,
-    src: &[T],
-    dst: &mut [T],
+    io: &mut Dst<'_, T>,
+    base: usize,
+    s: usize,
     state: &mut [T],
     exclusive: bool,
     handoff: &SegmentHandoff<T>,
 ) -> bool {
-    let q = state.len();
+    fn run<T: ScanElement, const Q: usize, const S: usize>(
+        (isa, span, base, exclusive): (Isa, SegmentSpan, usize, bool),
+        io: &mut Dst<'_, T>,
+        state: &mut [T],
+        ends: &[T],
+    ) -> bool {
+        segmented_from_q::<T, Q, S>((isa, span, base), io, state, exclusive, ends);
+        true
+    }
+    let q = state.len() / s;
     let Some(span) = handoff.span.filter(|span| {
         span.op == SegmentOp::Sum
-            && span.is_over(src)
-            && span.q == q
+            && span.is_over(io.src)
+            && (span.q, span.s, span.lane0) == (q, s, (base + span.head) % s)
             && Some(span.lanes) == crate::simd::segment_lanes::<T>(isa)
     }) else {
         return false;
     };
-    let ends = &handoff.ends;
-    match q {
-        2 => segmented_from_q::<T, 2>(isa, span, src, dst, state, exclusive, ends),
-        3 => segmented_from_q::<T, 3>(isa, span, src, dst, state, exclusive, ends),
-        4 => segmented_from_q::<T, 4>(isa, span, src, dst, state, exclusive, ends),
-        5 => segmented_from_q::<T, 5>(isa, span, src, dst, state, exclusive, ends),
-        6 => segmented_from_q::<T, 6>(isa, span, src, dst, state, exclusive, ends),
-        7 => segmented_from_q::<T, 7>(isa, span, src, dst, state, exclusive, ends),
-        _ => segmented_from_q::<T, 8>(isa, span, src, dst, state, exclusive, ends),
-    }
-    true
+    let args = (isa, span, base, exclusive);
+    sum_by_shape!(q, s, run(args, io, state, &handoff.ends))
 }
 
 impl<T: ScanElement> ChunkKernel<T> for Sum {
@@ -924,12 +1009,14 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
     ) {
         check_fused(src.len(), dst.len(), s);
         check_cascade_state(state.len(), s);
-        if let Some(h) = handoff.filter(|_| s == 1) {
-            if segmented_from(crate::isa::resolved(), src, dst, state, exclusive, h) {
+        let mut io = Dst { src, dst };
+        if let Some(h) = handoff {
+            let isa = crate::isa::resolved();
+            if segmented_from(isa, &mut io, base, s, state, exclusive, h) {
                 return;
             }
         }
-        sum_cascade(&mut Dst { src, dst }, base, s, state, exclusive);
+        sum_cascade(&mut io, base, s, state, exclusive);
     }
 
     fn cascade_totals(
@@ -945,7 +1032,7 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
         }
         assert!(s > 0, "stride must be positive");
         check_cascade_state(state.len(), s);
-        if s == 1 && segmented_totals(crate::isa::resolved(), src, state, handoff) {
+        if segmented_totals(crate::isa::resolved(), src, base, s, state, handoff) {
             return;
         }
         sum_cascade(&mut Discard(src), base, s, state, false);
@@ -1125,7 +1212,7 @@ fn linrec_segmented_totals_q<T: ScanElement, const Q: usize, const G: usize>(
     handoff: Option<&mut SegmentHandoff<T>>,
 ) -> bool {
     let min = RECURRENCE_SEGMENT_MIN_ELEMS;
-    let Some(span) = SegmentSpan::of(src, min, SegmentOp::LinRec, Q, lanes, G) else {
+    let Some(span) = SegmentSpan::of(src, 0, 1, min, SegmentOp::LinRec, Q, lanes, G) else {
         return false;
     };
     let body = span.body();
@@ -1171,7 +1258,7 @@ fn linrec_segmented_from_q<
     let Some(span) = handoff.span.filter(|span| {
         span.op == SegmentOp::LinRec
             && span.is_over(src)
-            && (span.q, span.lanes, span.groups) == (Q, lanes, G)
+            && (span.q, span.s, span.lanes, span.groups) == (Q, 1, lanes, G)
             && handoff.power_seg == span.seg
             && handoff.coeffs == c
     }) else {
@@ -1771,10 +1858,12 @@ mod tests {
         }
     }
 
-    /// Per-lane cascade loop from `seed`: the oracle for resumed sweeps.
-    /// Returns the outputs and the end state.
+    /// Per-lane cascade loop from `seed` over `input`, whose first element
+    /// has global index `base`: the oracle for resumed sweeps. Returns the
+    /// outputs and the end state.
     fn seeded_cascade_oracle<T: ScanElement>(
         input: &[T],
+        base: usize,
         s: usize,
         seed: &[T],
         exclusive: bool,
@@ -1785,7 +1874,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(j, &x)| {
-                let l = j % s;
+                let l = (base + j) % s;
                 let prev_top = state[(q - 1) * s + l];
                 let mut acc = x;
                 for i in 0..q {
@@ -1825,7 +1914,8 @@ mod tests {
                         Sum.cascade_totals(lo, 0, s, &mut totals, None);
                         Sum.cascade_totals(hi, split, s, &mut totals, None);
                         for exclusive in [false, true] {
-                            let (expect, end) = seeded_cascade_oracle(&input, s, &seed, exclusive);
+                            let (expect, end) =
+                                seeded_cascade_oracle(&input, 0, s, &seed, exclusive);
                             if zero_seed {
                                 assert_eq!(
                                     expect,
@@ -1863,44 +1953,59 @@ mod tests {
 
     /// Lengths for the segmented sweeps: every length to 300 (across
     /// [`SEGMENT_MIN_ELEMS`] and the shortest segments), both sides of
-    /// each of the first 20 multiples of a 64-element tile group, and both
-    /// sides of the CPU engine's 32 Ki-element chunk.
-    fn segment_lengths() -> impl Iterator<Item = usize> {
+    /// each of the first 20 multiples of a 64-element tile group, and,
+    /// with `chunk`, both sides of the CPU engine's 32 Ki-element chunk.
+    fn segment_lengths(chunk: bool) -> impl Iterator<Item = usize> {
+        let chunks = [(1 << 15) - 1, (1 << 15) + 1];
         (0..=300)
             .chain((1..=20).flat_map(|k| [64 * k - 1, 64 * k + 1]))
-            .chain([(1 << 15) - 1, (1 << 15) + 1])
+            .chain(chunks.into_iter().filter(move |_| chunk))
     }
 
     /// The segmented totals and output sweeps on `isa` against the
-    /// per-lane oracle, bit for bit: orders 2–8, inclusive and exclusive,
-    /// zero and non-zero seeds, streaming forced on and off. Sources start
-    /// `n % 8` elements into their buffer, so heads of every length occur.
-    /// Destinations are aligned like their sources within a 64-byte line
-    /// (where stores can stream) or one element off (where they must not).
-    /// A family without segment kernels must decline and leave the
-    /// hand-off empty.
-    fn check_segmented<T: ScanElement + std::fmt::Debug + PartialEq>(isa: Isa) {
-        let segmented = crate::simd::segment_lanes::<T>(isa).is_some();
+    /// per-lane oracle, bit for bit: orders 2–8 at tuple size `s` over
+    /// [`segment_lengths`]`(chunk)`,
+    /// inclusive and exclusive, zero and non-zero seeds, streaming forced
+    /// on and off. Sources start `n % 8` elements into their buffer, so
+    /// heads of every length occur, and at global index `3 * n`, so
+    /// segments start at every tuple lane (for even `s`, also where the
+    /// vector boundary and tuple lane 0 never meet). Destinations are
+    /// aligned like their sources within a 64-byte line (where stores can
+    /// stream) or one element off (where they must not). A span takes the
+    /// segments when it is at least [`SEGMENT_MIN_ELEMS`] long and holds a
+    /// whole `lanes x lanes x s` block past its head; a family without
+    /// segment kernels must decline and leave the hand-off empty.
+    fn check_segmented<T: ScanElement + std::fmt::Debug + PartialEq>(
+        isa: Isa,
+        s: usize,
+        chunk: bool,
+    ) {
+        let lanes = crate::simd::segment_lanes::<T>(isa);
         for q in 2..=8usize {
-            let random: Vec<T> = pseudo_random(q, 90 + q as u64)
+            let random: Vec<T> = pseudo_random(q * s, 90 + (q * s) as u64)
                 .into_iter()
                 .map(T::from_i64)
                 .collect();
-            for n in segment_lengths() {
-                let input: Vec<T> = pseudo_random(n + 8, (n * 13 + q) as u64)
+            for n in segment_lengths(chunk) {
+                let input: Vec<T> = pseudo_random(n + 8, (n * 13 + q + s) as u64)
                     .into_iter()
                     .map(T::from_i64)
                     .collect();
-                let src = &input[n % 8..][..n];
-                for seed in [vec![T::ZERO; q], random.clone()] {
-                    let tag = format!("{isa} q={q} n={n} seed={seed:?}");
+                let (src, base) = (&input[n % 8..][..n], 3 * n);
+                let expect_took = lanes.is_some_and(|l| {
+                    let head = src.as_ptr().align_offset(8 * l).min(n);
+                    n >= SEGMENT_MIN_ELEMS && n - head >= l * l * s
+                });
+                for seed in [vec![T::ZERO; q * s], random.clone()] {
+                    let tag = format!("{isa} q={q} s={s} n={n} seed={seed:?}");
                     let mut totals = seed.clone();
                     let mut handoff = SegmentHandoff::default();
-                    let took = segmented_totals(isa, src, &mut totals, Some(&mut handoff));
-                    assert_eq!(took, segmented && n >= SEGMENT_MIN_ELEMS, "{tag}");
+                    let h = Some(&mut handoff);
+                    let took = segmented_totals(isa, src, base, s, &mut totals, h);
+                    assert_eq!(took, expect_took, "{tag}");
                     assert_eq!(handoff.describes(src), took, "{tag}");
                     for exclusive in [false, true] {
-                        let (want, end) = seeded_cascade_oracle(src, 1, &seed, exclusive);
+                        let (want, end) = seeded_cascade_oracle(src, base, s, &seed, exclusive);
                         if took {
                             assert_eq!(totals, end, "totals {tag}");
                         }
@@ -1911,12 +2016,14 @@ mod tests {
                                 (src.as_ptr() as usize).wrapping_sub(out.as_ptr() as usize) % 64;
                             let dst = &mut out[gap / 8 + skew..][..n];
                             let mut state = seed.clone();
+                            let mut io = Dst { src, dst };
+                            let h = &handoff;
                             let ran =
-                                segmented_from(isa, src, dst, &mut state, exclusive, &handoff);
+                                segmented_from(isa, &mut io, base, s, &mut state, exclusive, h);
                             assert_eq!(ran, took, "{tag}");
                             if ran {
                                 assert_eq!(
-                                    dst,
+                                    io.dst,
                                     &want[..],
                                     "from {tag} exc={exclusive} nt={nt} skew={skew}"
                                 );
@@ -1935,8 +2042,25 @@ mod tests {
     #[test]
     fn segmented_sweeps_match_oracle_on_every_family() {
         for isa in crate::isa::available() {
-            check_segmented::<i64>(isa);
-            check_segmented::<u64>(isa);
+            check_segmented::<i64>(isa, 1, true);
+            check_segmented::<u64>(isa, 1, true);
+        }
+    }
+
+    /// [`check_segmented`] at every tuple size of the shape table, 2 to
+    /// 8. The 32 Ki-element chunk lengths and `u64` (whose kernels are
+    /// `i64`'s) run at the bench's tuple sizes, 2 and 5, to bound the
+    /// debug run.
+    #[test]
+    fn tuple_segmented_sweeps_match_oracle_on_every_family() {
+        for isa in crate::isa::available() {
+            for s in 2..=8 {
+                let bench = s == 2 || s == 5;
+                check_segmented::<i64>(isa, s, bench);
+                if bench {
+                    check_segmented::<u64>(isa, s, true);
+                }
+            }
         }
     }
 
@@ -1951,7 +2075,7 @@ mod tests {
         let seed: Vec<i64> = vec![5, -7, 11];
         for exclusive in [false, true] {
             let src = &input[1..];
-            let (want, end) = seeded_cascade_oracle(src, 1, &seed, exclusive);
+            let (want, end) = seeded_cascade_oracle(src, 0, 1, &seed, exclusive);
             let mut other = SegmentHandoff::default();
             let mut order2 = SegmentHandoff::default();
             let mut shorter = SegmentHandoff::default();
@@ -2115,7 +2239,7 @@ mod tests {
                 .into_iter()
                 .map(T::from_i64)
                 .collect();
-            for n in segment_lengths() {
+            for n in segment_lengths(true) {
                 let input: Vec<T> = pseudo_random(n + 8, (n * 13 + q) as u64)
                     .into_iter()
                     .map(T::from_i64)
@@ -2175,7 +2299,9 @@ mod tests {
     /// own recurrence made over its span: given one made by `Sum`, or by a
     /// recurrence with other coefficients of the same order, over the
     /// same span, it runs the register loop and is still exact. So does
-    /// `Sum` given a recurrence's hand-off.
+    /// `Sum` given a recurrence's hand-off, and a `Sum` sweep given one
+    /// `Sum` made of the same span and order at another stride, or at the
+    /// same stride from another tuple lane (global index 1 instead of 0).
     #[test]
     fn output_sweeps_refuse_a_foreign_operators_handoff() {
         let n = 4096 + 37;
@@ -2197,11 +2323,42 @@ mod tests {
                 op.cascade_scan_from(&input, &mut dst, 0, 1, &mut state, exclusive, handoff);
                 assert_eq!((&dst, &state), (&want, &end), "exc={exclusive} {handoff:?}");
             }
-            let (want, end) = seeded_cascade_oracle(&input, 1, &seed, exclusive);
+            let (want, end) = seeded_cascade_oracle(&input, 0, 1, &seed, exclusive);
             let mut dst = vec![0i64; n];
             let mut state = seed.clone();
             Sum.cascade_scan_from(&input, &mut dst, 0, 1, &mut state, exclusive, Some(&by_op));
             assert_eq!((&dst, &state), (&want, &end), "Sum exc={exclusive}");
+        }
+        let mut by_pairs = SegmentHandoff::default();
+        let mut by_odd_pairs = SegmentHandoff::default();
+        Sum.cascade_totals(&input, 0, 2, &mut [0i64; 4], Some(&mut by_pairs));
+        Sum.cascade_totals(&input, 1, 2, &mut [0i64; 4], Some(&mut by_odd_pairs));
+        let seed2 = vec![5i64, -7, 11, 3];
+        for exclusive in [false, true] {
+            let (want, end) = seeded_cascade_oracle(&input, 0, 1, &seed, exclusive);
+            let mut dst = vec![0i64; n];
+            let mut state = seed.clone();
+            Sum.cascade_scan_from(
+                &input,
+                &mut dst,
+                0,
+                1,
+                &mut state,
+                exclusive,
+                Some(&by_pairs),
+            );
+            assert_eq!((&dst, &state), (&want, &end), "s=1 exc={exclusive}");
+            let (want, end) = seeded_cascade_oracle(&input, 0, 2, &seed2, exclusive);
+            for handoff in [&by_sum, &by_odd_pairs, &by_pairs] {
+                let mut dst = vec![0i64; n];
+                let mut state = seed2.clone();
+                Sum.cascade_scan_from(&input, &mut dst, 0, 2, &mut state, exclusive, Some(handoff));
+                assert_eq!(
+                    (&dst, &state),
+                    (&want, &end),
+                    "s=2 exc={exclusive} {handoff:?}"
+                );
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 //! |---|---|---|---|---|
 //! | 1–2 byte elements, stride 1 | packed `u64` word | packed `u64` word | packed `u64` word | packed `u64` word |
 //! | 4/8 byte elements, stride 1 | — | 128-bit in-register scan | 256-bit in-register scan | 512-bit in-register scan |
-//! | 8 byte elements, stride 1, order 2–8, chunk sweep pairs | — | — | 4 lane segments, 4×4 tiles | 8 lane segments, 8×8 tiles |
+//! | 8 byte elements, `Sum` stride 1–8, order 2–8, chunk sweep pairs | — | — | 4 lane segments, 4×4 tiles | 8 lane segments, 8×8 tiles |
 //! | 8 byte elements, `LinRec` stride 1, order 1–8, chunk sweep pairs | — | — | 2–3 groups of 4 lane segments, emulated 64-bit multiply | 1–4 groups of 8 lane segments, `vpmullq` |
 //! | tuple rows of 8–64 bytes, a multiple of 8 | `u64` words in registers | `u64` words in registers | `u64` words in registers | `u64` words in registers |
 //! | other tuple rows ≥ 16 bytes | 8-byte word strips | 16-byte strips | 32-byte strips | 64-byte strips |
@@ -60,12 +60,17 @@
 //! split into one segment per lane, `lanes x lanes` tiles are loaded
 //! and transposed in registers so that each vector holds one position of
 //! every segment, and one vertical add per level advances all segments
-//! at once. The totals sweep leaves each segment's zero-seeded end state;
+//! at once. At tuple size `s` a segment is a whole number of `lanes x s`
+//! positions, so transposed vector `p` of a run of `s` tiles holds tuple
+//! lane `p % s` of every segment; the `q x s` state vectors are stepped
+//! over `s` tiles at a time, written out so that every lane index is a
+//! constant. The totals sweep leaves each segment's zero-seeded end state;
 //! the output sweep takes a seed per segment, transposes its outputs back
 //! and writes full vectors (streaming, when the scan streams and the
 //! destination is aligned to the vector width). The kernel is written once
-//! over the lane width; [`crate::chunk_kernel::SegmentHandoff`] describes
-//! how the carry algebra joins the segments.
+//! over the lane width and the tuple size;
+//! [`crate::chunk_kernel::SegmentHandoff`] describes how the carry algebra
+//! joins the segments.
 //!
 //! A linear recurrence splits the same way ([`recurrence_segment_lanes`]):
 //! each segment carries its window of the last `q` outputs, one step costs
@@ -367,14 +372,15 @@ pub fn vertical_totals<T: ScanElement>(isa: Isa, src: &[T], s: usize, state: &mu
     true
 }
 
-/// Lane count of `isa`'s segmented stride-1 sum sweeps for `T`, or `None`
-/// when the family has none (or the running CPU cannot execute it): 8
-/// under AVX-512 and 4 under AVX2, for 8-byte wrapping integers only.
+/// Lane count of `isa`'s segmented sum sweeps (stride 1 and tuple sizes
+/// up to 8) for `T`, or `None` when the family has none (or the running
+/// CPU cannot execute it): 8 under AVX-512 and 4 under AVX2, for 8-byte
+/// wrapping integers only.
 ///
 /// These sweeps split a span into one segment per lane and advance every
 /// segment's order-`q` state at once: `lanes x lanes` tiles are loaded,
-/// transposed in registers so that each vector holds one position of
-/// every segment, and advanced with vertical adds.
+/// transposed in registers so that each vector holds one position (one
+/// tuple lane) of every segment, and advanced with vertical adds.
 /// [`crate::chunk_kernel::SegmentHandoff`] describes how the chunk
 /// kernels join the segments.
 pub fn segment_lanes<T: ScanElement>(isa: Isa) -> Option<usize> {
@@ -390,11 +396,12 @@ pub fn segment_lanes<T: ScanElement>(isa: Isa) -> Option<usize> {
     }
 }
 
-/// Checks the shape of an order-`Q` segmented sweep in `G` groups of
-/// `lanes` lanes (`None`: the family has no such kernels): `src` is `G x
-/// lanes` segments of `seg` elements, `seg` a multiple of `lanes`, and
-/// `state` a `Q x (G x lanes)` matrix with `Q` in 1..=8. Returns `lanes`.
-fn check_segments<const Q: usize, const G: usize>(
+/// Checks the shape of an order-`Q` segmented sweep at tuple size `S` in
+/// `G` groups of `lanes` lanes (`None`: the family has no such kernels):
+/// `src` is `G x lanes` segments of `seg` elements, `seg` a multiple of
+/// `lanes x S`, and `state` a `Q x S x (G x lanes)` matrix with `Q` and
+/// `S` in 1..=8. Returns `lanes`.
+fn check_segments<const Q: usize, const G: usize, const S: usize>(
     lanes: Option<usize>,
     src_len: usize,
     seg: usize,
@@ -403,56 +410,58 @@ fn check_segments<const Q: usize, const G: usize>(
     let lanes = lanes.expect("the family has segment kernels for this type");
     let segments = G * lanes;
     assert!(
-        seg.is_multiple_of(lanes) && src_len == segments * seg,
+        seg.is_multiple_of(lanes * S) && src_len == segments * seg,
         "segments must be whole tiles ({src_len} elements in {segments} segments of {seg})"
     );
     assert!(
-        (1..=8).contains(&Q) && state_len == Q * segments,
-        "segment state must be {Q} x {segments} with {Q} in 1..=8 ({state_len})"
+        (1..=8).contains(&Q) && (1..=8).contains(&S) && state_len == Q * S * segments,
+        "segment state must be {Q} x {S} x {segments} with {Q} and {S} in 1..=8 ({state_len})"
     );
     lanes
 }
 
 /// Zero-seeded order-`Q` end states of the `lanes` consecutive segments
-/// of `seg` elements that make up `src`, written level-major into `ends`
-/// (`ends[i * lanes + j]` is segment `j`'s order-`(i+1)` total).
+/// of `seg` elements that make up `src`, at tuple size `S`, written
+/// level-major into `ends` (`ends[(i * S + l) * lanes + j]` is segment
+/// `j`'s order-`(i+1)` total of tuple lane `l`). Each segment starts at
+/// tuple lane 0.
 ///
 /// # Panics
 ///
 /// Panics unless [`segment_lanes`]`(isa)` is `Some(lanes)`, `src` is
-/// `lanes` segments of `seg` elements with `seg` a multiple of `lanes`,
-/// and `ends` holds `Q x lanes` words with `Q` in 1..=8.
-pub(crate) fn segment_totals<T: ScanElement, const Q: usize>(
+/// `lanes` segments of `seg` elements with `seg` a multiple of `lanes x
+/// S`, and `ends` holds `Q x S x lanes` words with `Q` and `S` in 1..=8.
+pub(crate) fn segment_totals<T: ScanElement, const Q: usize, const S: usize>(
     isa: Isa,
     src: &[T],
     seg: usize,
     ends: &mut [T],
 ) {
-    check_segments::<Q, 1>(segment_lanes::<T>(isa), src.len(), seg, ends.len());
+    check_segments::<Q, 1, S>(segment_lanes::<T>(isa), src.len(), seg, ends.len());
     let (src, ends) = (src.as_ptr().cast::<u64>(), ends.as_mut_ptr().cast::<u64>());
     // SAFETY: the shapes were checked above and the family is available
     // (`segment_lanes`).
     #[cfg(target_arch = "x86_64")]
     unsafe {
         match isa {
-            Isa::Avx512 => x86::segment_totals_avx512::<Q>(src, seg, ends),
-            _ => x86::segment_totals_avx2::<Q>(src, seg, ends),
+            Isa::Avx512 => x86::segment_totals_avx512::<Q, S>(src, seg, ends),
+            _ => x86::segment_totals_avx2::<Q, S>(src, seg, ends),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("no segment kernels on this target ({src:?}, {ends:?})");
 }
 
-/// Order-`Q` outputs of the `lanes` segments of `seg` elements that make
-/// up `src`, written to `dst`. `state` (`Q x lanes`, level-major) holds
-/// each segment's seed and receives its end state. With `stream`, and a
-/// `dst` aligned to the vector width, full vectors go out as non-temporal
-/// stores.
+/// Order-`Q` outputs at tuple size `S` of the `lanes` segments of `seg`
+/// elements that make up `src`, written to `dst`. `state` (`Q x S x
+/// lanes`, level-major as in [`segment_totals`]) holds each segment's
+/// seed and receives its end state. With `stream`, and a `dst` aligned to
+/// the vector width, full vectors go out as non-temporal stores.
 ///
 /// # Panics
 ///
 /// As [`segment_totals`], and if the slices differ in length.
-pub(crate) fn segment_from<T: ScanElement, const Q: usize>(
+pub(crate) fn segment_from<T: ScanElement, const Q: usize, const S: usize>(
     isa: Isa,
     src: &[T],
     dst: &mut [T],
@@ -462,7 +471,7 @@ pub(crate) fn segment_from<T: ScanElement, const Q: usize>(
     stream: bool,
 ) {
     assert_eq!(src.len(), dst.len(), "segment kernel buffers must match");
-    let lanes = check_segments::<Q, 1>(segment_lanes::<T>(isa), src.len(), seg, state.len());
+    let lanes = check_segments::<Q, 1, S>(segment_lanes::<T>(isa), src.len(), seg, state.len());
     let nt = stream && (dst.as_ptr() as usize).is_multiple_of(lanes * 8);
     let src = src.as_ptr().cast::<u64>();
     let (dst, state) = (
@@ -473,23 +482,16 @@ pub(crate) fn segment_from<T: ScanElement, const Q: usize>(
     // `src` and, with `nt`, is aligned to the vector width.
     #[cfg(target_arch = "x86_64")]
     unsafe {
+        use x86::{segment_from_avx2 as avx2, segment_from_avx512 as avx512};
         match (isa, exclusive, nt) {
-            (Isa::Avx512, false, false) => {
-                x86::segment_from_avx512::<Q, false, false>(src, dst, seg, state)
-            }
-            (Isa::Avx512, false, true) => {
-                x86::segment_from_avx512::<Q, false, true>(src, dst, seg, state)
-            }
-            (Isa::Avx512, true, false) => {
-                x86::segment_from_avx512::<Q, true, false>(src, dst, seg, state)
-            }
-            (Isa::Avx512, true, true) => {
-                x86::segment_from_avx512::<Q, true, true>(src, dst, seg, state)
-            }
-            (_, false, false) => x86::segment_from_avx2::<Q, false, false>(src, dst, seg, state),
-            (_, false, true) => x86::segment_from_avx2::<Q, false, true>(src, dst, seg, state),
-            (_, true, false) => x86::segment_from_avx2::<Q, true, false>(src, dst, seg, state),
-            (_, true, true) => x86::segment_from_avx2::<Q, true, true>(src, dst, seg, state),
+            (Isa::Avx512, false, false) => avx512::<Q, S, false, false>(src, dst, seg, state),
+            (Isa::Avx512, false, true) => avx512::<Q, S, false, true>(src, dst, seg, state),
+            (Isa::Avx512, true, false) => avx512::<Q, S, true, false>(src, dst, seg, state),
+            (Isa::Avx512, true, true) => avx512::<Q, S, true, true>(src, dst, seg, state),
+            (_, false, false) => avx2::<Q, S, false, false>(src, dst, seg, state),
+            (_, false, true) => avx2::<Q, S, false, true>(src, dst, seg, state),
+            (_, true, false) => avx2::<Q, S, true, false>(src, dst, seg, state),
+            (_, true, true) => avx2::<Q, S, true, true>(src, dst, seg, state),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -539,7 +541,7 @@ pub(crate) fn recurrence_segment_totals<T: ScanElement, const Q: usize, const G:
     ends: &mut [T],
 ) {
     let lanes = recurrence_segment_lanes::<T>(isa);
-    check_segments::<Q, G>(lanes, src.len(), seg, ends.len());
+    check_segments::<Q, G, 1>(lanes, src.len(), seg, ends.len());
     let c = coeffs.map(lane_bits_of);
     let (src, ends) = (src.as_ptr().cast::<u64>(), ends.as_mut_ptr().cast::<u64>());
     // SAFETY: the shapes were checked above and the family is available
@@ -577,7 +579,7 @@ pub(crate) fn recurrence_segment_from<T: ScanElement, const Q: usize, const G: u
 ) {
     assert_eq!(src.len(), dst.len(), "segment kernel buffers must match");
     let lanes = recurrence_segment_lanes::<T>(isa);
-    let lanes = check_segments::<Q, G>(lanes, src.len(), seg, state.len());
+    let lanes = check_segments::<Q, G, 1>(lanes, src.len(), seg, state.len());
     let nt = stream && (dst.as_ptr() as usize).is_multiple_of(lanes * 8);
     let c = coeffs.map(lane_bits_of);
     let src = src.as_ptr().cast::<u64>();
@@ -1787,39 +1789,46 @@ mod x86 {
     }
 
     /// Advances the states `w` of `G` groups of `L` segments over tile
-    /// `t` with `step`, one transposed input vector (position `i` of the
-    /// group's segments) at a time. The groups' steps interleave, so that
-    /// their dependency chains overlap. With `EMIT` the outputs go to
-    /// `dst` through the inverse transpose.
+    /// `t + k * L`, the `k`-th of the `S` tiles from position `t` (a
+    /// multiple of `L * S`), with `step`, one transposed input vector
+    /// (position `p` of the group's segments, counted from `t`) at a time.
+    /// Position `p` belongs to tuple lane `p % S`, whose state is `w[g][p
+    /// % S]`. The groups' steps interleave, so that their dependency
+    /// chains overlap. With `EMIT` the outputs go to `dst` through the
+    /// inverse transpose.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     unsafe fn segment_tile<
         F: SegLanes<L>,
         const L: usize,
         const Q: usize,
         const G: usize,
+        const S: usize,
         const EMIT: bool,
         const NT: bool,
     >(
         step: &impl SegStep<F, L, Q>,
-        w: &mut [[F::V; Q]; G],
+        w: &mut [[[F::V; Q]; S]; G],
         src: *const u64,
         dst: *mut u64,
         seg: usize,
         t: usize,
+        k: usize,
     ) {
         let mut cols = [[F::zero(); L]; G];
         for (g, col) in cols.iter_mut().enumerate() {
-            *col = segment_load::<F, L>(src.add(g * L * seg), seg, t);
+            *col = segment_load::<F, L>(src.add(g * L * seg), seg, t + k * L);
         }
         for i in 0..L {
+            let p = k * L + i;
             for (col, st) in cols.iter_mut().zip(w.iter_mut()) {
-                col[i] = step.step(st, col[i]);
+                col[i] = step.step(&mut st[p % S], col[i]);
             }
         }
         if EMIT {
             for (g, col) in cols.into_iter().enumerate() {
                 for (j, row) in F::transpose(col).into_iter().enumerate() {
-                    let p = dst.add((g * L + j) * seg + t);
+                    let p = dst.add((g * L + j) * seg + t + k * L);
                     if NT {
                         F::stream(p, row);
                     } else {
@@ -1830,42 +1839,95 @@ mod x86 {
         }
     }
 
-    /// The segmented totals sweep, written once over the lane width and
-    /// the step: the zero-seeded end states of `G x L` segments of `seg`
-    /// words at `src`, level-major into `ends`.
+    /// [`segment_tile`] over the `S` tiles from position `t`, the calls
+    /// written out so that every tuple lane index is a constant and the
+    /// `Q x S` states stay in registers.
+    #[inline(always)]
+    unsafe fn segment_tiles<
+        F: SegLanes<L>,
+        const L: usize,
+        const Q: usize,
+        const G: usize,
+        const S: usize,
+        const EMIT: bool,
+        const NT: bool,
+    >(
+        step: &impl SegStep<F, L, Q>,
+        w: &mut [[[F::V; Q]; S]; G],
+        src: *const u64,
+        dst: *mut u64,
+        seg: usize,
+        t: usize,
+    ) {
+        macro_rules! tiles {
+            ($($k:literal)*) => {{
+                $(segment_tile::<F, L, Q, G, S, EMIT, NT>(step, w, src, dst, seg, t, $k);)*
+            }};
+        }
+        match S {
+            1 => tiles!(0),
+            2 => tiles!(0 1),
+            3 => tiles!(0 1 2),
+            4 => tiles!(0 1 2 3),
+            5 => tiles!(0 1 2 3 4),
+            6 => tiles!(0 1 2 3 4 5),
+            7 => tiles!(0 1 2 3 4 5 6),
+            _ => tiles!(0 1 2 3 4 5 6 7),
+        }
+    }
+
+    /// Word offset in a level-major `Q x S x G x L` state of group `g`'s
+    /// order-`(k+1)` vector for tuple lane `l`.
+    #[inline(always)]
+    fn state_at<const L: usize, const G: usize, const S: usize>(
+        k: usize,
+        l: usize,
+        g: usize,
+    ) -> usize {
+        ((k * S + l) * G + g) * L
+    }
+
+    /// The segmented totals sweep, written once over the lane width, the
+    /// tuple size and the step: the zero-seeded end states of `G x L`
+    /// segments of `seg` words at `src`, level-major into `ends`.
     #[inline(always)]
     unsafe fn segment_totals_body<
         F: SegLanes<L>,
         const L: usize,
         const Q: usize,
         const G: usize,
+        const S: usize,
     >(
         step: impl SegStep<F, L, Q>,
         src: *const u64,
         seg: usize,
         ends: *mut u64,
     ) {
-        let mut w = [[F::zero(); Q]; G];
+        let mut w = [[[F::zero(); Q]; S]; G];
         let dst = std::ptr::null_mut();
-        for t in (0..seg).step_by(L) {
-            segment_tile::<F, L, Q, G, false, false>(&step, &mut w, src, dst, seg, t);
+        for t in (0..seg).step_by(L * S) {
+            segment_tiles::<F, L, Q, G, S, false, false>(&step, &mut w, src, dst, seg, t);
         }
-        for (g, st) in w.iter().enumerate() {
-            for (k, &v) in st.iter().enumerate() {
-                F::store(ends.add(k * G * L + g * L), v);
+        for (g, lanes) in w.iter().enumerate() {
+            for (l, st) in lanes.iter().enumerate() {
+                for (k, &v) in st.iter().enumerate() {
+                    F::store(ends.add(state_at::<L, G, S>(k, l, g)), v);
+                }
             }
         }
     }
 
-    /// The segmented output sweep, written once over the lane width and
-    /// the step: seeds from `state` (level-major `Q x G x L`), outputs to
-    /// `dst` through the inverse transpose, end states back to `state`.
+    /// The segmented output sweep, written once over the lane width, the
+    /// tuple size and the step: seeds from `state` (level-major `Q x S x G
+    /// x L`), outputs to `dst` through the inverse transpose, end states
+    /// back to `state`.
     #[inline(always)]
     unsafe fn segment_from_body<
         F: SegLanes<L>,
         const L: usize,
         const Q: usize,
         const G: usize,
+        const S: usize,
         const NT: bool,
     >(
         step: impl SegStep<F, L, Q>,
@@ -1874,65 +1936,73 @@ mod x86 {
         seg: usize,
         state: *mut u64,
     ) {
-        let mut w = [[F::zero(); Q]; G];
-        for (g, st) in w.iter_mut().enumerate() {
-            for (k, v) in st.iter_mut().enumerate() {
-                *v = F::load(state.add(k * G * L + g * L));
+        let mut w = [[[F::zero(); Q]; S]; G];
+        for (g, lanes) in w.iter_mut().enumerate() {
+            for (l, st) in lanes.iter_mut().enumerate() {
+                for (k, v) in st.iter_mut().enumerate() {
+                    *v = F::load(state.add(state_at::<L, G, S>(k, l, g)));
+                }
             }
         }
-        for t in (0..seg).step_by(L) {
-            segment_tile::<F, L, Q, G, true, NT>(&step, &mut w, src, dst, seg, t);
+        for t in (0..seg).step_by(L * S) {
+            segment_tiles::<F, L, Q, G, S, true, NT>(&step, &mut w, src, dst, seg, t);
         }
         if NT {
             _mm_sfence();
         }
-        for (g, st) in w.iter().enumerate() {
-            for (k, &v) in st.iter().enumerate() {
-                F::store(state.add(k * G * L + g * L), v);
+        for (g, lanes) in w.iter().enumerate() {
+            for (l, st) in lanes.iter().enumerate() {
+                for (k, &v) in st.iter().enumerate() {
+                    F::store(state.add(state_at::<L, G, S>(k, l, g)), v);
+                }
             }
         }
     }
 
-    /// AVX-512 entry of [`segment_totals_body`] for the sum cascade.
+    /// AVX-512 entry of [`segment_totals_body`] for the sum cascade at
+    /// tuple size `S`.
     ///
     /// # Safety
     ///
-    /// `src` valid for `8 * seg` words, `ends` for `8 * Q`; AVX-512F
+    /// `src` valid for `8 * seg` words, `ends` for `8 * Q * S`; AVX-512F
     /// available.
     #[target_feature(enable = "avx512f,avx2")]
-    pub(super) unsafe fn segment_totals_avx512<const Q: usize>(
+    pub(super) unsafe fn segment_totals_avx512<const Q: usize, const S: usize>(
         src: *const u64,
         seg: usize,
         ends: *mut u64,
     ) {
-        segment_totals_body::<Avx512Seg, 8, Q, 1>(SumStep::<false>, src, seg, ends)
+        segment_totals_body::<Avx512Seg, 8, Q, 1, S>(SumStep::<false>, src, seg, ends)
     }
 
-    /// AVX2 entry of [`segment_totals_body`] for the sum cascade.
+    /// AVX2 entry of [`segment_totals_body`] for the sum cascade at tuple
+    /// size `S`.
     ///
     /// # Safety
     ///
-    /// `src` valid for `4 * seg` words, `ends` for `4 * Q`; AVX2
+    /// `src` valid for `4 * seg` words, `ends` for `4 * Q * S`; AVX2
     /// available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn segment_totals_avx2<const Q: usize>(
+    pub(super) unsafe fn segment_totals_avx2<const Q: usize, const S: usize>(
         src: *const u64,
         seg: usize,
         ends: *mut u64,
     ) {
-        segment_totals_body::<Avx2Seg, 4, Q, 1>(SumStep::<false>, src, seg, ends)
+        segment_totals_body::<Avx2Seg, 4, Q, 1, S>(SumStep::<false>, src, seg, ends)
     }
 
-    /// AVX-512 entry of [`segment_from_body`] for the sum cascade.
+    /// AVX-512 entry of [`segment_from_body`] for the sum cascade at tuple
+    /// size `S`.
     ///
     /// # Safety
     ///
     /// `src` and `dst` valid for `8 * seg` words and non-overlapping,
-    /// `state` for `8 * Q`; with `NT`, `dst` 64-byte aligned; AVX-512F
+    /// `state` for `8 * Q * S`; with `NT`, `dst` 64-byte aligned; AVX-512F
     /// available.
     #[target_feature(enable = "avx512f,avx2")]
     pub(super) unsafe fn segment_from_avx512<
         const Q: usize,
+        const S: usize,
         const EXCLUSIVE: bool,
         const NT: bool,
     >(
@@ -1941,10 +2011,11 @@ mod x86 {
         seg: usize,
         state: *mut u64,
     ) {
-        segment_from_body::<Avx512Seg, 8, Q, 1, NT>(SumStep::<EXCLUSIVE>, src, dst, seg, state)
+        segment_from_body::<Avx512Seg, 8, Q, 1, S, NT>(SumStep::<EXCLUSIVE>, src, dst, seg, state)
     }
 
-    /// AVX2 entry of [`segment_from_body`] for the sum cascade.
+    /// AVX2 entry of [`segment_from_body`] for the sum cascade at tuple
+    /// size `S`.
     ///
     /// # Safety
     ///
@@ -1953,6 +2024,7 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn segment_from_avx2<
         const Q: usize,
+        const S: usize,
         const EXCLUSIVE: bool,
         const NT: bool,
     >(
@@ -1961,7 +2033,7 @@ mod x86 {
         seg: usize,
         state: *mut u64,
     ) {
-        segment_from_body::<Avx2Seg, 4, Q, 1, NT>(SumStep::<EXCLUSIVE>, src, dst, seg, state)
+        segment_from_body::<Avx2Seg, 4, Q, 1, S, NT>(SumStep::<EXCLUSIVE>, src, dst, seg, state)
     }
 
     /// AVX-512 entry of [`segment_totals_body`] for the recurrence with
@@ -1979,7 +2051,7 @@ mod x86 {
         ends: *mut u64,
     ) {
         let step = RecStep::<_, Q, false>::new::<Avx512Seg, 8>(coeffs);
-        segment_totals_body::<Avx512Seg, 8, Q, G>(step, src, seg, ends)
+        segment_totals_body::<Avx512Seg, 8, Q, G, 1>(step, src, seg, ends)
     }
 
     /// AVX-512 entry of [`segment_from_body`] for the recurrence with
@@ -2004,7 +2076,7 @@ mod x86 {
         state: *mut u64,
     ) {
         let step = RecStep::<_, Q, EXCLUSIVE>::new::<Avx512Seg, 8>(coeffs);
-        segment_from_body::<Avx512Seg, 8, Q, G, NT>(step, src, dst, seg, state)
+        segment_from_body::<Avx512Seg, 8, Q, G, 1, NT>(step, src, dst, seg, state)
     }
 
     /// AVX2 entry of [`segment_totals_body`] for the recurrence.
@@ -2021,7 +2093,7 @@ mod x86 {
         ends: *mut u64,
     ) {
         let step = RecStep::<_, Q, false>::new::<Avx2Seg, 4>(coeffs);
-        segment_totals_body::<Avx2Seg, 4, Q, G>(step, src, seg, ends)
+        segment_totals_body::<Avx2Seg, 4, Q, G, 1>(step, src, seg, ends)
     }
 
     /// AVX2 entry of [`segment_from_body`] for the recurrence.
@@ -2043,7 +2115,7 @@ mod x86 {
         state: *mut u64,
     ) {
         let step = RecStep::<_, Q, EXCLUSIVE>::new::<Avx2Seg, 4>(coeffs);
-        segment_from_body::<Avx2Seg, 4, Q, G, NT>(step, src, dst, seg, state)
+        segment_from_body::<Avx2Seg, 4, Q, G, 1, NT>(step, src, dst, seg, state)
     }
 
     // Keep the scalar-lane helpers referenced so per-width dead-code

@@ -15,23 +15,73 @@
 //! header and payload in one vectored write. Each reply is written as
 //! soon as it is ready, so there is no reply buffer to flush before the
 //! next read that can block (DESIGN §16.4).
+//!
+//! A connection that [`serve`] ends itself, after a bad frame or a
+//! shutdown, is closed without a reset: the write half is shut down first,
+//! so the client reads EOF after the last reply, and then up to 64 KiB of
+//! what the client sent behind that frame are read and dropped, for at
+//! most about 200 ms (see [`Connection`]).
 
-use std::io::{BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::wire::{self, Request};
 use crate::{ScanOutput, ScanService};
+
+/// How many bytes that a client sent behind a bad frame or a shutdown
+/// [`serve`] reads and drops before it closes the connection.
+const LINGER_BYTES: usize = 64 << 10;
+
+/// How long [`serve`] waits for those bytes: the bound of each read, and
+/// of the whole drain past its last read.
+const LINGER_TIME: Duration = Duration::from_millis(200);
+
+/// A byte stream [`serve`] runs on.
+///
+/// Closing a socket whose receive queue holds unread bytes resets the
+/// connection, and the peer's next read fails with `ConnectionReset`
+/// where it expected EOF. So before [`serve`] drops a connection it ends
+/// itself, it shuts the write half with [`Connection::close_write`] and
+/// drains the rest of the client's bytes, up to 64 KiB and about 200 ms,
+/// so that a hostile client cannot hold the thread.
+pub trait Connection: Read + Write {
+    /// Shuts down the write half (the peer then reads EOF after what was
+    /// written) and bounds every later read by `timeout`. `false`, having
+    /// done nothing, for a stream without those controls (the default),
+    /// which [`serve`] then drops without draining.
+    fn close_write(&mut self, _timeout: Duration) -> bool {
+        false
+    }
+}
+
+impl Connection for UnixStream {
+    fn close_write(&mut self, timeout: Duration) -> bool {
+        self.shutdown(Shutdown::Write).is_ok() && self.set_read_timeout(Some(timeout)).is_ok()
+    }
+}
+
+impl Connection for TcpStream {
+    fn close_write(&mut self, timeout: Duration) -> bool {
+        self.shutdown(Shutdown::Write).is_ok() && self.set_read_timeout(Some(timeout)).is_ok()
+    }
+}
+
+impl<C: Connection + ?Sized> Connection for &mut C {
+    fn close_write(&mut self, timeout: Duration) -> bool {
+        (**self).close_write(timeout)
+    }
+}
 
 /// The two listener flavors, unified for one accept loop. [`accept_loop`]
 /// polls, so the listener must be nonblocking: the stop flag then stays
 /// cooperative without extra fds.
 pub trait Listen: Send + 'static {
     /// The connection type a successful accept yields.
-    type Conn: Read + Write + Send + 'static;
+    type Conn: Connection + Send + 'static;
     /// Accepts one pending connection (`WouldBlock` when none is).
     fn accept_conn(&self) -> std::io::Result<Self::Conn>;
 }
@@ -97,8 +147,9 @@ pub fn accept_loop<L: Listen>(listener: L, service: Arc<ScanService>, stop: Arc<
 /// sets `stop`, is acknowledged with an empty success reply and closes
 /// it; an IO failure just closes it. Replies to the frames before either
 /// are written first, since each reply is written before the next frame
-/// is read.
-pub fn serve(stream: impl Read + Write, service: &ScanService, stop: &AtomicBool) {
+/// is read. The two closes of its own linger (see [`Connection`]), so a
+/// pipelining client reads EOF after the last reply, not a reset.
+pub fn serve(stream: impl Connection, service: &ScanService, stop: &AtomicBool) {
     let mut conn = BufReader::new(stream);
     loop {
         let payload = match wire::read_frame(&mut conn) {
@@ -116,18 +167,36 @@ pub fn serve(stream: impl Read + Write, service: &ScanService, stop: &AtomicBool
                     checkpoint: None,
                 });
                 let _ = wire::write_frame(conn.get_mut(), &wire::encode_response_lossy(&ack));
-                return;
+                return linger(&mut conn);
             }
             Err(e) => {
                 let _ = wire::write_frame(
                     conn.get_mut(),
                     &wire::encode_response_lossy(&Err(format!("bad frame: {e}"))),
                 );
-                return;
+                return linger(&mut conn);
             }
         };
         if wire::write_frame(conn.get_mut(), &wire::encode_response_lossy(&response)).is_err() {
             return;
         }
+    }
+}
+
+/// Shuts the write half of `conn` and reads and drops what the client
+/// sent, until EOF, an error, [`LINGER_BYTES`] or [`LINGER_TIME`].
+fn linger(conn: &mut BufReader<impl Connection>) {
+    if !conn.get_mut().close_write(LINGER_TIME) {
+        return;
+    }
+    let deadline = Instant::now() + LINGER_TIME;
+    let mut left = LINGER_BYTES;
+    while left > 0 && Instant::now() < deadline {
+        let n = match conn.fill_buf() {
+            Ok(buf) if !buf.is_empty() => buf.len().min(left),
+            _ => return,
+        };
+        conn.consume(n);
+        left -= n;
     }
 }

@@ -1,8 +1,9 @@
 //! In-process tests of the daemon's connection loop, `server::serve`: over
 //! a socket pair for framing edge cases (partial frames, pipelined
 //! frames, frames larger than the read buffer, a bad frame or a shutdown
-//! behind good ones), and over a counting stream for the number of
-//! `read` and `write` calls each request costs.
+//! behind good ones, with more frames pipelined behind it), and over a
+//! counting stream for the number of `read` and `write` calls each
+//! request costs.
 
 use std::io::{Cursor, IoSlice, IoSliceMut, Read, Write};
 use std::net::Shutdown;
@@ -10,7 +11,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use sam_service::server::serve;
+use sam_service::server::{serve, Connection};
 use sam_service::wire;
 use sam_service::{ScanOutput, ScanRequest, ScanService, ServiceConfig};
 
@@ -157,6 +158,40 @@ fn replies_to_requests_precede_the_shutdown_ack() {
     assert!(stopped);
 }
 
+/// A client that pipelined more than a read buffer of frames behind a bad
+/// frame reads every earlier reply, then the error, then a clean EOF: the
+/// loop shuts its write half and drains the rest before it closes, so
+/// the close does not reset the connection.
+#[test]
+fn frames_pipelined_past_a_bad_frame_end_in_a_clean_eof() {
+    let stopped = with_server(|stream| {
+        let requests: Vec<Vec<i32>> = (0..3).map(|i| values(i, 4)).collect();
+        let mut bytes: Vec<u8> = requests.iter().flat_map(|v| scan_frame(v)).collect();
+        bytes.extend(frame(&[0xFF]));
+        let behind: Vec<u8> = (0..200).flat_map(|i| scan_frame(&values(i, 8))).collect();
+        assert!(
+            behind.len() > READ_BUF,
+            "frames must reach past the read-ahead"
+        );
+        bytes.extend(behind);
+        stream.write_all(&bytes).unwrap();
+        for request in &requests {
+            expect_values(stream, request);
+        }
+        let err = recv(stream)
+            .expect("an error reply, not EOF")
+            .expect_err("a bad frame is an error");
+        assert!(err.starts_with("bad frame"), "{err}");
+        let mut rest = Vec::new();
+        let read = stream.read_to_end(&mut rest);
+        assert!(
+            matches!(read, Ok(0)),
+            "a clean EOF after the error, not {read:?}"
+        );
+    });
+    assert!(!stopped);
+}
+
 /// A stream preloaded with the client's bytes that records the replies
 /// and counts every call that would be a syscall on a socket.
 struct Counted {
@@ -190,6 +225,8 @@ impl Write for Counted {
         Ok(())
     }
 }
+
+impl Connection for Counted {}
 
 #[test]
 fn each_small_request_costs_one_write_and_a_share_of_one_read() {

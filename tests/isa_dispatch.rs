@@ -533,71 +533,89 @@ const SEED_PREFIX: usize = 37;
 
 /// The CPU engine's two sweeps per chunk, through the public trait: a
 /// totals sweep that fills a hand-off, then an output sweep given it,
-/// against `serial::scan` bit for bit (`EXACT_RING` types). Orders 2–8,
-/// every length to 300, both sides of the first eight 64-element tile
-/// groups and of the 32 Ki-element chunk, inclusive and exclusive, from a
-/// zero seed and from the end state of a prefix, with streaming stores
-/// forced on and off, into a destination aligned like the source (where
-/// stores can stream) and one element off it (where they must not). Each
-/// output sweep's end state must equal the totals sweep's and the register
-/// loop's (an output sweep given no hand-off).
-fn segmented_grid<T: ScanElement + std::fmt::Debug + PartialEq>(seed: u64) {
+/// against `serial::scan` bit for bit (`EXACT_RING` types). Orders 2–8 at
+/// tuple size `s` over `lengths`, inclusive and exclusive, from a zero
+/// seed at global index 0 and from the end state of a prefix at global
+/// index [`SEED_PREFIX`] (so that tuple segments also start off tuple
+/// lane 0), with streaming stores forced on and off, into a destination
+/// aligned like the source (where stores can stream) and one element off
+/// it (where they must not). Each output sweep's end state must equal the
+/// totals sweep's and the row kernel's (an output sweep given no
+/// hand-off). A span takes the segments when it is at least
+/// [`SEGMENT_MIN_ELEMS`] long and holds a whole `lanes x lanes x s` block
+/// past the source's first vector boundary.
+fn segmented_grid<T: ScanElement + std::fmt::Debug + PartialEq>(
+    seed: u64,
+    s: usize,
+    lengths: impl Iterator<Item = usize>,
+) {
     assert!(T::EXACT_RING);
-    let segmented = simd::segment_lanes::<T>(isa::resolved()).is_some();
-    let lengths = (0..=300usize)
-        .chain((1..=8).flat_map(|k| [64 * k - 1, 64 * k + 1]))
-        .chain([(1 << 15) - 1, (1 << 15) + 1]);
+    let lanes = simd::segment_lanes::<T>(isa::resolved());
     for n in lengths {
         let full = pattern::<T>(SEED_PREFIX + n, seed ^ n as u64);
         let src = &full[SEED_PREFIX..];
+        let segmented = lanes.is_some_and(|l| {
+            let head = src.as_ptr().align_offset(8 * l).min(n);
+            n >= SEGMENT_MIN_ELEMS && n - head >= l * l * s
+        });
         for q in 2..=8u32 {
+            let qs = q as usize * s;
             for prefix in [0, SEED_PREFIX] {
-                let tag = format!("{} q={q} n={n} prefix={prefix}", isa::resolved());
-                let mut start = vec![T::ZERO; q as usize];
-                Sum.cascade_totals(
-                    &full[SEED_PREFIX - prefix..SEED_PREFIX],
-                    0,
-                    1,
-                    &mut start,
-                    None,
-                );
+                let tag = format!("{} q={q} s={s} n={n} prefix={prefix}", isa::resolved());
+                let mut start = vec![T::ZERO; qs];
+                let head = &full[SEED_PREFIX - prefix..SEED_PREFIX];
+                Sum.cascade_totals(head, 0, s, &mut start, None);
                 let mut totals = start.clone();
                 let mut handoff = SegmentHandoff::default();
-                Sum.cascade_totals(src, 0, 1, &mut totals, Some(&mut handoff));
-                assert_eq!(
-                    handoff.describes(src),
-                    segmented && n >= SEGMENT_MIN_ELEMS,
-                    "{tag}"
-                );
+                Sum.cascade_totals(src, prefix, s, &mut totals, Some(&mut handoff));
+                assert_eq!(handoff.describes(src), segmented, "{tag}");
                 for kind in [ScanSpec::inclusive(), ScanSpec::exclusive()] {
-                    let spec = kind.with_order(q).unwrap();
+                    let spec = kind.with_order(q).unwrap().with_tuple(s).unwrap();
                     let exclusive = spec.kind() == ScanKind::Exclusive;
                     let want = &serial::scan(&full[SEED_PREFIX - prefix..], &Sum, &spec)[prefix..];
                     let mut plain = vec![T::ZERO; n];
                     let mut end = start.clone();
-                    Sum.cascade_scan_from(src, &mut plain, 0, 1, &mut end, exclusive, None);
-                    assert_eq!(plain, want, "register loop {tag} {spec:?}");
+                    Sum.cascade_scan_from(src, &mut plain, prefix, s, &mut end, exclusive, None);
+                    assert_eq!(plain, want, "row kernel {tag} {spec:?}");
                     assert_eq!(totals, end, "totals {tag}");
                     for (nt, skew) in [(1, 0), (1, 1), (usize::MAX, 0)] {
                         let _nt = simd::nt_store_override(nt);
                         let mut buf = vec![T::ZERO; n + 9];
                         let dst = aligned_like(&mut buf, src, n, skew);
                         let mut state = start.clone();
-                        Sum.cascade_scan_from(
-                            src,
-                            dst,
-                            0,
-                            1,
-                            &mut state,
-                            exclusive,
-                            Some(&handoff),
-                        );
+                        let h = Some(&handoff);
+                        Sum.cascade_scan_from(src, dst, prefix, s, &mut state, exclusive, h);
                         assert_eq!(dst, want, "{tag} {spec:?} nt={nt} skew={skew}");
                         assert_eq!(state, end, "end state {tag} {spec:?} nt={nt} skew={skew}");
                     }
                 }
             }
         }
+    }
+}
+
+/// [`segmented_grid`] at stride 1: every length to 300, both sides of the
+/// first eight 64-element tile groups and of the 32 Ki-element chunk.
+fn stride1_segmented_grid<T: ScanElement + std::fmt::Debug + PartialEq>(seed: u64) {
+    let lengths = (0..=300usize)
+        .chain((1..=8).flat_map(|k| [64 * k - 1, 64 * k + 1]))
+        .chain([(1 << 15) - 1, (1 << 15) + 1]);
+    segmented_grid::<T>(seed, 1, lengths);
+}
+
+/// [`segmented_grid`] at every tuple size 2–8 of the shape table, for
+/// `i64` (`u64` runs the same kernels): a few short lengths, 300, and both
+/// sides of the tile-group multiples around the shortest segmented spans
+/// (`8 x 8 x s` elements under AVX-512). The unit tests of `chunk_kernel`
+/// run every length to 300 and the 32 Ki-element chunks on every family.
+fn tuple_segmented_grid(seed: u64) {
+    for s in 2..=8 {
+        let lengths = (0..=3usize).chain([300]).chain(
+            [4, 5, 8, 9]
+                .into_iter()
+                .flat_map(|k| [64 * k - 1, 64 * k + 1]),
+        );
+        segmented_grid::<i64>(seed ^ ((s as u64) << 12), s, lengths);
     }
 }
 
@@ -671,16 +689,18 @@ fn linrec_segmented_grid<T: ScanElement + std::fmt::Debug + PartialEq>(seed: u64
     }
 }
 
-/// [`segmented_grid`] under every kernel family this host can execute,
-/// each in a child process of this binary with `SAM_FORCE_KERNEL` set to
+/// The segmented grids (stride 1 and tuples of [`segmented_grid`], and
+/// [`linrec_segmented_grid`]) under every kernel family this host can
+/// execute, each in a child process of this binary with `SAM_FORCE_KERNEL` set to
 /// it: the family is resolved once per process, and the trait's sweeps
 /// take the resolved one.
 #[test]
 fn segmented_sweeps_match_serial_under_each_forced_family() {
     let name = "segmented_sweeps_match_serial_under_each_forced_family";
     if std::env::var_os(FORCED_CHILD_ENV).is_some() {
-        segmented_grid::<i64>(0x7101);
-        segmented_grid::<u64>(0x7102);
+        stride1_segmented_grid::<i64>(0x7101);
+        stride1_segmented_grid::<u64>(0x7102);
+        tuple_segmented_grid(0x7105);
         linrec_segmented_grid::<i64>(0x7103);
         linrec_segmented_grid::<u64>(0x7104);
         return;

@@ -4,13 +4,19 @@
 //! lanes × recurrence lanes, interleaved tenants) route and execute
 //! correctly, streaming checkpoint chains continue scans exactly, a
 //! panicking handler fails only its batch, backpressure sheds instead of
-//! blocking, and metrics attribute work per tenant and per lane.
+//! blocking, metrics attribute work per tenant and per lane, and the
+//! daemon's connection loop answers pipelined frames in request order
+//! under hostile schedules.
 //!
 //! The oracle is [`sam_core::segmented::scan_serial`] applied
 //! per-request (or, for recurrence requests, the serial recurrence
 //! loop) — the definition the routed execution must be indistinguishable
 //! from.
 
+use std::io::Write;
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
@@ -19,7 +25,8 @@ use sam_core::cpu::CpuScanner;
 use sam_core::op::Sum;
 use sam_core::segmented::scan_serial;
 use sam_core::{Engine, ScanKind};
-use sam_service::{RequestError, ScanRequest, ScanService, ServiceConfig};
+use sam_service::server::serve;
+use sam_service::{wire, RequestError, ScanRequest, ScanService, ServiceConfig};
 
 /// The per-request oracle: exactly what the tenant would get from a
 /// dedicated serial scan of their own request — the segmented sum, or
@@ -664,4 +671,64 @@ fn abandoned_requests_run_in_the_next_batch_and_hold_nothing_up() {
         assert_eq!(metrics.tenants["abandoned"].errors, 0);
         service.shutdown();
     });
+}
+
+/// Request `i` of a pipelined mix: 1 to 300 values (up to ten of the
+/// hostile engine's 32-element chunks) on one of five families — a plain
+/// inclusive sum, a segmented exclusive sum, two recurrences and an
+/// exclusive third-order one.
+fn mixed_request(seed: u64, i: usize) -> ScanRequest {
+    let n = (i * 37 + seed as usize) % 300 + 1;
+    let values: Vec<i32> = (0..n)
+        .map(|j| (j as i32).wrapping_mul(7919) ^ (seed as i32).wrapping_add(i as i32))
+        .collect();
+    match i % 5 {
+        0 => ScanRequest::inclusive("pipe-a", values),
+        1 => {
+            let heads = (0..n).map(|j| (j * 13 + i).is_multiple_of(7)).collect();
+            ScanRequest::exclusive("pipe-b", values).with_heads(heads)
+        }
+        2 => ScanRequest::inclusive("pipe-a", values).with_recurrence(vec![2]),
+        3 => ScanRequest::inclusive("pipe-c", values).with_recurrence(vec![2, -1]),
+        _ => ScanRequest::exclusive("pipe-b", values).with_recurrence(vec![1, 0, 1]),
+    }
+}
+
+/// The daemon's connection loop (`server::serve`) over a socket pair, on
+/// a service whose engine runs under hostile schedules: 64 mixed-family
+/// scan frames sent in one write are answered in request order, each
+/// bit-identical to its serial oracle, for three seeds.
+#[test]
+fn pipelined_frames_are_answered_in_order_under_hostile_schedules() {
+    for seed in [3u64, 17, 29] {
+        with_watchdog(move || {
+            let cfg = ServiceConfig::default().with_engine(hostile_engine(seed));
+            let service = ScanService::start(cfg);
+            let stop = AtomicBool::new(false);
+            let requests: Vec<ScanRequest> = (0..64).map(|i| mixed_request(seed, i)).collect();
+            let mut bytes = Vec::new();
+            for request in &requests {
+                let payload = wire::encode_scan(request).expect("encodable request");
+                wire::write_frame(&mut bytes, &payload).unwrap();
+            }
+            let (mut client, server) = UnixStream::pair().unwrap();
+            let mut writer = client.try_clone().unwrap();
+            std::thread::scope(|scope| {
+                scope.spawn(|| serve(server, &service, &stop));
+                // A writer of its own, so that neither side's socket buffer
+                // can fill while the other waits.
+                scope.spawn(move || writer.write_all(&bytes).unwrap());
+                for (i, request) in requests.iter().enumerate() {
+                    let payload = wire::read_frame(&mut client)
+                        .unwrap()
+                        .expect("a reply, not EOF");
+                    let reply = wire::decode_response(&payload).unwrap();
+                    let got = reply.expect("scan succeeds").values;
+                    assert_eq!(got, oracle(request), "seed={seed} request {i}");
+                }
+                client.shutdown(Shutdown::Write).unwrap();
+            });
+            service.shutdown();
+        });
+    }
 }
